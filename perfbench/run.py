@@ -1,6 +1,6 @@
 """Benchmark of full stocadmm experiments, end to end and layer by layer.
 
-    python3 perfbench/run.py --workload kernel-sweep --seed 3 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload kernel-sweep --seed 3 --seconds 25 --trace 0
 
 Run from the root of a source checkout; the program is imported from
 ``src/``.  Each experiment runs in a fresh child process
