@@ -86,9 +86,9 @@ THETA_RTOL = 1e-12
 def pin_to_one_cpu() -> int:
     """Restrict this process, and the children it starts, to one CPU.
 
-    The program still starts its default thread pool.  With its threads
-    spread over two cores that other tenants also load, the calibrated
-    spread between runs was 13-16%; on one core it is about 2%.
+    The program still starts its default thread pool.  On a shared
+    2-vCPU Xeon VM, with the pool's threads spread over both cores, the
+    calibrated spread between runs was 13-16%; on one core it was about 2%.
     """
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     return len(os.sched_getaffinity(0))
@@ -96,10 +96,10 @@ def pin_to_one_cpu() -> int:
 
 def calibrate(steps: int = 10_000) -> float:
     """Seconds taken by a fixed loop of small numpy vector operations, the
-    kind of work the solvers do.  The speed of this machine drifts by a factor
-    of up to 1.7 within minutes as other tenants load it; timed in the same
-    process around each experiment, this loop measures that drift so that
-    timings can be scaled to a fixed speed.  It uses no code of the program,
+    kind of work the solvers do.  On a shared 2-vCPU Xeon VM the speed
+    drifted by a factor of up to 1.7 within minutes as other tenants loaded
+    the host; timed in the same process around each experiment, this loop
+    measures that drift so that timings can be scaled to a fixed speed.  It uses no code of the program,
     so a change to the program does not move it."""
     rng = np.random.default_rng(0)
     data, targets = rng.standard_normal((200, 20)), rng.standard_normal(200)
