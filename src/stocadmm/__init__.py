@@ -5,7 +5,6 @@ convergence-rate verification."""
 from .functions import (HingeLoss, HingeSumPenalty, L1Norm, LeastSquares,
                         Quadratic, SquaredL2Penalty, ZeroFunction,
                         soft_threshold)
-from .kernels import NUMBA_ENABLED
 from .metrics import (RateFit, ReferenceSolution, compute_reference,
                       estimate_expectation, fit_rate, high_prob_check)
 from .oracle import (AdditiveNoiseOracle, FiniteSumOracle, NoiseSample,

@@ -6,7 +6,6 @@ Subcommands:
 * ``validate``          parse and schema-check a config file
 * ``reference``         compute and cache the certified optimum of a preset
 * ``check-invariants``  short run with all runtime invariant probes enabled
-* ``bench``             compare the jitted kernel against the numpy fallback
 """
 
 from __future__ import annotations
@@ -14,11 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-import numpy as np
-
-from . import kernels
 from .harness import (ConfigError, ExperimentConfig, run_experiment,
                       save_reference, validate_config)
 from .metrics import compute_reference
@@ -38,8 +33,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.preset_seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.check:
         cfg.solver.check_invariants = True
     cfg.validate()
@@ -86,49 +79,6 @@ def _cmd_check_invariants(args) -> int:
     return code
 
 
-def _cmd_bench(args) -> int:
-    preset = build_preset(args.preset or "lasso-split", seed=args.seed or 0)
-    ki = preset.kernel
-    if ki is None:
-        print("bench needs an identity-split preset", file=sys.stderr)
-        return 1
-    spec = preset.spec
-    solver = SolverConfig(t_max=args.steps, schedule="convex")
-    t = solver.t_max
-    etas = np.array([solver.eta(k + 1, spec) for k in range(t)])
-    oracle = preset.make_oracle(0)
-    buf = oracle.presample(t)
-    idx = buf.indices if buf.indices is not None else np.full(t, -1, np.int64)
-    noise = buf.noise if buf.noise is not None else np.zeros((t, spec.d1))
-    grid = np.array([t], dtype=np.int64)
-    x0, y0 = np.zeros(spec.d1), np.zeros(spec.d2)
-    kargs = (ki.data, ki.targets, ki.theta1_kind, ki.mu, ki.theta2_coef,
-             ki.theta2_kind, ki.radius, solver.beta, etas, idx, noise, grid,
-             x0, y0)
-
-    def clock(fn, reps):
-        fn(*kargs)  # warm-up (JIT compile / cache touch)
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            out = fn(*kargs)
-            best = min(best, time.perf_counter() - t0)
-        return best, out
-
-    py_s, py_out = clock(kernels.admm_identity_split_py, args.reps)
-    print(f"numpy fallback : {py_s:.4f} s for {t} steps "
-          f"({py_s / t * 1e6:.2f} us/step)")
-    if kernels.NUMBA_ENABLED:
-        nb_s, nb_out = clock(kernels.admm_identity_split, args.reps)
-        print(f"numba kernel   : {nb_s:.4f} s for {t} steps "
-              f"({nb_s / t * 1e6:.2f} us/step)  speedup x{py_s / nb_s:.1f}")
-        drift = max(float(np.max(np.abs(a - b))) for a, b in zip(py_out, nb_out))
-        print(f"max |numba - numpy| over outputs: {drift:.3e}")
-    else:
-        print("numba kernel   : disabled (STOCADMM_NO_NUMBA or numba missing)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stocadmm",
@@ -142,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass config file for a smoke run")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="preset data seed")
-        p.add_argument("--workers", type=int,
-                       help="replication worker count (default: all cores)")
         p.add_argument("--check", action="store_true",
                        help="enable per-iteration invariant probes")
 
@@ -164,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_chk)
     p_chk.add_argument("--steps", type=int, default=200)
     p_chk.set_defaults(func=_cmd_check_invariants)
-
-    p_bench = sub.add_parser("bench", help="kernel vs fallback benchmark")
-    p_bench.add_argument("--preset", choices=PRESET_NAMES)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--steps", type=int, default=100_000)
-    p_bench.add_argument("--reps", type=int, default=3)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

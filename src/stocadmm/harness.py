@@ -16,7 +16,6 @@ Exit status contract: 0 iff every enabled check passed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -33,7 +32,7 @@ from .metrics import (HighProbResult, ReferenceSolution, compute_reference,
                       estimate_expectation, fit_rate, high_prob_check,
                       smooth_rate_bound, strongly_convex_rate_bound)
 from .presets import Preset, build_preset
-from .problem import err_rho
+from .problem import IterateState, err_rho
 from .solvers import SolverConfig, Trajectory, run
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
@@ -54,7 +53,6 @@ class ExperimentConfig:
     t_grid: list | None = None
     omegas: list = field(default_factory=list)
     out_dir: str = "out"
-    workers: int = 0  # 0: use available parallelism
     rate_window: tuple | None = None
     slope_band: tuple | None = None
     check_bound: bool = False
@@ -84,7 +82,7 @@ _SOLVER_FIELDS = {
 _TOP_FIELDS = {
     "preset": str, "preset_params": dict, "preset_seed": int,
     "replications": int, "t_grid": list, "omegas": list, "out_dir": str,
-    "workers": int, "rate_window": list, "slope_band": list,
+    "rate_window": list, "slope_band": list,
     "check_bound": bool, "solver": dict,
 }
 
@@ -123,7 +121,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         t_grid=raw.get("t_grid"),
         omegas=_coerce("omegas", raw.get("omegas", []) or [], list),
         out_dir=_coerce("out_dir", raw.get("out_dir", "out"), str),
-        workers=_coerce("workers", raw.get("workers", 0), int),
         rate_window=tuple(raw["rate_window"]) if raw.get("rate_window") else None,
         slope_band=tuple(raw["slope_band"]) if raw.get("slope_band") else None,
         check_bound=_coerce("check_bound", raw.get("check_bound", False), bool),
@@ -157,62 +154,64 @@ def _kernel_eligible(preset: Preset, cfg: SolverConfig) -> bool:
             and not cfg.check_invariants)
 
 
-def run_replication(preset: Preset, solver: SolverConfig, stream: int,
-                    t_grid: np.ndarray,
-                    theta_star: float | None) -> Trajectory:
-    """One solver run; takes the fused kernel path whenever it applies."""
+def _kernel_replications(preset: Preset, solver: SolverConfig, streams,
+                         t_grid: np.ndarray,
+                         theta_star: float | None) -> list[Trajectory]:
+    """All streams in one batched kernel call.  The step_ms column is the
+    kernel's wall time divided by the replication-steps it advanced."""
     spec = preset.spec
-    oracle = preset.make_oracle(stream)
-    if not _kernel_eligible(preset, solver):
-        return run(spec, solver, oracle=oracle, theta_star=theta_star,
-                   record_at=t_grid)
-
-    ki = preset.kernel
-    t = solver.t_max
-    etas = np.array([solver.eta(k + 1, spec) for k in range(t)])
-    buf = oracle.presample(t)
-    idx = buf.indices if buf.indices is not None else np.full(t, -1, dtype=np.int64)
-    noise = buf.noise if buf.noise is not None else np.zeros((t, spec.d1))
-    grid = np.asarray(t_grid, dtype=np.int64)
+    args = preset.kernel.arguments(spec, solver,
+                                   [preset.make_oracle(s) for s in streams], t_grid)
     t0 = time.perf_counter()
-    xb2, xb10, yb, x, y, lam = kernels.admm_identity_split(
-        ki.data, ki.targets, ki.theta1_kind, ki.mu, ki.theta2_coef,
-        ki.theta2_kind, ki.radius, solver.beta, etas, idx, noise, grid,
-        np.zeros(spec.d1), np.zeros(spec.d2))
-    ms_per_step = (time.perf_counter() - t0) * 1e3 / max(t, 1)
+    out = kernels.admm_identity_split(**args)
+    ms_per_step = ((time.perf_counter() - t0) * 1e3
+                   / max(len(out.x) * solver.t_max, 1))
 
-    rows = {name: [] for name in Trajectory.COLUMNS}
-    for p, tk in enumerate(grid):
-        rows["k"].append(int(tk))
-        rows["eta"].append(etas[tk - 1])
-        rows["step_ms"].append(ms_per_step)
-        for tag, u_bar in (("eq2", (xb2[p], yb[p])), ("eq10", (xb10[p], yb[p]))):
-            if theta_star is None:
-                gap = math.nan
-                err = math.nan
-                feas = float(np.linalg.norm(spec.residual(*u_bar)))
-            else:
-                err, gap, feas = err_rho(u_bar, spec, theta_star, solver.rho)
-            rows[f"obj_gap_{tag}"].append(gap)
-            rows[f"feas_{tag}"].append(feas)
-            rows[f"err_rho_{tag}"].append(err)
-    from .problem import IterateState
-    final = IterateState(x, y, lam)
-    return Trajectory(**{n: np.asarray(v) for n, v in rows.items()},
-                      final_state=final)
+    grid, etas = args["grid"], args["etas"]
+    trajectories = []
+    for r in range(len(out.x)):
+        rows = {name: [] for name in Trajectory.COLUMNS}
+        for p, tk in enumerate(grid):
+            rows["k"].append(int(tk))
+            rows["eta"].append(etas[tk - 1])
+            rows["step_ms"].append(ms_per_step)
+            for tag, x_bar in (("eq2", out.xbar_shifted[r, p]),
+                               ("eq10", out.xbar_aligned[r, p])):
+                u_bar = (x_bar, out.ybar[r, p])
+                if theta_star is None:
+                    gap = math.nan
+                    err = math.nan
+                    feas = float(np.linalg.norm(spec.residual(*u_bar)))
+                else:
+                    err, gap, feas = err_rho(u_bar, spec, theta_star, solver.rho)
+                rows[f"obj_gap_{tag}"].append(gap)
+                rows[f"feas_{tag}"].append(feas)
+                rows[f"err_rho_{tag}"].append(err)
+        final = IterateState.from_sums(
+            solver.t_max, out.x[r], out.y[r], out.lam[r], out.sum_x_shifted[r],
+            out.sum_x_aligned[r], out.sum_y[r], out.sum_lam[r])
+        trajectories.append(Trajectory(**{n: np.asarray(v) for n, v in rows.items()},
+                                       final_state=final))
+    return trajectories
 
 
 def run_replications(preset: Preset, solver: SolverConfig, R: int,
-                     t_grid: np.ndarray, theta_star: float | None,
-                     workers: int = 0) -> list[Trajectory]:
-    workers = workers or min(R, os.cpu_count() or 1)
-    if workers <= 1 or R == 1:
-        return [run_replication(preset, solver, r, t_grid, theta_star)
-                for r in range(R)]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_replication, preset, solver, r, t_grid, theta_star)
-                   for r in range(R)]
-        return [f.result() for f in futures]
+                     t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
+    """Replications on streams 0..R-1: one batched kernel call when the kernel
+    applies, otherwise one step-by-step run per stream."""
+    if _kernel_eligible(preset, solver):
+        return _kernel_replications(preset, solver, range(R), t_grid, theta_star)
+    return [run_replication(preset, solver, r, t_grid, theta_star) for r in range(R)]
+
+
+def run_replication(preset: Preset, solver: SolverConfig, stream: int,
+                    t_grid: np.ndarray,
+                    theta_star: float | None) -> Trajectory:
+    """One solver run; takes the kernel path whenever it applies."""
+    if _kernel_eligible(preset, solver):
+        return _kernel_replications(preset, solver, [stream], t_grid, theta_star)[0]
+    return run(preset.spec, solver, oracle=preset.make_oracle(stream),
+               theta_star=theta_star, record_at=t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
         raise ConfigError("t_grid: grid point exceeds solver.t_max")
 
     trajectories = run_replications(preset, cfg.solver, cfg.replications,
-                                    t_grid, theta_star, workers=cfg.workers)
+                                    t_grid, theta_star)
 
     for r, traj in enumerate(trajectories):
         write_trajectory_csv(os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv"), traj)
@@ -344,7 +343,6 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
         "schedule": cfg.solver.schedule,
         "averaging": cfg.solver.default_averaging(),
         "kernel_path": _kernel_eligible(preset, cfg.solver),
-        "numba": kernels.NUMBA_ENABLED,
         "theta_star": theta_star,
         "invariant_violations": len(invariant_lines),
         "failed_runs": failed_runs,

@@ -1,28 +1,26 @@
-"""Hot inner loops for identity-split problems (A = I, B = -I, b = 0).
+"""Replication-batched iteration kernel for identity-split problems
+(A = I, B = -I, b = 0).
 
-The stochastic solver spends essentially all its time in a tight per-iteration
-loop of O(d) vector work.  For the identity-split presets every subproblem has
-a closed form, so the whole run collapses into one kernel that consumes
-pre-drawn randomness and emits running-average snapshots at requested
-iteration counts.
-
-The kernel is JIT-compiled with numba when available; setting the environment
-variable ``STOCADMM_NO_NUMBA=1`` (or installing without numba) selects the
-pure-numpy fallback, which executes the identical Python function body.  Both
-paths consume the same pre-drawn random buffers, so trajectories agree to the
-last bit.  ``benchmarks/benchmark_kernels.py`` compares the two.
+For the identity-split presets every subproblem has a closed form, so a whole
+stochastic run collapses into one loop of O(d) vector work per step.  The
+kernel advances R independent replications together: the iterates and the
+running sums are (R, d) arrays and each step is a handful of numpy calls on
+them, so the interpreter overhead of a step is paid once for all R
+replications.  The replications consume their own pre-drawn randomness
+(stacked per-stream oracle buffers), so the draws are those of the
+step-by-step path and each replication's trajectory agrees with it up to
+floating-point summation order.
 """
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
+    "KernelOutput",
     "admm_identity_split",
-    "admm_identity_split_py",
     "THETA1_LSQ",
     "THETA1_HINGE",
     "THETA2_L1",
@@ -35,63 +33,83 @@ THETA2_L1 = 0
 THETA2_SQL2 = 1
 
 
-def _admm_identity_split(data, targets, theta1_kind, mu, theta2_coef, theta2_kind,
-                         radius, beta, etas, idx, noise, grid, x0, y0):
-    """Run t = len(etas) stochastic ADMM steps on an identity-split problem.
+class KernelOutput(NamedTuple):
+    """Snapshots (R, len(grid), d) and final states (R, d) of a batched run.
+
+    The sums are the running sums after the last step: x over indices
+    0..t-1 (shifted), x over 1..t (aligned), y and lam over 1..t.
+    """
+
+    xbar_shifted: np.ndarray
+    xbar_aligned: np.ndarray
+    ybar: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    sum_x_shifted: np.ndarray
+    sum_x_aligned: np.ndarray
+    sum_y: np.ndarray
+    sum_lam: np.ndarray
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("rd,rd->r", a, b)
+
+
+def admm_identity_split(data, targets, theta1_kind, mu, theta2_coef, theta2_kind,
+                        radius, beta, etas, idx, noise, grid, x0, y0) -> KernelOutput:
+    """Run t = len(etas) stochastic ADMM steps of R replications at once.
 
     data/targets: n x d design and per-row targets (labels for the hinge).
-    idx[k] selects the sampled component for step k; idx[k] = -1 means the
-    exact averaged (sub)gradient.  noise[k] is added to the subgradient.
+    idx: (R, t) sampled component indices, idx[r, k] for step k of
+    replication r; None means the exact averaged (sub)gradient at every step.
+    noise: (R, t, d) rows added to the subgradient, or None for no noise.
     radius <= 0 means whole-space X, otherwise an origin-centered ball.
     grid holds sorted 1-based iteration counts at which running averages of
-    both conventions are snapshotted.
-
-    Returns (xbar_shifted, xbar_aligned, ybar, x, y, lam) with the snapshot
-    arrays shaped (len(grid), d).
+    both conventions are snapshotted.  x0, y0: (R, d) starting points.
     """
-    n, d = data.shape
+    n = data.shape[0]
     t = etas.shape[0]
-    x = x0.copy()
-    y = y0.copy()
-    lam = np.zeros(d)
-    sx_shift = np.zeros(d)
-    sx_align = np.zeros(d)
-    sy = np.zeros(d)
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
+    lam = np.zeros_like(x)
+    sx_shift = np.zeros_like(x)
+    sx_align = np.zeros_like(x)
+    sy = np.zeros_like(y)
+    slam = np.zeros_like(lam)
     n_grid = grid.shape[0]
-    xbar_shift = np.zeros((n_grid, d))
-    xbar_align = np.zeros((n_grid, d))
-    ybar = np.zeros((n_grid, d))
+    xbar_shift = np.zeros((x.shape[0], n_grid, x.shape[1]))
+    xbar_align = np.zeros_like(xbar_shift)
+    ybar = np.zeros((y.shape[0], n_grid, y.shape[1]))
     p = 0
     for k in range(t):
         sx_shift += x
-        i = idx[k]
         # sampled (or exact) subgradient of the first block at x
         if theta1_kind == THETA1_LSQ:
-            if i >= 0:
-                r = np.dot(data[i], x) - targets[i]
-                g = data[i] * r + mu * x
+            if idx is not None:
+                i = idx[:, k]
+                rows = data[i]
+                g = rows * (_rowdot(rows, x) - targets[i])[:, None] + mu * x
             else:
-                g = (data.T @ (data @ x - targets)) / n + mu * x
+                g = ((x @ data.T - targets) @ data) / n + mu * x
         else:
-            if i >= 0:
-                if targets[i] * np.dot(data[i], x) < 1.0:
-                    g = -targets[i] * data[i] + mu * x
-                else:
-                    g = mu * x
+            if idx is not None:
+                i = idx[:, k]
+                rows = data[i]
+                active = targets[i] * _rowdot(rows, x) < 1.0
+                g = mu * x - np.where(active, targets[i], 0.0)[:, None] * rows
             else:
-                g = mu * x
-                for j in range(n):
-                    if targets[j] * np.dot(data[j], x) < 1.0:
-                        g = g - targets[j] * data[j] / n
-        g = g + noise[k]
+                active = (x @ data.T) * targets < 1.0
+                g = mu * x - (np.where(active, targets, 0.0) @ data) / n
+        if noise is not None:
+            g = g + noise[:, k]
         eta = etas[k]
         # x-update: isotropic quadratic, then exact ball projection
         c = beta + 1.0 / eta
         z = (beta * y + lam + x / eta - g) / c
         if radius > 0.0:
-            nz = np.sqrt(np.dot(z, z))
-            if nz > radius:
-                z = z * (radius / nz)
+            # radius / max(||z||, radius) is exactly 1 inside the ball
+            z *= (radius / np.maximum(np.sqrt(_rowdot(z, z)), radius))[:, None]
         x = z
         # y-update: exact prox of the second block
         zy = x - lam / beta
@@ -104,26 +122,12 @@ def _admm_identity_split(data, targets, theta1_kind, mu, theta2_coef, theta2_kin
         lam = lam - beta * (x - y)
         sx_align += x
         sy += y
+        slam += lam
         if p < n_grid and k + 1 == grid[p]:
             inv = 1.0 / (k + 1)
-            xbar_shift[p] = sx_shift * inv
-            xbar_align[p] = sx_align * inv
-            ybar[p] = sy * inv
+            xbar_shift[:, p] = sx_shift * inv
+            xbar_align[:, p] = sx_align * inv
+            ybar[:, p] = sy * inv
             p += 1
-    return xbar_shift, xbar_align, ybar, x, y, lam
-
-
-admm_identity_split_py = _admm_identity_split
-
-_disabled = os.environ.get("STOCADMM_NO_NUMBA", "").lower() in ("1", "true", "yes")
-NUMBA_ENABLED = False
-if not _disabled:
-    try:
-        import numba
-
-        admm_identity_split = numba.njit(cache=True, nogil=True)(_admm_identity_split)
-        NUMBA_ENABLED = True
-    except ImportError:
-        admm_identity_split = _admm_identity_split
-else:
-    admm_identity_split = _admm_identity_split
+    return KernelOutput(xbar_shift, xbar_align, ybar, x, y, lam,
+                        sx_shift, sx_align, sy, slam)

@@ -36,7 +36,8 @@ class SampleBuffer:
     """Pre-drawn randomness for one run: component indices and/or noise rows.
 
     Pre-drawing in one batch pins the exact generator consumption pattern, so
-    the jitted kernel path and the step-by-step path see identical draws.
+    the batched kernel path and the step-by-step path see identical draws.
+    noise is None when the oracle adds no noise.
     """
 
     indices: np.ndarray | None
@@ -132,11 +133,12 @@ class AdditiveNoiseOracle:
         return self._rng.uniform(-a, a, size=(size, d))
 
     def presample(self, t: int) -> SampleBuffer:
-        return SampleBuffer(indices=None, noise=self._draw_noise(t))
+        noise = None if self.kind == "none" else self._draw_noise(t)
+        return SampleBuffer(indices=None, noise=noise)
 
     def sample_subgradient(self, x: np.ndarray, k: int | None = None,
                            buffer: SampleBuffer | None = None) -> NoiseSample:
-        if buffer is not None:
+        if buffer is not None and buffer.noise is not None:
             delta = buffer.noise[k]
         else:
             delta = self._draw_noise(1)[0]

@@ -3,7 +3,7 @@
 Each preset generates data deterministically from its seed, wraps it in a
 ProblemSpec with certified structural constants, and knows how to build
 per-replication oracles.  Identity-split presets (A = I, B = -I, b = 0) also
-carry the flat arrays the jitted kernel path consumes.
+carry the flat arrays the batched kernel path consumes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,31 @@ class KernelInputs:
     theta2_coef: float
     theta2_kind: int
     radius: float  # <= 0 means whole-space
+
+    def arguments(self, spec: ProblemSpec, solver, oracles, grid) -> dict:
+        """Keyword arguments of ``kernels.admm_identity_split`` for one
+        replication per oracle, each running solver.t_max steps from zero and
+        snapshotting at the 1-based iteration counts in grid.
+
+        Each oracle presamples its own draws, which are stacked to (R, t)
+        indices and (R, t, d) noise; either is None when no oracle draws it.
+        """
+        t = solver.t_max
+        buffers = [oracle.presample(t) for oracle in oracles]
+        first = buffers[0]
+        return dict(
+            data=self.data, targets=self.targets, theta1_kind=self.theta1_kind,
+            mu=self.mu, theta2_coef=self.theta2_coef,
+            theta2_kind=self.theta2_kind, radius=self.radius, beta=solver.beta,
+            etas=np.array([solver.eta(k + 1, spec) for k in range(t)]),
+            idx=(None if first.indices is None
+                 else np.stack([b.indices for b in buffers])),
+            noise=(None if first.noise is None
+                   else np.stack([b.noise for b in buffers])),
+            grid=np.asarray(grid, dtype=np.int64),
+            x0=np.zeros((len(buffers), spec.d1)),
+            y0=np.zeros((len(buffers), spec.d2)),
+        )
 
 
 @dataclass(frozen=True)

@@ -197,15 +197,10 @@ class IterateState:
     * aligned: x averaged over 1..k (y and lam averages coincide).
     """
 
-    def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray | None = None):
+    def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray):
         self.x = np.array(x0, dtype=float)
         self.y = np.array(y0, dtype=float)
-        # the multiplier always starts at zero
-        self.lam = (
-            np.zeros_like(np.atleast_1d(lam0))
-            if lam0 is None
-            else np.array(lam0, dtype=float)
-        )
+        self.lam = np.array(lam0, dtype=float)
         self.k = 0
         self._sum_x_shifted = np.zeros_like(self.x)
         self._sum_x_aligned = np.zeros_like(self.x)
@@ -215,6 +210,19 @@ class IterateState:
     @classmethod
     def zeros(cls, spec: ProblemSpec) -> "IterateState":
         return cls(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
+
+    @classmethod
+    def from_sums(cls, k: int, x, y, lam, sum_x_shifted, sum_x_aligned, sum_y,
+                  sum_lam) -> "IterateState":
+        """State after k iterations run elsewhere, from its final iterate and
+        running sums (x over 0..k-1 and 1..k, y and lam over 1..k)."""
+        state = cls(x, y, lam)
+        state.k = k
+        state._sum_x_shifted = np.array(sum_x_shifted, dtype=float)
+        state._sum_x_aligned = np.array(sum_x_aligned, dtype=float)
+        state._sum_y = np.array(sum_y, dtype=float)
+        state._sum_lam = np.array(sum_lam, dtype=float)
+        return state
 
     def advance(self, x_new: np.ndarray, y_new: np.ndarray, lam_new: np.ndarray):
         """Record one completed iteration k -> k+1."""

@@ -24,8 +24,6 @@ from stocadmm.solvers import (SolverConfig, run, step_deterministic,
 
 from conftest import scalar_split_spec, ridge_split_spec
 
-WORKERS = 8
-
 
 def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -50,8 +48,7 @@ def test_criterion_01_convex_rate(lasso):
     cfg = SolverConfig(variant="stochastic", beta=1.0, schedule="convex",
                        t_max=100_000, rho=1.0)
     grid = _grid(cfg.t_max)
-    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star,
-                             workers=WORKERS)
+    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
     bound = convex_rate_bound(grid, spec.constants.M, spec.diameter_x,
@@ -70,8 +67,7 @@ def test_criterion_02_strongly_convex_rate():
     cfg = SolverConfig(variant="stochastic", beta=1.0,
                        schedule="strongly-convex", t_max=100_000, rho=1.0)
     grid = _grid(cfg.t_max)
-    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star,
-                             workers=WORKERS)
+    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
     bound = strongly_convex_rate_bound(grid, spec.constants.M, spec.constants.mu,
@@ -215,8 +211,7 @@ def test_criterion_08_high_probability_tail(lasso):
     cfg = SolverConfig(variant="stochastic", beta=1.0, schedule="convex",
                        t_max=10_000, rho=1.0)
     grid = np.array([10_000])
-    trajs = run_replications(preset, cfg, 200, grid, ref.theta_star,
-                             workers=WORKERS)
+    trajs = run_replications(preset, cfg, 200, grid, ref.theta_star)
     errs = [t.err_rho_eq2[-1] for t in trajs]
     d_yb = ref.d_y_star_b(spec)
     oracle = preset.make_oracle(0)
@@ -265,7 +260,7 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
             preset_seed=3,
             solver=SolverConfig(variant="stochastic", schedule="convex",
                                 t_max=1000),
-            replications=5, out_dir=str(tmp_path / tag), workers=4)
+            replications=5, out_dir=str(tmp_path / tag))
         report, code = run_experiment(cfg)
         assert code == 0
         blobs.append((tmp_path / tag / "aggregate.csv").read_bytes())

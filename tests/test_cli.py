@@ -65,9 +65,10 @@ def test_validate_accepts_minimal_config(tmp_path, capsys):
 
 def test_validate_rejects_unknown_field(tmp_path, capsys):
     path = tmp_path / "c.yaml"
-    path.write_text("preset: lasso-split\nbogus: 1\n")
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "bogus" in capsys.readouterr().err
+    for field in ("bogus", "workers"):
+        path.write_text(f"preset: lasso-split\n{field}: 1\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"{field}: unknown field" in capsys.readouterr().err
 
 
 def test_validate_rejects_schedule_without_curvature(tmp_path, capsys):
@@ -99,7 +100,7 @@ def test_run_needs_config_or_preset(capsys):
 
 def test_preset_smoke_run(tmp_path):
     code = main(["run", "--preset", "lasso-split", "--seed", "2",
-                 "--out", str(tmp_path / "o"), "--workers", "1"])
+                 "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "report.json").exists()
 
@@ -145,14 +146,6 @@ def test_check_invariants_subcommand(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 0
     assert "0 violation(s)" in capsys.readouterr().out
-
-
-def test_bench_subcommand(capsys):
-    code = main(["bench", "--preset", "lasso-split", "--steps", "2000",
-                 "--reps", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "numpy fallback" in out and "numba kernel" in out
 
 
 def test_default_t_grid_is_unique_and_covers_endpoints():

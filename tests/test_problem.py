@@ -102,6 +102,9 @@ def test_averages_before_any_step_are_zero():
     state = IterateState.zeros(spec)
     assert np.array_equal(state.avg_x_shifted, [0.0])
     assert np.array_equal(state.avg_y, [0.0])
+    assert state.lam.dtype == float
+    with pytest.raises(TypeError):
+        IterateState(np.zeros(1), np.zeros(1))  # the multiplier is required
 
 
 def test_err_rho_hand_example():
