@@ -14,8 +14,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, ExperimentConfig, run_experiment,
-                      save_reference, validate_config)
+from .harness import (ConfigError, ExperimentConfig, reference_key,
+                      run_experiment, save_reference, validate_config)
 from .metrics import compute_reference
 from .presets import PRESET_NAMES, build_preset
 from .solvers import SolverConfig
@@ -62,7 +62,7 @@ def _cmd_reference(args) -> int:
               file=sys.stderr)
         return 1
     ref = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
-    path = save_reference(cfg.out_dir, ref)
+    path = save_reference(cfg.out_dir, ref, reference_key(cfg))
     print(f"reference cached at {path}: objective={ref.theta_star!r} "
           f"method={ref.method} tol={ref.certified_tolerance:.2e}")
     return 0

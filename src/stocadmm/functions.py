@@ -15,8 +15,6 @@ minimization over an interval).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -188,9 +186,6 @@ class SquaredL2Penalty:
         return self.coef * y
 
     subgrad = grad
-
-    def hessian_times(self, dim: int) -> np.ndarray:
-        return self.coef * np.eye(dim)
 
     def quadratic_parts_for(self, dim: int):
         return self.coef * np.eye(dim), np.zeros(dim), 0.0

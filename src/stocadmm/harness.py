@@ -9,7 +9,9 @@ A run produces, inside the output directory:
 * ``report.json``          rate fits, bound checks, tail checks, pass/fail;
 * ``invariants.log``       one line per violated runtime invariant (empty on
   success);
-* ``reference.npz`` + ``reference.sha256``  cached certified optimum.
+* ``reference.npz`` + ``reference.sha256``  cached certified optimum, keyed
+  by the preset, its parameters and seed, the reference method, beta and the
+  package version; a cache with another key is recomputed.
 
 Exit status contract: 0 iff every enabled check passed.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,17 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import kernels
-from .metrics import (HighProbResult, ReferenceSolution, compute_reference,
-                      convex_rate_bound, deterministic_rate_bound,
-                      estimate_expectation, fit_rate, high_prob_check,
-                      smooth_rate_bound, strongly_convex_rate_bound)
+from . import __version__, kernels
+from .metrics import (ReferenceSolution, compute_reference, convex_rate_bound,
+                      deterministic_rate_bound, estimate_expectation, fit_rate,
+                      high_prob_check, smooth_rate_bound,
+                      strongly_convex_rate_bound)
 from .presets import Preset, build_preset
-from .problem import IterateState, err_rho
-from .solvers import SolverConfig, Trajectory, run
+from .problem import IterateState
+from .solvers import SolverConfig, Trajectory, empty_rows, record_row, run
 
 __all__ = ["ExperimentConfig", "validate_config", "run_experiment",
-           "run_replication", "default_t_grid"]
+           "run_replication", "default_t_grid", "reference_key"]
 
 
 class ConfigError(ValueError):
@@ -62,10 +63,13 @@ class ExperimentConfig:
             raise ConfigError("replications: must be >= 1")
         if self.solver.t_max < 10:
             raise ConfigError("solver.t_max: must be >= 10")
-        out = self.out_dir
-        os.makedirs(out, exist_ok=True)
-        if not os.access(out, os.W_OK):
-            raise ConfigError(f"out_dir: {out!r} is not writable")
+        # the directory is created by the run; here only the nearest
+        # existing ancestor must be a writable directory
+        base = os.path.abspath(self.out_dir)
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        if not (os.path.isdir(base) and os.access(base, os.W_OK)):
+            raise ConfigError(f"out_dir: {self.out_dir!r} is not writable")
 
 
 def default_t_grid(t_max: int, n_points: int = 20) -> np.ndarray:
@@ -89,10 +93,24 @@ _TOP_FIELDS = {
 
 def _coerce(path, value, typ):
     if typ in (float, int) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if typ is int and not float(value).is_integer():
+            raise ConfigError(f"{path}: expected int, got {value!r}")
         return typ(value)
     if not isinstance(value, typ):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(value).__name__}")
     return value
+
+
+def _coerce_list(path, value, typ, length=None):
+    value = _coerce(path, value, list)
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{path}: expected {length} values, got {len(value)}")
+    return [_coerce(f"{path}[{i}]", v, typ) for i, v in enumerate(value)]
+
+
+def _optional_list(raw, key, typ, length=None):
+    value = raw.get(key)
+    return None if value is None else _coerce_list(key, value, typ, length)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -112,17 +130,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         for key, val in solver_raw.items() if val is not None
     }
     solver = SolverConfig(**solver_kwargs)
+    t_grid = _optional_list(raw, "t_grid", int)
+    if t_grid and min(t_grid) < 1:
+        raise ConfigError("t_grid: grid points must be >= 1")
+    rate_window = _optional_list(raw, "rate_window", float, 2)
+    slope_band = _optional_list(raw, "slope_band", float, 2)
     cfg = ExperimentConfig(
         preset=_coerce("preset", raw["preset"], str),
         preset_params=_coerce("preset_params", raw.get("preset_params", {}) or {}, dict),
         preset_seed=_coerce("preset_seed", raw.get("preset_seed", 0), int),
         solver=solver,
         replications=_coerce("replications", raw.get("replications", 1), int),
-        t_grid=raw.get("t_grid"),
-        omegas=_coerce("omegas", raw.get("omegas", []) or [], list),
+        t_grid=t_grid,
+        omegas=_coerce_list("omegas", raw.get("omegas") or [], float),
         out_dir=_coerce("out_dir", raw.get("out_dir", "out"), str),
-        rate_window=tuple(raw["rate_window"]) if raw.get("rate_window") else None,
-        slope_band=tuple(raw["slope_band"]) if raw.get("slope_band") else None,
+        rate_window=None if rate_window is None else tuple(rate_window),
+        slope_band=None if slope_band is None else tuple(slope_band),
         check_bound=_coerce("check_bound", raw.get("check_bound", False), bool),
     )
     cfg.validate()
@@ -170,28 +193,15 @@ def _kernel_replications(preset: Preset, solver: SolverConfig, streams,
     grid, etas = args["grid"], args["etas"]
     trajectories = []
     for r in range(len(out.x)):
-        rows = {name: [] for name in Trajectory.COLUMNS}
+        rows = empty_rows()
         for p, tk in enumerate(grid):
-            rows["k"].append(int(tk))
-            rows["eta"].append(etas[tk - 1])
-            rows["step_ms"].append(ms_per_step)
-            for tag, x_bar in (("eq2", out.xbar_shifted[r, p]),
-                               ("eq10", out.xbar_aligned[r, p])):
-                u_bar = (x_bar, out.ybar[r, p])
-                if theta_star is None:
-                    gap = math.nan
-                    err = math.nan
-                    feas = float(np.linalg.norm(spec.residual(*u_bar)))
-                else:
-                    err, gap, feas = err_rho(u_bar, spec, theta_star, solver.rho)
-                rows[f"obj_gap_{tag}"].append(gap)
-                rows[f"feas_{tag}"].append(feas)
-                rows[f"err_rho_{tag}"].append(err)
+            record_row(rows, spec, solver.rho, theta_star, int(tk), etas[tk - 1],
+                       ms_per_step, out.xbar_shifted[r, p], out.xbar_aligned[r, p],
+                       out.ybar[r, p])
         final = IterateState.from_sums(
             solver.t_max, out.x[r], out.y[r], out.lam[r], out.sum_x_shifted[r],
             out.sum_x_aligned[r], out.sum_y[r], out.sum_lam[r])
-        trajectories.append(Trajectory(**{n: np.asarray(v) for n, v in rows.items()},
-                                       final_state=final))
+        trajectories.append(Trajectory.from_rows(rows, final_state=final))
     return trajectories
 
 
@@ -249,9 +259,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def save_reference(out_dir: str, ref: ReferenceSolution):
+def reference_key(cfg: ExperimentConfig, method: str = "auto") -> str:
+    """Hash of everything the certified optimum of cfg depends on."""
+    blob = json.dumps({"preset": cfg.preset, "params": cfg.preset_params,
+                       "seed": cfg.preset_seed, "method": method,
+                       "beta": cfg.solver.beta, "version": __version__},
+                      sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def save_reference(out_dir: str, ref: ReferenceSolution, key: str = ""):
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "reference.npz")
-    np.savez(path, x_star=ref.x_star, y_star=ref.y_star,
+    np.savez(path, key=np.array(key), x_star=ref.x_star, y_star=ref.y_star,
              theta_star=ref.theta_star,
              lam_star=(ref.lam_star if ref.lam_star is not None else np.array([])),
              method=np.array(ref.method),
@@ -261,7 +281,9 @@ def save_reference(out_dir: str, ref: ReferenceSolution):
     return path
 
 
-def load_reference(out_dir: str) -> ReferenceSolution | None:
+def load_reference(out_dir: str, key: str | None = None) -> ReferenceSolution | None:
+    """The cached reference, or None when there is none or, with a key given,
+    when it was saved under another key."""
     path = os.path.join(out_dir, "reference.npz")
     digest_path = path + ".sha256"
     if not (os.path.exists(path) and os.path.exists(digest_path)):
@@ -271,6 +293,8 @@ def load_reference(out_dir: str) -> ReferenceSolution | None:
     if _sha256(path) != expected:
         raise RuntimeError(f"reference cache {path} failed its checksum")
     data = np.load(path, allow_pickle=False)
+    if key is not None and ("key" not in data.files or str(data["key"]) != key):
+        return None
     lam = data["lam_star"]
     return ReferenceSolution(
         x_star=data["x_star"], y_star=data["y_star"],
@@ -310,10 +334,11 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if reference is None and preset.supports_reference:
-        reference = load_reference(cfg.out_dir)
+        key = reference_key(cfg)
+        reference = load_reference(cfg.out_dir, key)
         if reference is None:
             reference = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
-            save_reference(cfg.out_dir, reference)
+            save_reference(cfg.out_dir, reference, key)
     theta_star = reference.theta_star if reference else None
 
     t_grid = (np.asarray(sorted(set(int(t) for t in cfg.t_grid)))

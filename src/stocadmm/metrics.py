@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import IterateState, ProblemSpec
 from .sets import Ball, Box, WholeSpace
-from .solvers import SolverConfig, Trajectory, step_deterministic
-from .prox import QuadCache
-from .problem import IterateState
+from .solvers import SolverConfig, step
 
 __all__ = [
     "ReferenceSolution",
@@ -123,13 +121,12 @@ def _kkt_direct(spec: ProblemSpec) -> ReferenceSolution:
 
 
 def _long_admm(spec: ProblemSpec, beta: float, tol: float, budget: int) -> ReferenceSolution:
-    cfg = SolverConfig(variant="deterministic", beta=beta, t_max=0)
+    plan = SolverConfig(variant="deterministic", beta=beta, t_max=0).validate(spec)
     state = IterateState.zeros(spec)
-    cache = QuadCache(spec)
     achieved = np.inf
     for k in range(budget):
         x_prev, y_prev = state.x.copy(), state.y.copy()
-        step_deterministic(state, spec, cfg, cache)
+        step(state, plan)
         move = float(np.linalg.norm(state.x - x_prev) + np.linalg.norm(state.y - y_prev))
         feas = float(np.linalg.norm(spec.residual(state.x, state.y)))
         achieved = move + feas

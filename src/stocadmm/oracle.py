@@ -1,5 +1,10 @@
 """Stochastic first-order oracles and statistical assumption validators.
 
+An oracle returns one sampled subgradient g per call.  The deviation
+delta = g - E g is needed only by the per-iteration invariant checks and by
+validate_assumptions, which compute it from the exact subgradient
+theta1.subgrad(x).
+
 Randomness is addressed counter-style: every oracle is keyed by a 64-bit seed
 and a replication stream id, and all draws for one run come from a Philox
 generator keyed by (seed, stream).  Replications therefore need no shared
@@ -14,21 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NoiseSample",
     "SampleBuffer",
     "FiniteSumOracle",
     "AdditiveNoiseOracle",
     "validate_assumptions",
     "AssumptionReport",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseSample:
-    """Realized stochastic subgradient g and its deviation delta = g - exact."""
-
-    g: np.ndarray
-    delta: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -56,9 +52,8 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 class FiniteSumOracle:
     """Uniform component sampling over a finite-sum objective.
 
-    The wrapped function must expose n, component_grad and grad (the exact
-    subgradient is the average of component subgradients, so delta is always
-    available).
+    The wrapped function must expose n and component_grad; its exact
+    subgradient is the average of the component subgradients.
     """
 
     bounded = True  # finitely many components on a compact set
@@ -77,16 +72,12 @@ class FiniteSumOracle:
         return SampleBuffer(indices=idx, noise=None)
 
     def sample_subgradient(self, x: np.ndarray, k: int | None = None,
-                           buffer: SampleBuffer | None = None) -> NoiseSample:
+                           buffer: SampleBuffer | None = None) -> np.ndarray:
         if buffer is not None:
             i = int(buffer.indices[k])
         else:
             i = int(self._rng.integers(0, self.theta1.n, dtype=np.int64))
-        g = self.theta1.component_grad(x, i)
-        return NoiseSample(g=g, delta=g - self.theta1.subgrad(x))
-
-    def exact_subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.theta1.subgrad(x)
+        return self.theta1.component_grad(x, i)
 
 
 class AdditiveNoiseOracle:
@@ -137,15 +128,12 @@ class AdditiveNoiseOracle:
         return SampleBuffer(indices=None, noise=noise)
 
     def sample_subgradient(self, x: np.ndarray, k: int | None = None,
-                           buffer: SampleBuffer | None = None) -> NoiseSample:
-        if buffer is not None and buffer.noise is not None:
-            delta = buffer.noise[k]
-        else:
-            delta = self._draw_noise(1)[0]
-        return NoiseSample(g=self.theta1.subgrad(x) + delta, delta=delta)
-
-    def exact_subgradient(self, x: np.ndarray) -> np.ndarray:
-        return self.theta1.subgrad(x)
+                           buffer: SampleBuffer | None = None) -> np.ndarray:
+        g = self.theta1.subgrad(x)
+        if self.kind == "none":
+            return g
+        noise = buffer.noise[k] if buffer is not None else self._draw_noise(1)[0]
+        return g + noise
 
 
 @dataclass(frozen=True)
@@ -179,12 +167,14 @@ def validate_assumptions(oracle, X, n_samples: int, n_points: int = 10,
     ci_m2 = ci_var = 0.0
     for _ in range(n_points):
         x = X.project(X.sample(rng))
+        exact = oracle.theta1.subgrad(x)
         g2 = np.empty(n_samples)
         d2 = np.empty(n_samples)
         for j in range(n_samples):
-            s = probe.sample_subgradient(x)
-            g2[j] = s.g @ s.g
-            d2[j] = 0.0 if s.delta is None else s.delta @ s.delta
+            g = probe.sample_subgradient(x)
+            delta = g - exact
+            g2[j] = g @ g
+            d2[j] = delta @ delta
         m2 = float(np.mean(g2))
         var = float(np.mean(d2))
         if m2 >= sup_m2:

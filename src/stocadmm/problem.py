@@ -12,18 +12,17 @@ what the runtime invariant checkers exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import Ball, Box, SetDescriptor, WholeSpace
+from .sets import SetDescriptor
 
 __all__ = [
     "StructuralConstants",
     "ProblemSpec",
     "StackedW",
     "IterateState",
-    "MonotoneOperatorF",
     "stack",
     "unstack",
     "eval_F",
@@ -158,16 +157,6 @@ def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:
     )
 
 
-class MonotoneOperatorF:
-    """Callable wrapper around eval_F bound to one problem."""
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-
-    def __call__(self, w: StackedW) -> StackedW:
-        return eval_F(w, self.spec)
-
-
 def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):
     """Combined optimality measure of an averaged pair (x_bar, y_bar).
 
@@ -254,9 +243,6 @@ class IterateState:
 
     def u_bar_aligned(self):
         return self.avg_x_aligned, self.avg_y
-
-    def w_bar(self) -> StackedW:
-        return StackedW(self.avg_x_aligned, self.avg_y, self.avg_lam)
 
     def as_w(self) -> StackedW:
         return StackedW(self.x.copy(), self.y.copy(), self.lam.copy())

@@ -1,32 +1,29 @@
-"""Projections, proximal operators and the constrained quadratic x-update.
+"""Proximal operators and the constrained quadratic x-update.
 
-The x-update of every solver variant is the minimizer over X of
+The x-update of every solver variant minimizes over X a quadratic
 
-    <g, x> + (beta/2) ||A x + B y_k - b - lam_k/beta||^2 + ||x - x_k||^2 / (2 eta),
+    x'(H0 + shift I)x/2 - rhs'x,
 
-a strongly convex quadratic.  Over the whole space this is one linear solve;
-over a ball it is solved exactly in the cached eigenbasis of beta*A'A (a
-trust-region style scalar root-find on the boundary multiplier); over a box a
-projected-gradient inner loop runs to a declared tolerance.
+with H0 fixed for the run and only the isotropic shift varying (1/eta_k in
+the stochastic variant).  Given the eigendecomposition of H0, computed once
+per run, the whole-space solve is a diagonal solve in that basis; over a ball
+the same basis gives an exact trust-region style scalar root-find on the
+boundary multiplier; over a box a projected-gradient inner loop runs to a
+declared tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .functions import ZeroFunction
-from .problem import IterateState, ProblemSpec
+from .problem import ProblemSpec
 from .sets import Ball, Box, SetDescriptor, WholeSpace
 
 __all__ = [
-    "project",
     "prox_theta2",
-    "solve_x_subproblem",
     "solve_y_update",
     "three_points_check",
-    "QuadCache",
     "min_quadratic_over_set",
     "SubproblemError",
 ]
@@ -41,11 +38,6 @@ class SubproblemError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (last residual {residual:.3e})")
         self.residual = residual
-
-
-def project(z: np.ndarray, set_desc: SetDescriptor) -> np.ndarray:
-    """Euclidean projection onto a supported feasible set."""
-    return set_desc.project(z)
 
 
 def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray:
@@ -69,55 +61,6 @@ def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray
             "entry; use the inner-solver mode"
         )
     raise TypeError(f"unsupported set descriptor {type(Y).__name__}")
-
-
-class QuadCache:
-    """Per-run factorization cache for x-updates.
-
-    Caches A'A, and per distinct Hessian Q = H0 + (1/eta) I the Cholesky
-    factor / eigendecomposition needed by the whole-space and ball solvers.
-    H0 (= beta A'A, plus the theta1 Hessian in the deterministic variant) is
-    fixed within a run, so only the isotropic shift varies with eta.
-    """
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        self.AtA = spec.A.T @ spec.A
-        self.Atb_like = None
-        self._h0_key = None
-        self._eigvals = None
-        self._eigvecs = None
-        self._chol = None
-        self._chol_shift = None
-
-    def _prepare(self, H0: np.ndarray, key):
-        if key != self._h0_key:
-            self._h0_key = key
-            self._H0 = H0
-            self._eigvals = None
-            self._eigvecs = None
-            self._chol = None
-            self._chol_shift = None
-
-    def solve_dense(self, H0: np.ndarray, key, shift: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (H0 + shift I) x = rhs, re-factorizing only when shift moves."""
-        self._prepare(H0, key)
-        redo = (
-            self._chol is None
-            or abs(shift - self._chol_shift) > 1e-12 * max(abs(shift), 1.0)
-        )
-        if redo:
-            Q = self._H0 + shift * np.eye(self._H0.shape[0])
-            self._chol = np.linalg.cholesky(Q)
-            self._chol_shift = shift
-        w = np.linalg.solve(self._chol, rhs)
-        return np.linalg.solve(self._chol.T, w)
-
-    def eigen(self, H0: np.ndarray, key):
-        self._prepare(H0, key)
-        if self._eigvals is None:
-            self._eigvals, self._eigvecs = np.linalg.eigh(self._H0)
-        return self._eigvals, self._eigvecs
 
 
 def _ball_constrained_solve(eigvals, eigvecs, shift, rhs, radius):
@@ -162,17 +105,21 @@ def _box_projected_gradient(matvec, lip, rhs, box: Box, x_init: np.ndarray,
     raise SubproblemError("projected-gradient inner loop did not converge", resid)
 
 
-def min_quadratic_over_set(H0: np.ndarray, key, shift: float, rhs: np.ndarray,
-                           X: SetDescriptor, cache: QuadCache,
+def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
+                           X: SetDescriptor,
                            x_init: np.ndarray | None = None) -> np.ndarray:
-    """Minimize x'(H0 + shift I)x/2 - rhs'x over X exactly where possible."""
+    """Minimize x'(H0 + shift I)x/2 - rhs'x over X exactly where possible.
+
+    eig = (eigvals, eigvecs) is the eigendecomposition of H0, computed once
+    per run; the whole-space and ball solves happen in that basis, so a
+    moving shift costs no refactorization.
+    """
+    eigvals, eigvecs = eig
     if isinstance(X, WholeSpace):
-        return cache.solve_dense(H0, key, shift, rhs)
+        return eigvecs @ ((eigvecs.T @ rhs) / (eigvals + shift))
     if isinstance(X, Ball):
-        eigvals, eigvecs = cache.eigen(H0, key)
         return _ball_constrained_solve(eigvals, eigvecs, shift, rhs, X.radius)
     if isinstance(X, Box):
-        eigvals, _ = cache.eigen(H0, key)
         lip = float(eigvals[-1] + shift)
         matvec = lambda v: H0 @ v + shift * v
         init = rhs / lip if x_init is None else x_init
@@ -180,47 +127,12 @@ def min_quadratic_over_set(H0: np.ndarray, key, shift: float, rhs: np.ndarray,
     raise TypeError(f"unsupported set descriptor {type(X).__name__}")
 
 
-def solve_x_subproblem(g: np.ndarray, state: IterateState, spec: ProblemSpec,
-                       beta: float, eta: float, cache: QuadCache | None = None) -> np.ndarray:
-    """The stochastic/linearized x-update around the current iterate.
-
-    beta = 0 drops the penalty term entirely (plain proximal step on the
-    linear model), which over the whole space reduces to x_k - eta * g.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if cache is None:
-        cache = QuadCache(spec)
-    shift = 1.0 / eta
-    rhs = state.x / eta - g
-    if beta > 0:
-        v = spec.b + state.lam / beta - spec.B @ state.y
-        rhs = rhs + beta * (spec.A.T @ v)
-        H0 = beta * cache.AtA
-    else:
-        H0 = np.zeros((spec.d1, spec.d1))
-    return min_quadratic_over_set(H0, ("x-sub", beta), shift, rhs, spec.X, cache,
-                                  x_init=state.x)
-
-
 def solve_y_update(x_next: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-                   beta: float) -> np.ndarray:
-    """argmin_{y in Y} theta2(y) + (beta/2)||A x_{k+1} + B y - b - lam/beta||^2.
-
-    Requires B to be a (possibly scaled) signed identity so the update is an
-    exact prox of theta2; otherwise the catalog has no closed form.
+                   beta: float, s: float) -> np.ndarray:
+    """argmin_{y in Y} theta2(y) + (beta/2)||A x_{k+1} + B y - b - lam/beta||^2
+    for B = s*I, which makes the update an exact prox of theta2.  The caller
+    has checked B = s*I once for the run.
     """
-    B = spec.B
-    d2 = spec.d2
-    diag = np.diag(B)
-    s = diag[0] if d2 > 0 else 1.0
-    if B.shape[0] != d2 or not np.allclose(B, s * np.eye(d2)) or s == 0:
-        raise ValueError(
-            "y-update reduces to a prox only for B = s*I; use an inner solver "
-            "for general B"
-        )
     v = spec.A @ x_next - spec.b - lam / beta
     # beta/2 ||s y + v||^2 = (beta s^2/2) ||y + v/s||^2
     return prox_theta2(-v / s, beta * s * s, spec.theta2, spec.Y)

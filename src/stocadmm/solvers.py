@@ -1,18 +1,22 @@
-"""The three solver loops and their per-iteration invariant checkers.
+"""One ADMM step for all three variants, its per-run plan, the solver loop
+and the per-iteration invariant checkers.
 
-Variants:
+Every variant runs the same iteration: an x-update that minimizes a model of
+the augmented Lagrangian over X, the exact y-update (a prox of theta2, since
+B = s*I), and the dual ascent lam <- lam - beta*(A x + B y - b), which holds
+exactly by construction and is still asserted when checks are enabled.  The
+variants differ only in the model of theta1 and the prox term of the
+x-update:
 
-* deterministic: exact alternating minimization of the augmented Lagrangian
-  (needs a quadratic-form first-block objective so Line 1 is a linear solve);
-* linearized: the quadratic penalty in the x-update is replaced by its
-  linearization at x_k plus a G-norm prox term;
-* stochastic: the first-block objective is replaced by a first-order model
-  built from one sampled subgradient, with an l2 prox term scaled by a
-  time-varying stepsize.
+* deterministic: theta1 itself (a quadratic form, so the update is a linear
+  solve over X), no prox term;
+* linearized: theta1 itself plus a G-norm prox term, where G = r*I - beta*A'A
+  for a scalar r cancels the coupling and leaves an isotropic term;
+* stochastic: the first-order model at x_k built from one sampled
+  subgradient, with an l2 prox term scaled by the stepsize 1/eta_k.
 
-All variants share the y-update (an exact prox for B = s*I) and the dual
-ascent step lam <- lam - beta*(A x + B y - b), which holds exactly by
-construction and is still asserted when checks are enabled.
+StepPlan holds everything about the x-update and the y-update that is fixed
+for a run, computed and checked once; step() applies it.
 """
 
 from __future__ import annotations
@@ -23,19 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import SampleBuffer
-from .problem import (IterateState, ProblemSpec, StackedW, eval_F, err_rho,
-                      stack)
-from .prox import (QuadCache, min_quadratic_over_set, solve_x_subproblem,
-                   solve_y_update, three_points_check)
-from .sets import Ball, Box, WholeSpace
+from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
+from .prox import min_quadratic_over_set, solve_y_update, three_points_check
+from .sets import WholeSpace
 
 __all__ = [
     "SolverConfig",
+    "StepPlan",
     "Trajectory",
-    "step_deterministic",
-    "step_linearized",
-    "step_stochastic",
+    "step",
     "run",
     "step_inequality_check",
     "check_y_optimality",
@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
-    pass
+class SolverError(ValueError):
+    """The problem's structure does not fit the configured variant."""
 
 
 @dataclass
@@ -62,7 +62,12 @@ class SolverConfig:
     G: float | np.ndarray | None = None  # scalar r means G = r*I - beta*A'A
     probe_seed: int = 2024
 
-    def validate(self, spec: ProblemSpec):
+    def validate(self, spec: ProblemSpec) -> "StepPlan":
+        """Check the config against spec and plan the run's steps.
+
+        Raises ValueError for a bad field and SolverError (a ValueError) when
+        the problem's structure does not fit the variant.
+        """
         if self.variant not in ("deterministic", "linearized", "stochastic"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.beta <= 0:
@@ -84,10 +89,7 @@ class SolverConfig:
                 raise ValueError("constant schedule needs a positive eta0")
             if self.schedule in ("convex", "smooth"):
                 spec.diameter_x  # raises if whole-space X lacks a declared diameter
-        if self.variant == "linearized" and isinstance(self.G, np.ndarray):
-            w = np.linalg.eigvalsh((self.G + self.G.T) / 2)
-            if w[0] < -1e-10:
-                raise ValueError("G must be positive semidefinite")
+        return StepPlan(spec, self)
 
     def eta(self, k: int, spec: ProblemSpec) -> float:
         """Stepsize used by the step from x_{k-1} to x_k (k >= 1)."""
@@ -108,6 +110,134 @@ class SolverConfig:
         if self.variant != "stochastic" or self.schedule == "smooth":
             return "eq10-aligned"
         return "eq2-shifted"
+
+
+def _quadratic_parts(spec: ProblemSpec, message: str):
+    try:
+        H, c, _ = spec.theta1.quadratic_parts()
+    except AttributeError as exc:
+        raise SolverError(message) from exc
+    return H, c
+
+
+def _y_prox_scale(spec: ProblemSpec) -> float:
+    B, d2 = spec.B, spec.d2
+    s = float(B[0, 0]) if B.shape == (d2, d2) and d2 > 0 else 1.0
+    if B.shape != (d2, d2) or s == 0 or not np.allclose(B, s * np.eye(d2)):
+        raise SolverError(
+            "y-update reduces to a prox only for B = s*I; use an inner solver "
+            "for general B"
+        )
+    return s
+
+
+class StepPlan:
+    """The fixed part of every step of one run, built and checked once by
+    SolverConfig.validate.
+
+    The x-update minimizes x'(H0 + shift I)x/2 - rhs'x over X with
+
+        rhs = beta A'v - c + G x_k - g,    v = b + lam_k/beta - B y_k,
+
+    where c is the linear term of a quadratic theta1, G the prox term's
+    matrix and g the sampled subgradient (stochastic variant only, where the
+    model of theta1 is linear, so c = 0):
+
+    * deterministic, or linearized with G = 0: H0 = H + beta A'A, shift 0;
+    * linearized, psd matrix G:       H0 = H + beta A'A + G, shift 0;
+    * linearized, scalar r:           H0 = H, shift r (G = r I - beta A'A);
+    * stochastic:                     H0 = beta A'A, shift 1/eta_k (G = I/eta_k).
+
+    For a scalar r and a theta1 with a prox but no quadratic form, the
+    x-update is the prox form argmin theta1(x) + (r/2)||x - rhs/r||^2 (c = 0),
+    which needs whole-space X.  The y-update is the prox of theta2 with scale
+    s, for B = s*I.
+    """
+
+    def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
+        self.spec = spec
+        self.beta = beta = cfg.beta
+        self.s = _y_prox_scale(spec)
+        AtA = spec.A.T @ spec.A
+        G = cfg.G if cfg.variant == "linearized" else None
+        if G is not None and np.isscalar(G) and G == 0:
+            G = None
+        self.shift = 0.0             # None: 1/eta_k, set per step
+        self.G_rest = None           # G - shift*I, when not zero
+        self.prox = False
+        self.c = 0.0
+        H0 = None
+        if cfg.variant == "stochastic":
+            self.shift = None
+            H0 = beta * AtA
+        elif G is not None and np.isscalar(G):
+            r = float(G)
+            top = beta * float(np.linalg.eigvalsh(AtA)[-1])
+            if r < top - 1e-12:
+                raise SolverError(
+                    f"r = {r} < beta*||A'A||_2 = {top}: G = r*I - beta*A'A is "
+                    f"not psd"
+                )
+            self.shift = r
+            self.G_rest = -beta * AtA
+            theta1 = spec.theta1
+            if hasattr(theta1, "prox") and not hasattr(theta1, "quadratic_parts"):
+                if not isinstance(spec.X, WholeSpace):
+                    raise SolverError(
+                        "prox-based linearized x-update supports whole-space X only"
+                    )
+                self.prox = True
+            else:
+                H0, self.c = _quadratic_parts(
+                    spec, "linearized update needs a first-block objective with "
+                          "a quadratic form or a prox")
+        else:
+            H, self.c = _quadratic_parts(
+                spec, "matrix-G linearized update needs a quadratic first-block "
+                      "objective" if G is not None else
+                      "exact x-minimization needs a quadratic first-block "
+                      "objective; use the linearized or stochastic variant instead")
+            H0 = H + beta * AtA
+            if G is not None:
+                G = np.asarray(G, dtype=float)
+                if np.linalg.eigvalsh((G + G.T) / 2)[0] < -1e-10:
+                    raise SolverError("G must be positive semidefinite")
+                H0 = H0 + G
+                self.G_rest = G
+        self.H0 = H0
+        self.eig = None if H0 is None else np.linalg.eigh(H0)
+        if (self.shift == 0.0 and isinstance(spec.X, WholeSpace)
+                and self.eig[0][0] <= 1e-12 * max(abs(self.eig[0][-1]), 1.0)):
+            raise SolverError("x-update quadratic is singular over whole-space X")
+
+
+def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
+         eta: float = math.nan) -> IterateState:
+    """One iteration of the planned variant, in place: x-update, y-update,
+    dual ascent.  A stochastic plan takes the sampled subgradient g at
+    state.x and the stepsize eta; the other variants take neither."""
+    spec, beta, x = plan.spec, plan.beta, state.x
+    shift = plan.shift
+    if shift is None:
+        if g is None:
+            raise ValueError("a stochastic step needs a sampled subgradient g")
+        if not eta > 0:
+            raise ValueError("eta must be positive")
+        shift = 1.0 / eta
+    v = spec.b + state.lam / beta - spec.B @ state.y
+    rhs = beta * (spec.A.T @ v) - plan.c + shift * x
+    if plan.G_rest is not None:
+        rhs = rhs + plan.G_rest @ x
+    if g is not None:
+        rhs = rhs - g
+    if plan.prox:
+        x_next = spec.theta1.prox(rhs / shift, shift)
+    else:
+        x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X,
+                                        x_init=x)
+    y_next = solve_y_update(x_next, state.lam, spec, beta, plan.s)
+    state.advance(x_next, y_next, state.lam - beta * spec.residual(x_next, y_next))
+    return state
 
 
 @dataclass
@@ -131,6 +261,10 @@ class Trajectory:
     COLUMNS = ("k", "eta", "obj_gap_eq2", "feas_eq2", "err_rho_eq2",
                "obj_gap_eq10", "feas_eq10", "err_rho_eq10", "step_ms")
 
+    @classmethod
+    def from_rows(cls, rows: dict, **extra) -> "Trajectory":
+        return cls(**{name: np.asarray(vals) for name, vals in rows.items()}, **extra)
+
     def __len__(self):
         return len(self.k)
 
@@ -142,96 +276,28 @@ class Trajectory:
         raise ValueError(f"unknown averaging {averaging!r}")
 
 
-def _exact_x_update(state: IterateState, spec: ProblemSpec, beta: float,
-                    cache: QuadCache) -> np.ndarray:
-    """Line-1 exact minimization for a quadratic-form first-block objective."""
-    try:
-        H, c, _ = spec.theta1.quadratic_parts()
-    except AttributeError as exc:
-        raise SolverError(
-            "exact x-minimization needs a quadratic first-block objective; "
-            "use the linearized or stochastic variant instead"
-        ) from exc
-    v = spec.b + state.lam / beta - spec.B @ state.y
-    H0 = H + beta * cache.AtA
-    rhs = beta * (spec.A.T @ v) - c
-    return min_quadratic_over_set(H0, ("x-exact", beta), 0.0, rhs, spec.X, cache,
-                                  x_init=state.x)
+def empty_rows() -> dict:
+    return {name: [] for name in Trajectory.COLUMNS}
 
 
-def step_deterministic(state: IterateState, spec: ProblemSpec, cfg: SolverConfig,
-                       cache: QuadCache | None = None) -> IterateState:
-    cache = cache or QuadCache(spec)
-    x_next = _exact_x_update(state, spec, cfg.beta, cache)
-    y_next = solve_y_update(x_next, state.lam, spec, cfg.beta)
-    lam_next = state.lam - cfg.beta * (spec.A @ x_next + spec.B @ y_next - spec.b)
-    state.advance(x_next, y_next, lam_next)
-    return state
-
-
-def _linearized_x_update(state: IterateState, spec: ProblemSpec, cfg: SolverConfig,
-                         cache: QuadCache) -> np.ndarray:
-    beta = cfg.beta
-    G = cfg.G
-    if G is None or (np.isscalar(G) and G == 0):
-        return _exact_x_update(state, spec, beta, cache)
-    v = spec.b + state.lam / beta - spec.B @ state.y
-    if np.isscalar(G):
-        # G = r*I - beta*A'A: the quadratic term becomes isotropic and the
-        # update is the linearized proximal point step
-        r = float(G)
-        top = beta * np.linalg.eigvalsh(cache.AtA)[-1]
-        if r < top - 1e-12:
-            raise SolverError(
-                f"r = {r} < beta*||A'A||_2 = {top}: G = r*I - beta*A'A is not psd"
-            )
-        grad_lin = beta * (spec.A.T @ (spec.A @ state.x - v))
-        z = state.x - grad_lin / r
-        if hasattr(spec.theta1, "prox"):
-            if not isinstance(spec.X, WholeSpace):
-                raise SolverError(
-                    "prox-based linearized x-update supports whole-space X only"
-                )
-            return spec.theta1.prox(z, r)
-        H, c, _ = spec.theta1.quadratic_parts()
-        rhs = r * z - c
-        return min_quadratic_over_set(H, ("x-lin-r", r), r, rhs, spec.X, cache,
-                                      x_init=state.x)
-    # general psd matrix G
-    try:
-        H, c, _ = spec.theta1.quadratic_parts()
-    except AttributeError as exc:
-        raise SolverError(
-            "matrix-G linearized update needs a quadratic first-block objective"
-        ) from exc
-    Q = H + beta * cache.AtA + G
-    rhs = beta * (spec.A.T @ v) - c + G @ state.x
-    if not isinstance(spec.X, WholeSpace):
-        raise SolverError("matrix-G linearized update supports whole-space X only")
-    return np.linalg.solve(Q, rhs)
-
-
-def step_linearized(state: IterateState, spec: ProblemSpec, cfg: SolverConfig,
-                    cache: QuadCache | None = None) -> IterateState:
-    cache = cache or QuadCache(spec)
-    x_next = _linearized_x_update(state, spec, cfg, cache)
-    y_next = solve_y_update(x_next, state.lam, spec, cfg.beta)
-    lam_next = state.lam - cfg.beta * (spec.A @ x_next + spec.B @ y_next - spec.b)
-    state.advance(x_next, y_next, lam_next)
-    return state
-
-
-def step_stochastic(state: IterateState, spec: ProblemSpec, cfg: SolverConfig,
-                    oracle, cache: QuadCache | None = None,
-                    buffer: SampleBuffer | None = None) -> IterateState:
-    cache = cache or QuadCache(spec)
-    eta = cfg.eta(state.k + 1, spec)
-    sample = oracle.sample_subgradient(state.x, k=state.k, buffer=buffer)
-    x_next = solve_x_subproblem(sample.g, state, spec, cfg.beta, eta, cache)
-    y_next = solve_y_update(x_next, state.lam, spec, cfg.beta)
-    lam_next = state.lam - cfg.beta * (spec.A @ x_next + spec.B @ y_next - spec.b)
-    state.advance(x_next, y_next, lam_next)
-    return state
+def record_row(rows: dict, spec: ProblemSpec, rho: float, theta_star: float | None,
+               k: int, eta: float, step_ms: float, x_bar_shifted: np.ndarray,
+               x_bar_aligned: np.ndarray, y_bar: np.ndarray):
+    """Append one trajectory row for the averages after k iterations.
+    Objective gaps and errors need theta_star; without it they are NaN."""
+    rows["k"].append(k)
+    rows["eta"].append(eta)
+    rows["step_ms"].append(step_ms)
+    for tag, x_bar in (("eq2", x_bar_shifted), ("eq10", x_bar_aligned)):
+        u_bar = (x_bar, y_bar)
+        if theta_star is None:
+            gap = err = math.nan
+            feas = float(np.linalg.norm(spec.residual(*u_bar)))
+        else:
+            err, gap, feas = err_rho(u_bar, spec, theta_star, rho)
+        rows[f"obj_gap_{tag}"].append(gap)
+        rows[f"feas_{tag}"].append(feas)
+        rows[f"err_rho_{tag}"].append(err)
 
 
 def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
@@ -296,45 +362,39 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         record_at: np.ndarray | None = None) -> Trajectory:
     """Execute t_max steps and record the trajectory.
 
-    record_at restricts metric rows to the given iteration counts (sorted,
-    1-based); by default every iteration is recorded.  Objective gaps need
-    theta_star; without it only feasibility is populated.
+    Structural errors raise before any step; an error during the steps ends
+    the run and is returned in the partial trajectory.  record_at restricts
+    metric rows to the given iteration counts (sorted, 1-based); by default
+    every iteration is recorded.  Objective gaps need theta_star; without it
+    only feasibility is populated.
     """
-    cfg.validate(spec)
+    plan = cfg.validate(spec)
+    stochastic = cfg.variant == "stochastic"
+    if stochastic and oracle is None:
+        raise ValueError("stochastic variant needs an oracle")
     state = IterateState(
         np.zeros(spec.d1) if x0 is None else spec.X.project(np.asarray(x0, float)),
         np.zeros(spec.d2) if y0 is None else np.asarray(y0, dtype=float),
         np.zeros(spec.m),
     )
-    cache = QuadCache(spec)
-    if cfg.variant == "stochastic" and oracle is None:
-        raise ValueError("stochastic variant needs an oracle")
-    buffer = oracle.presample(cfg.t_max) if (oracle is not None and cfg.t_max) else None
+    buffer = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
     record_set = None if record_at is None else set(int(t) for t in record_at)
     rng = np.random.default_rng(cfg.probe_seed)
 
-    rows = {name: [] for name in Trajectory.COLUMNS}
+    rows = empty_rows()
     inv_log = []
     max_resid = 0.0
     error = None
 
     for k in range(cfg.t_max):
         t0 = time.perf_counter()
-        prev_w = state.as_w()
-        eta = cfg.eta(k + 1, spec) if cfg.variant == "stochastic" else math.nan
+        prev_w = state.as_w() if cfg.check_invariants else None
+        eta = cfg.eta(k + 1, spec) if stochastic else math.nan
+        g = None
         try:
-            if cfg.variant == "deterministic":
-                step_deterministic(state, spec, cfg, cache)
-                sample = None
-            elif cfg.variant == "linearized":
-                step_linearized(state, spec, cfg, cache)
-                sample = None
-            else:
-                sample = oracle.sample_subgradient(state.x, k=k, buffer=buffer)
-                x_next = solve_x_subproblem(sample.g, state, spec, cfg.beta, eta, cache)
-                y_next = solve_y_update(x_next, state.lam, spec, cfg.beta)
-                lam_next = state.lam - cfg.beta * spec.residual(x_next, y_next)
-                state.advance(x_next, y_next, lam_next)
+            if stochastic:
+                g = oracle.sample_subgradient(state.x, k=k, buffer=buffer)
+            step(state, plan, g, eta)
         except Exception as exc:  # return the partial trajectory with the error
             error = f"iteration {k}: {exc}"
             break
@@ -342,42 +402,19 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
 
         if cfg.check_invariants:
             max_resid = max(
-                max_resid,
-                _run_checks(prev_w, state, spec, cfg, sample, eta, rng, inv_log),
-            )
+                max_resid, _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log))
 
-        t = k + 1
-        if record_set is None or t in record_set:
-            _record_row(rows, state, spec, cfg, eta, theta_star, step_ms)
+        if record_set is None or state.k in record_set:
+            record_row(rows, spec, cfg.rho, theta_star, state.k, eta, step_ms,
+                       state.avg_x_shifted, state.avg_x_aligned, state.avg_y)
 
-    traj = Trajectory(
-        **{name: np.asarray(vals) for name, vals in rows.items()},
-        final_state=state,
-        invariant_log=inv_log,
-        max_invariant_residual=max_resid,
-        error=error,
-    )
-    return traj
+    return Trajectory.from_rows(rows, final_state=state, invariant_log=inv_log,
+                                max_invariant_residual=max_resid, error=error)
 
 
-def _record_row(rows, state, spec, cfg, eta, theta_star, step_ms):
-    rows["k"].append(state.k)
-    rows["eta"].append(eta)
-    rows["step_ms"].append(step_ms)
-    for tag, u_bar in (("eq2", state.u_bar_shifted()), ("eq10", state.u_bar_aligned())):
-        feas = float(np.linalg.norm(spec.residual(*u_bar)))
-        if theta_star is None:
-            gap = math.nan
-            err = math.nan
-        else:
-            err, gap, feas = err_rho(u_bar, spec, theta_star, cfg.rho)
-        rows[f"obj_gap_{tag}"].append(gap)
-        rows[f"feas_{tag}"].append(feas)
-        rows[f"err_rho_{tag}"].append(err)
-
-
-def _run_checks(prev_w, state, spec, cfg, sample, eta, rng, inv_log) -> float:
-    """All enabled per-iteration invariants; returns the worst scaled residual."""
+def _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log) -> float:
+    """All enabled per-iteration invariants; returns the worst scaled residual.
+    g is the sampled subgradient of a stochastic step, else None."""
     curr = state.as_w()
     beta = cfg.beta
     worst = 0.0
@@ -394,10 +431,10 @@ def _run_checks(prev_w, state, spec, cfg, sample, eta, rng, inv_log) -> float:
     if yres > cfg.check_tol * yscale:
         inv_log.append((state.k, "y-optimality", yres))
 
-    if sample is not None:
+    if g is not None:
         # 3-points relation at the realized x-update
         v = spec.b + prev_w.lam / beta - spec.B @ prev_w.y
-        g_l = sample.g + beta * (spec.A.T @ (spec.A @ curr.x - v))
+        g_l = g + beta * (spec.A.T @ (spec.A @ curr.x - v))
         for _ in range(cfg.probe_count):
             xp = spec.X.project(spec.X.sample(rng))
             ok, res = three_points_check(curr.x, prev_w.x, xp, g_l, 1.0 / eta,
@@ -405,14 +442,15 @@ def _run_checks(prev_w, state, spec, cfg, sample, eta, rng, inv_log) -> float:
             worst = max(worst, res)
             if not ok:
                 inv_log.append((state.k, "three-points", res))
-        # per-iteration variational bound at random probes
-        if sample.delta is not None:
-            lam_scale = 1.0 + float(np.linalg.norm(curr.lam))
-            for _ in range(cfg.probe_count):
-                w_probe = _probe_w(spec, rng, lam_scale)
-                res, scale = step_inequality_check(prev_w, curr, w_probe, sample.g,
-                                          sample.delta, eta, spec, beta)
-                worst = max(worst, res / scale)
-                if res > cfg.check_tol * scale:
-                    inv_log.append((state.k, "step-inequality", res))
+        # per-iteration variational bound at random probes; delta is the
+        # deviation of g from the exact subgradient at the previous iterate
+        delta = g - spec.theta1.subgrad(prev_w.x)
+        lam_scale = 1.0 + float(np.linalg.norm(curr.lam))
+        for _ in range(cfg.probe_count):
+            w_probe = _probe_w(spec, rng, lam_scale)
+            res, scale = step_inequality_check(prev_w, curr, w_probe, g, delta,
+                                               eta, spec, beta)
+            worst = max(worst, res / scale)
+            if res > cfg.check_tol * scale:
+                inv_log.append((state.k, "step-inequality", res))
     return worst

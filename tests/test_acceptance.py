@@ -18,9 +18,7 @@ from stocadmm.metrics import (compute_reference, convex_rate_bound,
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.presets import PRESET_NAMES, build_preset
 from stocadmm.problem import IterateState
-from stocadmm.prox import QuadCache
-from stocadmm.solvers import (SolverConfig, run, step_deterministic,
-                              step_linearized)
+from stocadmm.solvers import SolverConfig, run, step
 
 from conftest import scalar_split_spec, ridge_split_spec
 
@@ -176,12 +174,12 @@ def test_criterion_07_structural_identities(lasso):
     rspec = ridge_split_spec()
     det, lin = IterateState.zeros(rspec), IterateState.zeros(rspec)
     cfg_d = SolverConfig(variant="deterministic", beta=1.0, t_max=0)
-    cfg_l = SolverConfig(variant="linearized", beta=1.0, t_max=0, G=0)
-    cd, cl = QuadCache(rspec), QuadCache(rspec)
+    plan_d = cfg_d.validate(rspec)
+    plan_l = SolverConfig(variant="linearized", beta=1.0, t_max=0, G=0).validate(rspec)
     drift = 0.0
     for _ in range(100):
-        step_deterministic(det, rspec, cfg_d, cd)
-        step_linearized(lin, rspec, cfg_l, cl)
+        step(det, plan_d)
+        step(lin, plan_l)
         drift = max(drift, float(np.linalg.norm(det.x - lin.x)
                                  + np.linalg.norm(det.y - lin.y)
                                  + np.linalg.norm(det.lam - lin.lam)))
@@ -190,11 +188,11 @@ def test_criterion_07_structural_identities(lasso):
 
     # the certified optimum is a fixed point of the deterministic step
     state = IterateState(ref.x_star.copy(), ref.y_star.copy(), ref.lam_star.copy())
-    cache = QuadCache(spec)
+    plan = cfg_d.validate(spec)
     move = 0.0
     for _ in range(5):
         before = state.as_w()
-        step_deterministic(state, spec, cfg_d, cache)
+        step(state, plan)
         move = max(move, float(np.linalg.norm(state.x - before.x)
                                + np.linalg.norm(state.y - before.y)
                                + np.linalg.norm(state.lam - before.lam)))

@@ -8,9 +8,12 @@ import pytest
 import yaml
 
 from stocadmm.cli import main
-from stocadmm.harness import (ConfigError, config_from_dict, default_t_grid,
-                              load_reference, save_reference, validate_config)
-from stocadmm.metrics import ReferenceSolution
+from stocadmm.harness import (ConfigError, ExperimentConfig, config_from_dict,
+                              default_t_grid, load_reference, run_experiment,
+                              save_reference, validate_config)
+from stocadmm.metrics import ReferenceSolution, compute_reference
+from stocadmm.presets import build_preset
+from stocadmm.solvers import SolverConfig
 
 
 def _write_config(path, **overrides):
@@ -169,3 +172,44 @@ def test_config_validation_limits():
         config_from_dict({"preset": "lasso-split", "replications": 0})
     with pytest.raises(ConfigError, match="t_max"):
         config_from_dict({"preset": "lasso-split", "solver": {"t_max": 5}})
+    # wrong types fail at parse time with the field's path, never truncate
+    for raw, path in (
+            ({"replications": 1.5}, "replications"),
+            ({"solver": {"t_max": 10.9}}, "solver.t_max"),
+            ({"t_grid": "abc"}, "t_grid"),
+            ({"t_grid": [1, 2.5]}, "t_grid\\[1\\]"),
+            ({"rate_window": [1, "x"]}, "rate_window\\[1\\]"),
+            ({"omegas": ["a"]}, "omegas\\[0\\]"),
+            ({"slope_band": 5}, "slope_band"),
+            ({"slope_band": [-0.6]}, "slope_band")):
+        with pytest.raises(ConfigError, match=path):
+            config_from_dict({"preset": "lasso-split", **raw})
+    # structural mismatches are reported as solver errors
+    with pytest.raises(ConfigError, match="solver: .*not psd"):
+        config_from_dict({"preset": "lasso-split",
+                          "solver": {"variant": "linearized", "G": 1e-6}})
+
+
+def test_validate_leaves_missing_out_dir_absent(tmp_path):
+    out = tmp_path / "not" / "yet"
+    ExperimentConfig(preset="lasso-split", out_dir=str(out)).validate()
+    assert not (tmp_path / "not").exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(ConfigError, match="out_dir"):
+        ExperimentConfig(preset="lasso-split", out_dir=str(blocker / "o")).validate()
+
+
+def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
+    thetas = []
+    for seed in (0, 1):
+        cfg = ExperimentConfig(
+            preset="lasso-split", preset_params={"n": 30, "d": 4},
+            preset_seed=seed, solver=SolverConfig(t_max=20),
+            out_dir=str(tmp_path / "shared"))
+        report, _ = run_experiment(cfg)
+        spec = build_preset("lasso-split", seed, n=30, d=4).spec
+        expected = compute_reference(spec, "auto", beta=1.0).theta_star
+        assert report["theta_star"] == pytest.approx(expected, rel=1e-12)
+        thetas.append(report["theta_star"])
+    assert thetas[0] != thetas[1]

@@ -10,10 +10,10 @@ import pytest
 from stocadmm.functions import (HingeSumPenalty, L1Norm, SquaredL2Penalty,
                                 ZeroFunction, soft_threshold)
 from stocadmm.problem import IterateState
-from stocadmm.prox import (QuadCache, min_quadratic_over_set, project,
-                           prox_theta2, solve_x_subproblem, solve_y_update,
+from stocadmm.prox import (min_quadratic_over_set, prox_theta2, solve_y_update,
                            three_points_check)
 from stocadmm.sets import Ball, Box, WholeSpace
+from stocadmm.solvers import SolverConfig, step
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -23,20 +23,20 @@ from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
 
 def test_ball_projection_hand_example():
-    assert np.allclose(project(np.array([3.0, 4.0]), Ball(2, 1.0)), [0.6, 0.8])
+    assert np.allclose(Ball(2, 1.0).project(np.array([3.0, 4.0])), [0.6, 0.8])
 
 
 def test_box_projection_clamps():
     box = Box(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
-    assert np.allclose(project(np.array([-3.0, 5.0]), box), [-1.0, 2.0])
+    assert np.allclose(box.project(np.array([-3.0, 5.0])), [-1.0, 2.0])
 
 
 def test_projection_is_idempotent():
     rng = np.random.default_rng(0)
     for s in (Ball(4, 2.0), Box(-np.ones(4), np.ones(4))):
         for _ in range(20):
-            p = project(rng.standard_normal(4) * 3, s)
-            assert np.allclose(project(p, s), p, rtol=0, atol=1e-14)
+            p = s.project(rng.standard_normal(4) * 3)
+            assert np.allclose(s.project(p), p, rtol=0, atol=1e-14)
             assert s.contains(p)
 
 
@@ -116,28 +116,26 @@ def _quad_val(H0, shift, rhs, x):
     return 0.5 * x @ (H0 @ x) + 0.5 * shift * x @ x - rhs @ x
 
 
+def _stochastic_plan(spec, beta=1.0):
+    return SolverConfig(variant="stochastic", beta=beta, schedule="constant",
+                        eta0=1.0, t_max=0).validate(spec)
+
+
+def _eig(H0):
+    return H0, np.linalg.eigh(H0)
+
+
 def test_scalar_subproblem_hand_example():
     # (1 + 1) x = -1  =>  x = -1/2
     spec = scalar_split_spec()
     state = IterateState.zeros(spec)
-    x = solve_x_subproblem(np.array([1.0]), state, spec, beta=1.0, eta=1.0)
-    assert x[0] == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_beta_zero_reduces_to_gradient_step():
-    spec = ridge_split_spec()
-    state = IterateState.zeros(spec)
-    state.x = np.linspace(-1, 1, spec.d1)
-    g = np.arange(spec.d1, dtype=float)
-    out = solve_x_subproblem(g, state, spec, beta=0.0, eta=0.3)
-    assert np.allclose(out, state.x - 0.3 * g, atol=1e-12)
+    step(state, _stochastic_plan(spec), np.array([1.0]), eta=1.0)
+    assert state.x[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ball_solve_matches_brute_force_2d():
     rng = np.random.default_rng(8)
     H0 = np.array([[2.0, 0.3], [0.3, 1.0]])
-    cache_spec = scalar_split_spec()
-    cache = QuadCache(cache_spec)
     ball = Ball(2, 1.0)
     grid = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
     gx, gy = np.meshgrid(grid, grid, indexing="ij")
@@ -146,8 +144,7 @@ def test_ball_solve_matches_brute_force_2d():
     for _ in range(5):
         rhs = rng.standard_normal(2) * 3
         shift = float(rng.uniform(0.1, 2.0))
-        x = min_quadratic_over_set(H0, ("t", shift, tuple(rhs)), shift, rhs,
-                                   ball, cache)
+        x = min_quadratic_over_set(*_eig(H0), shift, rhs, ball)
         assert np.linalg.norm(x) <= 1.0 + 1e-12
         vals = (0.5 * np.einsum("ij,jk,ik->i", pts, H0, pts)
                 + 0.5 * shift * np.einsum("ij,ij->i", pts, pts) - pts @ rhs)
@@ -158,10 +155,9 @@ def test_box_solve_satisfies_stationarity():
     rng = np.random.default_rng(9)
     H0 = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.1], [0.0, 0.1, 1.0]])
     box = Box(-np.ones(3) * 0.5, np.ones(3) * 0.5)
-    cache = QuadCache(scalar_split_spec())
     for _ in range(5):
         rhs = rng.standard_normal(3) * 2
-        x = min_quadratic_over_set(H0, ("box", tuple(rhs)), 1.0, rhs, box, cache)
+        x = min_quadratic_over_set(*_eig(H0), 1.0, rhs, box)
         grad = H0 @ x + x - rhs
         resid = np.linalg.norm(x - box.project(x - grad))
         assert resid <= 1e-8
@@ -169,18 +165,17 @@ def test_box_solve_satisfies_stationarity():
 
 def test_whole_space_solve_is_the_linear_solve():
     H0 = np.array([[2.0, 0.0], [0.0, 4.0]])
-    cache = QuadCache(scalar_split_spec())
     rhs = np.array([1.0, -2.0])
-    x = min_quadratic_over_set(H0, "ws", 1.0, rhs, WholeSpace(2), cache)
+    x = min_quadratic_over_set(*_eig(H0), 1.0, rhs, WholeSpace(2))
     assert np.allclose(x, np.linalg.solve(H0 + np.eye(2), rhs), atol=1e-12)
 
 
-def test_cache_refactorizes_when_shift_moves():
-    H0 = np.eye(2)
-    cache = QuadCache(scalar_split_spec())
+def test_whole_space_solve_follows_the_shift():
+    # one eigendecomposition serves every shift
+    eig = _eig(np.eye(2))
     rhs = np.array([1.0, 1.0])
-    a = min_quadratic_over_set(H0, "k", 1.0, rhs, WholeSpace(2), cache)
-    b = min_quadratic_over_set(H0, "k", 3.0, rhs, WholeSpace(2), cache)
+    a = min_quadratic_over_set(*eig, 1.0, rhs, WholeSpace(2))
+    b = min_quadratic_over_set(*eig, 3.0, rhs, WholeSpace(2))
     assert np.allclose(a, rhs / 2.0)
     assert np.allclose(b, rhs / 4.0)
 
@@ -189,9 +184,9 @@ def test_x_subproblem_validates_inputs():
     spec = scalar_split_spec()
     state = IterateState.zeros(spec)
     with pytest.raises(ValueError, match="eta must be positive"):
-        solve_x_subproblem(np.zeros(1), state, spec, beta=1.0, eta=0.0)
-    with pytest.raises(ValueError, match="beta must be nonnegative"):
-        solve_x_subproblem(np.zeros(1), state, spec, beta=-1.0, eta=1.0)
+        step(state, _stochastic_plan(spec), np.zeros(1), eta=0.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        _stochastic_plan(spec, beta=-1.0)
 
 
 def test_y_update_requires_scaled_identity_b():
@@ -201,7 +196,7 @@ def test_y_update_requires_scaled_identity_b():
         A=spec.A, B=np.triu(np.ones((spec.d2, spec.d2))), b=spec.b,
         X=spec.X, Y=spec.Y, constants=spec.constants)
     with pytest.raises(ValueError, match="B = s\\*I"):
-        solve_y_update(np.zeros(spec.d1), np.zeros(spec.m), bad, beta=1.0)
+        SolverConfig(t_max=0).validate(bad)
 
 
 def test_y_update_matches_grid_search_1d():
@@ -209,7 +204,7 @@ def test_y_update_matches_grid_search_1d():
     lam = np.array([0.7])
     x_next = np.array([1.2])
     beta = 2.0
-    y = solve_y_update(x_next, lam, spec, beta)
+    y = solve_y_update(x_next, lam, spec, beta, s=-1.0)
     ys = np.arange(-5.0, 5.0, 1e-6)
     vals = 0.4 * np.abs(ys) + 0.5 * beta * (x_next[0] - ys - lam[0] / beta) ** 2
     assert y[0] == pytest.approx(ys[np.argmin(vals)], abs=2e-6)
@@ -227,10 +222,11 @@ def test_three_points_relation_at_ball_solutions():
     state.x = spec.X.project(rng.standard_normal(spec.d1))
     state.y = rng.standard_normal(spec.d2)
     state.lam = rng.standard_normal(spec.m)
-    cache = QuadCache(spec)
     beta, eta = 1.0, 0.05
     g = spec.theta1.subgrad(state.x) + rng.standard_normal(spec.d1)
-    x_star = solve_x_subproblem(g, state, spec, beta, eta, cache)
+    x_prev, y_prev, lam_prev = state.x, state.y, state.lam
+    x_star = step(state, _stochastic_plan(spec, beta), g, eta).x
+    state.x, state.y, state.lam = x_prev, y_prev, lam_prev
     # effective gradient of the full subproblem objective at the minimizer
     v = spec.b + state.lam / beta - spec.B @ state.y
     g_eff = g + beta * (spec.A.T @ (spec.A @ x_star - v))

@@ -1,16 +1,14 @@
-"""Solver loops: hand-checked steps, variant equivalences, invariant probes."""
+"""The step plan and the solver loop: hand-checked steps, variant
+equivalences, structural checks, invariant probes."""
 
 import numpy as np
 import pytest
 
-from stocadmm.functions import L1Norm, Quadratic, SquaredL2Penalty
+from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
-from stocadmm.prox import QuadCache
 from stocadmm.sets import WholeSpace
-from stocadmm.solvers import (SolverConfig, SolverError, run,
-                              step_deterministic, step_linearized,
-                              step_stochastic)
+from stocadmm.solvers import SolverConfig, SolverError, run, step
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -22,11 +20,10 @@ from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 def test_deterministic_converges_to_hand_computed_optimum():
     # min x^2/2 - x + 0.5|y| with x = y
     spec = scalar_split_spec(h=1.0, c=-1.0, l1=0.5)
-    cfg = SolverConfig(variant="deterministic", beta=1.0, t_max=0)
+    plan = SolverConfig(variant="deterministic", beta=1.0, t_max=0).validate(spec)
     state = IterateState.zeros(spec)
-    cache = QuadCache(spec)
     for _ in range(2000):
-        step_deterministic(state, spec, cfg, cache)
+        step(state, plan)
     # optimum: d/dx [x^2/2 - x + 0.5|x|] = 0 at x = 0.5, value -0.125
     assert state.x[0] == pytest.approx(0.5, abs=1e-8)
     assert state.y[0] == pytest.approx(0.5, abs=1e-8)
@@ -35,9 +32,9 @@ def test_deterministic_converges_to_hand_computed_optimum():
 
 def test_deterministic_first_step_matches_grid_search():
     spec = scalar_split_spec(h=1.0, c=-1.0, l1=0.5)
-    cfg = SolverConfig(variant="deterministic", beta=2.0, t_max=0)
+    plan = SolverConfig(variant="deterministic", beta=2.0, t_max=0).validate(spec)
     state = IterateState.zeros(spec)
-    step_deterministic(state, spec, cfg)
+    step(state, plan)
     # x-update: min (x-1)^2/2 + (beta/2) x^2 at y = lam = 0
     xs = np.arange(-3.0, 3.0, 1e-6)
     x_ref = xs[np.argmin(0.5 * (xs - 1.0) ** 2 + 1.0 * xs**2)]
@@ -52,13 +49,12 @@ def test_deterministic_first_step_matches_grid_search():
 
 def test_deterministic_fixed_point_is_stationary():
     spec = scalar_split_spec(h=1.0, c=-1.0, l1=0.5)
-    cfg = SolverConfig(variant="deterministic", beta=1.0, t_max=0)
+    plan = SolverConfig(variant="deterministic", beta=1.0, t_max=0).validate(spec)
     state = IterateState.zeros(spec)
-    cache = QuadCache(spec)
     for _ in range(3000):
-        step_deterministic(state, spec, cfg, cache)
+        step(state, plan)
     before = state.as_w()
-    step_deterministic(state, spec, cfg, cache)
+    step(state, plan)
     move = (np.linalg.norm(state.x - before.x) + np.linalg.norm(state.y - before.y)
             + np.linalg.norm(state.lam - before.lam))
     assert move <= 1e-10
@@ -70,10 +66,10 @@ def test_deterministic_needs_quadratic_first_block():
         A=np.eye(2), B=-np.eye(2), b=np.zeros(2),
         X=WholeSpace(2), Y=WholeSpace(2),
         constants=StructuralConstants(M=1.0))
-    # fixing the missing-dim attribute for L1Norm on the first block
+    # a structural mismatch raises before any step runs
     cfg = SolverConfig(variant="deterministic", t_max=5)
-    traj = run(spec, cfg)
-    assert traj.error is not None and "quadratic" in traj.error
+    with pytest.raises(SolverError, match="quadratic"):
+        run(spec, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +86,12 @@ def test_stochastic_step_matches_value_optimal_solution():
     state.y = np.array([-0.2])
     state.lam = np.array([0.4])
     x_prev, y_prev, lam_prev = state.x.copy(), state.y.copy(), state.lam.copy()
-    sample = oracle.clone(stream=0).sample_subgradient(state.x)
-    step_stochastic(state, spec, cfg, oracle.clone(stream=0))
+    g = oracle.clone(stream=0).sample_subgradient(state.x)
+    step(state, cfg.validate(spec), g, cfg.eta(1, spec))
     # reconstruct the x-update objective and compare against a fine grid
     beta, eta = 1.5, 0.2
     xs = np.arange(-3.0, 3.0, 1e-6)
-    obj = (sample.g[0] * xs
+    obj = (g[0] * xs
            + 0.5 * beta * (xs - y_prev[0] - lam_prev[0] / beta) ** 2
            + (xs - x_prev[0]) ** 2 / (2 * eta))
     x_ref = xs[np.argmin(obj)]
@@ -183,12 +179,11 @@ def test_linearized_with_zero_g_matches_deterministic():
     beta = 1.3
     det = IterateState.zeros(spec)
     lin = IterateState.zeros(spec)
-    cfg_det = SolverConfig(variant="deterministic", beta=beta, t_max=0)
-    cfg_lin = SolverConfig(variant="linearized", beta=beta, t_max=0, G=0)
-    cd, cl = QuadCache(spec), QuadCache(spec)
+    plan_det = SolverConfig(variant="deterministic", beta=beta, t_max=0).validate(spec)
+    plan_lin = SolverConfig(variant="linearized", beta=beta, t_max=0, G=0).validate(spec)
     for _ in range(100):
-        step_deterministic(det, spec, cfg_det, cd)
-        step_linearized(lin, spec, cfg_lin, cl)
+        step(det, plan_det)
+        step(lin, plan_lin)
         assert np.linalg.norm(det.x - lin.x) <= 1e-12
         assert np.linalg.norm(det.y - lin.y) <= 1e-12
         assert np.linalg.norm(det.lam - lin.lam) <= 1e-12
@@ -201,12 +196,12 @@ def test_scalar_g_equals_matrix_g():
     r = beta * float(np.linalg.eigvalsh(spec.A.T @ spec.A)[-1]) + 2.0
     sc = IterateState.zeros(spec)
     mat = IterateState.zeros(spec)
-    cfg_s = SolverConfig(variant="linearized", beta=beta, t_max=0, G=r)
+    plan_s = SolverConfig(variant="linearized", beta=beta, t_max=0, G=r).validate(spec)
     G = r * np.eye(spec.d1) - beta * spec.A.T @ spec.A
-    cfg_m = SolverConfig(variant="linearized", beta=beta, t_max=0, G=G)
+    plan_m = SolverConfig(variant="linearized", beta=beta, t_max=0, G=G).validate(spec)
     for _ in range(50):
-        step_linearized(sc, spec, cfg_s)
-        step_linearized(mat, spec, cfg_m)
+        step(sc, plan_s)
+        step(mat, plan_m)
         assert np.linalg.norm(sc.x - mat.x) <= 1e-10
         assert np.linalg.norm(sc.y - mat.y) <= 1e-10
 
@@ -223,7 +218,7 @@ def test_linearized_l1_first_block_matches_brute_force():
     state = IterateState(np.array([0.8, -0.4]), np.array([0.1, 0.6]),
                          np.array([0.2, -0.3]))
     x_prev, y_prev, lam_prev = state.x.copy(), state.y.copy(), state.lam.copy()
-    step_linearized(state, spec, cfg)
+    step(state, cfg.validate(spec))
     # the linearized subproblem separates per coordinate: brute force each
     v = lam_prev / beta + y_prev
     grad_lin = beta * (x_prev - v)
@@ -236,9 +231,59 @@ def test_linearized_l1_first_block_matches_brute_force():
 
 def test_linearized_rejects_too_small_r():
     spec = ridge_split_spec()
-    cfg = SolverConfig(variant="linearized", beta=1.0, t_max=0, G=1e-6)
+    cfg = SolverConfig(variant="linearized", beta=1.0, t_max=5, G=1e-6)
     with pytest.raises(SolverError, match="not psd"):
-        step_linearized(IterateState.zeros(spec), spec, cfg)
+        run(spec, cfg)
+
+
+def test_validate_rejects_structural_mismatches():
+    spec = ridge_split_spec()
+    with pytest.raises(SolverError, match="not psd"):
+        SolverConfig(variant="linearized", t_max=10, G=1e-6).validate(spec)
+    bad_b = ProblemSpec(
+        theta1=spec.theta1, theta2=spec.theta2,
+        A=spec.A, B=np.triu(np.ones((spec.d2, spec.d2))), b=spec.b,
+        X=spec.X, Y=spec.Y, constants=spec.constants)
+    for variant in ("stochastic", "linearized", "deterministic"):
+        with pytest.raises(SolverError, match="B = s\\*I"):
+            SolverConfig(variant=variant, t_max=10).validate(bad_b)
+    # a singular x-update quadratic has no unique minimizer over the whole space
+    flat = ProblemSpec(
+        theta1=Quadratic(np.zeros((2, 2))), theta2=L1Norm(1.0),
+        A=np.array([[1.0, 0.0]]), B=-np.eye(1), b=np.zeros(1),
+        X=WholeSpace(2), Y=WholeSpace(1), constants=StructuralConstants(M=1.0))
+    with pytest.raises(SolverError, match="singular"):
+        SolverConfig(variant="deterministic", t_max=10).validate(flat)
+    # structural errors are ValueErrors, so config parsing reports them
+    assert issubclass(SolverError, ValueError)
+
+
+def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
+    calls = {"eigvalsh": 0, "quadratic_parts": 0, "allclose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(LeastSquares, "quadratic_parts",
+                        counted("quadratic_parts", LeastSquares.quadratic_parts))
+    monkeypatch.setattr(np, "allclose", counted("allclose", np.allclose))
+    spec = lasso_preset.spec
+    traj = run(spec, SolverConfig(variant="linearized", G=2.0, t_max=50),
+               theta_star=0.0)
+    assert traj.error is None and len(traj) == 50
+    assert calls["eigvalsh"] <= 1
+    assert calls["quadratic_parts"] <= 1
+    allclose_at_plan = calls["allclose"]
+    assert allclose_at_plan <= 1
+    traj = run(spec, SolverConfig(variant="stochastic", t_max=50),
+               oracle=lasso_preset.make_oracle(0), theta_star=0.0)
+    assert traj.error is None and len(traj) == 50
+    # only the plan checks B = s*I, never the loop
+    assert calls["allclose"] - allclose_at_plan <= 1
 
 
 def test_matrix_g_must_be_psd():
