@@ -110,7 +110,9 @@ def _coerce_list(path, value, typ, length=None):
 
 def _optional_list(raw, key, typ, length=None):
     value = raw.get(key)
-    return None if value is None else _coerce_list(key, value, typ, length)
+    if value is None or value == []:  # an empty list means unset
+        return None
+    return _coerce_list(key, value, typ, length)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -259,10 +261,11 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def reference_key(cfg: ExperimentConfig, method: str = "auto") -> str:
-    """Hash of everything the certified optimum of cfg depends on."""
+def reference_key(cfg: ExperimentConfig) -> str:
+    """Hash of everything the certified optimum of cfg depends on; the cache
+    only ever holds the "auto" reference."""
     blob = json.dumps({"preset": cfg.preset, "params": cfg.preset_params,
-                       "seed": cfg.preset_seed, "method": method,
+                       "seed": cfg.preset_seed, "method": "auto",
                        "beta": cfg.solver.beta, "version": __version__},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()

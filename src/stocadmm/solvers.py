@@ -29,7 +29,7 @@ import numpy as np
 
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
 from .prox import min_quadratic_over_set, solve_y_update, three_points_check
-from .sets import WholeSpace
+from .sets import Ball, WholeSpace
 
 __all__ = [
     "SolverConfig",
@@ -206,9 +206,13 @@ class StepPlan:
                 self.G_rest = G
         self.H0 = H0
         self.eig = None if H0 is None else np.linalg.eigh(H0)
-        if (self.shift == 0.0 and isinstance(spec.X, WholeSpace)
-                and self.eig[0][0] <= 1e-12 * max(abs(self.eig[0][-1]), 1.0)):
-            raise SolverError("x-update quadratic is singular over whole-space X")
+        # the whole-space and ball solves divide by the eigenvalues; projected
+        # gradient over a box only needs a nonzero top eigenvalue
+        low = 0 if isinstance(spec.X, (WholeSpace, Ball)) else -1
+        if (self.shift == 0.0
+                and self.eig[0][low] <= 1e-12 * max(abs(self.eig[0][-1]), 1.0)):
+            raise SolverError(f"x-update quadratic is singular over "
+                              f"{type(spec.X).__name__} X")
 
 
 def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,

@@ -184,6 +184,10 @@ def test_config_validation_limits():
             ({"slope_band": [-0.6]}, "slope_band")):
         with pytest.raises(ConfigError, match=path):
             config_from_dict({"preset": "lasso-split", **raw})
+    # an empty list leaves an optional list field unset
+    cfg = config_from_dict({"preset": "lasso-split", "t_grid": [],
+                            "rate_window": [], "slope_band": []})
+    assert cfg.t_grid is None and cfg.rate_window is None and cfg.slope_band is None
     # structural mismatches are reported as solver errors
     with pytest.raises(ConfigError, match="solver: .*not psd"):
         config_from_dict({"preset": "lasso-split",

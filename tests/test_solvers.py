@@ -7,7 +7,7 @@ import pytest
 from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
-from stocadmm.sets import WholeSpace
+from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, SolverError, run, step
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
@@ -206,6 +206,44 @@ def test_scalar_g_equals_matrix_g():
         assert np.linalg.norm(sc.y - mat.y) <= 1e-10
 
 
+@pytest.mark.parametrize("X", [Ball(2, 0.5), Box(np.array([-0.3, -1.0]),
+                                                 np.array([0.4, 0.2]))],
+                         ids=["ball", "box"])
+def test_matrix_g_over_a_set_matches_brute_force(X):
+    # the unconstrained minimizer of the x-subproblem lies outside X
+    A = np.array([[1.0, 0.5], [0.0, 1.0]])
+    spec = ProblemSpec(
+        theta1=Quadratic(np.diag([1.0, 0.5]), np.array([-3.0, 2.0])),
+        theta2=SquaredL2Penalty(1.0), A=A, B=-np.eye(2), b=np.zeros(2),
+        X=X, Y=WholeSpace(2), constants=StructuralConstants(M=5.0))
+    beta = 1.0
+    G = np.array([[2.0, 0.5], [0.5, 1.0]])
+    state = IterateState(np.array([0.2, -0.1]), np.array([0.3, 0.1]),
+                         np.array([0.5, -0.2]))
+    x_prev, y_prev, lam_prev = state.x.copy(), state.y.copy(), state.lam.copy()
+    step(state, SolverConfig(variant="linearized", beta=beta, t_max=0, G=G).validate(spec))
+    v = spec.b + lam_prev / beta - spec.B @ y_prev
+
+    def objective(pts):  # one point per row
+        dx = pts - x_prev
+        r = pts @ A.T - v
+        return (0.5 * np.einsum("ij,jk,ik->i", pts, spec.theta1.H, pts)
+                + pts @ spec.theta1.c + 0.5 * beta * np.sum(r * r, axis=1)
+                + 0.5 * np.einsum("ij,jk,ik->i", dx, G, dx))
+
+    axis = np.arange(-1.0, 1.0 + 5e-4, 1e-3)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = (np.linalg.norm(grid, axis=1) <= X.radius if isinstance(X, Ball)
+              else np.all((grid >= X.lo) & (grid <= X.hi), axis=1))
+    grid = grid[inside]
+    vals = objective(grid)
+    best = grid[np.argmin(vals)]
+    assert X.contains(state.x, tol=1e-9)
+    assert objective(state.x[None, :])[0] <= vals.min() + 1e-12
+    # grid points near the ball's boundary lie a few grid steps apart
+    assert np.linalg.norm(state.x - best) <= 5e-3
+
+
 def test_linearized_l1_first_block_matches_brute_force():
     # nonsmooth first block handled through its prox in the linearized update
     spec = ProblemSpec(
@@ -254,6 +292,12 @@ def test_validate_rejects_structural_mismatches():
         X=WholeSpace(2), Y=WholeSpace(1), constants=StructuralConstants(M=1.0))
     with pytest.raises(SolverError, match="singular"):
         SolverConfig(variant="deterministic", t_max=10).validate(flat)
+    # the ball solve divides by the same eigenvalues
+    flat_ball = ProblemSpec(
+        theta1=flat.theta1, theta2=flat.theta2, A=flat.A, B=flat.B, b=flat.b,
+        X=Ball(2, 1.0), Y=flat.Y, constants=flat.constants)
+    with pytest.raises(SolverError, match="singular"):
+        SolverConfig(variant="deterministic", t_max=10).validate(flat_ball)
     # structural errors are ValueErrors, so config parsing reports them
     assert issubclass(SolverError, ValueError)
 
