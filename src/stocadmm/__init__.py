@@ -12,7 +12,7 @@ from .metrics import (RateFit, ReferenceSolution, compute_reference,
 from .oracle import AdditiveNoiseOracle, FiniteSumOracle, validate_assumptions
 from .presets import PRESET_NAMES, build_preset
 from .problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
-                      err_rho, eval_F, stack, unstack)
+                      err_rho, eval_F)
 from .prox import prox_theta2, three_points_check
 from .sets import Ball, Box, WholeSpace
 from .solvers import (SolverConfig, StepPlan, Trajectory, run, step,

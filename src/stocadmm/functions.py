@@ -8,6 +8,11 @@ Two families of handles:
 * second-block objectives: evaluate a value and a proximal operator
   ``argmin_y f(y) + (c/2)||y - z||^2``.
 
+Subgradients, component subgradients and proximal operators also take a
+leading replication axis: an (R, d) x (with (R,) component indices) gives
+the (R, d) rows of the R one-point calls, which is how the batched kernel
+advances R replications with the same formulas.
+
 All proximal operators here are coordinate-separable, so restriction to a box
 is a componentwise clamp of the unconstrained solution (1-D strictly convex
 minimization over an interval).
@@ -62,8 +67,7 @@ class LeastSquares:
         return 0.5 * float(r @ r) / self.n + 0.5 * self.mu * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        r = self.design @ x - self.targets
-        return self.design.T @ r / self.n + self.mu * x
+        return ((x @ self.design.T - self.targets) @ self.design) / self.n + self.mu * x
 
     # exact subgradient == gradient (smooth)
     subgrad = grad
@@ -72,9 +76,10 @@ class LeastSquares:
         r = float(self.design[i] @ x - self.targets[i])
         return 0.5 * r * r + 0.5 * self.mu * float(x @ x)
 
-    def component_grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        r = float(self.design[i] @ x - self.targets[i])
-        return self.design[i] * r + self.mu * x
+    def component_grad(self, x: np.ndarray, i) -> np.ndarray:
+        rows = self.design[i]
+        r = np.einsum("...d,...d->...", rows, x) - self.targets[i]
+        return rows * r[..., None] + self.mu * x
 
     def hessian(self) -> np.ndarray:
         if self._hessian is None:
@@ -111,19 +116,16 @@ class HingeLoss:
         return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        margins = self.labels * (self.design @ x)
-        active = margins < 1.0
-        if not np.any(active):
-            return np.zeros(self.dim)
-        return -(self.labels[active, None] * self.design[active]).sum(axis=0) / self.n
+        active = self.labels * (x @ self.design.T) < 1.0
+        return -(np.where(active, self.labels, 0.0) @ self.design) / self.n
 
     def component_value(self, x: np.ndarray, i: int) -> float:
         return max(0.0, 1.0 - self.labels[i] * float(self.design[i] @ x))
 
-    def component_grad(self, x: np.ndarray, i: int) -> np.ndarray:
-        if self.labels[i] * float(self.design[i] @ x) < 1.0:
-            return -self.labels[i] * self.design[i]
-        return np.zeros(self.dim)
+    def component_grad(self, x: np.ndarray, i) -> np.ndarray:
+        rows, labels = self.design[i], self.labels[i]
+        active = labels * np.einsum("...d,...d->...", rows, x) < 1.0
+        return -np.where(active, labels, 0.0)[..., None] * rows
 
 
 class Quadratic:
@@ -141,7 +143,7 @@ class Quadratic:
         return 0.5 * float(x @ (self.H @ x)) + float(self.c @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.H @ x + self.c
+        return x @ self.H.T + self.c
 
     subgrad = grad
 
@@ -152,7 +154,8 @@ class Quadratic:
         return self.H, self.c, 0.0
 
     def prox(self, z: np.ndarray, c: float) -> np.ndarray:
-        return np.linalg.solve(self.H + c * np.eye(self.dim), c * z - self.c)
+        # transposed, so the rows of an (R, d) z are R right-hand sides
+        return np.linalg.solve(self.H + c * np.eye(self.dim), (c * z - self.c).T).T
 
 
 class L1Norm:

@@ -79,8 +79,7 @@ def default_t_grid(t_max: int, n_points: int = 20) -> np.ndarray:
 
 _SOLVER_FIELDS = {
     "variant": str, "beta": float, "schedule": str, "eta0": float, "t_max": int,
-    "rho": float, "averaging": str, "check_invariants": bool,
-    "probe_count": int, "check_tol": float, "G": float, "probe_seed": int,
+    "rho": float, "averaging": str, "check_invariants": bool, "G": float,
 }
 
 _TOP_FIELDS = {
@@ -175,33 +174,42 @@ def validate_config(path: str) -> ExperimentConfig:
 
 
 def _kernel_eligible(preset: Preset, cfg: SolverConfig) -> bool:
-    return (preset.kernel is not None and cfg.variant == "stochastic"
-            and not cfg.check_invariants)
+    return (cfg.variant == "stochastic" and not cfg.check_invariants
+            and kernels.identity_split(preset.spec))
 
 
 def _kernel_replications(preset: Preset, solver: SolverConfig, streams,
                          t_grid: np.ndarray,
                          theta_star: float | None) -> list[Trajectory]:
-    """All streams in one batched kernel call.  The step_ms column is the
+    """All streams in one batched kernel call, each running solver.t_max steps
+    from zero on its own presampled draws.  The step_ms column is the
     kernel's wall time divided by the replication-steps it advanced."""
     spec = preset.spec
-    args = preset.kernel.arguments(spec, solver,
-                                   [preset.make_oracle(s) for s in streams], t_grid)
+    t = solver.t_max
+    # per-stream draws stacked to (R, t) indices and (R, t, d) noise; either
+    # is None when the oracle draws none
+    buffers = [preset.make_oracle(s).presample(t) for s in streams]
+    idx = (None if buffers[0].indices is None
+           else np.stack([b.indices for b in buffers]))
+    noise = (None if buffers[0].noise is None
+             else np.stack([b.noise for b in buffers]))
+    etas = np.array([solver.eta(k + 1, spec) for k in range(t)])
+    grid = np.asarray(t_grid, dtype=np.int64)
+    R = len(buffers)
     t0 = time.perf_counter()
-    out = kernels.admm_identity_split(**args)
-    ms_per_step = ((time.perf_counter() - t0) * 1e3
-                   / max(len(out.x) * solver.t_max, 1))
+    out = kernels.admm_identity_split(spec, solver.beta, etas, idx, noise, grid,
+                                      np.zeros((R, spec.d1)), np.zeros((R, spec.d2)))
+    ms_per_step = (time.perf_counter() - t0) * 1e3 / max(R * t, 1)
 
-    grid, etas = args["grid"], args["etas"]
     trajectories = []
-    for r in range(len(out.x)):
+    for r in range(R):
         rows = empty_rows()
         for p, tk in enumerate(grid):
             record_row(rows, spec, solver.rho, theta_star, int(tk), etas[tk - 1],
                        ms_per_step, out.xbar_shifted[r, p], out.xbar_aligned[r, p],
                        out.ybar[r, p])
         final = IterateState.from_sums(
-            solver.t_max, out.x[r], out.y[r], out.lam[r], out.sum_x_shifted[r],
+            t, out.x[r], out.y[r], out.lam[r], out.sum_x_shifted[r],
             out.sum_x_aligned[r], out.sum_y[r], out.sum_lam[r])
         trajectories.append(Trajectory.from_rows(rows, final_state=final))
     return trajectories

@@ -1,15 +1,18 @@
 """Replication-batched iteration kernel for identity-split problems
 (A = I, B = -I, b = 0).
 
-For the identity-split presets every subproblem has a closed form, so a whole
-stochastic run collapses into one loop of O(d) vector work per step.  The
-kernel advances R independent replications together: the iterates and the
-running sums are (R, d) arrays and each step is a handful of numpy calls on
-them, so the interpreter overhead of a step is paid once for all R
-replications.  The replications consume their own pre-drawn randomness
-(stacked per-stream oracle buffers), so the draws are those of the
-step-by-step path and each replication's trajectory agrees with it up to
-floating-point summation order.
+For an identity split the x-subproblem of the stochastic step is an isotropic
+quadratic over X, so its minimizer is the projection of a closed-form point,
+and the y-update is the prox of theta2 at x - lam/beta.  The kernel advances
+R independent replications together: the iterates and the running sums are
+(R, d) arrays and each step is a handful of numpy calls on them, so the
+interpreter overhead of a step is paid once for all R replications.  The
+subgradients, the projection and the prox are the spec's own methods, called
+with a leading replication axis; the kernel adds only the x-update point, the
+dual step and the running sums.  The replications consume their own
+pre-drawn randomness (stacked per-stream oracle buffers), so the draws are
+those of the step-by-step path and each replication's trajectory agrees with
+it up to floating-point summation order.
 """
 
 from __future__ import annotations
@@ -18,19 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "KernelOutput",
-    "admm_identity_split",
-    "THETA1_LSQ",
-    "THETA1_HINGE",
-    "THETA2_L1",
-    "THETA2_SQL2",
-]
+from .problem import ProblemSpec
+from .prox import prox_theta2
 
-THETA1_LSQ = 0
-THETA1_HINGE = 1
-THETA2_L1 = 0
-THETA2_SQL2 = 1
+__all__ = ["KernelOutput", "admm_identity_split", "identity_split"]
 
 
 class KernelOutput(NamedTuple):
@@ -52,23 +46,26 @@ class KernelOutput(NamedTuple):
     sum_lam: np.ndarray
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("rd,rd->r", a, b)
+def identity_split(spec: ProblemSpec) -> bool:
+    """Whether spec has A = I, B = -I and b = 0 exactly, the structure
+    admm_identity_split needs."""
+    eye = np.eye(spec.d1)
+    return (np.array_equal(spec.A, eye) and np.array_equal(spec.B, -eye)
+            and not np.any(spec.b))
 
 
-def admm_identity_split(data, targets, theta1_kind, mu, theta2_coef, theta2_kind,
-                        radius, beta, etas, idx, noise, grid, x0, y0) -> KernelOutput:
+def admm_identity_split(spec: ProblemSpec, beta, etas, idx, noise, grid,
+                        x0, y0) -> KernelOutput:
     """Run t = len(etas) stochastic ADMM steps of R replications at once.
 
-    data/targets: n x d design and per-row targets (labels for the hinge).
+    spec must be an identity split (see identity_split).
     idx: (R, t) sampled component indices, idx[r, k] for step k of
-    replication r; None means the exact averaged (sub)gradient at every step.
+    replication r; None means the exact (sub)gradient at every step.
     noise: (R, t, d) rows added to the subgradient, or None for no noise.
-    radius <= 0 means whole-space X, otherwise an origin-centered ball.
     grid holds sorted 1-based iteration counts at which running averages of
     both conventions are snapshotted.  x0, y0: (R, d) starting points.
     """
-    n = data.shape[0]
+    theta1 = spec.theta1
     t = etas.shape[0]
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
@@ -84,41 +81,14 @@ def admm_identity_split(data, targets, theta1_kind, mu, theta2_coef, theta2_kind
     p = 0
     for k in range(t):
         sx_shift += x
-        # sampled (or exact) subgradient of the first block at x
-        if theta1_kind == THETA1_LSQ:
-            if idx is not None:
-                i = idx[:, k]
-                rows = data[i]
-                g = rows * (_rowdot(rows, x) - targets[i])[:, None] + mu * x
-            else:
-                g = ((x @ data.T - targets) @ data) / n + mu * x
-        else:
-            if idx is not None:
-                i = idx[:, k]
-                rows = data[i]
-                active = targets[i] * _rowdot(rows, x) < 1.0
-                g = mu * x - np.where(active, targets[i], 0.0)[:, None] * rows
-            else:
-                active = (x @ data.T) * targets < 1.0
-                g = mu * x - (np.where(active, targets, 0.0) @ data) / n
+        g = theta1.subgrad(x) if idx is None else theta1.component_grad(x, idx[:, k])
         if noise is not None:
             g = g + noise[:, k]
         eta = etas[k]
-        # x-update: isotropic quadratic, then exact ball projection
-        c = beta + 1.0 / eta
-        z = (beta * y + lam + x / eta - g) / c
-        if radius > 0.0:
-            # radius / max(||z||, radius) is exactly 1 inside the ball
-            z *= (radius / np.maximum(np.sqrt(_rowdot(z, z)), radius))[:, None]
-        x = z
-        # y-update: exact prox of the second block
-        zy = x - lam / beta
-        if theta2_kind == THETA2_L1:
-            tau = theta2_coef / beta
-            y = np.sign(zy) * np.maximum(np.abs(zy) - tau, 0.0)
-        else:
-            y = beta * zy / (beta + theta2_coef)
-        # dual ascent
+        # x-update: the quadratic is isotropic, so its minimizer over X is
+        # the projection of the unconstrained one
+        x = spec.X.project((beta * y + lam + x / eta - g) / (beta + 1.0 / eta))
+        y = prox_theta2(x - lam / beta, beta, spec.theta2, spec.Y)
         lam = lam - beta * (x - y)
         sx_align += x
         sy += y

@@ -39,11 +39,6 @@ class SampleBuffer:
     indices: np.ndarray | None
     noise: np.ndarray | None
 
-    def __len__(self):
-        if self.indices is not None:
-            return len(self.indices)
-        return 0 if self.noise is None else len(self.noise)
-
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))

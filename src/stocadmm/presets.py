@@ -2,24 +2,23 @@
 
 Each preset generates data deterministically from its seed, wraps it in a
 ProblemSpec with certified structural constants, and knows how to build
-per-replication oracles.  Identity-split presets (A = I, B = -I, b = 0) also
-carry the flat arrays the batched kernel path consumes.
+per-replication oracles.  The spec is the whole description of the problem:
+whether the batched kernel applies is read off it (kernels.identity_split).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .functions import (HingeLoss, L1Norm, LeastSquares, SquaredL2Penalty,
                         soft_threshold)
 from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .problem import ProblemSpec, StructuralConstants
 from .sets import Ball, WholeSpace
 
-__all__ = ["Preset", "KernelInputs", "build_preset", "PRESET_NAMES"]
+__all__ = ["Preset", "build_preset", "PRESET_NAMES"]
 
 PRESET_NAMES = (
     "lasso-split",
@@ -33,49 +32,12 @@ _ORACLE_SEED_OFFSET = 0x9E3779B9
 
 
 @dataclass(frozen=True)
-class KernelInputs:
-    data: np.ndarray
-    targets: np.ndarray
-    theta1_kind: int
-    mu: float
-    theta2_coef: float
-    theta2_kind: int
-    radius: float  # <= 0 means whole-space
-
-    def arguments(self, spec: ProblemSpec, solver, oracles, grid) -> dict:
-        """Keyword arguments of ``kernels.admm_identity_split`` for one
-        replication per oracle, each running solver.t_max steps from zero and
-        snapshotting at the 1-based iteration counts in grid.
-
-        Each oracle presamples its own draws, which are stacked to (R, t)
-        indices and (R, t, d) noise; either is None when no oracle draws it.
-        """
-        t = solver.t_max
-        buffers = [oracle.presample(t) for oracle in oracles]
-        first = buffers[0]
-        return dict(
-            data=self.data, targets=self.targets, theta1_kind=self.theta1_kind,
-            mu=self.mu, theta2_coef=self.theta2_coef,
-            theta2_kind=self.theta2_kind, radius=self.radius, beta=solver.beta,
-            etas=np.array([solver.eta(k + 1, spec) for k in range(t)]),
-            idx=(None if first.indices is None
-                 else np.stack([b.indices for b in buffers])),
-            noise=(None if first.noise is None
-                   else np.stack([b.noise for b in buffers])),
-            grid=np.asarray(grid, dtype=np.int64),
-            x0=np.zeros((len(buffers), spec.d1)),
-            y0=np.zeros((len(buffers), spec.d2)),
-        )
-
-
-@dataclass(frozen=True)
 class Preset:
     name: str
     spec: ProblemSpec
     params: dict
     seed: int
     oracle_mode: str  # finite-sum | exact
-    kernel: KernelInputs | None = None
     supports_reference: bool = True
 
     def make_oracle(self, stream: int = 0):
@@ -86,21 +48,25 @@ class Preset:
         return FiniteSumOracle(self.spec.theta1, seed=oseed, stream=stream)
 
 
-def _fista_reduced_lasso(design, targets, lam_reg, mu, iters=3000):
+def _fista_reduced_lasso(design, targets, lam_reg, mu, max_iters=3000):
     """Unconstrained solve of the collapsed (x = y) lasso, used only to size
-    the feasible ball around the solution."""
+    the feasible ball around the solution.  Stops once the iterate no longer
+    moves in floating point."""
     n, d = design.shape
     H_lip = float(np.linalg.eigvalsh(design.T @ design / n)[-1]) + mu
     step = 1.0 / H_lip
     x = np.zeros(d)
     z = x.copy()
     s = 1.0
-    for _ in range(iters):
+    for _ in range(max_iters):
         grad = design.T @ (design @ z - targets) / n + mu * z
         x_new = soft_threshold(z - step * grad, step * lam_reg)
+        moved = np.linalg.norm(x_new - x)
         s_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
         z = x_new + (s - 1.0) / s_new * (x_new - x)
         x, s = x_new, s_new
+        if moved <= 1e-15 * max(np.linalg.norm(x), 1.0):
+            break
     return x
 
 
@@ -201,9 +167,7 @@ def _lasso_like(name, seed, mu, params):
         X=Ball(d, radius), Y=WholeSpace(d),
         constants=StructuralConstants(M=M, sigma=sigma, mu=mu, L=L),
     )
-    kern = KernelInputs(design, targets, kernels.THETA1_LSQ, mu, lam_reg,
-                        kernels.THETA2_L1, radius)
-    return Preset(name, spec, p, seed, p["oracle"], kernel=kern)
+    return Preset(name, spec, p, seed, p["oracle"])
 
 
 def _fused_lasso_graph(seed, params):
@@ -237,7 +201,7 @@ def _fused_lasso_graph(seed, params):
         X=Ball(d, radius), Y=WholeSpace(m),
         constants=StructuralConstants(M=M, sigma=sigma, mu=0.0, L=L),
     )
-    return Preset("fused-lasso-graph", spec, p, seed, p["oracle"], kernel=None)
+    return Preset("fused-lasso-graph", spec, p, seed, p["oracle"])
 
 
 def _hinge_svm_split(seed, params):
@@ -261,11 +225,9 @@ def _hinge_svm_split(seed, params):
         X=Ball(d, radius), Y=WholeSpace(d),
         constants=StructuralConstants(M=M, sigma=2.0 * M, mu=0.0, L=None),
     )
-    kern = KernelInputs(design, labels, kernels.THETA1_HINGE, 0.0, lam_reg,
-                        kernels.THETA2_SQL2, radius)
     # exact Line-1 minimization of the hinge sum has no closed form, so the
     # deterministic reference path is unavailable for this preset
-    return Preset("hinge-svm-split", spec, p, seed, p["oracle"], kernel=kern,
+    return Preset("hinge-svm-split", spec, p, seed, p["oracle"],
                   supports_reference=False)
 
 

@@ -23,8 +23,6 @@ __all__ = [
     "ProblemSpec",
     "StackedW",
     "IterateState",
-    "stack",
-    "unstack",
     "eval_F",
     "err_rho",
 ]
@@ -117,9 +115,6 @@ class StackedW:
     y: np.ndarray
     lam: np.ndarray
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, self.lam])
-
     def __sub__(self, other: "StackedW") -> "StackedW":
         return StackedW(self.x - other.x, self.y - other.y, self.lam - other.lam)
 
@@ -127,23 +122,6 @@ class StackedW:
         return float(
             self.x @ other.x + self.y @ other.y + self.lam @ other.lam
         )
-
-
-def stack(x, y, lam, spec: ProblemSpec | None = None) -> StackedW:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if spec is not None:
-        if x.shape != (spec.d1,) or y.shape != (spec.d2,) or lam.shape != (spec.m,):
-            raise ValueError(
-                f"stacked dims {x.shape[0]}/{y.shape[0]}/{lam.shape[0]} do not "
-                f"match problem dims {spec.d1}/{spec.d2}/{spec.m}"
-            )
-    return StackedW(x, y, lam)
-
-
-def unstack(w: StackedW):
-    return w.x, w.y, w.lam
 
 
 def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:
@@ -237,12 +215,6 @@ class IterateState:
     @property
     def avg_lam(self) -> np.ndarray:
         return self._sum_lam / max(self.k, 1)
-
-    def u_bar_shifted(self):
-        return self.avg_x_shifted, self.avg_y
-
-    def u_bar_aligned(self):
-        return self.avg_x_aligned, self.avg_y
 
     def as_w(self) -> StackedW:
         return StackedW(self.x.copy(), self.y.copy(), self.lam.copy())

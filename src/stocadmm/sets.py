@@ -4,6 +4,7 @@ Three set families are supported: the whole space (with an optional
 user-declared diameter, needed by the convex stepsize schedule), an
 origin-centered Euclidean ball, and an axis-aligned box.  All of them admit
 closed-form Euclidean projections, which keeps every subproblem solve exact.
+A projection also takes an (R, d) array and projects each row.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ class Ball:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        nz = np.linalg.norm(z)
-        if nz <= self.radius:
-            return z
-        return z * (self.radius / nz)
+        nz = np.linalg.norm(z, axis=-1, keepdims=True)
+        # radius / max(||z||, radius) is exactly 1 inside the ball
+        return z * (self.radius / np.maximum(nz, self.radius))
 
     def contains(self, z: np.ndarray, tol: float = 1e-12) -> bool:
         return np.linalg.norm(z) <= self.radius * (1 + tol)

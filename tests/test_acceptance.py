@@ -119,13 +119,13 @@ def test_criterion_05_per_iteration_inequality(lasso):
     oracle1 = AdditiveNoiseOracle(spec1.theta1, sigma=0.5, kind="uniform",
                                   seed=0)
     cfg1 = SolverConfig(variant="stochastic", schedule="convex", t_max=1000,
-                        check_invariants=True, probe_count=5, check_tol=1e-9)
+                        check_invariants=True)
     t1 = run(spec1, cfg1, oracle=oracle1)
     results.append(("1d", t1))
     # the sampled finite-sum lasso instance
     preset, _ = lasso
     cfg2 = SolverConfig(variant="stochastic", schedule="convex", t_max=1000,
-                        check_invariants=True, probe_count=5, check_tol=1e-9)
+                        check_invariants=True)
     t2 = run(preset.spec, cfg2, oracle=preset.make_oracle(0))
     results.append(("lasso", t2))
     bad = []
@@ -144,8 +144,7 @@ def test_criterion_06_three_points_relation_all_presets():
     for name in PRESET_NAMES:
         preset = build_preset(name, seed=1)
         cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
-                           check_invariants=True, probe_count=5,
-                           check_tol=1e-9)
+                           check_invariants=True)
         traj = run(preset.spec, cfg, oracle=preset.make_oracle(0))
         assert traj.error is None, f"{name}: {traj.error}"
         if any(e[1] == "three-points" for e in traj.invariant_log):
@@ -163,7 +162,7 @@ def test_criterion_07_structural_identities(lasso):
     # dual-update identity to machine precision, y-update optimality at
     # 20 probes per step (both monitored by the check-mode run)
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
-                       check_invariants=True, probe_count=5, check_tol=1e-9)
+                       check_invariants=True)
     traj = run(spec, cfg, oracle=preset.make_oracle(1))
     dual_ok = not any(e[1] == "dual-identity" for e in traj.invariant_log)
     y_ok = not any(e[1] == "y-optimality" for e in traj.invariant_log)

@@ -68,8 +68,9 @@ def test_validate_accepts_minimal_config(tmp_path, capsys):
 
 def test_validate_rejects_unknown_field(tmp_path, capsys):
     path = tmp_path / "c.yaml"
-    for field in ("bogus", "workers"):
-        path.write_text(f"preset: lasso-split\n{field}: 1\n")
+    for field, text in (("bogus", "bogus: 1"), ("workers", "workers: 1"),
+                        ("solver.probe_count", "solver: {probe_count: 5}")):
+        path.write_text(f"preset: lasso-split\n{text}\n")
         assert main(["validate", "--config", str(path)]) == 2
         assert f"{field}: unknown field" in capsys.readouterr().err
 

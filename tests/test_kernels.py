@@ -1,13 +1,18 @@
 """Batched iteration kernel: agreement with the step-by-step solver path,
-snapshot bookkeeping and the exact-oracle mode."""
+snapshot bookkeeping, the exact-oracle mode, eligibility read off the spec
+and the catalog's batched formulas."""
 
 import numpy as np
 import pytest
 
 from stocadmm import kernels
-from stocadmm.functions import soft_threshold
-from stocadmm.harness import run_replication, run_replications
-from stocadmm.presets import build_preset
+from stocadmm.functions import (HingeLoss, HingeSumPenalty, L1Norm,
+                                LeastSquares, Quadratic, SquaredL2Penalty,
+                                ZeroFunction, soft_threshold)
+from stocadmm.harness import _kernel_eligible, run_replication, run_replications
+from stocadmm.presets import Preset, build_preset
+from stocadmm.problem import ProblemSpec, StructuralConstants
+from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, run
 
 
@@ -58,32 +63,99 @@ def test_batched_kernel_matches_step_by_step(name, params, solver_kw, grid):
 
 def test_kernel_snapshot_grid_positions():
     preset = build_preset("lasso-split", seed=1, n=20, d=3)
+    spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=50)
-    oracles = [preset.make_oracle(s) for s in (0, 1)]
-    sparse = kernels.admm_identity_split(**preset.kernel.arguments(
-        preset.spec, solver, oracles, [10, 50]))
-    oracles = [preset.make_oracle(s) for s in (0, 1)]
-    full = kernels.admm_identity_split(**preset.kernel.arguments(
-        preset.spec, solver, oracles, np.arange(1, 51)))
+    idx = np.stack([preset.make_oracle(s).presample(50).indices for s in (0, 1)])
+    etas = np.array([solver.eta(k + 1, spec) for k in range(50)])
+    zeros = np.zeros((2, spec.d1))
+    sparse = kernels.admm_identity_split(spec, solver.beta, etas, idx, None,
+                                         np.array([10, 50]), zeros, zeros)
+    full = kernels.admm_identity_split(spec, solver.beta, etas, idx, None,
+                                       np.arange(1, 51), zeros, zeros)
     for snap in ("xbar_shifted", "xbar_aligned", "ybar"):
         assert np.array_equal(getattr(sparse, snap), getattr(full, snap)[:, [9, 49]])
 
 
-def test_exact_oracle_sentinel_uses_full_gradient():
+def test_exact_oracle_sentinel_uses_full_gradient(monkeypatch):
     preset = build_preset("lasso-split", seed=1, n=20, d=3, oracle="exact")
-    ki = preset.kernel
+    spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="constant", eta0=0.1,
                           t_max=1)
-    args = ki.arguments(preset.spec, solver, [preset.make_oracle(0)] * 2, [1])
-    assert args["idx"] is None and args["noise"] is None
-    out = kernels.admm_identity_split(**args)
+    seen = {}
+    kernel = kernels.admm_identity_split
+
+    def spy(spec, beta, etas, idx, noise, *rest):
+        seen.update(idx=idx, noise=noise)
+        return kernel(spec, beta, etas, idx, noise, *rest)
+
+    monkeypatch.setattr(kernels, "admm_identity_split", spy)
+    trajectories = run_replications(preset, solver, 2, np.array([1]), None)
+    assert seen["idx"] is None and seen["noise"] is None
     # one step from zero by hand: full least-squares gradient, prox step,
     # ball projection, soft-threshold, dual ascent (beta = 1)
-    g = -ki.data.T @ ki.targets / len(ki.targets)
+    f = spec.theta1
+    g = -f.design.T @ f.targets / f.n
     x = -g / (1.0 + 1.0 / 0.1)
-    x *= min(1.0, ki.radius / np.linalg.norm(x))
-    y = soft_threshold(x, ki.theta2_coef)
-    for r in range(2):
-        assert np.allclose(out.x[r], x, atol=1e-15)
-        assert np.allclose(out.y[r], y, atol=1e-15)
-        assert np.allclose(out.lam[r], y - x, atol=1e-15)
+    x *= min(1.0, spec.X.radius / np.linalg.norm(x))
+    y = soft_threshold(x, spec.theta2.coef)
+    for traj in trajectories:
+        state = traj.final_state
+        assert np.allclose(state.x, x, atol=1e-15)
+        assert np.allclose(state.y, y, atol=1e-15)
+        assert np.allclose(state.lam, y - x, atol=1e-15)
+
+
+def test_identity_split_spec_with_box_x_takes_the_kernel():
+    # not a shipped preset: the kernel applies to any identity split
+    rng = np.random.default_rng(5)
+    n, d = 30, 4
+    design = rng.standard_normal((n, d))
+    spec = ProblemSpec(
+        theta1=LeastSquares(design, design @ np.full(d, 2.0)),
+        theta2=L1Norm(0.1),
+        A=np.eye(d), B=-np.eye(d), b=np.zeros(d),
+        X=Box(np.full(d, -0.25), np.full(d, 0.25)), Y=WholeSpace(d),
+        constants=StructuralConstants(M=10.0),
+    )
+    preset = Preset("box-lasso", spec, {}, 3, "finite-sum")
+    solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
+    assert _kernel_eligible(preset, solver)
+    grid = np.arange(1, 301)
+    batched = run_replications(preset, solver, 3, grid, theta_star=0.0)
+    for stream, kern in enumerate(batched):
+        general = run(spec, solver, oracle=preset.make_oracle(stream),
+                      theta_star=0.0, record_at=grid)
+        _assert_agrees(kern, general)
+    # the box is active, so the projection is exercised
+    assert any(np.any(np.abs(kern.final_state.x) == 0.25) for kern in batched)
+
+
+def test_catalog_batched_rows_match_one_point_calls():
+    # R == d, so an (R, d) argument read as a d x d matrix would go unnoticed
+    rng = np.random.default_rng(0)
+    n, d = 30, 4
+    design = rng.standard_normal((n, d))
+    targets = rng.standard_normal(n)
+    labels = np.where(rng.standard_normal(n) < 0.0, -1.0, 1.0)
+    P = rng.standard_normal((d, d))
+    quad = Quadratic(P @ P.T, rng.standard_normal(d))
+    x = rng.standard_normal((d, d))
+    idx = rng.integers(0, n, size=d)
+
+    def rows_agree(batched, one_point):
+        assert batched.shape == x.shape
+        for r in range(d):
+            assert np.max(np.abs(batched[r] - one_point(r))) <= 1e-15
+
+    for f in (LeastSquares(design, targets, mu=0.1), HingeLoss(design, labels),
+              quad, L1Norm(0.3)):
+        rows_agree(f.subgrad(x), lambda r: f.subgrad(x[r]))
+        if hasattr(f, "component_grad"):
+            rows_agree(f.component_grad(x, idx),
+                       lambda r: f.component_grad(x[r], int(idx[r])))
+    for f in (L1Norm(0.3), SquaredL2Penalty(0.5), HingeSumPenalty(0.4),
+              ZeroFunction(), quad):
+        rows_agree(f.prox(x, 2.0), lambda r: f.prox(x[r], 2.0))
+    radius = float(np.median(np.linalg.norm(x, axis=1)))  # rows on both sides
+    for X in (WholeSpace(d), Ball(d, radius), Box(np.full(d, -0.5), np.full(d, 0.5))):
+        rows_agree(X.project(x), lambda r: X.project(x[r]))

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from stocadmm import presets
+from stocadmm.functions import soft_threshold
+from stocadmm.kernels import identity_split
 from stocadmm.oracle import validate_assumptions
 from stocadmm.presets import PRESET_NAMES, build_preset
 
@@ -83,14 +86,36 @@ def test_fused_lasso_constraint_is_edge_difference():
         assert sorted(nz) == [-1.0, 1.0]
         assert row.sum() == 0.0
     assert not np.allclose(preset.spec.A, np.eye(6)[:5])
-    assert preset.kernel is None
+    assert not identity_split(preset.spec)
+
+
+def test_lasso_build_stops_fista_once_the_iterate_settles(monkeypatch):
+    calls = []
+
+    def counting(z, tau):
+        calls.append(tau)
+        return soft_threshold(z, tau)
+
+    monkeypatch.setattr(presets, "soft_threshold", counting)
+    build_preset("lasso-split", seed=0)
+    assert 0 < len(calls) <= 1000
+
+
+@pytest.mark.parametrize("name", ["lasso-split", "strongly-convex-lasso"])
+def test_fista_returns_a_prox_gradient_fixed_point(name):
+    spec = build_preset(name, seed=0).spec
+    f, lam_reg = spec.theta1, spec.theta2.coef
+    x = presets._fista_reduced_lasso(f.design, f.targets, lam_reg, f.mu)
+    step = 1.0 / spec.constants.L  # top eigenvalue of the smooth part's Hessian
+    x_next = soft_threshold(x - step * f.grad(x), step * lam_reg)
+    assert np.linalg.norm(x_next - x) <= 1e-12
 
 
 def test_hinge_preset_shape():
     preset = build_preset("hinge-svm-split", seed=0)
     assert set(np.unique(preset.spec.theta1.labels)) <= {-1.0, 1.0}
     assert not preset.supports_reference
-    assert preset.kernel is not None
+    assert identity_split(preset.spec)
     # worst-case single-row subgradient norm certifies the moment bound
     rows = np.linalg.norm(preset.spec.theta1.design, axis=1)
     assert preset.spec.constants.M == pytest.approx(float(rows.max()))

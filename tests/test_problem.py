@@ -4,32 +4,16 @@ import numpy as np
 import pytest
 
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW,
-                              StructuralConstants, err_rho, eval_F, stack,
-                              unstack)
+                              StructuralConstants, err_rho, eval_F)
 from stocadmm.sets import Ball, WholeSpace
 
 from conftest import scalar_split_spec, ridge_split_spec
 
 
-def test_stack_unstack_roundtrip():
-    w = stack([1.0, 2.0], [3.0], [4.0, 5.0, 6.0])
-    x, y, lam = unstack(w)
-    assert np.array_equal(x, [1.0, 2.0])
-    assert np.array_equal(y, [3.0])
-    assert np.array_equal(lam, [4.0, 5.0, 6.0])
-    assert np.array_equal(w.as_vector(), [1, 2, 3, 4, 5, 6])
-
-
-def test_stack_dim_check():
-    spec = scalar_split_spec()
-    with pytest.raises(ValueError, match="do not match problem dims"):
-        stack([1.0, 2.0], [1.0], [0.0], spec)
-
-
 def test_eval_f_hand_example():
     # A = [[1]], B = [[-1]], b = [0], w = ([1], [1], [2])
     spec = scalar_split_spec()
-    out = eval_F(stack([1.0], [1.0], [2.0]), spec)
+    out = eval_F(StackedW(np.array([1.0]), np.array([1.0]), np.array([2.0])), spec)
     assert np.allclose(out.x, [-2.0])
     assert np.allclose(out.y, [2.0])
     assert np.allclose(out.lam, [0.0])
@@ -45,14 +29,17 @@ def test_operator_difference_is_orthogonal_to_iterate_difference():
     # the linear part of F is skew-symmetric, so (w1 - w2)'(F(w1) - F(w2)) = 0
     spec = ridge_split_spec()
     rng = np.random.default_rng(0)
+    def flat(w):
+        return np.concatenate([w.x, w.y, w.lam])
+
     for _ in range(100):
-        w1 = stack(rng.standard_normal(spec.d1), rng.standard_normal(spec.d2),
-                   rng.standard_normal(spec.m))
-        w2 = stack(rng.standard_normal(spec.d1), rng.standard_normal(spec.d2),
-                   rng.standard_normal(spec.m))
+        w1 = StackedW(rng.standard_normal(spec.d1), rng.standard_normal(spec.d2),
+                      rng.standard_normal(spec.m))
+        w2 = StackedW(rng.standard_normal(spec.d1), rng.standard_normal(spec.d2),
+                      rng.standard_normal(spec.m))
         dw = w1 - w2
         dF = eval_F(w1, spec) - eval_F(w2, spec)
-        scale = np.linalg.norm(dw.as_vector()) * np.linalg.norm(dF.as_vector())
+        scale = np.linalg.norm(flat(dw)) * np.linalg.norm(flat(dF))
         assert abs(dw.dot(dF)) <= 1e-12 * max(scale, 1.0)
 
 

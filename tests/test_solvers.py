@@ -343,7 +343,7 @@ def test_matrix_g_must_be_psd():
 
 def test_invariant_probes_stay_quiet_on_valid_runs(lasso_preset):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
-                       check_invariants=True, probe_count=5)
+                       check_invariants=True)
     traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0))
     assert traj.error is None
     assert traj.invariant_log == []
