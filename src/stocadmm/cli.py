@@ -14,16 +14,19 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, ExperimentConfig, reference_key,
+from .harness import (ConfigError, ExperimentConfig, parse_config,
+                      plan_experiment, read_config, reference_key,
                       run_experiment, save_reference, validate_config)
 from .metrics import compute_reference
-from .presets import PRESET_NAMES, build_preset
+from .presets import PRESET_NAMES
 from .solvers import SolverConfig
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The parsed config with the command-line overrides applied; the run
+    validates it (plan_experiment)."""
     if args.config:
-        cfg = validate_config(args.config)
+        cfg = parse_config(read_config(args.config))
     elif args.preset:
         cfg = ExperimentConfig(preset=args.preset,
                                solver=SolverConfig(t_max=100))
@@ -35,7 +38,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.preset_seed = args.seed
     if args.check:
         cfg.solver.check_invariants = True
-    cfg.validate()
     return cfg
 
 
@@ -56,7 +58,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reference(args) -> int:
     cfg = _load_config(args)
-    preset = build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
+    preset = plan_experiment(cfg)
     if not preset.supports_reference:
         print(f"preset {cfg.preset} has no certified reference path",
               file=sys.stderr)

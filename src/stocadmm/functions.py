@@ -3,8 +3,8 @@
 Two families of handles:
 
 * first-block objectives: evaluate the exact (expected) value and an exact
-  subgradient, and for finite sums also the per-component value/subgradient
-  used by the sampling oracle;
+  subgradient, and for finite sums also the per-component subgradient used
+  by the sampling oracle;
 * second-block objectives: evaluate a value and a proximal operator
   ``argmin_y f(y) + (c/2)||y - z||^2``.
 
@@ -72,10 +72,6 @@ class LeastSquares:
     # exact subgradient == gradient (smooth)
     subgrad = grad
 
-    def component_value(self, x: np.ndarray, i: int) -> float:
-        r = float(self.design[i] @ x - self.targets[i])
-        return 0.5 * r * r + 0.5 * self.mu * float(x @ x)
-
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
         rows = self.design[i]
         r = np.einsum("...d,...d->...", rows, x) - self.targets[i]
@@ -118,9 +114,6 @@ class HingeLoss:
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         active = self.labels * (x @ self.design.T) < 1.0
         return -(np.where(active, self.labels, 0.0) @ self.design) / self.n
-
-    def component_value(self, x: np.ndarray, i: int) -> float:
-        return max(0.0, 1.0 - self.labels[i] * float(self.design[i] @ x))
 
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
         rows, labels = self.design[i], self.labels[i]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +31,12 @@ from .metrics import (ReferenceSolution, compute_reference, convex_rate_bound,
                       deterministic_rate_bound, estimate_expectation, fit_rate,
                       high_prob_check, smooth_rate_bound,
                       strongly_convex_rate_bound)
-from .presets import Preset, build_preset
+from .presets import PRESET_NAMES, PRESET_PARAMS, Preset, build_preset
 from .problem import IterateState
-from .solvers import SolverConfig, Trajectory, empty_rows, record_row, run
+from .solvers import SolverConfig, Trajectory, run
 
-__all__ = ["ExperimentConfig", "validate_config", "run_experiment",
-           "run_replication", "default_t_grid", "reference_key"]
+__all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
+           "run_replications", "default_t_grid", "reference_key"]
 
 
 class ConfigError(ValueError):
@@ -63,6 +62,10 @@ class ExperimentConfig:
             raise ConfigError("replications: must be >= 1")
         if self.solver.t_max < 10:
             raise ConfigError("solver.t_max: must be >= 10")
+        for i, t in enumerate(self.t_grid or ()):
+            if t > self.solver.t_max:
+                raise ConfigError(f"t_grid[{i}]: grid point {t} exceeds "
+                                  f"solver.t_max = {self.solver.t_max}")
         # the directory is created by the run; here only the nearest
         # existing ancestor must be a writable directory
         base = os.path.abspath(self.out_dir)
@@ -114,7 +117,20 @@ def _optional_list(raw, key, typ, length=None):
     return _coerce_list(key, value, typ, length)
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
+def _preset_params(preset: str, raw) -> dict:
+    """raw with each value checked against the type of its default."""
+    defaults = PRESET_PARAMS[preset]
+    for key in _coerce("preset_params", raw, dict):
+        if key not in defaults:
+            raise ConfigError(f"preset_params.{key}: unknown field of {preset}")
+    return {key: _coerce(f"preset_params.{key}", val, type(defaults[key]))
+            for key, val in raw.items()}
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Type-check a raw config mapping and fill defaults.  The checks that
+    need values from several fields or the built preset are left to
+    plan_experiment."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     if "preset" not in raw:
@@ -122,6 +138,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in raw:
         if key not in _TOP_FIELDS:
             raise ConfigError(f"{key}: unknown field")
+    preset = _coerce("preset", raw["preset"], str)
+    if preset not in PRESET_PARAMS:
+        raise ConfigError(f"preset: unknown preset {preset!r}; choose from "
+                          f"{PRESET_NAMES}")
     solver_raw = raw.get("solver", {}) or {}
     for key in solver_raw:
         if key not in _SOLVER_FIELDS:
@@ -136,9 +156,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("t_grid: grid points must be >= 1")
     rate_window = _optional_list(raw, "rate_window", float, 2)
     slope_band = _optional_list(raw, "slope_band", float, 2)
-    cfg = ExperimentConfig(
-        preset=_coerce("preset", raw["preset"], str),
-        preset_params=_coerce("preset_params", raw.get("preset_params", {}) or {}, dict),
+    return ExperimentConfig(
+        preset=preset,
+        preset_params=_preset_params(preset, raw.get("preset_params", {}) or {}),
         preset_seed=_coerce("preset_seed", raw.get("preset_seed", 0), int),
         solver=solver,
         replications=_coerce("replications", raw.get("replications", 1), int),
@@ -149,24 +169,42 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         slope_band=None if slope_band is None else tuple(slope_band),
         check_bound=_coerce("check_bound", raw.get("check_bound", False), bool),
     )
+
+
+def plan_experiment(cfg: ExperimentConfig) -> Preset:
+    """Validate cfg, build its preset and check the solver against it; a run
+    does this once, before its reference solve."""
     cfg.validate()
-    # schedule/constant consistency is checked against the actual preset
-    preset = build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
+    try:
+        preset = build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
+    except ValueError as exc:
+        raise ConfigError(f"preset_params: {exc}") from exc
     try:
         cfg.solver.validate(preset.spec)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    return preset
+
+
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Parse raw and run every check, the preset-dependent ones included."""
+    cfg = parse_config(raw)
+    plan_experiment(cfg)
     return cfg
 
 
-def validate_config(path: str) -> ExperimentConfig:
-    """Parse and schema-validate a YAML experiment config, filling defaults."""
+def read_config(path: str):
+    """The raw mapping of a YAML experiment config."""
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"malformed YAML: {exc}") from exc
-    return config_from_dict(raw or {})
+
+
+def validate_config(path: str) -> ExperimentConfig:
+    """Parse and fully validate a YAML experiment config, filling defaults."""
+    return config_from_dict(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -178,60 +216,26 @@ def _kernel_eligible(preset: Preset, cfg: SolverConfig) -> bool:
             and kernels.identity_split(preset.spec))
 
 
-def _kernel_replications(preset: Preset, solver: SolverConfig, streams,
-                         t_grid: np.ndarray,
-                         theta_star: float | None) -> list[Trajectory]:
-    """All streams in one batched kernel call, each running solver.t_max steps
-    from zero on its own presampled draws.  The step_ms column is the
-    kernel's wall time divided by the replication-steps it advanced."""
+def run_replications(preset: Preset, solver: SolverConfig, R: int,
+                     t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
+    """Replications on streams 0..R-1, each from zero on its own presampled
+    draws: one batched kernel call for all of them when the kernel applies,
+    otherwise one step-by-step run per stream."""
+    if not _kernel_eligible(preset, solver):
+        return [run(preset.spec, solver, oracle=preset.make_oracle(r),
+                    theta_star=theta_star, record_at=t_grid) for r in range(R)]
     spec = preset.spec
-    t = solver.t_max
     # per-stream draws stacked to (R, t) indices and (R, t, d) noise; either
     # is None when the oracle draws none
-    buffers = [preset.make_oracle(s).presample(t) for s in streams]
+    buffers = [preset.make_oracle(r).presample(solver.t_max) for r in range(R)]
     idx = (None if buffers[0].indices is None
            else np.stack([b.indices for b in buffers]))
     noise = (None if buffers[0].noise is None
              else np.stack([b.noise for b in buffers]))
-    etas = np.array([solver.eta(k + 1, spec) for k in range(t)])
-    grid = np.asarray(t_grid, dtype=np.int64)
-    R = len(buffers)
-    t0 = time.perf_counter()
-    out = kernels.admm_identity_split(spec, solver.beta, etas, idx, noise, grid,
-                                      np.zeros((R, spec.d1)), np.zeros((R, spec.d2)))
-    ms_per_step = (time.perf_counter() - t0) * 1e3 / max(R * t, 1)
-
-    trajectories = []
-    for r in range(R):
-        rows = empty_rows()
-        for p, tk in enumerate(grid):
-            record_row(rows, spec, solver.rho, theta_star, int(tk), etas[tk - 1],
-                       ms_per_step, out.xbar_shifted[r, p], out.xbar_aligned[r, p],
-                       out.ybar[r, p])
-        final = IterateState.from_sums(
-            t, out.x[r], out.y[r], out.lam[r], out.sum_x_shifted[r],
-            out.sum_x_aligned[r], out.sum_y[r], out.sum_lam[r])
-        trajectories.append(Trajectory.from_rows(rows, final_state=final))
-    return trajectories
-
-
-def run_replications(preset: Preset, solver: SolverConfig, R: int,
-                     t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
-    """Replications on streams 0..R-1: one batched kernel call when the kernel
-    applies, otherwise one step-by-step run per stream."""
-    if _kernel_eligible(preset, solver):
-        return _kernel_replications(preset, solver, range(R), t_grid, theta_star)
-    return [run_replication(preset, solver, r, t_grid, theta_star) for r in range(R)]
-
-
-def run_replication(preset: Preset, solver: SolverConfig, stream: int,
-                    t_grid: np.ndarray,
-                    theta_star: float | None) -> Trajectory:
-    """One solver run; takes the kernel path whenever it applies."""
-    if _kernel_eligible(preset, solver):
-        return _kernel_replications(preset, solver, [stream], t_grid, theta_star)[0]
-    return run(preset.spec, solver, oracle=preset.make_oracle(stream),
-               theta_star=theta_star, record_at=t_grid)
+    state = IterateState(np.zeros((R, spec.d1)), np.zeros((R, spec.d2)),
+                         np.zeros((R, spec.m)))
+    return kernels.admm_identity_split(spec, solver, idx, noise, state,
+                                       theta_star, t_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +343,7 @@ def _bound_fn(cfg: ExperimentConfig, preset: Preset, d_yb: float):
 
 def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = None):
     """Execute the configured experiment; returns (report dict, exit code)."""
-    cfg.validate()
-    preset = build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
-    cfg.solver.validate(preset.spec)
+    preset = plan_experiment(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if reference is None and preset.supports_reference:
@@ -354,8 +356,6 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
 
     t_grid = (np.asarray(sorted(set(int(t) for t in cfg.t_grid)))
               if cfg.t_grid else default_t_grid(cfg.solver.t_max))
-    if t_grid[-1] > cfg.solver.t_max:
-        raise ConfigError("t_grid: grid point exceeds solver.t_max")
 
     trajectories = run_replications(preset, cfg.solver, cfg.replications,
                                     t_grid, theta_star)

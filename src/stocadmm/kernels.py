@@ -4,46 +4,29 @@
 For an identity split the x-subproblem of the stochastic step is an isotropic
 quadratic over X, so its minimizer is the projection of a closed-form point,
 and the y-update is the prox of theta2 at x - lam/beta.  The kernel advances
-R independent replications together: the iterates and the running sums are
-(R, d) arrays and each step is a handful of numpy calls on them, so the
-interpreter overhead of a step is paid once for all R replications.  The
-subgradients, the projection and the prox are the spec's own methods, called
-with a leading replication axis; the kernel adds only the x-update point, the
-dual step and the running sums.  The replications consume their own
-pre-drawn randomness (stacked per-stream oracle buffers), so the draws are
-those of the step-by-step path and each replication's trajectory agrees with
-it up to floating-point summation order.
+R independent replications together as one IterateState with (R, d) arrays,
+so the interpreter overhead of a step is paid once for all R replications.
+Everything but that update is shared with the step-by-step loop of
+solvers.run: the sampled subgradient (SampleBuffer.subgradient on the
+stacked per-stream draws, so each replication sees the draws of its own
+stream), the stepsize, the running averages and the recorded rows.  The
+subgradients, the projection and the prox are the spec's own methods,
+called with a leading replication axis, so each replication's trajectory
+agrees with run() on its stream up to floating-point summation order.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import time
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .oracle import SampleBuffer
+from .problem import IterateState, ProblemSpec
 from .prox import prox_theta2
+from .solvers import SolverConfig, Trajectory, empty_rows, record_row
 
-__all__ = ["KernelOutput", "admm_identity_split", "identity_split"]
-
-
-class KernelOutput(NamedTuple):
-    """Snapshots (R, len(grid), d) and final states (R, d) of a batched run.
-
-    The sums are the running sums after the last step: x over indices
-    0..t-1 (shifted), x over 1..t (aligned), y and lam over 1..t.
-    """
-
-    xbar_shifted: np.ndarray
-    xbar_aligned: np.ndarray
-    ybar: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    lam: np.ndarray
-    sum_x_shifted: np.ndarray
-    sum_x_aligned: np.ndarray
-    sum_y: np.ndarray
-    sum_lam: np.ndarray
+__all__ = ["admm_identity_split", "identity_split"]
 
 
 def identity_split(spec: ProblemSpec) -> bool:
@@ -54,50 +37,39 @@ def identity_split(spec: ProblemSpec) -> bool:
             and not np.any(spec.b))
 
 
-def admm_identity_split(spec: ProblemSpec, beta, etas, idx, noise, grid,
-                        x0, y0) -> KernelOutput:
-    """Run t = len(etas) stochastic ADMM steps of R replications at once.
+def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
+                        state: IterateState, theta_star: float | None = None,
+                        record_at: np.ndarray | None = None) -> list[Trajectory]:
+    """Advance state, R replications with (R, d) arrays, by cfg.t_max
+    stochastic ADMM steps and return one trajectory per replication.
 
-    spec must be an identity split (see identity_split).
-    idx: (R, t) sampled component indices, idx[r, k] for step k of
-    replication r; None means the exact (sub)gradient at every step.
-    noise: (R, t, d) rows added to the subgradient, or None for no noise.
-    grid holds sorted 1-based iteration counts at which running averages of
-    both conventions are snapshotted.  x0, y0: (R, d) starting points.
+    spec must be an identity split (see identity_split).  idx: (R, t)
+    sampled component indices, idx[r, k] for step k of replication r, or
+    None for the exact (sub)gradient; noise: (R, t, d) rows added to it, or
+    None.  theta_star and record_at are those of solvers.run.  A row's step_ms
+    is the wall time of the batched step divided by R, and each trajectory's
+    final_state is its replication of state.
     """
-    theta1 = spec.theta1
-    t = etas.shape[0]
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    lam = np.zeros_like(x)
-    sx_shift = np.zeros_like(x)
-    sx_align = np.zeros_like(x)
-    sy = np.zeros_like(y)
-    slam = np.zeros_like(lam)
-    n_grid = grid.shape[0]
-    xbar_shift = np.zeros((x.shape[0], n_grid, x.shape[1]))
-    xbar_align = np.zeros_like(xbar_shift)
-    ybar = np.zeros((y.shape[0], n_grid, y.shape[1]))
-    p = 0
-    for k in range(t):
-        sx_shift += x
-        g = theta1.subgrad(x) if idx is None else theta1.component_grad(x, idx[:, k])
-        if noise is not None:
-            g = g + noise[:, k]
-        eta = etas[k]
+    draws = SampleBuffer(idx, noise)
+    beta = cfg.beta
+    record_set = None if record_at is None else set(int(t) for t in record_at)
+    rows = [empty_rows() for _ in range(state.x.shape[0])]
+    for k in range(cfg.t_max):
+        t0 = time.perf_counter()
+        eta = cfg.eta(k + 1, spec)
+        g = draws.subgradient(spec.theta1, state.x, k)
         # x-update: the quadratic is isotropic, so its minimizer over X is
         # the projection of the unconstrained one
-        x = spec.X.project((beta * y + lam + x / eta - g) / (beta + 1.0 / eta))
-        y = prox_theta2(x - lam / beta, beta, spec.theta2, spec.Y)
-        lam = lam - beta * (x - y)
-        sx_align += x
-        sy += y
-        slam += lam
-        if p < n_grid and k + 1 == grid[p]:
-            inv = 1.0 / (k + 1)
-            xbar_shift[:, p] = sx_shift * inv
-            xbar_align[:, p] = sx_align * inv
-            ybar[:, p] = sy * inv
-            p += 1
-    return KernelOutput(xbar_shift, xbar_align, ybar, x, y, lam,
-                        sx_shift, sx_align, sy, slam)
+        x = spec.X.project((beta * state.y + state.lam + state.x / eta - g)
+                           / (beta + 1.0 / eta))
+        y = prox_theta2(x - state.lam / beta, beta, spec.theta2, spec.Y)
+        state.advance(x, y, state.lam - beta * (x - y))
+        step_ms = (time.perf_counter() - t0) * 1e3 / len(rows)
+
+        if record_set is None or state.k in record_set:
+            averages = state.avg_x_shifted, state.avg_x_aligned, state.avg_y
+            for r, rep_rows in enumerate(rows):
+                record_row(rep_rows, spec, cfg.rho, theta_star, state.k, eta,
+                           step_ms, *(avg[r] for avg in averages))
+    return [Trajectory.from_rows(rep_rows, final_state=state.replication(r))
+            for r, rep_rows in enumerate(rows)]

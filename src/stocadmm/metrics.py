@@ -134,10 +134,12 @@ def _long_admm(spec: ProblemSpec, beta: float, tol: float, budget: int) -> Refer
     state = IterateState.zeros(spec)
     achieved = np.inf
     for k in range(budget):
-        x_prev, y_prev = state.x.copy(), state.y.copy()
+        # step() replaces the iterate arrays rather than writing into them
+        x_prev, y_prev, lam_prev = state.x, state.y, state.lam
         step_deterministic(state, plan)
         move = float(np.linalg.norm(state.x - x_prev) + np.linalg.norm(state.y - y_prev))
-        feas = float(np.linalg.norm(spec.residual(state.x, state.y)))
+        # the dual step was lam_prev - beta * residual(x, y)
+        feas = float(np.linalg.norm(lam_prev - state.lam)) / beta
         achieved = move + feas
         if achieved <= tol:
             return ReferenceSolution(state.x.copy(), state.y.copy(),

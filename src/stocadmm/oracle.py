@@ -1,6 +1,8 @@
 """Stochastic first-order oracles and statistical assumption validators.
 
-An oracle returns one sampled subgradient g per call.  The deviation
+An oracle draws the randomness of a run in one batch (presample), and
+SampleBuffer.subgradient turns the draws of step k into the sampled
+subgradient g, for one stream or for R streams stacked.  The deviation
 delta = g - E g is needed only by the per-iteration invariant checks and by
 validate_assumptions, which compute it from the exact subgradient
 theta1.subgrad(x).
@@ -29,15 +31,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Pre-drawn randomness for one run: component indices and/or noise rows.
+    """Pre-drawn randomness of one stream, or of R streams stacked along a
+    leading axis: component indices and/or noise rows.
 
     Pre-drawing in one batch pins the exact generator consumption pattern, so
     the batched kernel path and the step-by-step path see identical draws.
-    noise is None when the oracle adds no noise.
+    indices is None for an oracle that uses the exact subgradient, noise for
+    one that adds no noise.
     """
 
     indices: np.ndarray | None
     noise: np.ndarray | None
+
+    def subgradient(self, theta1, x: np.ndarray, k: int) -> np.ndarray:
+        """The sampled subgradient of theta1 at x for step k: the component
+        gradient at indices[..., k] (no indices: the exact subgradient) plus
+        noise[..., k, :].  x is (d,) for one stream, (R, d) for R stacked."""
+        if self.indices is None:
+            g = theta1.subgrad(x)
+        else:
+            g = theta1.component_grad(x, self.indices[..., k])
+        if self.noise is not None:
+            g = g + self.noise[..., k, :]
+        return g
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
@@ -65,14 +81,6 @@ class FiniteSumOracle:
     def presample(self, t: int) -> SampleBuffer:
         idx = self._rng.integers(0, self.theta1.n, size=t, dtype=np.int64)
         return SampleBuffer(indices=idx, noise=None)
-
-    def sample_subgradient(self, x: np.ndarray, k: int | None = None,
-                           buffer: SampleBuffer | None = None) -> np.ndarray:
-        if buffer is not None:
-            i = int(buffer.indices[k])
-        else:
-            i = int(self._rng.integers(0, self.theta1.n, dtype=np.int64))
-        return self.theta1.component_grad(x, i)
 
 
 class AdditiveNoiseOracle:
@@ -105,30 +113,17 @@ class AdditiveNoiseOracle:
         return AdditiveNoiseOracle(self.theta1, self.sigma, kind=self.kind,
                                    seed=self.seed, stream=stream)
 
-    def _dim(self) -> int:
-        return self.theta1.dim
-
-    def _draw_noise(self, size: int) -> np.ndarray:
-        d = self._dim()
-        if self.kind == "none":
-            return np.zeros((size, d))
-        if self.kind == "gaussian":
-            return self._rng.standard_normal((size, d)) * (self.sigma / math.sqrt(d))
-        # uniform on [-a, a]^d with a chosen so the total variance is sigma^2
-        a = self.sigma * math.sqrt(3.0 / d)
-        return self._rng.uniform(-a, a, size=(size, d))
-
     def presample(self, t: int) -> SampleBuffer:
-        noise = None if self.kind == "none" else self._draw_noise(t)
-        return SampleBuffer(indices=None, noise=noise)
-
-    def sample_subgradient(self, x: np.ndarray, k: int | None = None,
-                           buffer: SampleBuffer | None = None) -> np.ndarray:
-        g = self.theta1.subgrad(x)
+        d = self.theta1.dim
         if self.kind == "none":
-            return g
-        noise = buffer.noise[k] if buffer is not None else self._draw_noise(1)[0]
-        return g + noise
+            noise = None
+        elif self.kind == "gaussian":
+            noise = self._rng.standard_normal((t, d)) * (self.sigma / math.sqrt(d))
+        else:
+            # uniform on [-a, a]^d with a chosen so the total variance is sigma^2
+            a = self.sigma * math.sqrt(3.0 / d)
+            noise = self._rng.uniform(-a, a, size=(t, d))
+        return SampleBuffer(indices=None, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -163,13 +158,11 @@ def validate_assumptions(oracle, X, n_samples: int, n_points: int = 10,
     for _ in range(n_points):
         x = X.project(X.sample(rng))
         exact = oracle.theta1.subgrad(x)
-        g2 = np.empty(n_samples)
-        d2 = np.empty(n_samples)
-        for j in range(n_samples):
-            g = probe.sample_subgradient(x)
-            delta = g - exact
-            g2[j] = g @ g
-            d2[j] = delta @ delta
+        draws = probe.presample(n_samples)
+        g = np.array([draws.subgradient(probe.theta1, x, j) for j in range(n_samples)])
+        delta = g - exact
+        g2 = np.einsum("ij,ij->i", g, g)
+        d2 = np.einsum("ij,ij->i", delta, delta)
         m2 = float(np.mean(g2))
         var = float(np.mean(d2))
         if m2 >= sup_m2:

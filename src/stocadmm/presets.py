@@ -18,14 +18,22 @@ from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .problem import ProblemSpec, StructuralConstants
 from .sets import Ball, WholeSpace
 
-__all__ = ["Preset", "build_preset", "PRESET_NAMES"]
+__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS"]
 
-PRESET_NAMES = (
-    "lasso-split",
-    "strongly-convex-lasso",
-    "fused-lasso-graph",
-    "hinge-svm-split",
-)
+_LASSO_PARAMS = dict(n=200, d=20, cond=10.0, noise=1.0, lam_reg=0.1,
+                     sparsity=0.25, oracle="finite-sum")
+
+# preset name -> its parameters with their defaults; edges is a list of
+# (i, j) pairs, empty for the chain graph
+PRESET_PARAMS = {
+    "lasso-split": _LASSO_PARAMS,
+    "strongly-convex-lasso": dict(_LASSO_PARAMS, mu=0.1),
+    "fused-lasso-graph": dict(_LASSO_PARAMS, noise=0.1, edges=[]),
+    "hinge-svm-split": dict(n=200, d=20, noise=0.1, lam_reg=0.1, radius=5.0,
+                            oracle="finite-sum"),
+}
+
+PRESET_NAMES = tuple(PRESET_PARAMS)
 
 # oracle streams are offset from data-generation streams to keep them disjoint
 _ORACLE_SEED_OFFSET = 0x9E3779B9
@@ -139,10 +147,10 @@ def _lsq_constants(design, targets, radius, mu):
     return M, sigma, L
 
 
-def _lasso_like(name, seed, mu, params):
-    p = dict(n=200, d=20, cond=10.0, noise=1.0, lam_reg=0.1, sparsity=0.25,
-             oracle="finite-sum")
-    p.update(params)
+def _lasso_like(name, seed, p):
+    mu = float(p["mu"]) if name == "strongly-convex-lasso" else 0.0
+    if name == "strongly-convex-lasso" and mu <= 0:
+        raise ValueError("strongly-convex-lasso needs mu > 0")
     rng = np.random.default_rng(seed)
     n, d = int(p["n"]), int(p["d"])
     design = _make_design(rng, n, d, float(p["cond"]))
@@ -170,10 +178,7 @@ def _lasso_like(name, seed, mu, params):
     return Preset(name, spec, p, seed, p["oracle"])
 
 
-def _fused_lasso_graph(seed, params):
-    p = dict(n=200, d=20, cond=10.0, noise=0.1, lam_reg=0.1, sparsity=0.25,
-             oracle="finite-sum", edges=None)
-    p.update(params)
+def _fused_lasso_graph(seed, p):
     rng = np.random.default_rng(seed)
     n, d = int(p["n"]), int(p["d"])
     design = _make_design(rng, n, d, float(p["cond"]))
@@ -204,9 +209,7 @@ def _fused_lasso_graph(seed, params):
     return Preset("fused-lasso-graph", spec, p, seed, p["oracle"])
 
 
-def _hinge_svm_split(seed, params):
-    p = dict(n=200, d=20, noise=0.1, lam_reg=0.1, radius=5.0, oracle="finite-sum")
-    p.update(params)
+def _hinge_svm_split(seed, p):
     rng = np.random.default_rng(seed)
     n, d = int(p["n"]), int(p["d"])
     design = rng.standard_normal((n, d)) / np.sqrt(d)
@@ -232,15 +235,12 @@ def _hinge_svm_split(seed, params):
 
 
 def build_preset(name: str, seed: int = 0, **params) -> Preset:
-    if name == "lasso-split":
-        return _lasso_like(name, seed, 0.0, params)
-    if name == "strongly-convex-lasso":
-        mu = float(params.pop("mu", 0.1))
-        if mu <= 0:
-            raise ValueError("strongly-convex-lasso needs mu > 0")
-        return _lasso_like(name, seed, mu, params)
+    """Preset name built from seed, with params overriding PRESET_PARAMS[name]."""
+    if name not in PRESET_PARAMS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    p = dict(PRESET_PARAMS[name], **params)
     if name == "fused-lasso-graph":
-        return _fused_lasso_graph(seed, params)
+        return _fused_lasso_graph(seed, p)
     if name == "hinge-svm-split":
-        return _hinge_svm_split(seed, params)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+        return _hinge_svm_split(seed, p)
+    return _lasso_like(name, seed, p)

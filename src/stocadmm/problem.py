@@ -12,6 +12,7 @@ what the runtime invariant checkers exploit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +35,14 @@ class StructuralConstants:
 
     M bounds the second moment of sampled subgradients over X, sigma the
     gradient variance, mu the strong-convexity modulus of f1 (0 if none),
-    L its gradient Lipschitz constant (None if nonsmooth).  d_y_star_b is an
-    optional hint for ||B(y0 - y*)||; when absent it is derived from the
-    reference solution.
+    L its gradient Lipschitz constant (None if nonsmooth).  ||B(y0 - y*)||
+    in the bounds is taken from the reference solution.
     """
 
     M: float
     sigma: float = 0.0
     mu: float = 0.0
     L: float | None = None
-    d_y_star_b: float | None = None
 
     def __post_init__(self):
         if not self.M > 0:
@@ -160,8 +159,11 @@ class IterateState:
 
     Two averaging conventions are maintained simultaneously:
 
-    * shifted: x averaged over indices 0..k-1, y and lam over 1..k;
-    * aligned: x averaged over 1..k (y and lam averages coincide).
+    * shifted: x averaged over indices 0..k-1, y over 1..k;
+    * aligned: x averaged over 1..k (the y averages coincide).
+
+    The arrays may carry a leading replication axis, (R, d) for R
+    replications advanced together; replication(r) is one of them.
     """
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray):
@@ -172,24 +174,19 @@ class IterateState:
         self._sum_x_shifted = np.zeros_like(self.x)
         self._sum_x_aligned = np.zeros_like(self.x)
         self._sum_y = np.zeros_like(self.y)
-        self._sum_lam = np.zeros_like(self.lam)
 
     @classmethod
     def zeros(cls, spec: ProblemSpec) -> "IterateState":
         return cls(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
 
-    @classmethod
-    def from_sums(cls, k: int, x, y, lam, sum_x_shifted, sum_x_aligned, sum_y,
-                  sum_lam) -> "IterateState":
-        """State after k iterations run elsewhere, from its final iterate and
-        running sums (x over 0..k-1 and 1..k, y and lam over 1..k)."""
-        state = cls(x, y, lam)
-        state.k = k
-        state._sum_x_shifted = np.array(sum_x_shifted, dtype=float)
-        state._sum_x_aligned = np.array(sum_x_aligned, dtype=float)
-        state._sum_y = np.array(sum_y, dtype=float)
-        state._sum_lam = np.array(sum_lam, dtype=float)
-        return state
+    def replication(self, r: int) -> "IterateState":
+        """Replication r of a batched state, whose arrays carry a leading
+        replication axis; the result's arrays are views into this state's."""
+        view = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(view, name, value[r])
+        return view
 
     def advance(self, x_new: np.ndarray, y_new: np.ndarray, lam_new: np.ndarray):
         """Record one completed iteration k -> k+1."""
@@ -197,7 +194,6 @@ class IterateState:
         self.x, self.y, self.lam = x_new, y_new, lam_new
         self._sum_x_aligned += self.x
         self._sum_y += self.y
-        self._sum_lam += self.lam
         self.k += 1
 
     @property
@@ -211,10 +207,6 @@ class IterateState:
     @property
     def avg_y(self) -> np.ndarray:
         return self._sum_y / max(self.k, 1)
-
-    @property
-    def avg_lam(self) -> np.ndarray:
-        return self._sum_lam / max(self.k, 1)
 
     def as_w(self) -> StackedW:
         return StackedW(self.x.copy(), self.y.copy(), self.lam.copy())

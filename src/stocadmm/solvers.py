@@ -367,10 +367,9 @@ def _probe_w(spec: ProblemSpec, rng: np.random.Generator, lam_scale: float) -> S
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
-        x0: np.ndarray | None = None, y0: np.ndarray | None = None,
         theta_star: float | None = None,
         record_at: np.ndarray | None = None) -> Trajectory:
-    """Execute t_max steps and record the trajectory.
+    """Execute t_max steps from zero and record the trajectory.
 
     Structural errors raise before any step; an error during the steps ends
     the run and is returned in the partial trajectory.  record_at restricts
@@ -382,12 +381,8 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
     stochastic = cfg.variant == "stochastic"
     if stochastic and oracle is None:
         raise ValueError("stochastic variant needs an oracle")
-    state = IterateState(
-        np.zeros(spec.d1) if x0 is None else spec.X.project(np.asarray(x0, float)),
-        np.zeros(spec.d2) if y0 is None else np.asarray(y0, dtype=float),
-        np.zeros(spec.m),
-    )
-    buffer = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
+    state = IterateState.zeros(spec)
+    draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
     record_set = None if record_at is None else set(int(t) for t in record_at)
     rng = np.random.default_rng(PROBE_SEED)
 
@@ -403,7 +398,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         g = None
         try:
             if stochastic:
-                g = oracle.sample_subgradient(state.x, k=k, buffer=buffer)
+                g = draws.subgradient(oracle.theta1, state.x, k)
             step(state, plan, g, eta)
         except Exception as exc:  # return the partial trajectory with the error
             error = f"iteration {k}: {exc}"

@@ -182,7 +182,14 @@ def test_config_validation_limits():
             ({"rate_window": [1, "x"]}, "rate_window\\[1\\]"),
             ({"omegas": ["a"]}, "omegas\\[0\\]"),
             ({"slope_band": 5}, "slope_band"),
-            ({"slope_band": [-0.6]}, "slope_band")):
+            ({"slope_band": [-0.6]}, "slope_band"),
+            ({"preset": "bogus"}, "preset: unknown preset"),
+            ({"preset_params": {"nn": 50}}, "preset_params.nn: unknown field"),
+            ({"preset_params": {"n": "abc"}}, "preset_params.n: expected int"),
+            ({"preset_params": {"d": 4.5}}, "preset_params.d: expected int"),
+            ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
+             "preset_params: .*mu > 0"),
+            ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max")):
         with pytest.raises(ConfigError, match=path):
             config_from_dict({"preset": "lasso-split", **raw})
     # an empty list leaves an optional list field unset
@@ -193,6 +200,26 @@ def test_config_validation_limits():
     with pytest.raises(ConfigError, match="solver: .*not psd"):
         config_from_dict({"preset": "lasso-split",
                           "solver": {"variant": "linearized", "G": 1e-6}})
+
+
+def test_cli_run_builds_and_validates_once(tmp_path, monkeypatch):
+    from stocadmm import harness
+    calls = {"build": 0, "validate": 0}
+    build, validate = harness.build_preset, ExperimentConfig.validate
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(harness, "build_preset", counted_build)
+    monkeypatch.setattr(ExperimentConfig, "validate", counted_validate)
+    cfg = _write_config(tmp_path / "c.yaml")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"build": 1, "validate": 1}
 
 
 def test_validate_leaves_missing_out_dir_absent(tmp_path):

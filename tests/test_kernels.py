@@ -9,9 +9,10 @@ from stocadmm import kernels
 from stocadmm.functions import (HingeLoss, HingeSumPenalty, L1Norm,
                                 LeastSquares, Quadratic, SquaredL2Penalty,
                                 ZeroFunction, soft_threshold)
-from stocadmm.harness import _kernel_eligible, run_replication, run_replications
+from stocadmm.harness import _kernel_eligible, run_replications
+from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
-from stocadmm.problem import ProblemSpec, StructuralConstants
+from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, run
 
@@ -24,7 +25,7 @@ def _assert_agrees(kern, general):
     assert ks.k == gs.k
     assert np.max(np.abs(ks.x - gs.x)) <= 1e-12
     assert np.max(np.abs(ks.lam - gs.lam)) <= 1e-12
-    for avg in ("avg_x_shifted", "avg_x_aligned", "avg_y", "avg_lam"):
+    for avg in ("avg_x_shifted", "avg_x_aligned", "avg_y"):
         assert np.max(np.abs(getattr(ks, avg) - getattr(gs, avg))) <= 1e-10, avg
 
 
@@ -34,7 +35,7 @@ def test_kernel_agrees_with_step_by_step_solver(name):
     spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200)
     grid = np.arange(1, 201)
-    kern = run_replication(preset, solver, 3, grid, theta_star=0.0)
+    kern = run_replications(preset, solver, 4, grid, theta_star=0.0)[3]
     general = run(spec, solver, oracle=preset.make_oracle(3), theta_star=0.0,
                   record_at=grid)
     _assert_agrees(kern, general)
@@ -66,14 +67,18 @@ def test_kernel_snapshot_grid_positions():
     spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=50)
     idx = np.stack([preset.make_oracle(s).presample(50).indices for s in (0, 1)])
-    etas = np.array([solver.eta(k + 1, spec) for k in range(50)])
-    zeros = np.zeros((2, spec.d1))
-    sparse = kernels.admm_identity_split(spec, solver.beta, etas, idx, None,
-                                         np.array([10, 50]), zeros, zeros)
-    full = kernels.admm_identity_split(spec, solver.beta, etas, idx, None,
-                                       np.arange(1, 51), zeros, zeros)
-    for snap in ("xbar_shifted", "xbar_aligned", "ybar"):
-        assert np.array_equal(getattr(sparse, snap), getattr(full, snap)[:, [9, 49]])
+
+    def rows_at(grid):
+        zeros = np.zeros((2, spec.d1))
+        return kernels.admm_identity_split(spec, solver, idx, None,
+                                           IterateState(zeros, zeros, zeros),
+                                           0.0, grid)
+
+    sparse, full = rows_at(np.array([10, 50])), rows_at(np.arange(1, 51))
+    for s, f in zip(sparse, full):
+        assert np.array_equal(s.k, [10, 50])
+        for col in ("eta", "obj_gap_eq2", "feas_eq2", "obj_gap_eq10", "feas_eq10"):
+            assert np.array_equal(getattr(s, col), getattr(f, col)[[9, 49]])
 
 
 def test_exact_oracle_sentinel_uses_full_gradient(monkeypatch):
@@ -84,9 +89,9 @@ def test_exact_oracle_sentinel_uses_full_gradient(monkeypatch):
     seen = {}
     kernel = kernels.admm_identity_split
 
-    def spy(spec, beta, etas, idx, noise, *rest):
+    def spy(spec, cfg, idx, noise, *rest):
         seen.update(idx=idx, noise=noise)
-        return kernel(spec, beta, etas, idx, noise, *rest)
+        return kernel(spec, cfg, idx, noise, *rest)
 
     monkeypatch.setattr(kernels, "admm_identity_split", spy)
     trajectories = run_replications(preset, solver, 2, np.array([1]), None)
@@ -147,12 +152,23 @@ def test_catalog_batched_rows_match_one_point_calls():
         for r in range(d):
             assert np.max(np.abs(batched[r] - one_point(r))) <= 1e-15
 
+    # stacked draws of R streams of t = d steps each
+    draws = SampleBuffer(rng.integers(0, n, size=(d, d)),
+                         rng.standard_normal((d, d, d)))
+    exact = SampleBuffer(None, draws.noise)
+
     for f in (LeastSquares(design, targets, mu=0.1), HingeLoss(design, labels),
               quad, L1Norm(0.3)):
         rows_agree(f.subgrad(x), lambda r: f.subgrad(x[r]))
+        rows_agree(exact.subgradient(f, x, 2),
+                   lambda r: f.subgrad(x[r]) + draws.noise[r, 2])
         if hasattr(f, "component_grad"):
             rows_agree(f.component_grad(x, idx),
                        lambda r: f.component_grad(x[r], int(idx[r])))
+            for k in range(d):
+                rows_agree(draws.subgradient(f, x, k),
+                           lambda r: (f.component_grad(x[r], int(draws.indices[r, k]))
+                                      + draws.noise[r, k]))
     for f in (L1Norm(0.3), SquaredL2Penalty(0.5), HingeSumPenalty(0.4),
               ZeroFunction(), quad):
         rows_agree(f.prox(x, 2.0), lambda r: f.prox(x[r], 2.0))

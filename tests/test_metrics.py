@@ -92,6 +92,24 @@ def test_reference_budget_exhaustion_raises():
         compute_reference(preset.spec, "long-admm", tol=1e-14, budget=10)
 
 
+def test_reference_loop_reuses_the_dual_step_residual(monkeypatch):
+    spec = small_lasso_preset().spec
+    calls = []
+    residual = ProblemSpec.residual
+
+    def counted(self, x, y):
+        calls.append(1)
+        return residual(self, x, y)
+
+    monkeypatch.setattr(ProblemSpec, "residual", counted)
+    ref = compute_reference(spec, "long-admm", beta=1.0)
+    assert calls == []
+    # the residual it stopped on is the constraint residual of the result
+    monkeypatch.undo()
+    feas = float(np.linalg.norm(spec.residual(ref.x_star, ref.y_star)))
+    assert feas <= ref.certified_tolerance + 1e-14
+
+
 def test_d_y_star_b():
     ref = ReferenceSolution(np.array([1.0]), np.array([2.0]), 0.0, None, "x", 0.0)
     spec = _two_quadratics_spec()

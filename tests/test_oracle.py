@@ -18,15 +18,16 @@ def test_zero_noise_oracle_returns_exact_gradient():
     f = Quadratic(np.eye(2), np.array([1.0, -1.0]))
     oracle = AdditiveNoiseOracle(f, sigma=0.0)
     x = np.array([0.5, 2.0])
-    assert np.array_equal(oracle.sample_subgradient(x), f.grad(x))
+    assert np.array_equal(oracle.presample(1).subgradient(f, x, 0), f.grad(x))
 
 
 def test_single_component_finite_sum_is_deterministic():
     f = _tiny_lsq(n=1)
     oracle = FiniteSumOracle(f)
     x = np.array([1.0, 0.0, -1.0])
-    for _ in range(5):
-        assert np.allclose(oracle.sample_subgradient(x), f.grad(x), atol=1e-12)
+    draws = oracle.presample(5)
+    for k in range(5):
+        assert np.allclose(draws.subgradient(f, x, k), f.grad(x), atol=1e-12)
 
 
 def test_finite_sum_draws_come_from_component_enumeration():
@@ -34,8 +35,9 @@ def test_finite_sum_draws_come_from_component_enumeration():
     oracle = FiniteSumOracle(f, seed=11)
     x = np.array([0.3, -0.7, 1.1])
     components = [f.component_grad(x, i) for i in range(4)]
-    for _ in range(40):
-        g = oracle.sample_subgradient(x)
+    draws = oracle.presample(40)
+    for k in range(40):
+        g = draws.subgradient(f, x, k)
         assert any(np.allclose(g, c, atol=1e-14) for c in components)
     # the exact gradient is the component average
     assert np.allclose(np.mean(components, axis=0), f.grad(x), atol=1e-12)
@@ -45,7 +47,8 @@ def test_finite_sum_is_unbiased():
     f = _tiny_lsq(n=6)
     oracle = FiniteSumOracle(f, seed=4)
     x = np.array([0.5, -0.5, 0.25])
-    draws = np.array([oracle.sample_subgradient(x) for _ in range(20_000)])
+    buf = oracle.presample(20_000)
+    draws = np.array([buf.subgradient(f, x, k) for k in range(20_000)])
     exact = f.grad(x)
     stderr = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - exact) <= 5.0 * stderr + 1e-12)
@@ -81,8 +84,10 @@ def test_same_seed_and_stream_is_bitwise_reproducible():
     b = FiniteSumOracle(f, seed=42, stream=3)
     assert np.array_equal(a.presample(1000).indices, b.presample(1000).indices)
     x = np.ones(3)
-    for _ in range(10):
-        assert np.array_equal(a.sample_subgradient(x), b.sample_subgradient(x))
+    draws_a, draws_b = a.presample(10), b.presample(10)
+    for k in range(10):
+        assert np.array_equal(draws_a.subgradient(f, x, k),
+                              draws_b.subgradient(f, x, k))
 
 
 def test_different_streams_differ():
@@ -98,7 +103,7 @@ def test_buffer_draws_determine_the_sample():
     buf = oracle.presample(20)
     x = np.array([0.1, 0.2, 0.3])
     for k in range(20):
-        g = oracle.sample_subgradient(x, k=k, buffer=buf)
+        g = buf.subgradient(f, x, k)
         assert np.array_equal(g, f.component_grad(x, int(buf.indices[k])))
 
 

@@ -126,7 +126,8 @@ def test_exact_oracle_mode_has_zero_variance():
     assert preset.spec.constants.sigma == 0.0
     oracle = preset.make_oracle(0)
     x = np.zeros(preset.spec.d1)
-    assert np.array_equal(oracle.sample_subgradient(x), preset.spec.theta1.grad(x))
+    assert np.array_equal(oracle.presample(1).subgradient(preset.spec.theta1, x, 0),
+                          preset.spec.theta1.grad(x))
 
 
 def test_oracle_streams_are_independent_and_reproducible():

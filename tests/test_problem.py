@@ -70,18 +70,28 @@ def test_constants_validation():
 def test_running_averages_match_batch_means():
     rng = np.random.default_rng(1)
     t = 10_000
-    xs = rng.standard_normal((t + 1, 3))
-    ys = rng.standard_normal((t + 1, 3))
-    lams = rng.standard_normal((t + 1, 3))
-    state = IterateState(xs[0], ys[0], lams[0] * 0)
-    for k in range(1, t + 1):
-        state.advance(xs[k], ys[k], lams[k])
-    # shifted: x over 0..t-1; aligned: x over 1..t; y and lam over 1..t
-    assert np.allclose(state.avg_x_shifted, xs[:t].mean(axis=0), rtol=1e-10)
-    assert np.allclose(state.avg_x_aligned, xs[1:].mean(axis=0), rtol=1e-10)
-    assert np.allclose(state.avg_y, ys[1:].mean(axis=0), rtol=1e-10)
-    assert np.allclose(state.avg_lam, lams[1:].mean(axis=0), rtol=1e-10)
-    assert state.k == t
+    # one replication (d,) and R = 2 replications advanced together (R, d)
+    for shape in ((3,), (2, 3)):
+        xs = rng.standard_normal((t + 1, *shape))
+        ys = rng.standard_normal((t + 1, *shape))
+        lams = rng.standard_normal((t + 1, *shape))
+        state = IterateState(xs[0], ys[0], lams[0] * 0)
+        for k in range(1, t + 1):
+            state.advance(xs[k], ys[k], lams[k])
+        # shifted: x over 0..t-1; aligned: x over 1..t; y over 1..t
+        assert np.allclose(state.avg_x_shifted, xs[:t].mean(axis=0), rtol=1e-10)
+        assert np.allclose(state.avg_x_aligned, xs[1:].mean(axis=0), rtol=1e-10)
+        assert np.allclose(state.avg_y, ys[1:].mean(axis=0), rtol=1e-10)
+        assert state.k == t
+        if len(shape) == 2:
+            for r in range(shape[0]):
+                rep = state.replication(r)
+                assert rep.k == t
+                assert np.array_equal(rep.x, xs[t, r])
+                assert np.array_equal(rep.lam, lams[t, r])
+                assert np.array_equal(rep.avg_x_shifted, state.avg_x_shifted[r])
+                assert np.array_equal(rep.avg_x_aligned, state.avg_x_aligned[r])
+                assert np.array_equal(rep.avg_y, state.avg_y[r])
 
 
 def test_averages_before_any_step_are_zero():
