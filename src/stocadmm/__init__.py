@@ -4,9 +4,8 @@ convergence-rate verification."""
 
 __version__ = "0.1.0"
 
-from .functions import (HingeLoss, HingeSumPenalty, L1Norm, LeastSquares,
-                        Quadratic, SquaredL2Penalty, ZeroFunction,
-                        soft_threshold)
+from .functions import (HingeLoss, L1Norm, LeastSquares, Quadratic,
+                        SquaredL2Penalty, ZeroFunction, soft_threshold)
 from .metrics import (RateFit, ReferenceSolution, compute_reference,
                       estimate_expectation, fit_rate, high_prob_check)
 from .oracle import AdditiveNoiseOracle, FiniteSumOracle, validate_assumptions

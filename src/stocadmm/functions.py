@@ -8,10 +8,11 @@ Two families of handles:
 * second-block objectives: evaluate a value and a proximal operator
   ``argmin_y f(y) + (c/2)||y - z||^2``.
 
-Subgradients, component subgradients and proximal operators also take a
-leading replication axis: an (R, d) x (with (R,) component indices) gives
-the (R, d) rows of the R one-point calls, which is how the batched kernel
-advances R replications with the same formulas.
+Values, subgradients, component subgradients and proximal operators also
+take a leading axis: an (R, d) x (with (R,) component indices) gives the R
+values or the (R, d) rows of the R one-point calls.  That is how the batched
+kernel advances R replications, and how a run evaluates the metrics of all
+its recorded averages, with the same formulas.
 
 All proximal operators here are coordinate-separable, so restriction to a box
 is a componentwise clamp of the unconstrained solution (1-D strictly convex
@@ -28,7 +29,6 @@ __all__ = [
     "Quadratic",
     "L1Norm",
     "SquaredL2Penalty",
-    "HingeSumPenalty",
     "ZeroFunction",
     "soft_threshold",
 ]
@@ -62,9 +62,9 @@ class LeastSquares:
     def dim(self) -> int:
         return self.design.shape[1]
 
-    def value(self, x: np.ndarray) -> float:
-        r = self.design @ x - self.targets
-        return 0.5 * float(r @ r) / self.n + 0.5 * self.mu * float(x @ x)
+    def value(self, x: np.ndarray):
+        r = x @ self.design.T - self.targets
+        return 0.5 * np.vecdot(r, r) / self.n + 0.5 * self.mu * np.vecdot(x, x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return ((x @ self.design.T - self.targets) @ self.design) / self.n + self.mu * x
@@ -107,9 +107,9 @@ class HingeLoss:
     def dim(self) -> int:
         return self.design.shape[1]
 
-    def value(self, x: np.ndarray) -> float:
-        margins = self.labels * (self.design @ x)
-        return float(np.mean(np.maximum(0.0, 1.0 - margins)))
+    def value(self, x: np.ndarray):
+        margins = self.labels * (x @ self.design.T)
+        return np.mean(np.maximum(0.0, 1.0 - margins), axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         active = self.labels * (x @ self.design.T) < 1.0
@@ -132,16 +132,13 @@ class Quadratic:
     def dim(self) -> int:
         return self.H.shape[0]
 
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(x @ (self.H @ x)) + float(self.c @ x)
+    def value(self, x: np.ndarray):
+        return 0.5 * np.vecdot(x, x @ self.H.T) + x @ self.c
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return x @ self.H.T + self.c
 
     subgrad = grad
-
-    def hessian(self) -> np.ndarray:
-        return self.H
 
     def quadratic_parts(self):
         return self.H, self.c, 0.0
@@ -159,8 +156,8 @@ class L1Norm:
             raise ValueError("l1 coefficient must be nonnegative")
         self.coef = float(coef)
 
-    def value(self, x: np.ndarray) -> float:
-        return self.coef * float(np.sum(np.abs(x)))
+    def value(self, x: np.ndarray):
+        return self.coef * np.sum(np.abs(x), axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
         return self.coef * np.sign(x)
@@ -175,8 +172,8 @@ class SquaredL2Penalty:
     def __init__(self, coef: float = 1.0):
         self.coef = float(coef)
 
-    def value(self, y: np.ndarray) -> float:
-        return 0.5 * self.coef * float(y @ y)
+    def value(self, y: np.ndarray):
+        return 0.5 * self.coef * np.vecdot(y, y)
 
     def grad(self, y: np.ndarray) -> np.ndarray:
         return self.coef * y
@@ -190,31 +187,11 @@ class SquaredL2Penalty:
         return c * np.asarray(z, dtype=float) / (c + self.coef)
 
 
-class HingeSumPenalty:
-    """sum_i max(0, 1 - y_i), scaled by coef.
-
-    The prox is piecewise linear per coordinate; ties at the kink resolve to
-    the kink point y_i = 1 itself.
-    """
-
-    def __init__(self, coef: float = 1.0):
-        self.coef = float(coef)
-
-    def value(self, y: np.ndarray) -> float:
-        return self.coef * float(np.sum(np.maximum(0.0, 1.0 - y)))
-
-    def prox(self, z: np.ndarray, c: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        shift = self.coef / c
-        out = np.where(z >= 1.0, z, np.minimum(z + shift, 1.0))
-        return out
-
-
 class ZeroFunction:
     """The zero function; prox is the identity (set handling is elsewhere)."""
 
-    def value(self, y: np.ndarray) -> float:
-        return 0.0
+    def value(self, y: np.ndarray):
+        return np.zeros(np.shape(y)[:-1])[()]  # a scalar for one point
 
     def subgrad(self, y: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(y, dtype=float))

@@ -31,7 +31,8 @@ from .metrics import (ReferenceSolution, compute_reference, convex_rate_bound,
                       deterministic_rate_bound, estimate_expectation, fit_rate,
                       high_prob_check, smooth_rate_bound,
                       strongly_convex_rate_bound)
-from .presets import PRESET_NAMES, PRESET_PARAMS, Preset, build_preset
+from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
+                      build_preset)
 from .problem import IterateState
 from .solvers import SolverConfig, Trajectory, run
 
@@ -98,7 +99,8 @@ def _coerce(path, value, typ):
         if typ is int and not float(value).is_integer():
             raise ConfigError(f"{path}: expected int, got {value!r}")
         return typ(value)
-    if not isinstance(value, typ):
+    # bool subclasses int; only a bool field takes one
+    if not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(value).__name__}")
     return value
 
@@ -120,9 +122,12 @@ def _optional_list(raw, key, typ, length=None):
 def _preset_params(preset: str, raw) -> dict:
     """raw with each value checked against the type of its default."""
     defaults = PRESET_PARAMS[preset]
-    for key in _coerce("preset_params", raw, dict):
+    for key, val in _coerce("preset_params", raw, dict).items():
         if key not in defaults:
             raise ConfigError(f"preset_params.{key}: unknown field of {preset}")
+        if key == "oracle" and val not in ORACLE_MODES:
+            raise ConfigError(f"preset_params.oracle: expected one of {ORACLE_MODES}, "
+                              f"got {val!r}")
     return {key: _coerce(f"preset_params.{key}", val, type(defaults[key]))
             for key, val in raw.items()}
 
@@ -242,27 +247,22 @@ def run_replications(preset: Preset, solver: SolverConfig, R: int,
 # file export
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _write_csv(path: str, header, columns):
+    # tolist() gives Python ints and floats, whose repr round-trips
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(np.asarray(col).tolist() for col in columns), strict=True):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_trajectory_csv(path: str, traj: Trajectory):
-    with open(path, "w") as fh:
-        fh.write(",".join(Trajectory.COLUMNS) + "\n")
-        for i in range(len(traj)):
-            fh.write(",".join(_fmt(getattr(traj, col)[i])
-                              for col in Trajectory.COLUMNS) + "\n")
+    _write_csv(path, Trajectory.COLUMNS,
+               [getattr(traj, col) for col in Trajectory.COLUMNS])
 
 
 def write_aggregate_csv(path: str, t_grid, stats: dict):
-    cols = ["t", "mean_err_eq2", "stderr_err_eq2", "mean_err_eq10", "stderr_err_eq10"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(t_grid):
-            row = [str(int(t))] + [_fmt(stats[c][i]) for c in cols[1:]]
-            fh.write(",".join(row) + "\n")
+    cols = ["mean_err_eq2", "stderr_err_eq2", "mean_err_eq10", "stderr_err_eq10"]
+    _write_csv(path, ["t", *cols], [t_grid, *(stats[c] for c in cols)])
 
 
 def _sha256(path: str) -> str:
@@ -385,32 +385,19 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
         "checks": {},
     }
 
-    if len(trajectories) >= 2:
+    mean = stderr = None
+    if len(trajectories) >= 2 or theta_star is not None:
         stats = {}
-        for tag in ("eq2", "eq10"):
-            mean, stderr = estimate_expectation(
-                trajectories, t_grid,
-                "eq2-shifted" if tag == "eq2" else "eq10-aligned")
-            stats[f"mean_err_{tag}"] = mean
-            stats[f"stderr_err_{tag}"] = stderr
+        for tag, averaging in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
+            if len(trajectories) >= 2:
+                curve, spread = estimate_expectation(trajectories, t_grid, averaging)
+            else:  # one replication: its own curve, no spread
+                curve = trajectories[0].err_curve(averaging)
+                spread = np.zeros_like(curve)
+            stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"] = curve, spread
         write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
-        avg = cfg.solver.default_averaging()
-        tag = "eq2" if avg == "eq2-shifted" else "eq10"
-        mean = stats[f"mean_err_{tag}"]
-        stderr = stats[f"stderr_err_{tag}"]
-    elif len(trajectories) == 1 and theta_star is not None:
-        avg = cfg.solver.default_averaging()
-        mean = trajectories[0].err_curve(avg)
-        stderr = np.zeros_like(mean)
-        stats = {
-            "mean_err_eq2": trajectories[0].err_rho_eq2,
-            "stderr_err_eq2": np.zeros_like(mean),
-            "mean_err_eq10": trajectories[0].err_rho_eq10,
-            "stderr_err_eq10": np.zeros_like(mean),
-        }
-        write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
-    else:
-        mean = stderr = None
+        tag = "eq2" if cfg.solver.default_averaging() == "eq2-shifted" else "eq10"
+        mean, stderr = stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"]
 
     ok = not failed_runs and not invariant_lines
 

@@ -9,7 +9,8 @@ so the interpreter overhead of a step is paid once for all R replications.
 Everything but that update is shared with the step-by-step loop of
 solvers.run: the sampled subgradient (SampleBuffer.subgradient on the
 stacked per-stream draws, so each replication sees the draws of its own
-stream), the stepsize, the running averages and the recorded rows.  The
+stream), the stepsize, the running averages and the recorded rows, whose
+metrics one pass computes after the loop (solvers.RecordedRows).  The
 subgradients, the projection and the prox are the spec's own methods,
 called with a leading replication axis, so each replication's trajectory
 agrees with run() on its stream up to floating-point summation order.
@@ -24,7 +25,7 @@ import numpy as np
 from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec
 from .prox import prox_theta2
-from .solvers import SolverConfig, Trajectory, empty_rows, record_row
+from .solvers import RecordedRows, SolverConfig, Trajectory
 
 __all__ = ["admm_identity_split", "identity_split"]
 
@@ -52,8 +53,8 @@ def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
     """
     draws = SampleBuffer(idx, noise)
     beta = cfg.beta
-    record_set = None if record_at is None else set(int(t) for t in record_at)
-    rows = [empty_rows() for _ in range(state.x.shape[0])]
+    R = len(state.x)
+    rows = RecordedRows(state, cfg.t_max, record_at)
     for k in range(cfg.t_max):
         t0 = time.perf_counter()
         eta = cfg.eta(k + 1, spec)
@@ -64,12 +65,6 @@ def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
                            / (beta + 1.0 / eta))
         y = prox_theta2(x - state.lam / beta, beta, spec.theta2, spec.Y)
         state.advance(x, y, state.lam - beta * (x - y))
-        step_ms = (time.perf_counter() - t0) * 1e3 / len(rows)
-
-        if record_set is None or state.k in record_set:
-            averages = state.avg_x_shifted, state.avg_x_aligned, state.avg_y
-            for r, rep_rows in enumerate(rows):
-                record_row(rep_rows, spec, cfg.rho, theta_star, state.k, eta,
-                           step_ms, *(avg[r] for avg in averages))
-    return [Trajectory.from_rows(rep_rows, final_state=state.replication(r))
-            for r, rep_rows in enumerate(rows)]
+        rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R)
+    return rows.trajectories(spec, cfg.rho, theta_star,
+                             [state.replication(r) for r in range(R)])

@@ -18,7 +18,10 @@ from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .problem import ProblemSpec, StructuralConstants
 from .sets import Ball, WholeSpace
 
-__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS"]
+__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS", "ORACLE_MODES"]
+
+# sampled finite-sum component, or the exact (sub)gradient
+ORACLE_MODES = ("finite-sum", "exact")
 
 _LASSO_PARAMS = dict(n=200, d=20, cond=10.0, noise=1.0, lam_reg=0.1,
                      sparsity=0.25, oracle="finite-sum")
@@ -45,10 +48,12 @@ class Preset:
     spec: ProblemSpec
     params: dict
     seed: int
-    oracle_mode: str  # finite-sum | exact
+    oracle_mode: str  # one of ORACLE_MODES
     supports_reference: bool = True
 
     def make_oracle(self, stream: int = 0):
+        if self.oracle_mode not in ORACLE_MODES:
+            raise ValueError(f"oracle mode {self.oracle_mode!r} is not one of {ORACLE_MODES}")
         oseed = (self.seed + _ORACLE_SEED_OFFSET) % 2**63
         if self.oracle_mode == "exact":
             return AdditiveNoiseOracle(self.spec.theta1, sigma=0.0, kind="none",

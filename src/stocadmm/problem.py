@@ -100,12 +100,13 @@ class ProblemSpec:
         """Euclidean diameter of X (declared one for whole-space X)."""
         return self.X.diameter
 
-    def theta(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Exact combined objective f1(x) + f2(y)."""
+    def theta(self, x: np.ndarray, y: np.ndarray):
+        """Exact combined objective f1(x) + f2(y), row by row for (P, d) x, y."""
         return self.theta1.value(x) + self.theta2.value(y)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ y - self.b
+        """A x + B y - b, row by row for (P, d) rows of x and y."""
+        return x @ self.A.T + y @ self.B.T - self.b
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,7 @@ def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):
 
     Returns (err, gap, feas) where err = gap + rho * feas, gap is the exact
     objective minus theta_star and feas the Euclidean constraint violation.
+    (P, d) rows of x_bar and y_bar give (P,) arrays, one entry per pair.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -150,7 +152,7 @@ def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):
             "objective handles must provide exact expectation values; supply "
             "a reference objective evaluator"
         ) from exc
-    feas = float(np.linalg.norm(spec.residual(x_bar, y_bar)))
+    feas = np.linalg.norm(spec.residual(x_bar, y_bar), axis=-1)
     return gap + rho * feas, gap, feas
 
 

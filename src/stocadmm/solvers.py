@@ -17,6 +17,9 @@ x-update:
 
 StepPlan holds everything about the x-update and the y-update that is fixed
 for a run, computed and checked once; step() applies it.
+
+Both loops, run() and kernels.admm_identity_split, store the recorded
+averages and compute their metrics after the loop (RecordedRows).
 """
 
 from __future__ import annotations
@@ -271,10 +274,6 @@ class Trajectory:
     COLUMNS = ("k", "eta", "obj_gap_eq2", "feas_eq2", "err_rho_eq2",
                "obj_gap_eq10", "feas_eq10", "err_rho_eq10", "step_ms")
 
-    @classmethod
-    def from_rows(cls, rows: dict, **extra) -> "Trajectory":
-        return cls(**{name: np.asarray(vals) for name, vals in rows.items()}, **extra)
-
     def __len__(self):
         return len(self.k)
 
@@ -286,28 +285,56 @@ class Trajectory:
         raise ValueError(f"unknown averaging {averaging!r}")
 
 
-def empty_rows() -> dict:
-    return {name: [] for name in Trajectory.COLUMNS}
+# most (replication, row) points one err_rho call of the metric pass takes;
+# unchunked, the (points, n) residual of a 4000-row run raised its peak memory
+METRIC_CHUNK = 256
 
 
-def record_row(rows: dict, spec: ProblemSpec, rho: float, theta_star: float | None,
-               k: int, eta: float, step_ms: float, x_bar_shifted: np.ndarray,
-               x_bar_aligned: np.ndarray, y_bar: np.ndarray):
-    """Append one trajectory row for the averages after k iterations.
-    Objective gaps and errors need theta_star; without it they are NaN."""
-    rows["k"].append(k)
-    rows["eta"].append(eta)
-    rows["step_ms"].append(step_ms)
-    for tag, x_bar in (("eq2", x_bar_shifted), ("eq10", x_bar_aligned)):
-        u_bar = (x_bar, y_bar)
-        if theta_star is None:
-            gap = err = math.nan
-            feas = float(np.linalg.norm(spec.residual(*u_bar)))
-        else:
-            err, gap, feas = err_rho(u_bar, spec, theta_star, rho)
-        rows[f"obj_gap_{tag}"].append(gap)
-        rows[f"feas_{tag}"].append(feas)
-        rows[f"err_rho_{tag}"].append(err)
+class RecordedRows:
+    """The rows of one loop: the stepsize, the step's wall time and the three
+    averages after step k, for each k of record_at within 1..t_max (every k
+    by default), stored in buffers allocated before the loop; the averages
+    are (N, d), or (R, N, d) for a state with a leading replication axis.
+    trajectories() computes the metrics of every row once, after the loop."""
+
+    def __init__(self, state: IterateState, t_max: int, record_at=None):
+        k = np.arange(1, t_max + 1)
+        self.k = k if record_at is None else k[np.isin(k, record_at)]
+        self.eta, self.step_ms = np.empty(len(self.k)), np.empty(len(self.k))
+        self.averages = [np.empty(a.shape[:-1] + (len(self.k), a.shape[-1]))
+                         for a in (state.x, state.x, state.y)]
+        self.n = 0  # rows stored
+
+    def record(self, state: IterateState, eta: float, step_ms: float):
+        n = self.n
+        if n < len(self.k) and self.k[n] == state.k:
+            self.eta[n], self.step_ms[n] = eta, step_ms
+            for buf, avg in zip(self.averages, (state.avg_x_shifted,
+                                                state.avg_x_aligned, state.avg_y)):
+                buf[..., n, :] = avg
+            self.n += 1
+
+    def trajectories(self, spec: ProblemSpec, rho: float, theta_star: float | None,
+                     final_states: list, **extra) -> list[Trajectory]:
+        """One trajectory per replication from the rows stored so far, with
+        final_states[r] the final state of replication r and extra the other
+        fields.  Without theta_star the gaps and errors are NaN."""
+        n, R = self.n, len(final_states)
+        star = math.nan if theta_star is None else theta_star
+        x_shifted, x_aligned, y = (buf[..., :n, :].reshape(R * n, buf.shape[-1])
+                                   for buf in self.averages)
+        cols = {}
+        for tag, x in (("eq2", x_shifted), ("eq10", x_aligned)):
+            out = np.empty((3, R * n))
+            for i in range(0, R * n, METRIC_CHUNK):
+                part = slice(i, i + METRIC_CHUNK)
+                out[:, part] = err_rho((x[part], y[part]), spec, star, rho)
+            cols[f"err_rho_{tag}"], cols[f"obj_gap_{tag}"], cols[f"feas_{tag}"] = \
+                out.reshape(3, R, n)
+        return [Trajectory(k=self.k[:n], eta=self.eta[:n], step_ms=self.step_ms[:n],
+                           **{name: col[r] for name, col in cols.items()},
+                           final_state=state, **extra)
+                for r, state in enumerate(final_states)]
 
 
 def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
@@ -373,9 +400,9 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
 
     Structural errors raise before any step; an error during the steps ends
     the run and is returned in the partial trajectory.  record_at restricts
-    metric rows to the given iteration counts (sorted, 1-based); by default
-    every iteration is recorded.  Objective gaps need theta_star; without it
-    only feasibility is populated.
+    metric rows to the given iteration counts (1-based); by default every
+    iteration is recorded.  Objective gaps need theta_star; without it only
+    feasibility is populated.
     """
     plan = cfg.validate(spec)
     stochastic = cfg.variant == "stochastic"
@@ -383,10 +410,9 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         raise ValueError("stochastic variant needs an oracle")
     state = IterateState.zeros(spec)
     draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
-    record_set = None if record_at is None else set(int(t) for t in record_at)
+    rows = RecordedRows(state, cfg.t_max, record_at)
     rng = np.random.default_rng(PROBE_SEED)
 
-    rows = empty_rows()
     inv_log = []
     max_resid = 0.0
     error = None
@@ -403,18 +429,14 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         except Exception as exc:  # return the partial trajectory with the error
             error = f"iteration {k}: {exc}"
             break
-        step_ms = (time.perf_counter() - t0) * 1e3
+        rows.record(state, eta, (time.perf_counter() - t0) * 1e3)
 
         if cfg.check_invariants:
             max_resid = max(
                 max_resid, _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log))
 
-        if record_set is None or state.k in record_set:
-            record_row(rows, spec, cfg.rho, theta_star, state.k, eta, step_ms,
-                       state.avg_x_shifted, state.avg_x_aligned, state.avg_y)
-
-    return Trajectory.from_rows(rows, final_state=state, invariant_log=inv_log,
-                                max_invariant_residual=max_resid, error=error)
+    return rows.trajectories(spec, cfg.rho, theta_star, [state], invariant_log=inv_log,
+                             max_invariant_residual=max_resid, error=error)[0]
 
 
 def _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log) -> float:

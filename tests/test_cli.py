@@ -187,6 +187,13 @@ def test_config_validation_limits():
             ({"preset_params": {"nn": 50}}, "preset_params.nn: unknown field"),
             ({"preset_params": {"n": "abc"}}, "preset_params.n: expected int"),
             ({"preset_params": {"d": 4.5}}, "preset_params.d: expected int"),
+            # a bool is an int to isinstance, never to a config
+            ({"replications": True}, "replications: expected int, got bool"),
+            ({"preset_seed": True}, "preset_seed: expected int, got bool"),
+            ({"solver": {"t_max": True}}, "solver.t_max: expected int, got bool"),
+            ({"preset_params": {"n": True}}, "preset_params.n: expected int, got bool"),
+            ({"preset_params": {"oracle": "exakt"}},
+             "preset_params.oracle: expected one of .*, got 'exakt'"),
             ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
              "preset_params: .*mu > 0"),
             ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max")):

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from stocadmm import kernels
-from stocadmm.functions import (HingeLoss, HingeSumPenalty, L1Norm,
-                                LeastSquares, Quadratic, SquaredL2Penalty,
-                                ZeroFunction, soft_threshold)
+from stocadmm.functions import (HingeLoss, L1Norm, LeastSquares, Quadratic,
+                                SquaredL2Penalty, ZeroFunction, soft_threshold)
 from stocadmm.harness import _kernel_eligible, run_replications
 from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
-from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
+from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, run
 
@@ -152,6 +151,12 @@ def test_catalog_batched_rows_match_one_point_calls():
         for r in range(d):
             assert np.max(np.abs(batched[r] - one_point(r))) <= 1e-15
 
+    def values_agree(batched, one_point):
+        # a batched product may sum in another order than the 1-D one
+        assert batched.shape == (d,)
+        for r in range(d):
+            assert abs(batched[r] - one_point(r)) <= 1e-15 * (1.0 + abs(one_point(r)))
+
     # stacked draws of R streams of t = d steps each
     draws = SampleBuffer(rng.integers(0, n, size=(d, d)),
                          rng.standard_normal((d, d, d)))
@@ -169,9 +174,21 @@ def test_catalog_batched_rows_match_one_point_calls():
                 rows_agree(draws.subgradient(f, x, k),
                            lambda r: (f.component_grad(x[r], int(draws.indices[r, k]))
                                       + draws.noise[r, k]))
-    for f in (L1Norm(0.3), SquaredL2Penalty(0.5), HingeSumPenalty(0.4),
-              ZeroFunction(), quad):
+    for f in (L1Norm(0.3), SquaredL2Penalty(0.5), ZeroFunction(), quad):
         rows_agree(f.prox(x, 2.0), lambda r: f.prox(x[r], 2.0))
+    for f in (LeastSquares(design, targets, mu=0.1), HingeLoss(design, labels),
+              quad, L1Norm(0.3), SquaredL2Penalty(0.5), ZeroFunction()):
+        values_agree(f.value(x), lambda r: f.value(x[r]))
+    spec = ProblemSpec(
+        theta1=LeastSquares(design, targets, mu=0.1), theta2=L1Norm(0.3),
+        A=rng.standard_normal((d, d)), B=-np.eye(d), b=rng.standard_normal(d),
+        X=WholeSpace(d), Y=WholeSpace(d), constants=StructuralConstants(M=1.0))
+    y = rng.standard_normal((d, d))
+    values_agree(spec.theta(x, y), lambda r: spec.theta(x[r], y[r]))
+    rows_agree(spec.residual(x, y), lambda r: spec.residual(x[r], y[r]))
+    one_point = [err_rho((x[r], y[r]), spec, 0.5, 2.0) for r in range(d)]
+    for i, batched in enumerate(err_rho((x, y), spec, 0.5, 2.0)):
+        values_agree(batched, lambda r: one_point[r][i])
     radius = float(np.median(np.linalg.norm(x, axis=1)))  # rows on both sides
     for X in (WholeSpace(d), Ball(d, radius), Box(np.full(d, -0.5), np.full(d, 0.5))):
         rows_agree(X.project(x), lambda r: X.project(x[r]))

@@ -1,5 +1,7 @@
 """Synthetic presets: reproducibility and certified structural constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,8 @@ def test_exact_oracle_mode_has_zero_variance():
     x = np.zeros(preset.spec.d1)
     assert np.array_equal(oracle.presample(1).subgradient(preset.spec.theta1, x, 0),
                           preset.spec.theta1.grad(x))
+    with pytest.raises(ValueError, match="oracle mode 'exakt'"):
+        dataclasses.replace(preset, oracle_mode="exakt").make_oracle(0)
 
 
 def test_oracle_streams_are_independent_and_reproducible():

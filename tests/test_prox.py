@@ -7,8 +7,8 @@ hand, 1-D grid minimization, or dense brute force on tiny instances.
 import numpy as np
 import pytest
 
-from stocadmm.functions import (HingeSumPenalty, L1Norm, SquaredL2Penalty,
-                                ZeroFunction, soft_threshold)
+from stocadmm.functions import (L1Norm, SquaredL2Penalty, ZeroFunction,
+                                soft_threshold)
 from stocadmm.problem import IterateState
 from stocadmm.prox import (min_quadratic_over_set, prox_theta2, solve_y_update,
                            three_points_check)
@@ -55,18 +55,6 @@ def test_l1_prox_equals_soft_threshold():
     assert np.allclose(out, [1.0, 0.0, -2.0])
 
 
-def test_hinge_sum_prox_against_grid_search():
-    f = HingeSumPenalty(1.0)
-    ys = np.arange(-6.0, 6.0, 1e-6)
-    hinge = np.maximum(0.0, 1.0 - ys)
-    for z, c in ((0.0, 1.0), (0.5, 2.0), (1.5, 1.0), (-2.0, 0.5), (0.9, 10.0)):
-        got = f.prox(np.array([z]), c)[0]
-        ref = ys[np.argmin(hinge + 0.5 * c * (ys - z) ** 2)]
-        assert got == pytest.approx(ref, abs=2e-6)
-    # hand value: z = 0, c = 1 moves to the kink point
-    assert f.prox(np.array([0.0]), 1.0)[0] == pytest.approx(1.0)
-
-
 def test_squared_l2_prox_closed_form():
     f = SquaredL2Penalty(3.0)
     z = np.array([2.0, -4.0])
@@ -76,7 +64,7 @@ def test_squared_l2_prox_closed_form():
 
 def test_prox_is_firmly_nonexpansive():
     rng = np.random.default_rng(3)
-    for f in (L1Norm(0.7), SquaredL2Penalty(2.0), HingeSumPenalty(1.3)):
+    for f in (L1Norm(0.7), SquaredL2Penalty(2.0)):
         for _ in range(50):
             a, b = rng.standard_normal(5) * 3, rng.standard_normal(5) * 3
             pa, pb = f.prox(a, 1.5), f.prox(b, 1.5)

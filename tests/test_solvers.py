@@ -4,11 +4,12 @@ equivalences, structural checks, invariant probes."""
 import numpy as np
 import pytest
 
+from stocadmm import solvers
 from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
 from stocadmm.oracle import AdditiveNoiseOracle
-from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
+from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import SolverConfig, SolverError, run, step
+from stocadmm.solvers import METRIC_CHUNK, SolverConfig, SolverError, run, step
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -162,6 +163,59 @@ def test_zero_iterations_gives_empty_trajectory(lasso_preset):
     traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0))
     assert len(traj) == 0
     assert traj.error is None
+
+
+def test_recorded_rows_match_a_step_by_step_replay(lasso_preset, monkeypatch):
+    # the metric pass after the loop gives the rows that 1-D err_rho calls on
+    # each step's averages give, for a full run and for one cut by an error
+    spec, theta_star = lasso_preset.spec, 0.25
+    cfg = SolverConfig(variant="linearized", G=2.0, t_max=50)
+    full = run(spec, cfg, theta_star=theta_star)
+    state, plan = IterateState.zeros(spec), cfg.validate(spec)
+    replay = []
+    for _ in range(50):
+        step(state, plan)
+        replay.append([v for x_bar in (state.avg_x_shifted, state.avg_x_aligned)
+                       for v in err_rho((x_bar, state.avg_y), spec, theta_star, cfg.rho)])
+    replay = np.array(replay)
+
+    calls = {"n": 0}
+
+    def failing_step(*args):
+        calls["n"] += 1
+        if calls["n"] > 30:
+            raise FloatingPointError("overflow")
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "step", failing_step)
+    cut = run(spec, cfg, theta_star=theta_star)
+    assert full.error is None and cut.error == "iteration 30: overflow"
+    for traj in (full, cut):
+        n = len(traj)
+        assert np.array_equal(traj.k, np.arange(1, n + 1))
+        assert np.all(np.isnan(traj.eta)) and np.all(traj.step_ms >= 0)
+        cols = np.array([getattr(traj, name) for name in (
+            "err_rho_eq2", "obj_gap_eq2", "feas_eq2",
+            "err_rho_eq10", "obj_gap_eq10", "feas_eq10")]).T
+        assert np.max(np.abs(cols - replay[:n])) <= 1e-12
+    assert len(cut) == 30 and cut.final_state.k == 30
+
+
+def test_metric_pass_evaluates_bounded_chunks(lasso_preset, monkeypatch):
+    points = []
+    value = LeastSquares.value
+
+    def spy(self, x):
+        points.append(np.size(x) // np.shape(x)[-1])
+        return value(self, x)
+
+    monkeypatch.setattr(LeastSquares, "value", spy)
+    traj = run(lasso_preset.spec, SolverConfig(variant="linearized", G=2.0, t_max=1000),
+               theta_star=0.0)
+    assert len(traj) == 1000
+    # both averaging conventions of every row, in calls of at most
+    # METRIC_CHUNK points
+    assert METRIC_CHUNK == 256 and points == [256, 256, 256, 232] * 2
 
 
 def test_stochastic_needs_an_oracle():
