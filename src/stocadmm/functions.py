@@ -74,7 +74,7 @@ class LeastSquares:
 
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
         rows = self.design[i]
-        r = np.einsum("...d,...d->...", rows, x) - self.targets[i]
+        r = np.vecdot(rows, x) - self.targets[i]
         return rows * r[..., None] + self.mu * x
 
     def hessian(self) -> np.ndarray:
@@ -117,7 +117,7 @@ class HingeLoss:
 
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
         rows, labels = self.design[i], self.labels[i]
-        active = labels * np.einsum("...d,...d->...", rows, x) < 1.0
+        active = labels * np.vecdot(rows, x) < 1.0
         return -np.where(active, labels, 0.0)[..., None] * rows
 
 

@@ -34,7 +34,7 @@ from .metrics import (ReferenceSolution, compute_reference, convex_rate_bound,
 from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
                       build_preset)
 from .problem import IterateState
-from .solvers import SolverConfig, Trajectory, run
+from .solvers import AVERAGINGS, INVARIANTS, SolverConfig, Trajectory, run
 
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
            "run_replications", "default_t_grid", "reference_key"]
@@ -155,6 +155,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         key: _coerce(f"solver.{key}", val, _SOLVER_FIELDS[key])
         for key, val in solver_raw.items() if val is not None
     }
+    if solver_kwargs.get("averaging", AVERAGINGS[0]) not in AVERAGINGS:
+        raise ConfigError(f"solver.averaging: expected one of {AVERAGINGS}, "
+                          f"got {solver_kwargs['averaging']!r}")
     solver = SolverConfig(**solver_kwargs)
     t_grid = _optional_list(raw, "t_grid", int)
     if t_grid and min(t_grid) < 1:
@@ -363,7 +366,9 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
     for r, traj in enumerate(trajectories):
         write_trajectory_csv(os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv"), traj)
 
-    failed_runs = [t.error for t in trajectories if t.error]
+    failed_runs = [f"rep={r} {t.error}" for r, t in enumerate(trajectories) if t.error]
+    # a replication that ended with an error lacks rows of t_grid
+    completed = [t for t in trajectories if not t.error]
     invariant_lines = []
     for r, traj in enumerate(trajectories):
         for (k, name, res) in traj.invariant_log:
@@ -381,18 +386,24 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
         "kernel_path": _kernel_eligible(preset, cfg.solver),
         "theta_star": theta_star,
         "invariant_violations": len(invariant_lines),
+        "invariant_probes": {name: sum(t.invariant_probes.get(name, 0)
+                                       for t in trajectories)
+                             for name in INVARIANTS},
+        "invariant_worst": {name: max((t.invariant_worst[name] for t in trajectories
+                                       if name in t.invariant_worst), default=None)
+                            for name in INVARIANTS},
         "failed_runs": failed_runs,
         "checks": {},
     }
 
     mean = stderr = None
-    if len(trajectories) >= 2 or theta_star is not None:
+    if len(completed) >= 2 or (completed and theta_star is not None):
         stats = {}
         for tag, averaging in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
-            if len(trajectories) >= 2:
-                curve, spread = estimate_expectation(trajectories, t_grid, averaging)
+            if len(completed) >= 2:
+                curve, spread = estimate_expectation(completed, t_grid, averaging)
             else:  # one replication: its own curve, no spread
-                curve = trajectories[0].err_curve(averaging)
+                curve = completed[0].err_curve(averaging)
                 spread = np.zeros_like(curve)
             stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"] = curve, spread
         write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
@@ -433,7 +444,7 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
             d_yb = reference.d_y_star_b(preset.spec)
             t_last = int(t_grid[-1])
             errs = []
-            for traj in trajectories:
+            for traj in completed:
                 pos = int(np.searchsorted(traj.k, t_last))
                 errs.append(traj.err_curve(cfg.solver.default_averaging())[pos])
             tail = []

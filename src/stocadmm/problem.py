@@ -118,10 +118,10 @@ class StackedW:
     def __sub__(self, other: "StackedW") -> "StackedW":
         return StackedW(self.x - other.x, self.y - other.y, self.lam - other.lam)
 
-    def dot(self, other: "StackedW") -> float:
-        return float(
-            self.x @ other.x + self.y @ other.y + self.lam @ other.lam
-        )
+    def dot(self, other: "StackedW"):
+        """Inner product, row by row when either side holds (P, d) rows."""
+        return (np.vecdot(self.x, other.x) + np.vecdot(self.y, other.y)
+                + np.vecdot(self.lam, other.lam))
 
 
 def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:

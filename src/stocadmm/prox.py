@@ -144,13 +144,14 @@ def three_points_check(x_star: np.ndarray, u: np.ndarray, probe_x: np.ndarray,
     """Bregman 3-points inequality for the Euclidean prox-regularized minimizer.
 
     Checks  <g(x*), x* - x>  <=  s [ D(x,u) - D(x,x*) - D(x*,u) ] + tol
-    with D(a, b) = ||a - b||^2 / 2.  Returns (holds, signed residual).
+    with D(a, b) = ||a - b||^2 / 2.  Returns (holds, signed residual), each
+    a (P,) array for (P, d) rows of probe_x.
     """
 
     def D(a, b):
         d = a - b
-        return 0.5 * float(d @ d)
+        return 0.5 * np.vecdot(d, d)
 
-    lhs = float(g_at_xstar @ (x_star - probe_x))
+    lhs = (x_star - probe_x) @ g_at_xstar
     rhs = s * (D(probe_x, u) - D(probe_x, x_star) - D(x_star, u))
     return lhs <= rhs + tol, lhs - rhs

@@ -4,7 +4,8 @@ Three set families are supported: the whole space (with an optional
 user-declared diameter, needed by the convex stepsize schedule), an
 origin-centered Euclidean ball, and an axis-aligned box.  All of them admit
 closed-form Euclidean projections, which keeps every subproblem solve exact.
-A projection also takes an (R, d) array and projects each row.
+A projection also takes an (R, d) array and projects each row, and sample
+with size=P draws (P, d) rows.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["WholeSpace", "Ball", "Box", "SetDescriptor"]
+
+
+def _shape(dim: int, size: int | None) -> tuple:
+    """Shape of one sampled point, or of size rows of them."""
+    return (dim,) if size is None else (size, dim)
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,9 @@ class WholeSpace:
             raise ValueError("declared diameter must be positive and finite")
         return self.declared_diameter
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return scale * rng.standard_normal(self.dim)
+    def sample(self, rng: np.random.Generator, scale: float = 1.0,
+               size: int | None = None) -> np.ndarray:
+        return scale * rng.standard_normal(_shape(self.dim, size))
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class Ball:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        nz = np.linalg.norm(z, axis=-1, keepdims=True)
+        nz = np.sqrt(np.vecdot(z, z))[..., None]
         # radius / max(||z||, radius) is exactly 1 inside the ball
         return z * (self.radius / np.maximum(nz, self.radius))
 
@@ -66,12 +73,12 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, scale: float = 1.0,
+               size: int | None = None) -> np.ndarray:
         # uniform on the ball: gaussian direction, radius ~ U^{1/d}
-        v = rng.standard_normal(self.dim)
-        v /= max(np.linalg.norm(v), 1e-300)
-        r = self.radius * rng.uniform() ** (1.0 / self.dim)
-        return r * v
+        v = rng.standard_normal(_shape(self.dim, size))
+        r = self.radius * rng.uniform(size=size) ** (1.0 / self.dim)
+        return v * (r / np.maximum(np.sqrt(np.vecdot(v, v)), 1e-300))[..., None]
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,9 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi)
+    def sample(self, rng: np.random.Generator, scale: float = 1.0,
+               size: int | None = None) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, _shape(self.dim, size))
 
 
 SetDescriptor = WholeSpace | Ball | Box

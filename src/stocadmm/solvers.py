@@ -46,11 +46,16 @@ __all__ = [
 ]
 
 
-# invariant checks: random probe points per check, tolerance of the signed
-# residuals, seed of the probe generator
+# invariant checks: their names, random probe points per check (three-points
+# and step-inequality, then y-optimality), tolerance of the signed residuals,
+# seed of the probe generator
+INVARIANTS = ("dual-identity", "y-optimality", "three-points", "step-inequality")
 PROBE_COUNT = 5
+Y_PROBE_COUNT = 20
 CHECK_TOL = 1e-9
 PROBE_SEED = 2024
+
+AVERAGINGS = ("eq2-shifted", "eq10-aligned")
 
 
 class SolverError(ValueError):
@@ -83,6 +88,9 @@ class SolverConfig:
             raise ValueError("t_max must be nonnegative")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.averaging not in (None, *AVERAGINGS):
+            raise ValueError(f"averaging: expected one of {AVERAGINGS}, "
+                             f"got {self.averaging!r}")
         c = spec.constants
         if self.variant == "stochastic":
             if self.schedule == "strongly-convex" and not c.mu > 0:
@@ -269,6 +277,10 @@ class Trajectory:
     final_state: IterateState | None = None
     invariant_log: list = field(default_factory=list)
     max_invariant_residual: float = 0.0
+    # per invariant that ran, its worst residual as max_invariant_residual
+    # counts it; per invariant, the number of probes it evaluated
+    invariant_worst: dict = field(default_factory=dict)
+    invariant_probes: dict = field(default_factory=dict)
     error: str | None = None
 
     COLUMNS = ("k", "eta", "obj_gap_eq2", "feas_eq2", "err_rho_eq2",
@@ -338,30 +350,27 @@ class RecordedRows:
 
 
 def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
-                 g: np.ndarray, delta: np.ndarray, eta: float,
-                 spec: ProblemSpec, beta: float):
-    """Signed residual of the per-iteration variational bound at one probe.
+                          g: np.ndarray, delta: np.ndarray, eta: float,
+                          spec: ProblemSpec, beta: float):
+    """Signed residual of the per-iteration variational bound at the probes.
 
     The bound compares the linearized Lagrangian decrease against telescoping
     distance terms, the stepsize-weighted subgradient norm and the noise
     pairing term.  Must be <= 0 up to roundoff, for every probe in W.
-    Returns (residual, scale) with scale the sum of term magnitudes.
+    probe_w holds one probe, or P probes as (P, d1), (P, d2) and (P, m)
+    rows.  Returns (residual, scale), (P,) arrays for P probes, with scale
+    the sum of term magnitudes.
     """
-    th1_prev = spec.theta1.value(prev.x)
-    th2_curr = spec.theta2.value(curr.y)
-    th_probe = spec.theta(probe_w.x, probe_w.y)
-    Fw = eval_F(curr, spec)
-    lhs = th1_prev + th2_curr - th_probe + (curr - probe_w).dot(Fw)
-
     def sq(v):
-        return float(v @ v)
+        return np.vecdot(v, v)
 
+    px, py = probe_w.x, probe_w.y
+    lhs = (spec.theta1.value(prev.x) + spec.theta2.value(curr.y)
+           - spec.theta(px, py) + (curr - probe_w).dot(eval_F(curr, spec)))
     t1 = eta * sq(g) / 2.0
-    t2 = (sq(prev.x - probe_w.x) - sq(curr.x - probe_w.x)) / (2.0 * eta)
-    r_prev = spec.A @ probe_w.x + spec.B @ prev.y - spec.b
-    r_curr = spec.A @ probe_w.x + spec.B @ curr.y - spec.b
-    t3 = beta * (sq(r_prev) - sq(r_curr)) / 2.0
-    t4 = float(delta @ (probe_w.x - prev.x))
+    t2 = (sq(prev.x - px) - sq(curr.x - px)) / (2.0 * eta)
+    t3 = beta * (sq(spec.residual(px, prev.y)) - sq(spec.residual(px, curr.y))) / 2.0
+    t4 = (px - prev.x) @ delta
     t5 = (sq(probe_w.lam - prev.lam) - sq(probe_w.lam - curr.lam)) / (2.0 * beta)
     rhs = t1 + t2 + t3 + t4 + t5
     scale = 1.0 + abs(lhs) + abs(t1) + abs(t2) + abs(t3) + abs(t4) + abs(t5)
@@ -369,28 +378,20 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
 
 
 def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generator,
-                       probes: int = 20):
+                       probes: int = Y_PROBE_COUNT):
     """Max signed residual of the y-update optimality inequality over probes.
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
-    -B'lam_{k+1}> <= 0 for every y' in Y.  Returns (max residual, scale).
+    -B'lam_{k+1}> <= 0 for every y' in Y.  The probes y' are drawn as one
+    (probes, d2) array.  Returns (max residual, scale).
     """
     grad_term = -spec.B.T @ curr.lam
-    worst = -np.inf
-    scale = 1.0 + abs(spec.theta2.value(curr.y)) + float(np.linalg.norm(grad_term))
-    for _ in range(probes):
-        y_probe = spec.Y.project(spec.Y.sample(rng, scale=1.0 + np.linalg.norm(curr.y)))
-        res = (spec.theta2.value(curr.y) - spec.theta2.value(y_probe)
-               + float((curr.y - y_probe) @ grad_term))
-        worst = max(worst, res)
-    return worst, scale
-
-
-def _probe_w(spec: ProblemSpec, rng: np.random.Generator, lam_scale: float) -> StackedW:
-    x = spec.X.project(spec.X.sample(rng))
-    y = spec.Y.project(spec.Y.sample(rng))
-    lam = lam_scale * rng.standard_normal(spec.m)
-    return StackedW(x, y, lam)
+    th2 = spec.theta2.value(curr.y)
+    scale = 1.0 + abs(th2) + float(np.linalg.norm(grad_term))
+    y_probe = spec.Y.project(spec.Y.sample(
+        rng, scale=1.0 + np.linalg.norm(curr.y), size=probes))
+    res = th2 - spec.theta2.value(y_probe) + (curr.y - y_probe) @ grad_term
+    return float(np.max(res, initial=-np.inf)), scale
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
@@ -412,9 +413,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
     draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
     rows = RecordedRows(state, cfg.t_max, record_at)
     rng = np.random.default_rng(PROBE_SEED)
-
-    inv_log = []
-    max_resid = 0.0
+    checks = InvariantRecord() if cfg.check_invariants else None
     error = None
 
     for k in range(cfg.t_max):
@@ -431,53 +430,71 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
             break
         rows.record(state, eta, (time.perf_counter() - t0) * 1e3)
 
-        if cfg.check_invariants:
-            max_resid = max(
-                max_resid, _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log))
+        if checks:
+            _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks)
 
-    return rows.trajectories(spec, cfg.rho, theta_star, [state], invariant_log=inv_log,
-                             max_invariant_residual=max_resid, error=error)[0]
+    return rows.trajectories(spec, cfg.rho, theta_star, [state], error=error,
+                             **(checks.fields() if checks else {}))[0]
 
 
-def _run_checks(prev_w, state, spec, cfg, g, eta, rng, inv_log) -> float:
-    """All enabled per-iteration invariants; returns the worst scaled residual.
-    g is the sampled subgradient of a stochastic step, else None."""
+class InvariantRecord:
+    """What the checks of one run saw: a (k, name, residual) log entry per
+    violating probe and, per invariant, the worst residual and the probe
+    count."""
+
+    def __init__(self):
+        self.log = []
+        self.worst = dict.fromkeys(INVARIANTS, -math.inf)
+        self.probes = dict.fromkeys(INVARIANTS, 0)
+
+    def note(self, k: int, name: str, res, worst, violated, probes: int | None = None):
+        """One check at step k: its residuals res, the values that enter the
+        worst residual and the violation flags, one per probe (or scalars);
+        probes counts the points behind a single reduced residual."""
+        res, worst, violated = np.atleast_1d(res, worst, violated)
+        self.probes[name] += len(res) if probes is None else probes
+        self.worst[name] = max(self.worst[name], float(worst.max()))
+        self.log.extend((k, name, float(r)) for r in res[violated])
+
+    def fields(self) -> dict:
+        ran = [name for name in INVARIANTS if self.probes[name]]
+        return {"invariant_log": self.log,
+                "max_invariant_residual": max(0.0, *self.worst.values()),
+                "invariant_worst": {name: self.worst[name] for name in ran},
+                "invariant_probes": dict(self.probes)}
+
+
+def _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks: InvariantRecord):
+    """All enabled per-iteration invariants, each over its probes as one
+    batch.  g is the sampled subgradient of a stochastic step, else None."""
     curr = state.as_w()
-    beta = cfg.beta
-    worst = 0.0
+    beta, k = cfg.beta, state.k
 
     # dual-update identity: exact by construction
     dual_res = float(np.linalg.norm(
         curr.lam - prev_w.lam + beta * spec.residual(curr.x, curr.y)))
-    worst = max(worst, dual_res)
-    if dual_res > 1e-12 * (1.0 + np.linalg.norm(curr.lam)):
-        inv_log.append((state.k, "dual-identity", dual_res))
+    checks.note(k, "dual-identity", dual_res, dual_res,
+                dual_res > 1e-12 * (1.0 + np.linalg.norm(curr.lam)))
 
-    yres, yscale = check_y_optimality(curr, spec, rng)
-    worst = max(worst, yres / yscale)
-    if yres > CHECK_TOL * yscale:
-        inv_log.append((state.k, "y-optimality", yres))
+    yres, yscale = check_y_optimality(curr, spec, rng, probes=Y_PROBE_COUNT)
+    checks.note(k, "y-optimality", yres, yres / yscale, yres > CHECK_TOL * yscale,
+                probes=Y_PROBE_COUNT)
 
     if g is not None:
         # 3-points relation at the realized x-update
         v = spec.b + prev_w.lam / beta - spec.B @ prev_w.y
         g_l = g + beta * (spec.A.T @ (spec.A @ curr.x - v))
-        for _ in range(PROBE_COUNT):
-            xp = spec.X.project(spec.X.sample(rng))
-            ok, res = three_points_check(curr.x, prev_w.x, xp, g_l, 1.0 / eta,
-                                         tol=CHECK_TOL)
-            worst = max(worst, res)
-            if not ok:
-                inv_log.append((state.k, "three-points", res))
+        xp = spec.X.project(spec.X.sample(rng, size=PROBE_COUNT))
+        ok, res = three_points_check(curr.x, prev_w.x, xp, g_l, 1.0 / eta,
+                                     tol=CHECK_TOL)
+        checks.note(k, "three-points", res, res, ~ok)
         # per-iteration variational bound at random probes; delta is the
         # deviation of g from the exact subgradient at the previous iterate
         delta = g - spec.theta1.subgrad(prev_w.x)
         lam_scale = 1.0 + float(np.linalg.norm(curr.lam))
-        for _ in range(PROBE_COUNT):
-            w_probe = _probe_w(spec, rng, lam_scale)
-            res, scale = step_inequality_check(prev_w, curr, w_probe, g, delta,
-                                               eta, spec, beta)
-            worst = max(worst, res / scale)
-            if res > CHECK_TOL * scale:
-                inv_log.append((state.k, "step-inequality", res))
-    return worst
+        probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=PROBE_COUNT)),
+                           spec.Y.project(spec.Y.sample(rng, size=PROBE_COUNT)),
+                           lam_scale * rng.standard_normal((PROBE_COUNT, spec.m)))
+        res, scale = step_inequality_check(prev_w, curr, probe_w, g, delta,
+                                           eta, spec, beta)
+        checks.note(k, "step-inequality", res, res / scale, res > CHECK_TOL * scale)

@@ -194,6 +194,8 @@ def test_config_validation_limits():
             ({"preset_params": {"n": True}}, "preset_params.n: expected int, got bool"),
             ({"preset_params": {"oracle": "exakt"}},
              "preset_params.oracle: expected one of .*, got 'exakt'"),
+            ({"solver": {"averaging": "bogus"}},
+             "solver.averaging: expected one of .*, got 'bogus'"),
             ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
              "preset_params: .*mu > 0"),
             ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max")):
@@ -252,3 +254,48 @@ def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
         assert report["theta_star"] == pytest.approx(expected, rel=1e-12)
         thetas.append(report["theta_star"])
     assert thetas[0] != thetas[1]
+
+
+@pytest.mark.parametrize("replications", [1, 2])
+def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replications):
+    from stocadmm import solvers
+    real, calls = solvers.step, [0]
+
+    def failing_step(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 30:
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "step", failing_step)
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(preset="fused-lasso-graph", preset_params={"n": 30, "d": 4},
+                           replications=replications, solver=SolverConfig(t_max=50),
+                           out_dir=str(out))
+    report, code = run_experiment(cfg)
+    assert code == 1 and report["passed"] is False
+    assert report["failed_runs"] == ["rep=0 iteration 29: injected failure"]
+    assert json.loads((out / "report.json").read_text()) == report
+    # the aggregate holds the replications that completed, if any did
+    assert (out / "aggregate.csv").exists() == (replications == 2)
+    if replications == 2:
+        rows = (out / "aggregate.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(default_t_grid(50))
+        assert "rate_fit" in report
+
+
+def test_report_carries_worst_residual_and_probes_per_invariant(tmp_path):
+    names = ("dual-identity", "y-optimality", "three-points", "step-inequality")
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=2, out_dir=str(tmp_path / "c"),
+                           solver=SolverConfig(t_max=20, check_invariants=True))
+    report, code = run_experiment(cfg)
+    assert code == 0
+    # summed over the two replications: one dual, 20 y, 5 + 5 x-probes a step
+    assert report["invariant_probes"] == dict(zip(names, (40, 800, 200, 200)))
+    assert all(report["invariant_worst"][name] <= 1e-9 for name in names)
+    cfg.solver.check_invariants = False
+    cfg.out_dir = str(tmp_path / "u")
+    report, _ = run_experiment(cfg)
+    assert report["invariant_probes"] == dict.fromkeys(names, 0)
+    assert report["invariant_worst"] == dict.fromkeys(names)

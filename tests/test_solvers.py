@@ -7,9 +7,12 @@ import pytest
 from stocadmm import solvers
 from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
 from stocadmm.oracle import AdditiveNoiseOracle
-from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
+from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
+                              err_rho, eval_F)
+from stocadmm.prox import three_points_check
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import METRIC_CHUNK, SolverConfig, SolverError, run, step
+from stocadmm.solvers import (METRIC_CHUNK, PROBE_COUNT, SolverConfig, SolverError,
+                              check_y_optimality, run, step, step_inequality_check)
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -402,6 +405,136 @@ def test_invariant_probes_stay_quiet_on_valid_runs(lasso_preset):
     assert traj.error is None
     assert traj.invariant_log == []
     assert traj.max_invariant_residual <= 1e-9
+
+
+def _coupled_box_spec(seed=4, d1=4, m=3):
+    """General A, B = 2I, nonzero b and box sets on both blocks."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((12, d1))
+    return ProblemSpec(
+        theta1=LeastSquares(design, design @ rng.standard_normal(d1)),
+        theta2=L1Norm(0.3),
+        A=rng.standard_normal((m, d1)), B=2.0 * np.eye(m), b=rng.standard_normal(m),
+        X=Box(-np.ones(d1), 2.0 * np.ones(d1)), Y=Box(-np.ones(m), np.ones(m)),
+        constants=StructuralConstants(M=10.0))
+
+
+@pytest.mark.parametrize("which", ["lasso", "coupled-box"])
+def test_batched_checks_match_probe_by_probe_formulas(which, lasso_preset):
+    """Each check over a (P, d) probe array gives, row for row, the residual
+    of its one-point formula."""
+    spec = lasso_preset.spec if which == "lasso" else _coupled_box_spec()
+    rng = np.random.default_rng(9)
+    beta, eta, P = 1.3, 0.2, 7
+    state = IterateState(spec.X.project(rng.standard_normal(spec.d1)),
+                         rng.standard_normal(spec.d2), rng.standard_normal(spec.m))
+    prev = state.as_w()
+    g = spec.theta1.subgrad(prev.x) + rng.standard_normal(spec.d1)
+    plan = SolverConfig(variant="stochastic", beta=beta, t_max=0).validate(spec)
+    curr = step(state, plan, g, eta).as_w()
+    delta = g - spec.theta1.subgrad(prev.x)
+    probes = StackedW(spec.X.project(spec.X.sample(rng, size=P)),
+                      spec.Y.project(spec.Y.sample(rng, size=P)),
+                      rng.standard_normal((P, spec.m)))
+    assert probes.x.shape == (P, spec.d1) and probes.y.shape == (P, spec.d2)
+
+    def sq(v):
+        return float(v @ v)
+
+    # step inequality, term by term at one probe w
+    res, scale = step_inequality_check(prev, curr, probes, g, delta, eta, spec, beta)
+    F = eval_F(curr, spec)
+    for p in range(P):
+        w = StackedW(probes.x[p], probes.y[p], probes.lam[p])
+        lhs = (spec.theta1.value(prev.x) + spec.theta2.value(curr.y)
+               - spec.theta(w.x, w.y) + float((curr.x - w.x) @ F.x
+                                              + (curr.y - w.y) @ F.y
+                                              + (curr.lam - w.lam) @ F.lam))
+        terms = (eta * sq(g) / 2.0,
+                 (sq(prev.x - w.x) - sq(curr.x - w.x)) / (2.0 * eta),
+                 beta * (sq(spec.A @ w.x + spec.B @ prev.y - spec.b)
+                         - sq(spec.A @ w.x + spec.B @ curr.y - spec.b)) / 2.0,
+                 float(delta @ (w.x - prev.x)),
+                 (sq(w.lam - prev.lam) - sq(w.lam - curr.lam)) / (2.0 * beta))
+        assert res[p] == pytest.approx(lhs - sum(terms), abs=1e-12)
+        assert scale[p] == pytest.approx(1.0 + abs(lhs) + sum(map(abs, terms)),
+                                         abs=1e-12)
+
+    # 3-points relation at the realized x-update
+    v = spec.b + prev.lam / beta - spec.B @ prev.y
+    g_l = g + beta * (spec.A.T @ (spec.A @ curr.x - v))
+    holds, tp = three_points_check(curr.x, prev.x, probes.x, g_l, 1.0 / eta, tol=1e-9)
+    assert tp.shape == holds.shape == (P,)
+    for p in range(P):
+        xp = probes.x[p]
+        ref = float(g_l @ (curr.x - xp)) - (sq(xp - prev.x) - sq(xp - curr.x)
+                                            - sq(curr.x - prev.x)) / (2.0 * eta)
+        assert tp[p] == pytest.approx(ref, abs=1e-12)
+        one_holds, one_res = three_points_check(curr.x, prev.x, xp, g_l, 1.0 / eta,
+                                                tol=1e-9)
+        assert np.ndim(one_res) == 0 and one_holds == holds[p]
+
+    # y-optimality: the same draws, one probe at a time
+    worst, yscale = check_y_optimality(curr, spec, np.random.default_rng(3), probes=P)
+    ys = spec.Y.project(spec.Y.sample(np.random.default_rng(3),
+                                      scale=1.0 + np.linalg.norm(curr.y), size=P))
+    grad_term = -spec.B.T @ curr.lam
+    ref = max(spec.theta2.value(curr.y) - spec.theta2.value(y)
+              + float((curr.y - y) @ grad_term) for y in ys)
+    assert worst == pytest.approx(ref, abs=1e-12)
+    assert yscale == pytest.approx(1.0 + abs(spec.theta2.value(curr.y))
+                                   + np.linalg.norm(grad_term), abs=1e-12)
+
+
+def _checked_run(spec, oracle, t_max=40):
+    cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=t_max,
+                       check_invariants=True)
+    return run(spec, cfg, oracle=oracle)
+
+
+def test_checks_flag_a_perturbed_x_update(lasso_preset, monkeypatch):
+    """An x-update moved off its minimizer by twice the diameter of X breaks
+    the 3-points relation and the step inequality at that step."""
+    spec = lasso_preset.spec
+    shift = 2.0 * spec.diameter_x * np.ones(spec.d1) / np.sqrt(spec.d1)
+    real, calls = solvers.min_quadratic_over_set, [0]
+
+    def perturbed(*args, **kwargs):
+        calls[0] += 1
+        x = real(*args, **kwargs)
+        return x + shift if calls[0] == 20 else x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
+    traj = _checked_run(spec, lasso_preset.make_oracle(0))
+    assert traj.error is None
+    at_20 = [name for k, name, _ in traj.invariant_log if k == 20]
+    assert at_20.count("three-points") == PROBE_COUNT
+    assert "step-inequality" in at_20
+
+
+def test_checks_flag_a_perturbed_dual_step(lasso_preset, monkeypatch):
+    real = IterateState.advance
+
+    def perturbed(self, x, y, lam):
+        real(self, x, y, lam + 0.1 if self.k == 19 else lam)
+
+    monkeypatch.setattr(IterateState, "advance", perturbed)
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0))
+    assert (20, "dual-identity") in [(k, name) for k, name, _ in traj.invariant_log]
+
+
+def test_invariant_record_counts_every_probe(lasso_preset):
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0), t_max=30)
+    assert traj.invariant_probes == {"dual-identity": 30, "y-optimality": 600,
+                                     "three-points": 150, "step-inequality": 150}
+    assert set(traj.invariant_worst) == set(traj.invariant_probes)
+    assert traj.max_invariant_residual == max(0.0, *traj.invariant_worst.values())
+    # without a sampled subgradient only the dual and y checks run
+    det = run(ridge_split_spec(), SolverConfig(variant="deterministic", t_max=10,
+                                               check_invariants=True))
+    assert det.invariant_probes == {"dual-identity": 10, "y-optimality": 200,
+                                    "three-points": 0, "step-inequality": 0}
+    assert set(det.invariant_worst) == {"dual-identity", "y-optimality"}
 
 
 def test_averaging_defaults():
