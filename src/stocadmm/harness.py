@@ -13,7 +13,11 @@ A run produces, inside the output directory:
   by the preset, its parameters and seed, the reference method, beta and the
   package version; a cache with another key is recomputed.
 
-Exit status contract: 0 iff every enabled check passed.
+Gates: slope_band, check_bound (under metrics.rate_bound; the constant
+schedule has none) and omegas (the tail check: stochastic convex schedule,
+bounded-noise oracle), each on a certified optimum.  plan_experiment refuses a
+gate the run could not evaluate, so every requested gate runs.  Exit status 0
+iff every gate passed and no replication failed or violated an invariant.
 """
 
 from __future__ import annotations
@@ -21,20 +25,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
 
 from . import __version__, kernels
-from .metrics import (ReferenceSolution, compute_reference, convex_rate_bound,
-                      deterministic_rate_bound, estimate_expectation, fit_rate,
-                      high_prob_check, smooth_rate_bound,
-                      strongly_convex_rate_bound)
+from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
+                      fit_rate, high_prob_check, rate_bound, require_tail_bound)
 from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
                       build_preset)
 from .problem import IterateState
-from .solvers import AVERAGINGS, INVARIANTS, SolverConfig, Trajectory, run
+from .solvers import AVERAGINGS, INVARIANTS, SCHEDULES, SolverConfig, Trajectory, run
 
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
            "run_replications", "default_t_grid", "reference_key"]
@@ -67,6 +69,13 @@ class ExperimentConfig:
             if t > self.solver.t_max:
                 raise ConfigError(f"t_grid[{i}]: grid point {t} exceeds "
                                   f"solver.t_max = {self.solver.t_max}")
+        for i, omega in enumerate(self.omegas):
+            if not omega > 0:
+                raise ConfigError(f"omegas[{i}]: must be > 0, got {omega}")
+        if self.rate_window and not 1 <= self.rate_window[0] < self.rate_window[1]:
+            raise ConfigError(f"rate_window: expected 1 <= lo < hi, got {self.rate_window}")
+        if self.slope_band and not self.slope_band[0] <= self.slope_band[1]:
+            raise ConfigError(f"slope_band: expected lo <= hi, got {self.slope_band}")
         # the directory is created by the run; here only the nearest
         # existing ancestor must be a writable directory
         base = os.path.abspath(self.out_dir)
@@ -96,6 +105,8 @@ _TOP_FIELDS = {
 
 def _coerce(path, value, typ):
     if typ in (float, int) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not np.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         if typ is int and not float(value).is_integer():
             raise ConfigError(f"{path}: expected int, got {value!r}")
         return typ(value)
@@ -155,9 +166,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         key: _coerce(f"solver.{key}", val, _SOLVER_FIELDS[key])
         for key, val in solver_raw.items() if val is not None
     }
-    if solver_kwargs.get("averaging", AVERAGINGS[0]) not in AVERAGINGS:
-        raise ConfigError(f"solver.averaging: expected one of {AVERAGINGS}, "
-                          f"got {solver_kwargs['averaging']!r}")
+    for key, choices in (("averaging", AVERAGINGS), ("schedule", SCHEDULES)):
+        if solver_kwargs.get(key, choices[0]) not in choices:
+            raise ConfigError(f"solver.{key}: expected one of {choices}, "
+                              f"got {solver_kwargs[key]!r}")
     solver = SolverConfig(**solver_kwargs)
     t_grid = _optional_list(raw, "t_grid", int)
     if t_grid and min(t_grid) < 1:
@@ -191,6 +203,18 @@ def plan_experiment(cfg: ExperimentConfig) -> Preset:
         cfg.solver.validate(preset.spec)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
+    # every requested gate must be one the run can evaluate
+    for name in [name for name in ("slope_band", "check_bound", "omegas")
+                 if getattr(cfg, name)]:
+        if not preset.supports_reference:
+            raise ConfigError(f"{name}: preset {cfg.preset} has no certified optimum")
+        try:
+            if name == "check_bound":
+                rate_bound(1, cfg.solver, preset.spec, 0.0)
+            if name == "omegas":
+                require_tail_bound(cfg.solver, preset.make_oracle(0).bounded)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     return preset
 
 
@@ -327,29 +351,13 @@ def load_reference(out_dir: str, key: str | None = None) -> ReferenceSolution | 
 # full experiment
 
 
-def _bound_fn(cfg: ExperimentConfig, preset: Preset, d_yb: float):
-    c = preset.spec.constants
-    d_x = preset.spec.diameter_x
-    sv = cfg.solver
-    if sv.variant != "stochastic":
-        return lambda t: deterministic_rate_bound(t, d_yb, sv.beta, sv.rho)
-    if sv.schedule == "convex":
-        return lambda t: convex_rate_bound(t, c.M, d_x, d_yb, sv.beta, sv.rho)
-    if sv.schedule == "strongly-convex":
-        return lambda t: strongly_convex_rate_bound(t, c.M, c.mu, d_x, d_yb,
-                                                    sv.beta, sv.rho)
-    if sv.schedule == "smooth":
-        return lambda t: smooth_rate_bound(t, c.sigma, c.L, d_x, d_yb,
-                                           sv.beta, sv.rho)
-    return None
-
-
-def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = None):
+def run_experiment(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (report dict, exit code)."""
     preset = plan_experiment(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    if reference is None and preset.supports_reference:
+    reference = None
+    if preset.supports_reference:
         key = reference_key(cfg)
         reference = load_reference(cfg.out_dir, key)
         if reference is None:
@@ -369,12 +377,15 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
     failed_runs = [f"rep={r} {t.error}" for r, t in enumerate(trajectories) if t.error]
     # a replication that ended with an error lacks rows of t_grid
     completed = [t for t in trajectories if not t.error]
-    invariant_lines = []
-    for r, traj in enumerate(trajectories):
-        for (k, name, res) in traj.invariant_log:
-            invariant_lines.append(f"rep={r} k={k} {name} residual={res:.6e}")
+    invariant_lines = [f"rep={r} k={k} {name} residual={res:.6e}"
+                       for r, traj in enumerate(trajectories)
+                       for k, name, res in traj.invariant_log]
     with open(os.path.join(cfg.out_dir, "invariants.log"), "w") as fh:
         fh.write("\n".join(invariant_lines) + ("\n" if invariant_lines else ""))
+    # np.max, unlike max, keeps a NaN residual
+    worst = {name: [t.invariant_worst[name] for t in trajectories
+                    if name in t.invariant_worst] for name in INVARIANTS}
+    averaging = cfg.solver.default_averaging()
 
     report = {
         "preset": cfg.preset,
@@ -382,16 +393,15 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
         "t_max": cfg.solver.t_max,
         "variant": cfg.solver.variant,
         "schedule": cfg.solver.schedule,
-        "averaging": cfg.solver.default_averaging(),
+        "averaging": averaging,
         "kernel_path": _kernel_eligible(preset, cfg.solver),
         "theta_star": theta_star,
         "invariant_violations": len(invariant_lines),
         "invariant_probes": {name: sum(t.invariant_probes.get(name, 0)
                                        for t in trajectories)
                              for name in INVARIANTS},
-        "invariant_worst": {name: max((t.invariant_worst[name] for t in trajectories
-                                       if name in t.invariant_worst), default=None)
-                            for name in INVARIANTS},
+        "invariant_worst": {name: float(np.max(w)) if w else None
+                            for name, w in worst.items()},
         "failed_runs": failed_runs,
         "checks": {},
     }
@@ -399,68 +409,44 @@ def run_experiment(cfg: ExperimentConfig, reference: ReferenceSolution | None = 
     mean = stderr = None
     if len(completed) >= 2 or (completed and theta_star is not None):
         stats = {}
-        for tag, averaging in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
+        for tag, convention in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
             if len(completed) >= 2:
-                curve, spread = estimate_expectation(completed, t_grid, averaging)
+                curve, spread = estimate_expectation(completed, t_grid, convention)
             else:  # one replication: its own curve, no spread
-                curve = completed[0].err_curve(averaging)
+                curve = completed[0].err_curve(convention)
                 spread = np.zeros_like(curve)
             stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"] = curve, spread
+            if convention == averaging:
+                mean, stderr = curve, spread
         write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
-        tag = "eq2" if cfg.solver.default_averaging() == "eq2-shifted" else "eq10"
-        mean, stderr = stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"]
 
-    ok = not failed_runs and not invariant_lines
-
-    if mean is not None and theta_star is not None:
+    if mean is not None and reference is not None:
+        d_yb = reference.d_y_star_b(preset.spec)
         window = cfg.rate_window or (max(1, cfg.solver.t_max // 100), cfg.solver.t_max)
         try:
             fit = fit_rate(t_grid, mean, window)
-            report["rate_fit"] = {
-                "slope": fit.slope, "intercept": fit.intercept,
-                "r_squared": fit.r_squared, "window": list(fit.window),
-                "n_points": fit.n_points,
-            }
-            if cfg.slope_band:
-                lo, hi = cfg.slope_band
-                passed = lo <= fit.slope <= hi
-                report["checks"]["slope_in_band"] = passed
-                ok = ok and passed
+            report["rate_fit"] = {**asdict(fit), "window": list(fit.window)}
         except ValueError as exc:
+            fit = None
             report["rate_fit"] = {"error": str(exc)}
+        if cfg.slope_band:
+            lo, hi = cfg.slope_band
+            report["checks"]["slope_in_band"] = fit is not None and lo <= fit.slope <= hi
+        if cfg.check_bound:
+            bound = rate_bound(t_grid, cfg.solver, preset.spec, d_yb)
+            report["checks"]["bound_holds"] = bool(np.all(mean <= bound + 3.0 * stderr))
+            report["bound_curve"] = bound.tolist()
+        if cfg.omegas:
+            # the last row of a completed replication is t_grid[-1]
+            errs = [t.err_curve(averaging)[-1] for t in completed]
+            report["high_prob"] = [
+                asdict(high_prob_check(errs, int(t_grid[-1]), float(omega),
+                                       preset.spec.constants.M, preset.spec.diameter_x,
+                                       d_yb, cfg.solver.beta, cfg.solver.rho))
+                for omega in cfg.omegas]
 
-        if cfg.check_bound and reference is not None:
-            d_yb = reference.d_y_star_b(preset.spec)
-            fn = _bound_fn(cfg, preset, d_yb)
-            if fn is not None:
-                bound = fn(t_grid)
-                holds = bool(np.all(mean <= bound + 3.0 * stderr))
-                report["checks"]["bound_holds"] = holds
-                report["bound_curve"] = [float(v) for v in bound]
-                ok = ok and holds
-
-        if cfg.omegas and reference is not None:
-            oracle = preset.make_oracle(0)
-            d_yb = reference.d_y_star_b(preset.spec)
-            t_last = int(t_grid[-1])
-            errs = []
-            for traj in completed:
-                pos = int(np.searchsorted(traj.k, t_last))
-                errs.append(traj.err_curve(cfg.solver.default_averaging())[pos])
-            tail = []
-            for omega in cfg.omegas:
-                res = high_prob_check(errs, t_last, float(omega),
-                                      preset.spec.constants.M,
-                                      preset.spec.diameter_x, d_yb,
-                                      cfg.solver.beta, cfg.solver.rho,
-                                      bounded_oracle=getattr(oracle, "bounded", False))
-                tail.append({"omega": res.omega, "threshold": res.threshold,
-                             "exceed_fraction": res.exceed_fraction,
-                             "bound": res.bound, "slack": res.slack,
-                             "passed": res.passed})
-                ok = ok and res.passed
-            report["high_prob"] = tail
-
+    ok = (not failed_runs and not invariant_lines and all(report["checks"].values())
+          and all(tail["passed"] for tail in report.get("high_prob", ())))
     report["passed"] = ok
     with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

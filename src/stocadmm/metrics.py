@@ -1,16 +1,18 @@
 """Reference solutions, replication statistics, rate fitting, bound checks.
 
-The convergence guarantees under test are, writing D for the diameter of X
-and Dy for ||B(y0 - y*)||:
+The convergence guarantees under test (rate_bound) are, writing D for the
+diameter of X and Dy for ||B(y0 - y*)||, the deterministic term
+(beta Dy^2 + rho^2/beta) / (2t) plus, for the stochastic variant, the term of
+its schedule:
 
-* convex schedule:          sqrt(2) D M / sqrt(t) + (beta Dy^2 + rho^2/beta) / (2t)
-* strongly convex schedule: M^2 log t/(mu t) + mu D^2/(2t) + beta Dy^2/(2t) + rho^2/(2 beta t)
-* smooth schedule:          sqrt(2) D sigma / sqrt(t) + L D^2/(2t) + beta Dy^2/(2t) + rho^2/(2 beta t)
-* deterministic:            beta Dy^2/(2t) + rho^2/(2 beta t)
+* convex:          sqrt(2) D M / sqrt(t)
+* strongly convex: M^2 log t/(mu t) + mu D^2/(2t)
+* smooth:          sqrt(2) D sigma / sqrt(t) + L D^2/(2t)
 
-plus a high-probability tail statement for the convex schedule: the measure
-exceeds (1 + Omega/2 + 2 sqrt(2 Omega)) * M1(t) + M2(t) with probability at
-most 2 exp(-Omega).
+plus, for the convex schedule on a bounded-noise oracle, a tail statement:
+with M1 the convex term and M2 the deterministic one, the measure exceeds
+(1 + Omega/2 + 2 sqrt(2 Omega)) * M1(t) + M2(t) with probability at most
+2 exp(-Omega).
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ __all__ = [
     "fit_rate",
     "high_prob_check",
     "HighProbResult",
-    "convex_rate_bound",
-    "strongly_convex_rate_bound",
-    "smooth_rate_bound",
-    "deterministic_rate_bound",
+    "rate_bound",
+    "require_tail_bound",
     "high_prob_threshold",
 ]
 
@@ -44,26 +44,32 @@ __all__ = [
 # theoretical bounds
 
 
-def convex_rate_bound(t, M, D_X, D_yB, beta, rho):
+def rate_bound(t, solver: SolverConfig, spec: ProblemSpec, d_yb: float):
+    """The bound on the expected error measure after t steps of solver on
+    spec, with d_yb = Dy; raises for the constant schedule, which has none."""
     t = np.asarray(t, dtype=float)
-    return math.sqrt(2.0) * D_X * M / np.sqrt(t) + (beta * D_yB**2 + rho**2 / beta) / (2.0 * t)
+    bound = (solver.beta * d_yb**2 + solver.rho**2 / solver.beta) / (2.0 * t)
+    if solver.variant != "stochastic":
+        return bound
+    c, D = spec.constants, spec.diameter_x
+    if solver.schedule == "convex":
+        return math.sqrt(2.0) * D * c.M / np.sqrt(t) + bound
+    if solver.schedule == "strongly-convex":
+        return c.M**2 * np.log(t) / (c.mu * t) + c.mu * D**2 / (2.0 * t) + bound
+    if solver.schedule == "smooth":
+        return math.sqrt(2.0) * D * c.sigma / np.sqrt(t) + c.L * D**2 / (2.0 * t) + bound
+    raise ValueError(f"the {solver.schedule} schedule has no rate bound")
 
 
-def strongly_convex_rate_bound(t, M, mu, D_X, D_yB, beta, rho):
-    t = np.asarray(t, dtype=float)
-    return (M**2 * np.log(t) / (mu * t) + mu * D_X**2 / (2.0 * t)
-            + beta * D_yB**2 / (2.0 * t) + rho**2 / (2.0 * beta * t))
-
-
-def smooth_rate_bound(t, sigma, L, D_X, D_yB, beta, rho):
-    t = np.asarray(t, dtype=float)
-    return (math.sqrt(2.0) * D_X * sigma / np.sqrt(t) + L * D_X**2 / (2.0 * t)
-            + beta * D_yB**2 / (2.0 * t) + rho**2 / (2.0 * beta * t))
-
-
-def deterministic_rate_bound(t, D_yB, beta, rho):
-    t = np.asarray(t, dtype=float)
-    return beta * D_yB**2 / (2.0 * t) + rho**2 / (2.0 * beta * t)
+def require_tail_bound(solver: SolverConfig, bounded_oracle: bool):
+    """Raise unless the tail statement covers the runs of solver on the
+    oracle: the stochastic variant, the convex schedule, bounded noise (the
+    sub-Gaussian moment condition is not certifiable otherwise)."""
+    if solver.variant != "stochastic" or solver.schedule != "convex":
+        raise ValueError(f"the tail bound holds for the stochastic variant with the "
+                         f"convex schedule only, not {solver.variant} {solver.schedule}")
+    if not bounded_oracle:
+        raise ValueError("the tail bound needs a bounded-noise oracle")
 
 
 def high_prob_threshold(t, Omega, M, D_X, D_yB, beta, rho):
@@ -288,19 +294,14 @@ class HighProbResult:
 
 
 def high_prob_check(err_values, t: int, Omega: float, M: float, D_X: float,
-                    D_yB: float, beta: float, rho: float,
-                    bounded_oracle: bool = True) -> HighProbResult:
-    """Empirical tail frequency against the theoretical exceedance bound.
+                    D_yB: float, beta: float, rho: float) -> HighProbResult:
+    """Empirical tail frequency against the theoretical exceedance bound,
+    for runs that require_tail_bound admits.
 
     err_values holds one realized error measure per replication at iteration
     t.  The check passes when the exceedance fraction is at most
     2 exp(-Omega) plus a binomial 95% confidence slack.
     """
-    if not bounded_oracle:
-        raise ValueError(
-            "high-probability bound requires a bounded-noise oracle (the "
-            "sub-Gaussian moment condition is not certifiable otherwise)"
-        )
     err_values = np.asarray(err_values, dtype=float)
     R = len(err_values)
     thr = high_prob_threshold(t, Omega, M, D_X, D_yB, beta, rho)

@@ -43,10 +43,11 @@ class SampleBuffer:
     indices: np.ndarray | None
     noise: np.ndarray | None
 
-    def subgradient(self, theta1, x: np.ndarray, k: int) -> np.ndarray:
+    def subgradient(self, theta1, x: np.ndarray, k: int | slice) -> np.ndarray:
         """The sampled subgradient of theta1 at x for step k: the component
         gradient at indices[..., k] (no indices: the exact subgradient) plus
-        noise[..., k, :].  x is (d,) for one stream, (R, d) for R stacked."""
+        noise[..., k, :].  x is (d,) for one stream, (R, d) for R stacked;
+        k = slice(None) gives every draw of one stream at x as (n, d) rows."""
         if self.indices is None:
             g = theta1.subgrad(x)
         else:
@@ -158,8 +159,9 @@ def validate_assumptions(oracle, X, n_samples: int, n_points: int = 10,
     for _ in range(n_points):
         x = X.project(X.sample(rng))
         exact = oracle.theta1.subgrad(x)
-        draws = probe.presample(n_samples)
-        g = np.array([draws.subgradient(probe.theta1, x, j) for j in range(n_samples)])
+        # without indices or noise, every draw is the exact subgradient
+        g = np.broadcast_to(probe.presample(n_samples).subgradient(
+            probe.theta1, x, slice(None)), (n_samples, len(x)))
         delta = g - exact
         g2 = np.einsum("ij,ij->i", g, g)
         d2 = np.einsum("ij,ij->i", delta, delta)

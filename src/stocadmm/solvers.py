@@ -56,6 +56,7 @@ CHECK_TOL = 1e-9
 PROBE_SEED = 2024
 
 AVERAGINGS = ("eq2-shifted", "eq10-aligned")
+SCHEDULES = ("convex", "strongly-convex", "smooth", "constant")
 
 
 class SolverError(ValueError):
@@ -330,11 +331,17 @@ class RecordedRows:
                      final_states: list, **extra) -> list[Trajectory]:
         """One trajectory per replication from the rows stored so far, with
         final_states[r] the final state of replication r and extra the other
-        fields.  Without theta_star the gaps and errors are NaN."""
+        fields.  Without theta_star the gaps and errors are NaN.  A non-finite
+        iterate ends its replication with "iteration k: non-finite iterate",
+        at the first row k whose averages are not finite, whose rows before
+        it are kept, or else at the final state's k."""
         n, R = self.n, len(final_states)
         star = math.nan if theta_star is None else theta_star
         x_shifted, x_aligned, y = (buf[..., :n, :].reshape(R * n, buf.shape[-1])
                                    for buf in self.averages)
+        # the aligned averages take in x_k and y_k at row k
+        finite = (np.isfinite(x_aligned).all(axis=1)
+                  & np.isfinite(y).all(axis=1)).reshape(R, n)
         cols = {}
         for tag, x in (("eq2", x_shifted), ("eq10", x_aligned)):
             out = np.empty((3, R * n))
@@ -343,10 +350,18 @@ class RecordedRows:
                 out[:, part] = err_rho((x[part], y[part]), spec, star, rho)
             cols[f"err_rho_{tag}"], cols[f"obj_gap_{tag}"], cols[f"feas_{tag}"] = \
                 out.reshape(3, R, n)
-        return [Trajectory(k=self.k[:n], eta=self.eta[:n], step_ms=self.step_ms[:n],
-                           **{name: col[r] for name, col in cols.items()},
-                           final_state=state, **extra)
-                for r, state in enumerate(final_states)]
+        trajs = []
+        for r, state in enumerate(final_states):
+            # m: the first row whose averages are not finite, else n; lam sums
+            # every residual, so it is not finite once an iterate was not
+            fields, m = dict(extra), int(np.argmin(np.append(finite[r], False)))
+            if m < n or not np.isfinite(state.lam).all():
+                fields["error"] = (f"iteration {self.k[m] if m < n else state.k}: "
+                                   f"non-finite iterate")
+            trajs.append(Trajectory(k=self.k[:m], eta=self.eta[:m], step_ms=self.step_ms[:m],
+                                    **{name: col[r, :m] for name, col in cols.items()},
+                                    final_state=state, **fields))
+        return trajs
 
 
 def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
@@ -453,13 +468,14 @@ class InvariantRecord:
         probes counts the points behind a single reduced residual."""
         res, worst, violated = np.atleast_1d(res, worst, violated)
         self.probes[name] += len(res) if probes is None else probes
-        self.worst[name] = max(self.worst[name], float(worst.max()))
+        # np.maximum, unlike max, keeps a NaN residual
+        self.worst[name] = float(np.maximum(self.worst[name], worst.max()))
         self.log.extend((k, name, float(r)) for r in res[violated])
 
     def fields(self) -> dict:
         ran = [name for name in INVARIANTS if self.probes[name]]
         return {"invariant_log": self.log,
-                "max_invariant_residual": max(0.0, *self.worst.values()),
+                "max_invariant_residual": float(np.max([0.0, *self.worst.values()])),
                 "invariant_worst": {name: self.worst[name] for name in ran},
                 "invariant_probes": dict(self.probes)}
 
@@ -473,11 +489,12 @@ def _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks: InvariantRecord):
     # dual-update identity: exact by construction
     dual_res = float(np.linalg.norm(
         curr.lam - prev_w.lam + beta * spec.residual(curr.x, curr.y)))
+    # each flag is "not res <= tol", so that a NaN residual is a violation
     checks.note(k, "dual-identity", dual_res, dual_res,
-                dual_res > 1e-12 * (1.0 + np.linalg.norm(curr.lam)))
+                not dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam)))
 
     yres, yscale = check_y_optimality(curr, spec, rng, probes=Y_PROBE_COUNT)
-    checks.note(k, "y-optimality", yres, yres / yscale, yres > CHECK_TOL * yscale,
+    checks.note(k, "y-optimality", yres, yres / yscale, not yres <= CHECK_TOL * yscale,
                 probes=Y_PROBE_COUNT)
 
     if g is not None:
@@ -497,4 +514,4 @@ def _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks: InvariantRecord):
                            lam_scale * rng.standard_normal((PROBE_COUNT, spec.m)))
         res, scale = step_inequality_check(prev_w, curr, probe_w, g, delta,
                                            eta, spec, beta)
-        checks.note(k, "step-inequality", res, res / scale, res > CHECK_TOL * scale)
+        checks.note(k, "step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))

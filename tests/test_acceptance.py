@@ -11,10 +11,9 @@ import pytest
 
 from stocadmm.functions import Quadratic
 from stocadmm.harness import ExperimentConfig, run_experiment, run_replications
-from stocadmm.metrics import (compute_reference, convex_rate_bound,
-                              deterministic_rate_bound, estimate_expectation,
-                              fit_rate, high_prob_check,
-                              strongly_convex_rate_bound)
+from stocadmm.metrics import (compute_reference, estimate_expectation,
+                              fit_rate, high_prob_check, rate_bound,
+                              require_tail_bound)
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.presets import PRESET_NAMES, build_preset
 from stocadmm.problem import IterateState
@@ -49,8 +48,7 @@ def test_criterion_01_convex_rate(lasso):
     trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
-    bound = convex_rate_bound(grid, spec.constants.M, spec.diameter_x,
-                              ref.d_y_star_b(spec), cfg.beta, cfg.rho)
+    bound = rate_bound(grid, cfg, spec, ref.d_y_star_b(spec))
     slope_ok = -0.65 <= fit.slope <= -0.35
     bound_ok = bool(np.all(mean <= bound + 3.0 * stderr))
     _report(1, "convex rate", slope_ok and bound_ok,
@@ -68,9 +66,7 @@ def test_criterion_02_strongly_convex_rate():
     trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
-    bound = strongly_convex_rate_bound(grid, spec.constants.M, spec.constants.mu,
-                                       spec.diameter_x, ref.d_y_star_b(spec),
-                                       cfg.beta, cfg.rho)
+    bound = rate_bound(grid, cfg, spec, ref.d_y_star_b(spec))
     slope_ok = -1.15 <= fit.slope <= -0.70
     bound_ok = bool(np.all(mean <= bound + 3.0 * stderr))
     _report(2, "strongly convex rate", slope_ok and bound_ok,
@@ -87,8 +83,7 @@ def test_criterion_03_deterministic_rate(lasso):
     assert traj.error is None
     errs = traj.err_curve("eq10-aligned")
     fit = fit_rate(traj.k, errs, (1e2, 1e4))
-    bound = deterministic_rate_bound(traj.k, ref.d_y_star_b(spec),
-                                     cfg.beta, cfg.rho)
+    bound = rate_bound(traj.k, cfg, spec, ref.d_y_star_b(spec))
     slope_ok = fit.slope <= -0.9
     bound_ok = bool(np.all(errs <= bound))
     _report(3, "deterministic 1/t rate", slope_ok and bound_ok,
@@ -211,13 +206,12 @@ def test_criterion_08_high_probability_tail(lasso):
     trajs = run_replications(preset, cfg, 200, grid, ref.theta_star)
     errs = [t.err_rho_eq2[-1] for t in trajs]
     d_yb = ref.d_y_star_b(spec)
-    oracle = preset.make_oracle(0)
+    require_tail_bound(cfg, preset.make_oracle(0).bounded)
     lines = []
     ok = True
     for omega in (1.0, 2.0):
         res = high_prob_check(errs, 10_000, omega, spec.constants.M,
-                              spec.diameter_x, d_yb, cfg.beta, cfg.rho,
-                              bounded_oracle=oracle.bounded)
+                              spec.diameter_x, d_yb, cfg.beta, cfg.rho)
         ok = ok and res.passed
         lines.append(f"Omega={omega:.0f}: exceed {res.exceed_fraction:.3f} "
                      f"<= {res.bound:.3f}+{res.slack:.3f}")

@@ -1,6 +1,7 @@
 """Command-line front end and experiment harness file contract."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -81,6 +82,46 @@ def test_validate_rejects_schedule_without_curvature(tmp_path, capsys):
                         solver={"schedule": "strongly-convex"})
     assert main(["validate", "--config", cfg]) == 2
     assert "mu > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, path", [
+    ("solver: {rho: .inf}", "solver.rho: expected a finite number"),
+    ("solver: {beta: .nan}", "solver.beta: expected a finite number"),
+    ("solver: {schedule: bogus}", "solver.schedule: expected one of"),
+    ("omegas: [-1]", "omegas[0]: must be > 0"),
+    ("rate_window: [100, 10]\nslope_band: [-1, 0]", "rate_window: expected 1 <= lo < hi"),
+    ("preset: hinge-svm-split\ncheck_bound: true\nomegas: [1]",
+     "check_bound: preset hinge-svm-split has no certified optimum"),
+    ("check_bound: true\nsolver: {schedule: constant, eta0: 0.1}",
+     "check_bound: the constant schedule has no rate bound"),
+    ("omegas: [1]\nsolver: {variant: linearized, G: 2.0}", "omegas: the tail bound"),
+])
+def test_validate_rejects_values_and_gates_a_run_cannot_use(tmp_path, capsys, text, path):
+    config = tmp_path / "c.yaml"
+    config.write_text(text if text.startswith("preset:")
+                      else f"preset: lasso-split\n{text}\n")
+    assert main(["validate", "--config", str(config)]) == 2
+    assert f"config error: {path}" in capsys.readouterr().err
+
+
+def test_tail_gate_needs_a_bounded_oracle(monkeypatch):
+    from stocadmm.oracle import AdditiveNoiseOracle
+    from stocadmm.presets import Preset
+    monkeypatch.setattr(Preset, "make_oracle", lambda self, stream=0: AdditiveNoiseOracle(
+        self.spec.theta1, sigma=1.0, kind="gaussian", stream=stream))
+    with pytest.raises(ConfigError, match="omegas: the tail bound needs a bounded-noise"):
+        config_from_dict({"preset": "lasso-split", "omegas": [1.0]})
+
+
+def test_slope_gate_fails_when_the_fit_does(tmp_path):
+    # the default grid of t_max = 50 has fewer than 5 points in [40, 50]
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           solver=SolverConfig(t_max=50), rate_window=(40, 50),
+                           slope_band=(-1.0, 0.0), out_dir=str(tmp_path / "o"))
+    report, code = run_experiment(cfg)
+    assert code == 1 and report["passed"] is False
+    assert report["checks"] == {"slope_in_band": False}
+    assert "fewer than 5 grid points" in report["rate_fit"]["error"]
 
 
 def test_validate_rejects_malformed_numeric_field(tmp_path, capsys):
@@ -198,7 +239,33 @@ def test_config_validation_limits():
              "solver.averaging: expected one of .*, got 'bogus'"),
             ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
              "preset_params: .*mu > 0"),
-            ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max")):
+            ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max"),
+            ({"solver": {"schedule": "bogus"}},
+             "solver.schedule: expected one of .*, got 'bogus'"),
+            # every float field is finite
+            ({"solver": {"rho": math.inf}}, "solver.rho: expected a finite number"),
+            ({"solver": {"beta": math.nan}}, "solver.beta: expected a finite number"),
+            ({"omegas": [-math.inf]}, "omegas\\[0\\]: expected a finite number"),
+            ({"preset_params": {"noise": math.inf}},
+             "preset_params.noise: expected a finite number"),
+            # gate fields in range
+            ({"omegas": [1.0, -1]}, "omegas\\[1\\]: must be > 0"),
+            ({"rate_window": [100, 10]}, "rate_window: expected 1 <= lo < hi"),
+            ({"rate_window": [0, 10]}, "rate_window: expected 1 <= lo < hi"),
+            ({"slope_band": [-0.3, -0.6]}, "slope_band: expected lo <= hi"),
+            # a requested gate the run could not evaluate
+            *(({"preset": "hinge-svm-split", name: value},
+               f"{name}: preset hinge-svm-split has no certified optimum")
+              for name, value in (("slope_band", [-0.65, -0.35]),
+                                  ("check_bound", True), ("omegas", [1.0]))),
+            ({"check_bound": True, "solver": {"schedule": "constant", "eta0": 0.1}},
+             "check_bound: the constant schedule has no rate bound"),
+            *(({"omegas": [1.0], **raw}, "omegas: the tail bound holds for the "
+               "stochastic variant with the convex schedule only")
+              for raw in ({"solver": {"variant": "linearized", "G": 2.0}},
+                          {"solver": {"schedule": "constant", "eta0": 0.1}},
+                          {"preset": "strongly-convex-lasso",
+                           "solver": {"schedule": "strongly-convex"}}))):
         with pytest.raises(ConfigError, match=path):
             config_from_dict({"preset": "lasso-split", **raw})
     # an empty list leaves an optional list field unset
@@ -282,6 +349,65 @@ def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replic
         rows = (out / "aggregate.csv").read_text().splitlines()
         assert len(rows) == 1 + len(default_t_grid(50))
         assert "rate_fit" in report
+
+
+# numpy may warn on NaN arithmetic; what is under test is the error it ends in
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("checked", [False, True])
+def test_non_finite_iterate_fails_its_replication(tmp_path, monkeypatch, checked):
+    """A NaN sampled subgradient makes replication 1's x-update of step 20
+    NaN, on the batched path (unchecked) and step by step (checked)."""
+    from stocadmm.oracle import SampleBuffer
+    real, calls = SampleBuffer.subgradient, [0]
+
+    def nan_at_20(self, theta1, x, k):
+        g = np.array(real(self, theta1, x, k))
+        calls[0] += 1
+        if g.ndim == 2 and calls[0] == 20:  # batched: row 1 of step 20
+            g[1] = np.nan
+        if g.ndim == 1 and calls[0] == 40 + 20:  # replication 1 runs after 0
+            g[:] = np.nan
+        return g
+
+    monkeypatch.setattr(SampleBuffer, "subgradient", nan_at_20)
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=2, t_grid=list(range(1, 41)),
+                           solver=SolverConfig(t_max=40, check_invariants=checked),
+                           out_dir=str(out))
+    report, code = run_experiment(cfg)
+    assert code == 1 and report["passed"] is False
+    assert report["failed_runs"] == ["rep=1 iteration 20: non-finite iterate"]
+    # the rows before the non-finite iterate are kept
+    assert len((out / "traj_rep000.csv").read_text().splitlines()) == 1 + 40
+    assert len((out / "traj_rep001.csv").read_text().splitlines()) == 1 + 19
+    logged = {line.split()[2] for line in (out / "invariants.log").read_text().splitlines()
+              if line.startswith("rep=1 k=20 ")}
+    ran = {name for name, n in report["invariant_probes"].items() if n}
+    assert ran == (set(report["invariant_worst"]) if checked else set())
+    assert logged == ran
+    assert all(math.isnan(report["invariant_worst"][name]) for name in ran)
+
+
+def test_tail_check_takes_each_replications_last_row(tmp_path, monkeypatch):
+    from stocadmm import harness
+    real, seen = harness.high_prob_check, []
+
+    def spy(errs, *args):
+        seen.append(list(errs))
+        return real(errs, *args)
+
+    monkeypatch.setattr(harness, "high_prob_check", spy)
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=3, omegas=[1.0], solver=SolverConfig(t_max=50),
+                           out_dir=str(out))
+    report, code = run_experiment(cfg)
+    assert code == 0 and len(report["high_prob"]) == 1
+    last = [(out / f"traj_rep{r:03d}.csv").read_text().splitlines()[-1].split(",")
+            for r in range(3)]
+    assert all(row[0] == "50" for row in last)
+    assert seen == [[float(row[4]) for row in last]]  # err_rho_eq2 at k = 50
 
 
 def test_report_carries_worst_residual_and_probes_per_invariant(tmp_path):

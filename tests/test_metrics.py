@@ -1,16 +1,16 @@
 """Reference solutions, expectation estimates, rate fits, tail checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stocadmm.functions import Quadratic, SquaredL2Penalty
 from stocadmm.metrics import (HighProbResult, ReferenceSolution,
-                              compute_reference, convex_rate_bound,
-                              deterministic_rate_bound, estimate_expectation,
+                              compute_reference, estimate_expectation,
                               fit_rate, high_prob_check, high_prob_threshold,
-                              smooth_rate_bound, strongly_convex_rate_bound)
+                              rate_bound, require_tail_bound)
 from stocadmm.problem import ProblemSpec, StructuralConstants
 from stocadmm.sets import Ball, WholeSpace
 from stocadmm.solvers import SolverConfig, run
@@ -186,17 +186,23 @@ def test_fit_rate_window_validation():
 
 
 def test_bound_formulas_hand_values():
-    # each term evaluated by hand at t = 4
-    assert convex_rate_bound(4, M=2.0, D_X=1.0, D_yB=2.0, beta=1.0, rho=1.0) \
-        == pytest.approx(math.sqrt(2) + 5.0 / 8.0)
-    assert deterministic_rate_bound(4, D_yB=2.0, beta=1.0, rho=1.0) \
-        == pytest.approx(0.5 + 0.125)
-    sc = strongly_convex_rate_bound(4, M=1.0, mu=0.5, D_X=1.0, D_yB=2.0,
-                                    beta=1.0, rho=1.0)
+    # each term evaluated by hand at t = 4, with D_X = 1, D_yB = 2,
+    # beta = 1 and rho = 1
+    def bound(variant="stochastic", schedule="convex", **constants):
+        spec = SimpleNamespace(constants=StructuralConstants(**constants),
+                               diameter_x=1.0)
+        return rate_bound(4, SolverConfig(variant=variant, schedule=schedule,
+                                          beta=1.0, rho=1.0), spec, 2.0)
+
+    assert bound(M=2.0) == pytest.approx(math.sqrt(2) + 5.0 / 8.0)
+    for variant in ("deterministic", "linearized"):
+        assert bound(variant, M=2.0) == pytest.approx(0.5 + 0.125)
+    sc = bound(schedule="strongly-convex", M=1.0, mu=0.5)
     assert sc == pytest.approx(math.log(4) / 2.0 + 0.0625 + 0.5 + 0.125)
-    sm = smooth_rate_bound(4, sigma=1.0, L=2.0, D_X=1.0, D_yB=2.0,
-                           beta=1.0, rho=1.0)
+    sm = bound(schedule="smooth", M=1.0, sigma=1.0, L=2.0)
     assert sm == pytest.approx(math.sqrt(2) / 2.0 + 0.25 + 0.5 + 0.125)
+    with pytest.raises(ValueError, match="constant schedule has no rate bound"):
+        bound(schedule="constant", M=2.0)
     thr = high_prob_threshold(4, Omega=2.0, M=2.0, D_X=1.0, D_yB=2.0,
                               beta=1.0, rho=1.0)
     m1 = math.sqrt(2) * 1.0 * 2.0 / 2.0
@@ -226,5 +232,8 @@ def test_high_prob_large_omega_fails_on_heavy_tail():
 
 def test_high_prob_requires_bounded_oracle():
     with pytest.raises(ValueError, match="bounded-noise oracle"):
-        high_prob_check([0.1], t=10, Omega=1.0, M=1.0, D_X=1.0, D_yB=1.0,
-                        beta=1.0, rho=1.0, bounded_oracle=False)
+        require_tail_bound(SolverConfig(), bounded_oracle=False)
+    for cfg in (SolverConfig(variant="linearized"), SolverConfig(schedule="smooth")):
+        with pytest.raises(ValueError, match="convex schedule only"):
+            require_tail_bound(cfg, bounded_oracle=True)
+    require_tail_bound(SolverConfig(), bounded_oracle=True)

@@ -512,6 +512,29 @@ def test_checks_flag_a_perturbed_x_update(lasso_preset, monkeypatch):
     assert "step-inequality" in at_20
 
 
+# numpy may warn on NaN arithmetic; what is under test is the error it ends in
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_iterate_ends_the_run(lasso_preset, monkeypatch):
+    real = IterateState.advance
+
+    def nan_x_at_20(self, x, y, lam):
+        real(self, np.full_like(x, np.nan) if self.k == 19 else x, y, lam)
+
+    monkeypatch.setattr(IterateState, "advance", nan_x_at_20)
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0))
+    assert traj.error == "iteration 20: non-finite iterate"
+    assert list(traj.k) == list(range(1, 20))
+    assert np.all(np.isfinite(traj.feas_eq2))
+    assert np.isnan(traj.max_invariant_residual)
+    assert np.isnan(traj.invariant_worst["dual-identity"])
+    # no recorded row after it: the final state tells
+    cfg = SolverConfig(variant="stochastic", t_max=40)
+    traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0),
+               record_at=np.arange(1, 11))
+    assert traj.error == "iteration 40: non-finite iterate"
+    assert list(traj.k) == list(range(1, 11))
+
+
 def test_checks_flag_a_perturbed_dual_step(lasso_preset, monkeypatch):
     real = IterateState.advance
 
