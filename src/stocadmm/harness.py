@@ -5,7 +5,9 @@ A run produces, inside the output directory:
 * ``traj_rep###.csv``      one row per recorded iteration and replication,
   with the fixed column order k, eta, obj_gap_eq2, feas_eq2, err_rho_eq2,
   obj_gap_eq10, feas_eq10, err_rho_eq10, step_ms;
-* ``aggregate.csv``        mean / stderr of the error measure per grid point;
+* ``aggregate.csv``        mean / stderr of the error measure per grid point,
+  over the completed replications; written only with a certified optimum,
+  which every error column needs;
 * ``report.json``          rate fits, bound checks, tail checks, pass/fail;
 * ``invariants.log``       one line per violated runtime invariant (empty on
   success);
@@ -33,6 +35,7 @@ import yaml
 from . import __version__, kernels
 from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
                       fit_rate, high_prob_check, rate_bound, require_tail_bound)
+from .oracle import SampleBuffer
 from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
                       build_preset)
 from .problem import IterateState
@@ -248,26 +251,32 @@ def _kernel_eligible(preset: Preset, cfg: SolverConfig) -> bool:
             and kernels.identity_split(preset.spec))
 
 
+def _stack_draws(preset: Preset, R: int, t: int) -> SampleBuffer:
+    """The presampled draws of t steps on streams 0..R-1, stacked to (R, t)
+    indices and (R, t, d) noise; either is None when the oracle draws none."""
+    buffers = [preset.make_oracle(r).presample(t) for r in range(R)]
+    return SampleBuffer(*(None if getattr(buffers[0], name) is None
+                          else np.stack([getattr(b, name) for b in buffers])
+                          for name in ("indices", "noise")))
+
+
 def run_replications(preset: Preset, solver: SolverConfig, R: int,
                      t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
     """Replications on streams 0..R-1, each from zero on its own presampled
-    draws: one batched kernel call for all of them when the kernel applies,
-    otherwise one step-by-step run per stream."""
-    if not _kernel_eligible(preset, solver):
-        return [run(preset.spec, solver, oracle=preset.make_oracle(r),
-                    theta_star=theta_star, record_at=t_grid) for r in range(R)]
+    draws.  A stochastic run advances all of them together: one batched
+    kernel call when the kernel applies, otherwise one batched run() call.
+    The other variants draw nothing and run once per replication."""
     spec = preset.spec
-    # per-stream draws stacked to (R, t) indices and (R, t, d) noise; either
-    # is None when the oracle draws none
-    buffers = [preset.make_oracle(r).presample(solver.t_max) for r in range(R)]
-    idx = (None if buffers[0].indices is None
-           else np.stack([b.indices for b in buffers]))
-    noise = (None if buffers[0].noise is None
-             else np.stack([b.noise for b in buffers]))
-    state = IterateState(np.zeros((R, spec.d1)), np.zeros((R, spec.d2)),
-                         np.zeros((R, spec.m)))
-    return kernels.admm_identity_split(spec, solver, idx, noise, state,
-                                       theta_star, t_grid)
+    if solver.variant != "stochastic":
+        return [run(spec, solver, theta_star=theta_star, record_at=t_grid)
+                for _ in range(R)]
+    draws = _stack_draws(preset, R, solver.t_max)
+    state = IterateState.zeros(spec, R)
+    if _kernel_eligible(preset, solver):
+        return kernels.admm_identity_split(spec, solver, draws.indices, draws.noise,
+                                           state, theta_star, t_grid)
+    return run(spec, solver, theta_star=theta_star, record_at=t_grid,
+               state=state, draws=draws)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +415,9 @@ def run_experiment(cfg: ExperimentConfig):
         "checks": {},
     }
 
+    # the error columns need theta*, so without it there is no aggregate
     mean = stderr = None
-    if len(completed) >= 2 or (completed and theta_star is not None):
+    if completed and theta_star is not None:
         stats = {}
         for tag, convention in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
             if len(completed) >= 2:
@@ -420,7 +430,7 @@ def run_experiment(cfg: ExperimentConfig):
                 mean, stderr = curve, spread
         write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
 
-    if mean is not None and reference is not None:
+    if mean is not None:
         d_yb = reference.d_y_star_b(preset.spec)
         window = cfg.rate_window or (max(1, cfg.solver.t_max // 100), cfg.solver.t_max)
         try:

@@ -6,14 +6,14 @@ quadratic over X, so its minimizer is the projection of a closed-form point,
 and the y-update is the prox of theta2 at x - lam/beta.  The kernel advances
 R independent replications together as one IterateState with (R, d) arrays,
 so the interpreter overhead of a step is paid once for all R replications.
-Everything but that update is shared with the step-by-step loop of
-solvers.run: the sampled subgradient (SampleBuffer.subgradient on the
-stacked per-stream draws, so each replication sees the draws of its own
-stream), the stepsize, the running averages and the recorded rows, whose
-metrics one pass computes after the loop (solvers.RecordedRows).  The
-subgradients, the projection and the prox are the spec's own methods,
-called with a leading replication axis, so each replication's trajectory
-agrees with run() on its stream up to floating-point summation order.
+Everything but that update is shared with the batched loop of solvers.run:
+the sampled subgradient (SampleBuffer.subgradient on the stacked per-stream
+draws, so each replication sees the draws of its own stream), the stepsize,
+the running averages and the recorded rows, whose metrics one pass computes
+after the loop (solvers.RecordedRows).  The subgradients, the projection and
+the prox are the spec's own methods, called with a leading replication axis,
+so each replication's trajectory agrees with run() on its stream up to
+floating-point summation order.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
                            / (beta + 1.0 / eta))
         y = prox_theta2(x - state.lam / beta, beta, spec.theta2, spec.Y)
         state.advance(x, y, state.lam - beta * (x - y))
-        rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R)
+        if rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R):
+            break
     return rows.trajectories(spec, cfg.rho, theta_star,
                              [state.replication(r) for r in range(R)])

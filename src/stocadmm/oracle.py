@@ -35,9 +35,9 @@ class SampleBuffer:
     leading axis: component indices and/or noise rows.
 
     Pre-drawing in one batch pins the exact generator consumption pattern, so
-    the batched kernel path and the step-by-step path see identical draws.
-    indices is None for an oracle that uses the exact subgradient, noise for
-    one that adds no noise.
+    a batched loop and a one-stream run() see identical draws.  indices is
+    None for an oracle that uses the exact subgradient, noise for one that
+    adds no noise.
     """
 
     indices: np.ndarray | None

@@ -115,6 +115,10 @@ class StackedW:
     y: np.ndarray
     lam: np.ndarray
 
+    def __getitem__(self, r) -> "StackedW":
+        """Row r of each part, for parts with a leading replication axis."""
+        return StackedW(self.x[r], self.y[r], self.lam[r])
+
     def __sub__(self, other: "StackedW") -> "StackedW":
         return StackedW(self.x - other.x, self.y - other.y, self.lam - other.lam)
 
@@ -178,8 +182,11 @@ class IterateState:
         self._sum_y = np.zeros_like(self.y)
 
     @classmethod
-    def zeros(cls, spec: ProblemSpec) -> "IterateState":
-        return cls(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
+    def zeros(cls, spec: ProblemSpec, replications: int | None = None) -> "IterateState":
+        """The zero state of one run, or of R replications as (R, d) arrays."""
+        lead = () if replications is None else (replications,)
+        return cls(np.zeros(lead + (spec.d1,)), np.zeros(lead + (spec.d2,)),
+                   np.zeros(lead + (spec.m,)))
 
     def replication(self, r: int) -> "IterateState":
         """Replication r of a batched state, whose arrays carry a leading
@@ -197,6 +204,15 @@ class IterateState:
         self._sum_x_aligned += self.x
         self._sum_y += self.y
         self.k += 1
+
+    def write_averages(self, x_shifted: np.ndarray, x_aligned: np.ndarray,
+                       y: np.ndarray):
+        """Write the three averages into the given arrays, without a
+        temporary; the values are those of the properties below."""
+        k = max(self.k, 1)
+        np.divide(self._sum_x_shifted, k, out=x_shifted)
+        np.divide(self._sum_x_aligned, k, out=x_aligned)
+        np.divide(self._sum_y, k, out=y)
 
     @property
     def avg_x_shifted(self) -> np.ndarray:

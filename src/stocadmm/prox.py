@@ -9,7 +9,9 @@ the stochastic variant).  Given the eigendecomposition of H0, computed once
 per run, the whole-space solve is a diagonal solve in that basis; over a ball
 the same basis gives an exact trust-region style scalar root-find on the
 boundary multiplier; over a box a projected-gradient inner loop runs to a
-declared tolerance.
+declared tolerance.  Each solve also takes R right-hand sides as (R, d) rows
+and returns the R minimizers as rows: the ball's root-find runs on the rows
+outside the ball only, and the box loop stops once every row has converged.
 """
 
 from __future__ import annotations
@@ -64,45 +66,60 @@ def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray
 
 
 def _ball_constrained_solve(eigvals, eigvecs, shift, rhs, radius):
-    """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w+shift) V'."""
-    q = eigvecs.T @ rhs
+    """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w+shift) V',
+    for one rhs or for each row of an (R, d) rhs."""
+    q = rhs @ eigvecs
     w = eigvals + shift
-    x_free = q / w
-    if np.sqrt(float(x_free @ x_free)) <= radius:
-        return eigvecs @ x_free
-    # boundary case: find nu > 0 with ||q / (w + nu)|| = radius; the secular
-    # function 1/||x(nu)|| - 1/radius is concave increasing, Newton converges
-    nu = 0.0
+    x = q / w
+    # the rows outside the ball; a row that is not finite stays as it is.  For
+    # one rhs, out is a numpy bool, whose truth value costs far less than a count
+    out = np.vecdot(x, x) > radius * radius
+    if out if out.ndim == 0 else np.count_nonzero(out):
+        x[out] = _secular_newton(q[out], w, radius)
+    return x @ eigvecs.T
+
+
+def _secular_newton(q, w, radius):
+    """The boundary solutions q / (w + nu) of the (n, d) rows q: per row the
+    nu > 0 with ||q / (w + nu)|| = radius.  The secular function
+    1/||x(nu)|| - 1/radius is concave increasing, so Newton converges; nu is
+    an (n, 1) column, and the loop stops once every row has converged."""
+    q2 = q * q
+    nu = np.zeros((len(q), 1))
+    tol, inv_r = 1e-15 / radius, 1.0 / radius
     for _ in range(200):
         d = w + nu
-        x2 = float(np.sum((q / d) ** 2))
+        t = q2 / (d * d)
+        x2 = t.sum(axis=1, keepdims=True)
         nx = np.sqrt(x2)
-        phi = 1.0 / nx - 1.0 / radius
-        if abs(phi) < 1e-15 / radius:
+        phi = 1.0 / nx - inv_r
+        # fmax skips NaN, so a row that is not finite counts as converged
+        if not np.fmax.reduce(abs(phi), axis=None) >= tol:
             break
-        dphi = float(np.sum(q**2 / d**3)) / (nx * x2)
-        step = phi / dphi
-        nu = max(nu - step, 0.0)
-        if step == 0.0:
-            break
-    return eigvecs @ (q / (w + nu))
+        # Newton step phi / phi', with phi' = sum(q^2 / d^3) / ||x||^3
+        nu = np.maximum(nu - phi * (nx * x2) / (t / d).sum(axis=1, keepdims=True), 0.0)
+    return q / (w + nu)
 
 
-def _box_projected_gradient(matvec, lip, rhs, box: Box, x_init: np.ndarray,
+def _box_projected_gradient(H0, shift, lip, rhs, box: Box, x_init: np.ndarray,
                             tol: float = INNER_TOL, max_iters: int = INNER_MAX_ITERS):
-    """Projected gradient on x'Qx/2 - rhs'x over a box, monitored by the
-    projected-gradient residual."""
+    """Projected gradient on x'(H0 + shift I)x/2 - rhs'x over a box, for one
+    rhs or for each row of an (R, d) rhs, monitored by each row's
+    projected-gradient residual.  A row keeps its iterate of the first
+    iteration whose residual is <= tol (or not finite), and the loop stops
+    once every row has."""
     x = box.project(x_init)
     step = 1.0 / lip
-    resid = np.inf
+    live = np.ones(x.shape[:-1], dtype=bool)
     for _ in range(max_iters):
-        grad = matvec(x) - rhs
-        x_new = box.project(x - step * grad)
-        resid = float(np.linalg.norm((x - x_new) / step))
-        x = x_new
-        if resid <= tol:
+        x_new = box.project(x - step * (x @ H0.T + shift * x - rhs))
+        resid = np.linalg.norm((x - x_new) / step, axis=-1)
+        x = np.where(live[..., None], x_new, x)
+        live &= resid > tol
+        if not live.any():
             return x
-    raise SubproblemError("projected-gradient inner loop did not converge", resid)
+    raise SubproblemError("projected-gradient inner loop did not converge",
+                          float(np.max(resid[live])))
 
 
 def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
@@ -112,18 +129,18 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
 
     eig = (eigvals, eigvecs) is the eigendecomposition of H0, computed once
     per run; the whole-space and ball solves happen in that basis, so a
-    moving shift costs no refactorization.
+    moving shift costs no refactorization.  rhs is one right-hand side, or
+    R of them as (R, d) rows, whose R minimizers are the rows of the result.
     """
     eigvals, eigvecs = eig
     if isinstance(X, WholeSpace):
-        return eigvecs @ ((eigvecs.T @ rhs) / (eigvals + shift))
+        return ((rhs @ eigvecs) / (eigvals + shift)) @ eigvecs.T
     if isinstance(X, Ball):
         return _ball_constrained_solve(eigvals, eigvecs, shift, rhs, X.radius)
     if isinstance(X, Box):
         lip = float(eigvals[-1] + shift)
-        matvec = lambda v: H0 @ v + shift * v
         init = rhs / lip if x_init is None else x_init
-        return _box_projected_gradient(matvec, lip, rhs, X, init)
+        return _box_projected_gradient(H0, shift, lip, rhs, X, init)
     raise TypeError(f"unsupported set descriptor {type(X).__name__}")
 
 

@@ -16,10 +16,14 @@ x-update:
   subgradient, with an l2 prox term scaled by the stepsize 1/eta_k.
 
 StepPlan holds everything about the x-update and the y-update that is fixed
-for a run, computed and checked once; step() applies it.
+for a run, computed and checked once; step() applies it, to one iterate or
+to R replications at once as (R, d) rows.
 
-Both loops, run() and kernels.admm_identity_split, store the recorded
-averages and compute their metrics after the loop (RecordedRows).
+run() is the solver loop of every run the batched kernel
+(kernels.admm_identity_split) does not take: one stream on its oracle's
+draws, or R replications on their stacked draws, advanced together by one
+step() per iteration and checked, when enabled, one replication at a time.  Both loops store the recorded averages
+and compute their metrics after the loop (RecordedRows).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
 from .prox import min_quadratic_over_set, solve_y_update, three_points_check
 from .sets import Ball, WholeSpace
@@ -235,7 +240,9 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
          eta: float = math.nan) -> IterateState:
     """One iteration of the planned variant, in place: x-update, y-update,
     dual ascent.  A stochastic plan takes the sampled subgradient g at
-    state.x and the stepsize eta; the other variants take neither."""
+    state.x and the stepsize eta; the other variants take neither.  A state
+    of R replications with (R, d) arrays (and g with R rows) advances every
+    replication by the same formulas, written for rows."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = plan.shift
     if shift is None:
@@ -244,10 +251,10 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
         if not eta > 0:
             raise ValueError("eta must be positive")
         shift = 1.0 / eta
-    v = spec.b + state.lam / beta - spec.B @ state.y
-    rhs = beta * (spec.A.T @ v) - plan.c + shift * x
+    v = spec.b + state.lam / beta - state.y @ spec.B.T
+    rhs = beta * (v @ spec.A) - plan.c + shift * x
     if plan.G_rest is not None:
-        rhs = rhs + plan.G_rest @ x
+        rhs = rhs + x @ plan.G_rest.T
     if g is not None:
         rhs = rhs - g
     if plan.prox:
@@ -255,10 +262,10 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     else:
         x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X,
                                         x_init=x)
-    Ax_next = spec.A @ x_next
+    Ax_next = x_next @ spec.A.T
     y_next = solve_y_update(Ax_next, state.lam, spec, beta, plan.s)
     state.advance(x_next, y_next,
-                  state.lam - beta * (Ax_next + spec.B @ y_next - spec.b))
+                  state.lam - beta * (Ax_next + y_next @ spec.B.T - spec.b))
     return state
 
 
@@ -306,42 +313,55 @@ METRIC_CHUNK = 256
 class RecordedRows:
     """The rows of one loop: the stepsize, the step's wall time and the three
     averages after step k, for each k of record_at within 1..t_max (every k
-    by default), stored in buffers allocated before the loop; the averages
-    are (N, d), or (R, N, d) for a state with a leading replication axis.
+    by default), stored in one buffer allocated before the loop, each row
+    the averages (x shifted, x aligned, y) side by side: (N, 2*d1 + d2), or
+    (R, N, 2*d1 + d2) for a state with a leading replication axis.
     trajectories() computes the metrics of every row once, after the loop."""
 
     def __init__(self, state: IterateState, t_max: int, record_at=None):
         k = np.arange(1, t_max + 1)
         self.k = k if record_at is None else k[np.isin(k, record_at)]
         self.eta, self.step_ms = np.empty(len(self.k)), np.empty(len(self.k))
-        self.averages = [np.empty(a.shape[:-1] + (len(self.k), a.shape[-1]))
-                         for a in (state.x, state.x, state.y)]
+        d1, d2 = state.x.shape[-1], state.y.shape[-1]
+        self.buf = np.empty(state.x.shape[:-1] + (len(self.k), 2 * d1 + d2))
+        self.parts = (slice(0, d1), slice(d1, 2 * d1), slice(2 * d1, None))
+        # the aligned x and y averages, which take in x_k and y_k at row k
+        self.latest = slice(d1, None)
         self.n = 0  # rows stored
 
-    def record(self, state: IterateState, eta: float, step_ms: float):
+    def record(self, state: IterateState, eta: float, step_ms: float) -> bool:
+        """Store the row of step state.k if it is due.  Returns whether it
+        was, and no replication's averages in it are finite: from then on
+        every replication has ended (see trajectories)."""
         n = self.n
-        if n < len(self.k) and self.k[n] == state.k:
-            self.eta[n], self.step_ms[n] = eta, step_ms
-            for buf, avg in zip(self.averages, (state.avg_x_shifted,
-                                                state.avg_x_aligned, state.avg_y)):
-                buf[..., n, :] = avg
-            self.n += 1
+        if n == len(self.k) or self.k[n] != state.k:
+            return False
+        self.eta[n], self.step_ms[n] = eta, step_ms
+        row = self.buf[..., n, :]
+        shifted, aligned, y = self.parts
+        state.write_averages(row[..., shifted], row[..., aligned], row[..., y])
+        self.n += 1
+        # a finite sum means every entry is finite, which is the common case
+        latest = row[..., self.latest]
+        if math.isfinite(np.add.reduce(latest, axis=None)):
+            return False
+        return not np.isfinite(latest).all(axis=-1).any()
 
     def trajectories(self, spec: ProblemSpec, rho: float, theta_star: float | None,
-                     final_states: list, **extra) -> list[Trajectory]:
+                     final_states: list, error: str | None = None,
+                     records: list | None = None) -> list[Trajectory]:
         """One trajectory per replication from the rows stored so far, with
-        final_states[r] the final state of replication r and extra the other
-        fields.  Without theta_star the gaps and errors are NaN.  A non-finite
+        final_states[r] the final state of replication r, error that of the
+        loop and records[r] the InvariantRecord of replication r, if checked.
+        Without theta_star the gaps and errors are NaN.  A non-finite
         iterate ends its replication with "iteration k: non-finite iterate",
         at the first row k whose averages are not finite, whose rows before
         it are kept, or else at the final state's k."""
         n, R = self.n, len(final_states)
         star = math.nan if theta_star is None else theta_star
-        x_shifted, x_aligned, y = (buf[..., :n, :].reshape(R * n, buf.shape[-1])
-                                   for buf in self.averages)
-        # the aligned averages take in x_k and y_k at row k
-        finite = (np.isfinite(x_aligned).all(axis=1)
-                  & np.isfinite(y).all(axis=1)).reshape(R, n)
+        rows = self.buf[..., :n, :].reshape(R * n, self.buf.shape[-1])
+        x_shifted, x_aligned, y = (rows[:, part] for part in self.parts)
+        finite = np.isfinite(rows[:, self.latest]).all(axis=1).reshape(R, n)
         cols = {}
         for tag, x in (("eq2", x_shifted), ("eq10", x_aligned)):
             out = np.empty((3, R * n))
@@ -352,9 +372,10 @@ class RecordedRows:
                 out.reshape(3, R, n)
         trajs = []
         for r, state in enumerate(final_states):
+            fields = {"error": error, **(records[r].fields() if records else {})}
             # m: the first row whose averages are not finite, else n; lam sums
             # every residual, so it is not finite once an iterate was not
-            fields, m = dict(extra), int(np.argmin(np.append(finite[r], False)))
+            m = int(np.argmin(np.append(finite[r], False)))
             if m < n or not np.isfinite(state.lam).all():
                 fields["error"] = (f"iteration {self.k[m] if m < n else state.k}: "
                                    f"non-finite iterate")
@@ -410,8 +431,8 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generat
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
-        theta_star: float | None = None,
-        record_at: np.ndarray | None = None) -> Trajectory:
+        theta_star: float | None = None, record_at: np.ndarray | None = None,
+        *, state: IterateState | None = None, draws: SampleBuffer | None = None):
     """Execute t_max steps from zero and record the trajectory.
 
     Structural errors raise before any step; an error during the steps ends
@@ -419,37 +440,65 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
     metric rows to the given iteration counts (1-based); by default every
     iteration is recorded.  Objective gaps need theta_star; without it only
     feasibility is populated.
+
+    One stream: a stochastic run presamples its draws from oracle (an oracle
+    of spec.theta1), and the result is one Trajectory.  Batched: state holds
+    R replications as (R, d) arrays, zero for a run from zero, and draws
+    their R streams stacked (None for a variant that draws nothing); every
+    step advances all R rows at once, and the result is R trajectories.  An
+    error in a step then ends every replication at that iteration.  The loop
+    ends early at a recorded row where no replication is finite.
     """
     plan = cfg.validate(spec)
     stochastic = cfg.variant == "stochastic"
-    if stochastic and oracle is None:
-        raise ValueError("stochastic variant needs an oracle")
-    state = IterateState.zeros(spec)
-    draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
+    one_stream = state is None
+    if one_stream:
+        if stochastic and oracle is None:
+            raise ValueError("stochastic variant needs an oracle")
+        state = IterateState.zeros(spec)
+        draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
+    elif stochastic and draws is None:
+        raise ValueError("a batched stochastic run needs its stacked draws")
+    R = 1 if one_stream else len(state.x)
     rows = RecordedRows(state, cfg.t_max, record_at)
-    rng = np.random.default_rng(PROBE_SEED)
-    checks = InvariantRecord() if cfg.check_invariants else None
+    # per replication: the index of its rows (all of a one-stream state),
+    # its record and its probe generator, each seeded alike; checked lists
+    # the replications whose iterate is still finite
+    at = [...] if one_stream else range(R)
+    records = [InvariantRecord() for _ in range(R)] if cfg.check_invariants else None
+    rngs = [np.random.default_rng(PROBE_SEED) for _ in records or ()]
+    checked = list(range(R)) if records else []
     error = None
 
     for k in range(cfg.t_max):
         t0 = time.perf_counter()
-        prev_w = state.as_w() if cfg.check_invariants else None
+        prev = state.as_w() if checked else None
         eta = cfg.eta(k + 1, spec) if stochastic else math.nan
         g = None
         try:
             if stochastic:
-                g = draws.subgradient(oracle.theta1, state.x, k)
+                g = draws.subgradient(spec.theta1, state.x, k)
             step(state, plan, g, eta)
-        except Exception as exc:  # return the partial trajectory with the error
+        except Exception as exc:  # return the partial trajectories with the error
             error = f"iteration {k}: {exc}"
             break
-        rows.record(state, eta, (time.perf_counter() - t0) * 1e3)
+        ended = rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R)
 
-        if checks:
-            _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks)
+        if checked:
+            curr = state.as_w()
+            for r in checked:
+                _run_checks(prev[at[r]], curr[at[r]], state.k, spec, cfg,
+                            None if g is None else g[at[r]], eta, rngs[r], records[r])
+            # a replication's checks end with its first non-finite step
+            finite = (np.isfinite(curr.x).all(axis=-1) & np.isfinite(curr.y).all(axis=-1)
+                      & np.isfinite(curr.lam).all(axis=-1))
+            checked = [r for r in checked if finite[at[r]]]
+        if ended:
+            break
 
-    return rows.trajectories(spec, cfg.rho, theta_star, [state], error=error,
-                             **(checks.fields() if checks else {}))[0]
+    finals = [state] if one_stream else [state.replication(r) for r in range(R)]
+    out = rows.trajectories(spec, cfg.rho, theta_star, finals, error, records)
+    return out[0] if one_stream else out
 
 
 class InvariantRecord:
@@ -480,11 +529,13 @@ class InvariantRecord:
                 "invariant_probes": dict(self.probes)}
 
 
-def _run_checks(prev_w, state, spec, cfg, g, eta, rng, checks: InvariantRecord):
-    """All enabled per-iteration invariants, each over its probes as one
-    batch.  g is the sampled subgradient of a stochastic step, else None."""
-    curr = state.as_w()
-    beta, k = cfg.beta, state.k
+def _run_checks(prev_w: StackedW, curr: StackedW, k: int, spec, cfg, g, eta, rng,
+                checks: InvariantRecord):
+    """All enabled per-iteration invariants at step k of one replication,
+    from its iterates before (prev_w) and after (curr) the step, each check
+    over its probes as one batch.  g is the sampled subgradient of a
+    stochastic step, else None."""
+    beta = cfg.beta
 
     # dual-update identity: exact by construction
     dual_res = float(np.linalg.norm(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ def test_reference_unavailable_for_hinge(tmp_path, capsys):
     assert "no certified reference" in capsys.readouterr().err
 
 
+def test_run_without_certified_optimum_writes_no_aggregate(tmp_path):
+    # every error column of an aggregate needs theta*, which hinge has not
+    out = tmp_path / "o"
+    cfg = ExperimentConfig(preset="hinge-svm-split", preset_params={"n": 30, "d": 4},
+                           replications=2, solver=SolverConfig(t_max=50),
+                           out_dir=str(out))
+    report, code = run_experiment(cfg)
+    assert code == 0 and report["theta_star"] is None
+    assert (out / "traj_rep001.csv").exists()
+    assert not (out / "aggregate.csv").exists()
+
+
 def test_reference_roundtrip_preserves_fields(tmp_path):
     ref = ReferenceSolution(np.array([1.0, 2.0]), np.array([3.0]), -0.5,
                             np.array([0.25]), "grid-search", 1e-4)
@@ -325,6 +338,10 @@ def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
 
 @pytest.mark.parametrize("replications", [1, 2])
 def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replications):
+    """An exception in the 30th step ends the run at iteration 29.  One
+    batched run() advances every replication, so each of them fails there;
+    the aggregate of the completed replications is covered by
+    test_non_finite_iterate_fails_its_replication."""
     from stocadmm import solvers
     real, calls = solvers.step, [0]
 
@@ -341,14 +358,12 @@ def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replic
                            out_dir=str(out))
     report, code = run_experiment(cfg)
     assert code == 1 and report["passed"] is False
-    assert report["failed_runs"] == ["rep=0 iteration 29: injected failure"]
+    assert report["failed_runs"] == [f"rep={r} iteration 29: injected failure"
+                                     for r in range(replications)]
     assert json.loads((out / "report.json").read_text()) == report
-    # the aggregate holds the replications that completed, if any did
-    assert (out / "aggregate.csv").exists() == (replications == 2)
-    if replications == 2:
-        rows = (out / "aggregate.csv").read_text().splitlines()
-        assert len(rows) == 1 + len(default_t_grid(50))
-        assert "rate_fit" in report
+    # no replication completed
+    assert not (out / "aggregate.csv").exists()
+    assert "rate_fit" not in report
 
 
 # numpy may warn on NaN arithmetic; what is under test is the error it ends in
@@ -356,7 +371,8 @@ def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replic
 @pytest.mark.parametrize("checked", [False, True])
 def test_non_finite_iterate_fails_its_replication(tmp_path, monkeypatch, checked):
     """A NaN sampled subgradient makes replication 1's x-update of step 20
-    NaN, on the batched path (unchecked) and step by step (checked)."""
+    NaN, on the batched kernel (unchecked) and in the batched run()
+    (checked)."""
     from stocadmm.oracle import SampleBuffer
     real, calls = SampleBuffer.subgradient, [0]
 
@@ -387,6 +403,64 @@ def test_non_finite_iterate_fails_its_replication(tmp_path, monkeypatch, checked
     assert ran == (set(report["invariant_worst"]) if checked else set())
     assert logged == ran
     assert all(math.isnan(report["invariant_worst"][name]) for name in ran)
+
+
+def _nan_subgradient_at_step_20(monkeypatch, rows):
+    """Make the sampled subgradient of step 20 NaN in the given rows of the
+    batch; returns the list whose one entry counts the steps."""
+    from stocadmm.oracle import SampleBuffer
+    real, calls = SampleBuffer.subgradient, [0]
+
+    def nan_at_20(self, theta1, x, k):
+        g = np.array(real(self, theta1, x, k))
+        calls[0] += 1
+        if calls[0] == 20:
+            g[rows] = np.nan
+        return g
+
+    monkeypatch.setattr(SampleBuffer, "subgradient", nan_at_20)
+    return calls
+
+
+def _checked_lasso_run(out, t_max=400):
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=2, out_dir=str(out),
+                           solver=SolverConfig(t_max=t_max, check_invariants=True))
+    t0 = time.perf_counter()
+    report, code = run_experiment(cfg)
+    return report, code, time.perf_counter() - t0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
+    """After its first non-finite step a replication is no longer checked:
+    the run logs that step only and costs no more than a clean one."""
+    _, code, clean_s = _checked_lasso_run(tmp_path / "clean")
+    assert code == 0
+    _nan_subgradient_at_step_20(monkeypatch, 1)
+    report, code, nan_s = _checked_lasso_run(tmp_path / "nan")
+    assert code == 1 and report["failed_runs"][0].startswith("rep=1 ")
+    logged = (tmp_path / "nan" / "invariants.log").read_text().splitlines()
+    assert logged and all(line.startswith("rep=1 k=20 ") for line in logged)
+    # replication 0 runs on, checked at every step
+    assert report["invariant_probes"]["dual-identity"] == 400 + 20
+    assert nan_s < 2.0 * clean_s
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("checked", [False, True])
+def test_run_ends_at_the_first_row_where_no_replication_is_finite(tmp_path, monkeypatch,
+                                                                  checked):
+    # fused-lasso-graph takes the batched run(), with or without checks
+    calls = _nan_subgradient_at_step_20(monkeypatch, slice(None))
+    cfg = ExperimentConfig(preset="fused-lasso-graph", preset_params={"n": 30, "d": 4},
+                           replications=2, t_grid=[10, 25, 300], out_dir=str(tmp_path),
+                           solver=SolverConfig(t_max=300, check_invariants=checked))
+    report, code = run_experiment(cfg)
+    assert code == 1 and calls[0] == 25
+    assert report["failed_runs"] == [f"rep={r} iteration 25: non-finite iterate"
+                                     for r in range(2)]
+    assert len((tmp_path / "traj_rep000.csv").read_text().splitlines()) == 1 + 1
 
 
 def test_tail_check_takes_each_replications_last_row(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Batched iteration kernel: agreement with the step-by-step solver path,
-snapshot bookkeeping, the exact-oracle mode, eligibility read off the spec
-and the catalog's batched formulas."""
+snapshot bookkeeping, the exact-oracle mode, eligibility read off the spec,
+the catalog's batched formulas, and the batched run() that takes every
+other stochastic replication set."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from stocadmm import kernels
 from stocadmm.functions import (HingeLoss, L1Norm, LeastSquares, Quadratic,
                                 SquaredL2Penalty, ZeroFunction, soft_threshold)
-from stocadmm.harness import _kernel_eligible, run_replications
+from stocadmm.harness import (ExperimentConfig, _kernel_eligible, run_experiment,
+                              run_replications)
 from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
@@ -192,3 +196,128 @@ def test_catalog_batched_rows_match_one_point_calls():
     radius = float(np.median(np.linalg.norm(x, axis=1)))  # rows on both sides
     for X in (WholeSpace(d), Ball(d, radius), Box(np.full(d, -0.5), np.full(d, 0.5))):
         rows_agree(X.project(x), lambda r: X.project(x[r]))
+
+
+# ---------------------------------------------------------------------------
+# the batched run(): general A and checked runs advance all R streams at once
+
+
+def _general_a_box_preset(seed=4, n=30, d=4, m=3):
+    """A stochastic problem with a general A (m x d) and a tight box X, so
+    the projected-gradient x-update meets active bounds."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((n, d))
+    spec = ProblemSpec(
+        theta1=LeastSquares(design, design @ np.full(d, 2.0)),
+        theta2=L1Norm(0.1),
+        A=rng.standard_normal((m, d)), B=-np.eye(m), b=rng.standard_normal(m),
+        X=Box(np.full(d, -0.3), np.full(d, 0.3)), Y=WholeSpace(m),
+        constants=StructuralConstants(M=10.0),
+    )
+    return Preset("general-box", spec, {}, seed, "finite-sum")
+
+
+def _assert_batched_matches_one_stream_runs(preset, solver, R=3):
+    assert not _kernel_eligible(preset, solver)
+    grid = np.arange(1, solver.t_max + 1)
+    batched = run_replications(preset, solver, R, grid, theta_star=0.0)
+    assert len(batched) == R
+    for stream, traj in enumerate(batched):
+        one = run(preset.spec, solver, oracle=preset.make_oracle(stream),
+                  theta_star=0.0, record_at=grid)
+        assert traj.error is None and one.error is None
+        _assert_agrees(traj, one)
+    return batched
+
+
+def test_batched_run_matches_one_stream_runs_on_general_a():
+    preset = build_preset("fused-lasso-graph", seed=2, n=30, d=4)
+    solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
+    _assert_batched_matches_one_stream_runs(preset, solver)
+
+
+def test_batched_run_matches_one_stream_runs_on_the_ball_boundary(monkeypatch):
+    # a tight ball and long steps: at some steps some rows of the batch lie
+    # outside the ball and others inside
+    from stocadmm import prox
+    preset = build_preset("fused-lasso-graph", seed=2, n=30, d=4)
+    preset = dataclasses.replace(preset, spec=dataclasses.replace(
+        preset.spec, X=Ball(preset.spec.d1, 0.3)))
+    solver = SolverConfig(variant="stochastic", schedule="constant", eta0=1.0,
+                          t_max=300)
+    rows, real = [], prox._secular_newton
+
+    def spy(q, w, radius):
+        rows.append(len(q))
+        return real(q, w, radius)
+
+    monkeypatch.setattr(prox, "_secular_newton", spy)
+    _assert_batched_matches_one_stream_runs(preset, solver)
+    assert {2, 3} <= set(rows)  # batched calls on part of the rows and on all
+
+
+def test_batched_run_matches_one_stream_runs_on_general_a_box(monkeypatch):
+    from stocadmm import solvers
+    preset = _general_a_box_preset()
+    solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200)
+    # the inner projected-gradient iterations of every x-update, per stream
+    iters, real = [], solvers.min_quadratic_over_set
+
+    def counted(H0, eig, shift, rhs, X, x_init=None):
+        calls = [0]
+
+        class Counting(Box):
+            def project(self, z):
+                calls[0] += 1
+                return super().project(z)
+
+        x = real(H0, eig, shift, rhs, Counting(X.lo, X.hi), x_init)
+        if rhs.ndim == 1:
+            iters[-1].append(calls[0])
+        return x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", counted)
+    for stream in range(3):
+        iters.append([])
+        run(preset.spec, solver, oracle=preset.make_oracle(stream))
+    # the streams' rows converge after different inner iteration counts
+    counts = np.array(iters)
+    assert np.any(counts.min(axis=0) < counts.max(axis=0))
+    _assert_batched_matches_one_stream_runs(preset, solver)
+
+
+def test_checked_batched_run_logs_what_one_stream_runs_log(tmp_path, monkeypatch):
+    """A checked run with R = 2 takes one batched run(); its invariants.log,
+    invariant_worst and invariant_probes are those of two one-stream runs.
+    The x-update of step 20 is moved off its minimizer, so the log is not
+    empty."""
+    from stocadmm import solvers
+    real, calls = solvers.min_quadratic_over_set, [0]
+
+    def perturbed(H0, eig, shift, *args, **kwargs):
+        x = real(H0, eig, shift, *args, **kwargs)
+        calls[0] += shift > 0  # a stochastic step, not the reference solve
+        return x + 3.0 if calls[0] == 20 and shift > 0 else x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=2, out_dir=str(tmp_path),
+                           solver=SolverConfig(t_max=40, check_invariants=True))
+    report, code = run_experiment(cfg)
+    assert code == 1 and not report["kernel_path"]
+
+    preset = build_preset("lasso-split", seed=0, n=30, d=4)
+    lines, worst, probes = [], {}, {}
+    for r in range(2):
+        calls[0] = 0
+        traj = run(preset.spec, cfg.solver, oracle=preset.make_oracle(r))
+        lines += [f"rep={r} k={k} {name} residual={res:.6e}"
+                  for k, name, res in traj.invariant_log]
+        for name, value in traj.invariant_worst.items():
+            worst[name] = max(worst.get(name, -np.inf), value)
+        for name, n in traj.invariant_probes.items():
+            probes[name] = probes.get(name, 0) + n
+    assert lines and {line.split()[1] for line in lines} == {"k=20"}
+    assert (tmp_path / "invariants.log").read_text() == "\n".join(lines) + "\n"
+    assert report["invariant_worst"] == worst
+    assert report["invariant_probes"] == probes

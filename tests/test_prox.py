@@ -168,6 +168,34 @@ def test_whole_space_solve_follows_the_shift():
     assert np.allclose(b, rhs / 4.0)
 
 
+def test_ball_solve_of_rows_matches_one_row_solves():
+    # rows inside the ball, on its boundary after the Newton solve, and one
+    # far outside, in one (R, d) call
+    rng = np.random.default_rng(10)
+    M = rng.standard_normal((5, 5))
+    eig = _eig(M @ M.T / 5)
+    ball = Ball(5, 1.0)
+    rhs = rng.standard_normal((6, 5)) * np.array([[0.05], [4.0], [0.1], [9.0], [1e3], [0.2]])
+    x = min_quadratic_over_set(*eig, 0.7, rhs, ball)
+    assert x.shape == rhs.shape
+    inside = np.linalg.norm(x, axis=1) < 1.0 - 1e-9
+    assert inside.any() and not inside.all()
+    for r in range(len(rhs)):
+        assert np.max(np.abs(x[r] - min_quadratic_over_set(*eig, 0.7, rhs[r], ball))) <= 1e-12
+
+
+def test_box_solve_of_rows_keeps_each_rows_converged_iterate():
+    # rows whose projected-gradient loops converge after different counts
+    rng = np.random.default_rng(11)
+    H0 = np.array([[3.0, 0.5, 0.0], [0.5, 2.0, 0.1], [0.0, 0.1, 1.0]])
+    box = Box(-np.ones(3) * 0.5, np.ones(3) * 0.5)
+    rhs = rng.standard_normal((4, 3)) * np.array([[0.1], [2.0], [5.0], [0.5]])
+    x = min_quadratic_over_set(*_eig(H0), 0.3, rhs, box)
+    for r in range(len(rhs)):
+        one = min_quadratic_over_set(*_eig(H0), 0.3, rhs[r], box)
+        assert np.max(np.abs(x[r] - one)) <= 1e-12
+
+
 def test_x_subproblem_validates_inputs():
     spec = scalar_split_spec()
     state = IterateState.zeros(spec)
