@@ -116,7 +116,8 @@ class StackedW:
     lam: np.ndarray
 
     def __getitem__(self, r) -> "StackedW":
-        """Row r of each part, for parts with a leading replication axis."""
+        """Each part indexed by r over its leading axes: row r of parts with
+        a leading replication axis, or any index that keeps the last axis."""
         return StackedW(self.x[r], self.y[r], self.lam[r])
 
     def __sub__(self, other: "StackedW") -> "StackedW":
@@ -129,14 +130,12 @@ class StackedW:
 
 
 def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:
-    """F(w) = (-A'lam, -B'lam, A x + B y - b)."""
-    if w.x.shape != (spec.d1,) or w.y.shape != (spec.d2,) or w.lam.shape != (spec.m,):
+    """F(w) = (-A'lam, -B'lam, A x + B y - b), row by row for parts with
+    leading axes."""
+    if (w.x.shape[-1:] != (spec.d1,) or w.y.shape[-1:] != (spec.d2,)
+            or w.lam.shape[-1:] != (spec.m,)):
         raise ValueError("stacked vector does not match problem dimensions")
-    return StackedW(
-        -spec.A.T @ w.lam,
-        -spec.B.T @ w.lam,
-        spec.A @ w.x + spec.B @ w.y - spec.b,
-    )
+    return StackedW(-w.lam @ spec.A, -w.lam @ spec.B, spec.residual(w.x, w.y))
 
 
 def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):

@@ -162,13 +162,15 @@ def three_points_check(x_star: np.ndarray, u: np.ndarray, probe_x: np.ndarray,
 
     Checks  <g(x*), x* - x>  <=  s [ D(x,u) - D(x,x*) - D(x*,u) ] + tol
     with D(a, b) = ||a - b||^2 / 2.  Returns (holds, signed residual), each
-    a (P,) array for (P, d) rows of probe_x.
+    a (P,) array for (P, d) rows of probe_x.  The arguments broadcast as
+    rows: (n, 1, d) iterates and subgradients, an (n, 1) s and (n, P, d)
+    probes give (n, P) arrays.
     """
 
     def D(a, b):
         d = a - b
         return 0.5 * np.vecdot(d, d)
 
-    lhs = (x_star - probe_x) @ g_at_xstar
+    lhs = np.vecdot(x_star - probe_x, g_at_xstar)
     rhs = s * (D(probe_x, u) - D(probe_x, x_star) - D(x_star, u))
     return lhs <= rhs + tol, lhs - rhs

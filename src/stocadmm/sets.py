@@ -5,7 +5,7 @@ user-declared diameter, needed by the convex stepsize schedule), an
 origin-centered Euclidean ball, and an axis-aligned box.  All of them admit
 closed-form Euclidean projections, which keeps every subproblem solve exact.
 A projection also takes an (R, d) array and projects each row, and sample
-with size=P draws (P, d) rows.
+with size=P draws (P, d) rows, with size=(n, P) an (n, P, d) array.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 __all__ = ["WholeSpace", "Ball", "Box", "SetDescriptor"]
 
 
-def _shape(dim: int, size: int | None) -> tuple:
-    """Shape of one sampled point, or of size rows of them."""
-    return (dim,) if size is None else (size, dim)
+def _shape(dim: int, size: int | tuple | None) -> tuple:
+    """Shape of one sampled point, or of a size-shaped array of them."""
+    return (dim,) if size is None else (*np.atleast_1d(size), dim)
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,10 @@ class WholeSpace:
             raise ValueError("declared diameter must be positive and finite")
         return self.declared_diameter
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0,
-               size: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+               size: int | tuple | None = None) -> np.ndarray:
+        """Gaussian points times scale, which may be an array that
+        broadcasts against them, such as an (n, 1, 1) scale per row."""
         return scale * rng.standard_normal(_shape(self.dim, size))
 
 
@@ -73,8 +75,8 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0,
-               size: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+               size: int | tuple | None = None) -> np.ndarray:
         # uniform on the ball: gaussian direction, radius ~ U^{1/d}
         v = rng.standard_normal(_shape(self.dim, size))
         r = self.radius * rng.uniform(size=size) ** (1.0 / self.dim)
@@ -110,8 +112,8 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0,
-               size: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+               size: int | tuple | None = None) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, _shape(self.dim, size))
 
 

@@ -22,8 +22,11 @@ to R replications at once as (R, d) rows.
 run() is the solver loop of every run the batched kernel
 (kernels.admm_identity_split) does not take: one stream on its oracle's
 draws, or R replications on their stacked draws, advanced together by one
-step() per iteration and checked, when enabled, one replication at a time.  Both loops store the recorded averages
-and compute their metrics after the loop (RecordedRows).
+step() per iteration.  Both loops store the recorded averages and compute
+their metrics after the loop (RecordedRows).  A checked run stores each
+step's iterate, subgradient and stepsize too (CheckedSteps) and checks the
+invariants once every CHECK_CHUNK steps, for a whole chunk of steps and
+every replication still checked in one pass.
 """
 
 from __future__ import annotations
@@ -53,12 +56,17 @@ __all__ = [
 
 # invariant checks: their names, random probe points per check (three-points
 # and step-inequality, then y-optimality), tolerance of the signed residuals,
-# seed of the probe generator
+# seed of the probe generator, steps per check pass and most (step,
+# replication) rows one group of a pass evaluates at once.  Longer chunks
+# and larger groups cost fewer passes but more memory: a 64-step chunk
+# raised the peak memory of a checked run by 7%.
 INVARIANTS = ("dual-identity", "y-optimality", "three-points", "step-inequality")
 PROBE_COUNT = 5
 Y_PROBE_COUNT = 20
 CHECK_TOL = 1e-9
 PROBE_SEED = 2024
+CHECK_CHUNK = 16
+CHECK_ROWS = 64
 
 AVERAGINGS = ("eq2-shifted", "eq10-aligned")
 SCHEDULES = ("convex", "strongly-convex", "smooth", "constant")
@@ -395,7 +403,9 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
     pairing term.  Must be <= 0 up to roundoff, for every probe in W.
     probe_w holds one probe, or P probes as (P, d1), (P, d2) and (P, m)
     rows.  Returns (residual, scale), (P,) arrays for P probes, with scale
-    the sum of term magnitudes.
+    the sum of term magnitudes.  The arguments broadcast as rows: (n, 1, d)
+    iterates and subgradients, an (n, 1) eta and (n, P, d) probes give
+    (n, P) arrays.
     """
     def sq(v):
         return np.vecdot(v, v)
@@ -406,7 +416,7 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
     t1 = eta * sq(g) / 2.0
     t2 = (sq(prev.x - px) - sq(curr.x - px)) / (2.0 * eta)
     t3 = beta * (sq(spec.residual(px, prev.y)) - sq(spec.residual(px, curr.y))) / 2.0
-    t4 = (px - prev.x) @ delta
+    t4 = np.vecdot(px - prev.x, delta)
     t5 = (sq(probe_w.lam - prev.lam) - sq(probe_w.lam - curr.lam)) / (2.0 * beta)
     rhs = t1 + t2 + t3 + t4 + t5
     scale = 1.0 + abs(lhs) + abs(t1) + abs(t2) + abs(t3) + abs(t4) + abs(t5)
@@ -419,15 +429,19 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generat
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
     -B'lam_{k+1}> <= 0 for every y' in Y.  The probes y' are drawn as one
-    (probes, d2) array.  Returns (max residual, scale).
+    (probes, d2) array, at the scale 1 + ||y_{k+1}||.  For n rows of curr,
+    as (n, d) parts, they are drawn as one (n, probes, d2) array, each row
+    at its own scale.  Returns (max residual, scale), (n,) arrays for n rows.
     """
-    grad_term = -spec.B.T @ curr.lam
+    grad_term = -curr.lam @ spec.B
     th2 = spec.theta2.value(curr.y)
-    scale = 1.0 + abs(th2) + float(np.linalg.norm(grad_term))
+    scale = 1.0 + abs(th2) + np.linalg.norm(grad_term, axis=-1)
+    y_scale = 1.0 + np.linalg.norm(curr.y, axis=-1)[..., None, None]
     y_probe = spec.Y.project(spec.Y.sample(
-        rng, scale=1.0 + np.linalg.norm(curr.y), size=probes))
-    res = th2 - spec.theta2.value(y_probe) + (curr.y - y_probe) @ grad_term
-    return float(np.max(res, initial=-np.inf)), scale
+        rng, scale=y_scale, size=(*curr.y.shape[:-1], probes)))
+    res = (th2[..., None] - spec.theta2.value(y_probe)
+           + np.vecdot(curr.y[..., None, :] - y_probe, grad_term[..., None, :]))
+    return np.max(res, axis=-1, initial=-np.inf), scale
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
@@ -461,18 +475,11 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         raise ValueError("a batched stochastic run needs its stacked draws")
     R = 1 if one_stream else len(state.x)
     rows = RecordedRows(state, cfg.t_max, record_at)
-    # per replication: the index of its rows (all of a one-stream state),
-    # its record and its probe generator, each seeded alike; checked lists
-    # the replications whose iterate is still finite
-    at = [...] if one_stream else range(R)
-    records = [InvariantRecord() for _ in range(R)] if cfg.check_invariants else None
-    rngs = [np.random.default_rng(PROBE_SEED) for _ in records or ()]
-    checked = list(range(R)) if records else []
+    checks = CheckedSteps(state, spec, cfg) if cfg.check_invariants else None
     error = None
 
     for k in range(cfg.t_max):
         t0 = time.perf_counter()
-        prev = state.as_w() if checked else None
         eta = cfg.eta(k + 1, spec) if stochastic else math.nan
         g = None
         try:
@@ -483,22 +490,78 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
             error = f"iteration {k}: {exc}"
             break
         ended = rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R)
-
-        if checked:
-            curr = state.as_w()
-            for r in checked:
-                _run_checks(prev[at[r]], curr[at[r]], state.k, spec, cfg,
-                            None if g is None else g[at[r]], eta, rngs[r], records[r])
-            # a replication's checks end with its first non-finite step
-            finite = (np.isfinite(curr.x).all(axis=-1) & np.isfinite(curr.y).all(axis=-1)
-                      & np.isfinite(curr.lam).all(axis=-1))
-            checked = [r for r in checked if finite[at[r]]]
+        if checks is not None:
+            checks.store(state, g, eta)
         if ended:
             break
+    if checks is not None:  # the steps of the last chunk
+        checks.flush()
 
     finals = [state] if one_stream else [state.replication(r) for r in range(R)]
-    out = rows.trajectories(spec, cfg.rho, theta_star, finals, error, records)
+    out = rows.trajectories(spec, cfg.rho, theta_star, finals, error,
+                            None if checks is None else checks.records)
     return out[0] if one_stream else out
+
+
+class CheckedSteps:
+    """The steps of one checked loop that await their invariant checks: the
+    iterate after each step, in (CHECK_CHUNK + 1, R, d) buffers allocated
+    before the loop whose slot 0 holds the iterate before the chunk's first
+    step, and each step's sampled subgradient (stochastic runs only) and
+    stepsize.  A one-stream state counts as R = 1.  Every CHECK_CHUNK steps,
+    and at flush() when the loop ends, one _run_checks call checks the
+    stored steps of every replication still checked, with replication r's
+    record and probe generator records[r] and rngs[r]; a replication's
+    checks end after its first non-finite step."""
+
+    def __init__(self, state: IterateState, spec: ProblemSpec, cfg: SolverConfig):
+        R = 1 if state.x.ndim == 1 else len(state.x)
+        lead = (CHECK_CHUNK + 1, R)
+        self.spec, self.cfg = spec, cfg
+        self.w = StackedW(np.empty(lead + (spec.d1,)), np.empty(lead + (spec.d2,)),
+                          np.empty(lead + (spec.m,)))
+        self.g = (np.empty((CHECK_CHUNK, R, spec.d1))
+                  if cfg.variant == "stochastic" else None)
+        self.eta = np.empty(CHECK_CHUNK)
+        self.records = [InvariantRecord() for _ in range(R)]
+        self.rngs = [np.random.default_rng(PROBE_SEED) for _ in range(R)]
+        self.checked = list(range(R))
+        self.k0 = state.k  # the k of slot 0
+        self.n = 0         # steps stored
+        self._put(0, state)
+
+    def _put(self, slot: int, state: IterateState):
+        w = self.w
+        w.x[slot], w.y[slot], w.lam[slot] = state.x, state.y, state.lam
+
+    def store(self, state: IterateState, g: np.ndarray | None, eta: float):
+        """Store step state.k, and check the chunk once it is full."""
+        self.n += 1
+        self._put(self.n, state)
+        if self.g is not None:
+            self.g[self.n - 1] = g
+        self.eta[self.n - 1] = eta
+        if self.n == CHECK_CHUNK:
+            self.flush()
+
+    def flush(self):
+        """Check the stored steps and start the next chunk after them."""
+        n, w = self.n, self.w
+        if not n:
+            return
+        after = w[1:n + 1]
+        finite = (np.isfinite(after.x).all(axis=-1) & np.isfinite(after.y).all(axis=-1)
+                  & np.isfinite(after.lam).all(axis=-1))
+        # per replication checked, its steps to check: up to its first
+        # non-finite one, which is checked too
+        all_finite = finite.all(axis=0)
+        last = np.where(all_finite, n, np.argmin(finite, axis=0) + 1)
+        _run_checks(self, {r: int(last[r]) for r in self.checked})
+        self.checked = [r for r in self.checked if all_finite[r]]
+        for part in (w.x, w.y, w.lam):
+            part[0] = part[n]
+        self.k0 += n
+        self.n = 0
 
 
 class InvariantRecord:
@@ -511,58 +574,98 @@ class InvariantRecord:
         self.worst = dict.fromkeys(INVARIANTS, -math.inf)
         self.probes = dict.fromkeys(INVARIANTS, 0)
 
-    def note(self, k: int, name: str, res, worst, violated, probes: int | None = None):
-        """One check at step k: its residuals res, the values that enter the
-        worst residual and the violation flags, one per probe (or scalars);
-        probes counts the points behind a single reduced residual."""
-        res, worst, violated = np.atleast_1d(res, worst, violated)
-        self.probes[name] += len(res) if probes is None else probes
+    def note(self, k: np.ndarray, name: str, res, worst, violated,
+             probes: int | None = None):
+        """One check at the steps k, one per row: its residuals res, the
+        values that enter the worst residual and the violation flags, each
+        (rows,) or (rows, P) with a column per probe; probes counts the
+        points behind each row's single reduced residual."""
+        res, worst, violated = (np.reshape(a, (len(k), -1))
+                                for a in (res, worst, violated))
+        self.probes[name] += res.size if probes is None else len(k) * probes
         # np.maximum, unlike max, keeps a NaN residual
         self.worst[name] = float(np.maximum(self.worst[name], worst.max()))
-        self.log.extend((k, name, float(r)) for r in res[violated])
+        self.log.extend((int(k[i]), name, float(res[i, j]))
+                        for i, j in zip(*np.nonzero(violated)))
 
     def fields(self) -> dict:
         ran = [name for name in INVARIANTS if self.probes[name]]
-        return {"invariant_log": self.log,
+        # the checks note a chunk one invariant at a time; the log is in
+        # (k, INVARIANTS order, probe) order
+        order = {name: i for i, name in enumerate(INVARIANTS)}
+        return {"invariant_log": sorted(self.log, key=lambda e: (e[0], order[e[1]])),
                 "max_invariant_residual": float(np.max([0.0, *self.worst.values()])),
                 "invariant_worst": {name: self.worst[name] for name in ran},
                 "invariant_probes": dict(self.probes)}
 
 
-def _run_checks(prev_w: StackedW, curr: StackedW, k: int, spec, cfg, g, eta, rng,
-                checks: InvariantRecord):
-    """All enabled per-iteration invariants at step k of one replication,
-    from its iterates before (prev_w) and after (curr) the step, each check
-    over its probes as one batch.  g is the sampled subgradient of a
-    stochastic step, else None."""
-    beta = cfg.beta
+def _run_checks(chunk: CheckedSteps, steps: dict):
+    """All enabled per-iteration invariants at the stored steps of one
+    chunk, for each replication r of steps at its first steps[r] steps.  r
+    draws its probes from chunk.rngs[r], one array per probe kind for all
+    its steps, and its results go to chunk.records[r].  The replications
+    are evaluated in groups of at most CHECK_ROWS (step, replication) rows,
+    each check over all rows and probes of a group at once."""
+    spec, beta, w, g, records = chunk.spec, chunk.cfg.beta, chunk.w, chunk.g, chunk.records
+    reps = list(steps)
+    per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
+    for first in range(0, len(reps), per_group):
+        group = reps[first:first + per_group]
+        # the group's rows, replication-major: rep_rows[i] are group[i]'s,
+        # row (j, r) is step k0 + 1 + j of replication r
+        counts = [steps[rep] for rep in group]
+        r = np.repeat(group, counts)
+        j = np.concatenate([np.arange(c) for c in counts])
+        rep_rows = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
+        k = chunk.k0 + 1 + j
+        prev, curr = w[j, r], w[j + 1, r]
 
-    # dual-update identity: exact by construction
-    dual_res = float(np.linalg.norm(
-        curr.lam - prev_w.lam + beta * spec.residual(curr.x, curr.y)))
-    # each flag is "not res <= tol", so that a NaN residual is a violation
-    checks.note(k, "dual-identity", dual_res, dual_res,
-                not dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam)))
+        def note(name, res, worst, violated, probes=None):
+            for rep, sl in zip(group, rep_rows):
+                records[rep].note(k[sl], name, res[sl], worst[sl], violated[sl],
+                                  probes)
 
-    yres, yscale = check_y_optimality(curr, spec, rng, probes=Y_PROBE_COUNT)
-    checks.note(k, "y-optimality", yres, yres / yscale, not yres <= CHECK_TOL * yscale,
-                probes=Y_PROBE_COUNT)
+        # dual-update identity: exact by construction
+        dual_res = np.linalg.norm(
+            curr.lam - prev.lam + beta * spec.residual(curr.x, curr.y), axis=-1)
+        # each flag is "not res <= tol", so that a NaN residual is a violation
+        note("dual-identity", dual_res, dual_res,
+             ~(dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1))))
 
-    if g is not None:
+        # y-optimality, and the probes of the x-checks, one replication at a
+        # time from its own generator
+        probe_x, probe_w = [], []
+        for rep, sl in zip(group, rep_rows):
+            rng = chunk.rngs[rep]
+            yres, yscale = check_y_optimality(curr[sl], spec, rng, probes=Y_PROBE_COUNT)
+            records[rep].note(k[sl], "y-optimality", yres, yres / yscale,
+                              ~(yres <= CHECK_TOL * yscale), probes=Y_PROBE_COUNT)
+            if g is not None:
+                size = (sl.stop - sl.start, PROBE_COUNT)
+                lam_scale = 1.0 + np.linalg.norm(curr.lam[sl], axis=-1)
+                probe_x.append(spec.X.sample(rng, size=size))
+                probe_w.append((spec.X.sample(rng, size=size),
+                                spec.Y.sample(rng, size=size),
+                                lam_scale[:, None, None]
+                                * rng.standard_normal((*size, spec.m))))
+        if g is None:
+            continue
+
+        # the rows as (rows, 1, d) parts, against (rows, P, d) probes
+        gr, e = g[j, r], chunk.eta[j][:, None]
+        prev_c, curr_c = prev[:, None], curr[:, None]
         # 3-points relation at the realized x-update
-        v = spec.b + prev_w.lam / beta - spec.B @ prev_w.y
-        g_l = g + beta * (spec.A.T @ (spec.A @ curr.x - v))
-        xp = spec.X.project(spec.X.sample(rng, size=PROBE_COUNT))
-        ok, res = three_points_check(curr.x, prev_w.x, xp, g_l, 1.0 / eta,
-                                     tol=CHECK_TOL)
-        checks.note(k, "three-points", res, res, ~ok)
+        v = spec.b + prev.lam / beta - prev.y @ spec.B.T
+        g_l = gr + beta * ((curr.x @ spec.A.T - v) @ spec.A)
+        ok, res = three_points_check(curr_c.x, prev_c.x,
+                                     spec.X.project(np.concatenate(probe_x)),
+                                     g_l[:, None], 1.0 / e, tol=CHECK_TOL)
+        note("three-points", res, res, ~ok)
         # per-iteration variational bound at random probes; delta is the
         # deviation of g from the exact subgradient at the previous iterate
-        delta = g - spec.theta1.subgrad(prev_w.x)
-        lam_scale = 1.0 + float(np.linalg.norm(curr.lam))
-        probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=PROBE_COUNT)),
-                           spec.Y.project(spec.Y.sample(rng, size=PROBE_COUNT)),
-                           lam_scale * rng.standard_normal((PROBE_COUNT, spec.m)))
-        res, scale = step_inequality_check(prev_w, curr, probe_w, g, delta,
-                                           eta, spec, beta)
-        checks.note(k, "step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))
+        delta = gr - spec.theta1.subgrad(prev.x)
+        px, py, plam = (np.concatenate(part) for part in zip(*probe_w))
+        probes = StackedW(spec.X.project(px), spec.Y.project(py), plam)
+        res, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
+                                           delta[:, None], e, spec, beta)
+        note("step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))

@@ -17,7 +17,7 @@ from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import SolverConfig, run
+from stocadmm.solvers import CHECK_CHUNK, CHECK_ROWS, SolverConfig, run
 
 
 def _assert_agrees(kern, general):
@@ -321,3 +321,29 @@ def test_checked_batched_run_logs_what_one_stream_runs_log(tmp_path, monkeypatch
     assert (tmp_path / "invariants.log").read_text() == "\n".join(lines) + "\n"
     assert report["invariant_worst"] == worst
     assert report["invariant_probes"] == probes
+
+
+def test_checked_run_with_more_replications_than_one_check_group(monkeypatch):
+    """With more replications than one group of the check pass holds, each
+    replication's log, worst residuals and probe counts are those of its
+    one-stream run.  The x-update of step 20 is moved off its minimizer in
+    every replication, so the logs are not empty."""
+    from stocadmm import solvers
+    real, calls = solvers.min_quadratic_over_set, [0]
+
+    def perturbed(*args, **kwargs):
+        x = real(*args, **kwargs)
+        calls[0] += 1
+        return x + 3.0 if calls[0] == 20 else x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
+    R = CHECK_ROWS // CHECK_CHUNK + 2
+    preset = build_preset("lasso-split", seed=0, n=30, d=4)
+    solver = SolverConfig(t_max=40, check_invariants=True)
+    batched = run_replications(preset, solver, R, np.arange(1, 41), None)
+    for r in range(R):
+        calls[0] = 0
+        one = run(preset.spec, solver, oracle=preset.make_oracle(r))
+        assert batched[r].invariant_log and batched[r].invariant_log == one.invariant_log
+        assert batched[r].invariant_worst == one.invariant_worst
+        assert batched[r].invariant_probes == one.invariant_probes

@@ -5,7 +5,7 @@ import pytest
 
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW,
                               StructuralConstants, err_rho, eval_F)
-from stocadmm.sets import Ball, WholeSpace
+from stocadmm.sets import Ball, Box, WholeSpace
 
 from conftest import scalar_split_spec, ridge_split_spec
 
@@ -23,6 +23,23 @@ def test_eval_f_dim_mismatch():
     spec = scalar_split_spec()
     with pytest.raises(ValueError):
         eval_F(StackedW(np.zeros(2), np.zeros(1), np.zeros(1)), spec)
+    # with a leading axis only the trailing dimensions count
+    with pytest.raises(ValueError):
+        eval_F(StackedW(np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((3, 1))), spec)
+
+
+def test_eval_f_on_rows_agrees_with_one_point_calls():
+    spec = ridge_split_spec()
+    rng = np.random.default_rng(2)
+    w = StackedW(rng.standard_normal((5, spec.d1)), rng.standard_normal((5, spec.d2)),
+                 rng.standard_normal((5, spec.m)))
+    F = eval_F(w, spec)
+    for i in range(5):
+        one = eval_F(w[i], spec)
+        for got, want in ((F[i].x, one.x), (F[i].y, one.y), (F[i].lam, one.lam)):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # (n, 1, d) rows, as the chunked invariant checks pass them
+    assert eval_F(w[:, None], spec).lam.shape == (5, 1, spec.m)
 
 
 def test_operator_difference_is_orthogonal_to_iterate_difference():
@@ -135,3 +152,26 @@ def test_whole_space_diameter_needs_declaration():
     with pytest.raises(ValueError, match="no declared diameter"):
         ws.diameter
     assert WholeSpace(2, declared_diameter=3.0).diameter == 3.0
+
+
+@pytest.mark.parametrize("space", [WholeSpace(3), Ball(3, 1.5),
+                                   Box(-np.ones(3), np.array([1.0, 2.0, 3.0]))])
+def test_sample_with_a_shape_gives_a_point_per_entry(space):
+    rng = np.random.default_rng(6)
+    pts = space.sample(rng, size=(4, 7))
+    assert pts.shape == (4, 7, 3)
+    assert space.sample(rng, size=7).shape == (7, 3)
+    assert space.sample(rng).shape == (3,)
+    if isinstance(space, Ball):
+        assert np.all(np.linalg.norm(pts, axis=-1) <= space.radius * (1 + 1e-12))
+    if isinstance(space, Box):
+        assert np.all((pts >= space.lo) & (pts <= space.hi))
+
+
+def test_whole_space_sample_scales_each_row():
+    space, scale = WholeSpace(3), np.array([1.0, 10.0, 0.0]).reshape(3, 1, 1)
+    got = space.sample(np.random.default_rng(8), scale=scale, size=(3, 5))
+    # the same draws at unit scale, then each row times its own scale
+    unit = space.sample(np.random.default_rng(8), size=(3, 5))
+    assert np.array_equal(got, scale * unit)
+    assert np.array_equal(got[2], np.zeros((5, 3)))

@@ -6,13 +6,15 @@ import pytest
 
 from stocadmm import solvers
 from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
+from stocadmm.harness import run_replications
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                               err_rho, eval_F)
 from stocadmm.prox import three_points_check
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import (METRIC_CHUNK, PROBE_COUNT, SolverConfig, SolverError,
-                              check_y_optimality, run, step, step_inequality_check)
+from stocadmm.solvers import (CHECK_CHUNK, INVARIANTS, METRIC_CHUNK, PROBE_COUNT,
+                              SolverConfig, SolverError, check_y_optimality, run, step,
+                              step_inequality_check)
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -492,24 +494,76 @@ def _checked_run(spec, oracle, t_max=40):
     return run(spec, cfg, oracle=oracle)
 
 
-def test_checks_flag_a_perturbed_x_update(lasso_preset, monkeypatch):
-    """An x-update moved off its minimizer by twice the diameter of X breaks
-    the 3-points relation and the step inequality at that step."""
-    spec = lasso_preset.spec
+def _perturb_x_update_at(monkeypatch, spec, steps):
+    """Move the x-update of the given steps off its minimizer by twice the
+    diameter of X."""
     shift = 2.0 * spec.diameter_x * np.ones(spec.d1) / np.sqrt(spec.d1)
     real, calls = solvers.min_quadratic_over_set, [0]
 
     def perturbed(*args, **kwargs):
         calls[0] += 1
         x = real(*args, **kwargs)
-        return x + shift if calls[0] == 20 else x
+        return x + shift if calls[0] in steps else x
 
     monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
-    traj = _checked_run(spec, lasso_preset.make_oracle(0))
+
+
+def test_checks_flag_a_perturbed_x_update(lasso_preset, monkeypatch):
+    """An x-update moved off its minimizer breaks the 3-points relation and
+    the step inequality at that step."""
+    _perturb_x_update_at(monkeypatch, lasso_preset.spec, (20,))
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0))
     assert traj.error is None
     at_20 = [name for k, name, _ in traj.invariant_log if k == 20]
     assert at_20.count("three-points") == PROBE_COUNT
     assert "step-inequality" in at_20
+
+
+def test_violations_at_two_steps_of_one_chunk_are_logged_in_step_order(
+        lasso_preset, monkeypatch):
+    """The check pass evaluates a chunk one invariant at a time; the log is
+    still in (k, INVARIANTS order, probe) order."""
+    steps = (CHECK_CHUNK + 2, CHECK_CHUNK + 4)
+    _perturb_x_update_at(monkeypatch, lasso_preset.spec, steps)
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0))
+    keys = [(k, INVARIANTS.index(name)) for k, name, _ in traj.invariant_log]
+    assert keys == sorted(keys)
+    assert {k for k, _ in keys} == set(steps)
+    for k in steps:
+        names = [name for step_k, name, _ in traj.invariant_log if step_k == k]
+        assert names.count("three-points") == PROBE_COUNT and "step-inequality" in names
+
+
+def test_checks_cover_a_last_chunk_shorter_than_check_chunk(lasso_preset, monkeypatch):
+    t_max = 2 * CHECK_CHUNK + 3
+    _perturb_x_update_at(monkeypatch, lasso_preset.spec, (t_max,))
+    traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0), t_max=t_max)
+    assert {k for k, _, _ in traj.invariant_log} == {t_max}
+    assert traj.invariant_probes == {"dual-identity": t_max, "y-optimality": 20 * t_max,
+                                     "three-points": PROBE_COUNT * t_max,
+                                     "step-inequality": PROBE_COUNT * t_max}
+
+
+def test_an_exception_mid_chunk_keeps_the_checks_of_every_completed_step(
+        lasso_preset, monkeypatch):
+    real, calls = solvers.step, [0]
+
+    def failing_step(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 30:
+            raise RuntimeError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "step", failing_step)
+    solver = SolverConfig(t_max=50, check_invariants=True)
+    trajs = run_replications(lasso_preset, solver, 2, np.arange(1, 51), None)
+    for traj in trajs:
+        assert traj.error == "iteration 29: injected failure"
+        # steps 1..29 completed, the last 29 - CHECK_CHUNK of them in an
+        # unfinished chunk
+        assert traj.invariant_probes == {"dual-identity": 29, "y-optimality": 20 * 29,
+                                         "three-points": PROBE_COUNT * 29,
+                                         "step-inequality": PROBE_COUNT * 29}
 
 
 # numpy may warn on NaN arithmetic; what is under test is the error it ends in
