@@ -10,8 +10,8 @@ Two families of handles:
 
 Values, subgradients, component subgradients and proximal operators also
 take a leading axis: an (R, d) x (with (R,) component indices) gives the R
-values or the (R, d) rows of the R one-point calls.  That is how the batched
-kernel advances R replications, and how a run evaluates the metrics of all
+values or the (R, d) rows of the R one-point calls.  That is how the solver
+loop advances R replications, and how a run evaluates the metrics of all
 its recorded averages, with the same formulas.
 
 All proximal operators here are coordinate-separable, so restriction to a box

@@ -4,7 +4,7 @@ A run produces, inside the output directory:
 
 * ``traj_rep###.csv``      one row per recorded iteration and replication,
   with the fixed column order k, eta, obj_gap_eq2, feas_eq2, err_rho_eq2,
-  obj_gap_eq10, feas_eq10, err_rho_eq10, step_ms;
+  obj_gap_eq10, feas_eq10, err_rho_eq10; a rerun writes the same bytes;
 * ``aggregate.csv``        mean / stderr of the error measure per grid point,
   over the completed replications; written only with a certified optimum,
   which every error column needs;
@@ -262,14 +262,14 @@ def _stack_draws(preset: Preset, R: int, t: int) -> SampleBuffer:
 
 def run_replications(preset: Preset, solver: SolverConfig, R: int,
                      t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
-    """Replications on streams 0..R-1, each from zero on its own presampled
-    draws.  A stochastic run advances all of them together: one batched
-    kernel call when the kernel applies, otherwise one batched run() call.
-    The other variants draw nothing and run once per replication."""
+    """Replications on streams 0..R-1 from one solver loop.  A stochastic
+    run advances all of them together on their presampled draws, with the
+    identity-split update (kernels.admm_identity_split) when it applies and
+    step() otherwise.  The other variants draw nothing, so all R are one
+    one-stream run, whose trajectory is returned R times."""
     spec = preset.spec
     if solver.variant != "stochastic":
-        return [run(spec, solver, theta_star=theta_star, record_at=t_grid)
-                for _ in range(R)]
+        return [run(spec, solver, theta_star=theta_star, record_at=t_grid)] * R
     draws = _stack_draws(preset, R, solver.t_max)
     state = IterateState.zeros(spec, R)
     if _kernel_eligible(preset, solver):

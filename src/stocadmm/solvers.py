@@ -19,24 +19,23 @@ StepPlan holds everything about the x-update and the y-update that is fixed
 for a run, computed and checked once; step() applies it, to one iterate or
 to R replications at once as (R, d) rows.
 
-run() is the solver loop of every run the batched kernel
-(kernels.admm_identity_split) does not take: one stream on its oracle's
-draws, or R replications on their stacked draws, advanced together by one
-step() per iteration.  Both loops store the recorded averages and compute
-their metrics after the loop (RecordedRows).  A checked run stores each
-step's iterate, subgradient and stepsize too (CheckedSteps) and checks the
-invariants once every CHECK_CHUNK steps, for a whole chunk of steps and
-every replication still checked in one pass.
+loop() is the solver loop of every run: it takes the update of a step and
+owns the rest, the stepsize, the draw, the capture of a step's error and the
+recorded rows, whose metrics it computes after the loop (RecordedRows).
+run() passes it step(), kernels.admm_identity_split the identity-split
+update.  A checked loop stores each step's iterate, subgradient and stepsize
+too (CheckedSteps) and checks the invariants once every CHECK_CHUNK steps,
+for a whole chunk of steps and every replication still checked in one pass.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .functions import ZeroFunction
 from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
 from .prox import min_quadratic_over_set, solve_y_update, three_points_check
@@ -47,6 +46,7 @@ __all__ = [
     "StepPlan",
     "Trajectory",
     "step",
+    "loop",
     "run",
     "step_inequality_check",
     "check_y_optimality",
@@ -157,6 +157,9 @@ def _y_prox_scale(spec: ProblemSpec) -> float:
             "y-update reduces to a prox only for B = s*I; use an inner solver "
             "for general B"
         )
+    if isinstance(spec.Y, Ball) and not isinstance(spec.theta2, ZeroFunction):
+        raise SolverError("y-update over a ball Y is exact only for theta2 = 0, "
+                          f"not {type(spec.theta2).__name__}")
     return s
 
 
@@ -289,7 +292,6 @@ class Trajectory:
     obj_gap_eq10: np.ndarray
     feas_eq10: np.ndarray
     err_rho_eq10: np.ndarray
-    step_ms: np.ndarray
     final_state: IterateState | None = None
     invariant_log: list = field(default_factory=list)
     max_invariant_residual: float = 0.0
@@ -300,7 +302,7 @@ class Trajectory:
     error: str | None = None
 
     COLUMNS = ("k", "eta", "obj_gap_eq2", "feas_eq2", "err_rho_eq2",
-               "obj_gap_eq10", "feas_eq10", "err_rho_eq10", "step_ms")
+               "obj_gap_eq10", "feas_eq10", "err_rho_eq10")
 
     def __len__(self):
         return len(self.k)
@@ -319,17 +321,17 @@ METRIC_CHUNK = 256
 
 
 class RecordedRows:
-    """The rows of one loop: the stepsize, the step's wall time and the three
-    averages after step k, for each k of record_at within 1..t_max (every k
-    by default), stored in one buffer allocated before the loop, each row
-    the averages (x shifted, x aligned, y) side by side: (N, 2*d1 + d2), or
-    (R, N, 2*d1 + d2) for a state with a leading replication axis.
+    """The rows of one loop: the stepsize and the three averages after step k,
+    for each k of record_at within 1..t_max (every k by default), stored in
+    one buffer allocated before the loop, each row the averages (x shifted,
+    x aligned, y) side by side: (N, 2*d1 + d2), or (R, N, 2*d1 + d2) for a
+    state with a leading replication axis.
     trajectories() computes the metrics of every row once, after the loop."""
 
     def __init__(self, state: IterateState, t_max: int, record_at=None):
         k = np.arange(1, t_max + 1)
         self.k = k if record_at is None else k[np.isin(k, record_at)]
-        self.eta, self.step_ms = np.empty(len(self.k)), np.empty(len(self.k))
+        self.eta = np.empty(len(self.k))
         d1, d2 = state.x.shape[-1], state.y.shape[-1]
         self.buf = np.empty(state.x.shape[:-1] + (len(self.k), 2 * d1 + d2))
         self.parts = (slice(0, d1), slice(d1, 2 * d1), slice(2 * d1, None))
@@ -337,14 +339,14 @@ class RecordedRows:
         self.latest = slice(d1, None)
         self.n = 0  # rows stored
 
-    def record(self, state: IterateState, eta: float, step_ms: float) -> bool:
+    def record(self, state: IterateState, eta: float) -> bool:
         """Store the row of step state.k if it is due.  Returns whether it
         was, and no replication's averages in it are finite: from then on
         every replication has ended (see trajectories)."""
         n = self.n
         if n == len(self.k) or self.k[n] != state.k:
             return False
-        self.eta[n], self.step_ms[n] = eta, step_ms
+        self.eta[n] = eta
         row = self.buf[..., n, :]
         shifted, aligned, y = self.parts
         state.write_averages(row[..., shifted], row[..., aligned], row[..., y])
@@ -387,7 +389,7 @@ class RecordedRows:
             if m < n or not np.isfinite(state.lam).all():
                 fields["error"] = (f"iteration {self.k[m] if m < n else state.k}: "
                                    f"non-finite iterate")
-            trajs.append(Trajectory(k=self.k[:m], eta=self.eta[:m], step_ms=self.step_ms[:m],
+            trajs.append(Trajectory(k=self.k[:m], eta=self.eta[:m],
                                     **{name: col[r, :m] for name, col in cols.items()},
                                     final_state=state, **fields))
         return trajs
@@ -447,21 +449,19 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generat
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         theta_star: float | None = None, record_at: np.ndarray | None = None,
         *, state: IterateState | None = None, draws: SampleBuffer | None = None):
-    """Execute t_max steps from zero and record the trajectory.
+    """Execute t_max step() calls from zero in loop() and record the trajectory.
 
-    Structural errors raise before any step; an error during the steps ends
-    the run and is returned in the partial trajectory.  record_at restricts
-    metric rows to the given iteration counts (1-based); by default every
-    iteration is recorded.  Objective gaps need theta_star; without it only
-    feasibility is populated.
+    Structural errors raise before any step; an error during the steps is
+    returned in the partial trajectory.  record_at restricts metric rows to
+    the given iteration counts (1-based); by default every iteration is
+    recorded.  Objective gaps need theta_star; without it only feasibility
+    is populated.
 
     One stream: a stochastic run presamples its draws from oracle (an oracle
     of spec.theta1), and the result is one Trajectory.  Batched: state holds
     R replications as (R, d) arrays, zero for a run from zero, and draws
     their R streams stacked (None for a variant that draws nothing); every
-    step advances all R rows at once, and the result is R trajectories.  An
-    error in a step then ends every replication at that iteration.  The loop
-    ends early at a recorded row where no replication is finite.
+    step advances all R rows at once, and the result is R trajectories.
     """
     plan = cfg.validate(spec)
     stochastic = cfg.variant == "stochastic"
@@ -473,23 +473,34 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
     elif stochastic and draws is None:
         raise ValueError("a batched stochastic run needs its stacked draws")
-    R = 1 if one_stream else len(state.x)
+    out = loop(spec, cfg, state, lambda state, g, eta: step(state, plan, g, eta),
+               draws, theta_star, record_at)
+    return out[0] if one_stream else out
+
+
+def loop(spec: ProblemSpec, cfg: SolverConfig, state: IterateState, update,
+         draws: SampleBuffer | None = None, theta_star: float | None = None,
+         record_at: np.ndarray | None = None) -> list[Trajectory]:
+    """Advance state, one stream or R replications as (R, d) arrays, by
+    cfg.t_max calls of update(state, g, eta), which advance it in place, and
+    return one trajectory per replication.  A stochastic cfg passes the
+    stepsize and the subgradient sampled from draws at state.x, the others
+    g = None and eta = NaN.  An exception in an update ends every
+    replication there, with the error in its trajectory; the loop also ends
+    at a recorded row where no replication is finite."""
+    stochastic = cfg.variant == "stochastic"
     rows = RecordedRows(state, cfg.t_max, record_at)
     checks = CheckedSteps(state, spec, cfg) if cfg.check_invariants else None
     error = None
-
     for k in range(cfg.t_max):
-        t0 = time.perf_counter()
         eta = cfg.eta(k + 1, spec) if stochastic else math.nan
-        g = None
         try:
-            if stochastic:
-                g = draws.subgradient(spec.theta1, state.x, k)
-            step(state, plan, g, eta)
+            g = draws.subgradient(spec.theta1, state.x, k) if stochastic else None
+            update(state, g, eta)
         except Exception as exc:  # return the partial trajectories with the error
             error = f"iteration {k}: {exc}"
             break
-        ended = rows.record(state, eta, (time.perf_counter() - t0) * 1e3 / R)
+        ended = rows.record(state, eta)
         if checks is not None:
             checks.store(state, g, eta)
         if ended:
@@ -497,10 +508,10 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
     if checks is not None:  # the steps of the last chunk
         checks.flush()
 
-    finals = [state] if one_stream else [state.replication(r) for r in range(R)]
-    out = rows.trajectories(spec, cfg.rho, theta_star, finals, error,
-                            None if checks is None else checks.records)
-    return out[0] if one_stream else out
+    finals = ([state] if state.x.ndim == 1
+              else [state.replication(r) for r in range(len(state.x))])
+    return rows.trajectories(spec, cfg.rho, theta_star, finals, error,
+                             None if checks is None else checks.records)
 
 
 class CheckedSteps:

@@ -1,5 +1,6 @@
 """Command-line front end and experiment harness file contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,10 +12,11 @@ import yaml
 
 from stocadmm.cli import main
 from stocadmm.harness import (ConfigError, ExperimentConfig, config_from_dict,
-                              default_t_grid, load_reference, run_experiment,
-                              save_reference, validate_config)
+                              default_t_grid, load_reference, plan_experiment,
+                              run_experiment, save_reference, validate_config)
 from stocadmm.metrics import ReferenceSolution, compute_reference
 from stocadmm.presets import build_preset
+from stocadmm.sets import Ball
 from stocadmm.solvers import SolverConfig
 
 
@@ -43,7 +45,7 @@ def test_smoke_run_writes_ten_rows(tmp_path):
     lines = (tmp_path / "out" / "traj_rep000.csv").read_text().splitlines()
     assert len(lines) == 11  # header + one row per iteration
     assert lines[0] == ("k,eta,obj_gap_eq2,feas_eq2,err_rho_eq2,"
-                        "obj_gap_eq10,feas_eq10,err_rho_eq10,step_ms")
+                        "obj_gap_eq10,feas_eq10,err_rho_eq10")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
     assert (tmp_path / "out" / "invariants.log").read_text() == ""
@@ -59,6 +61,51 @@ def test_run_twice_gives_byte_identical_aggregate(tmp_path):
     assert outs[0] == outs[1]
     header = outs[0].decode().splitlines()[0]
     assert header == "t,mean_err_eq2,stderr_err_eq2,mean_err_eq10,stderr_err_eq10"
+
+
+@pytest.mark.parametrize("preset", ["lasso-split", "fused-lasso-graph"])
+def test_rerun_gives_byte_identical_trajectory_csvs(tmp_path, preset):
+    # lasso-split takes the identity-split update, fused-lasso-graph step()
+    cfg = _write_config(tmp_path / "c.yaml", preset=preset, replications=2)
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        outs.append([(out / f"traj_rep{r:03d}.csv").read_bytes() for r in range(2)])
+    assert outs[0] == outs[1] and outs[0][0] != outs[0][1]
+
+
+def test_non_stochastic_replications_are_one_run(tmp_path, monkeypatch):
+    """A linearized run draws nothing, so its three replications are one
+    run() call.  Every traj_rep###.csv is that run's, and aggregate.csv has
+    the bytes that three separate run() calls give: a stderr of zero up to
+    the rounding of the mean of three equal values."""
+    from stocadmm import harness
+    real, calls = harness.run, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", spy)
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           replications=3, out_dir=str(tmp_path / "one"),
+                           solver=SolverConfig(variant="linearized", G=2.0, t_max=200))
+    _, code = run_experiment(cfg)
+    assert code == 0 and len(calls) == 1
+    out = tmp_path / "one"
+    assert len({(out / f"traj_rep{r:03d}.csv").read_bytes() for r in range(3)}) == 1
+    aggregate = (out / "aggregate.csv").read_bytes()
+    stats = np.loadtxt(out / "aggregate.csv", delimiter=",", skiprows=1)
+    assert np.all(stats[:, [2, 4]] <= 1e-15 * stats[:, [1, 3]])
+
+    def separate_runs(preset, solver, R, t_grid, theta_star):
+        return [real(preset.spec, solver, theta_star=theta_star, record_at=t_grid)
+                for _ in range(R)]
+
+    monkeypatch.setattr(harness, "run_replications", separate_runs)
+    run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "three")))
+    assert (tmp_path / "three" / "aggregate.csv").read_bytes() == aggregate
 
 
 def test_validate_accepts_minimal_config(tmp_path, capsys):
@@ -291,6 +338,24 @@ def test_config_validation_limits():
                           "solver": {"variant": "linearized", "G": 1e-6}})
 
 
+def test_plan_refuses_a_y_update_the_prox_cannot_solve(tmp_path, monkeypatch):
+    # an l1 theta2 over a ball Y has no closed-form prox
+    from stocadmm import harness
+    real = harness.build_preset
+
+    def ball_y(*args, **kwargs):
+        preset = real(*args, **kwargs)
+        spec = dataclasses.replace(preset.spec, Y=Ball(preset.spec.d2, 1.0))
+        return dataclasses.replace(preset, spec=spec)
+
+    monkeypatch.setattr(harness, "build_preset", ball_y)
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="solver: y-update over a ball Y is exact "
+                                          "only for theta2 = 0"):
+        plan_experiment(cfg)
+
+
 def test_cli_run_builds_and_validates_once(tmp_path, monkeypatch):
     from stocadmm import harness
     calls = {"build": 0, "validate": 0}
@@ -337,23 +402,26 @@ def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
 
 
 @pytest.mark.parametrize("replications", [1, 2])
-def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, replications):
-    """An exception in the 30th step ends the run at iteration 29.  One
-    batched run() advances every replication, so each of them fails there;
-    the aggregate of the completed replications is covered by
+@pytest.mark.parametrize("preset", ["fused-lasso-graph", "lasso-split"])
+def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, preset,
+                                                   replications):
+    """An exception in the 30th draw ends the run at iteration 29, with
+    step() (fused-lasso-graph) and with the identity-split update
+    (lasso-split).  One loop advances every replication, so each of them
+    fails there; the aggregate of the completed replications is covered by
     test_non_finite_iterate_fails_its_replication."""
-    from stocadmm import solvers
-    real, calls = solvers.step, [0]
+    from stocadmm.oracle import SampleBuffer
+    real, calls = SampleBuffer.subgradient, [0]
 
-    def failing_step(*args, **kwargs):
+    def failing_draw(*args, **kwargs):
         calls[0] += 1
         if calls[0] == 30:
             raise RuntimeError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "step", failing_step)
+    monkeypatch.setattr(SampleBuffer, "subgradient", failing_draw)
     out = tmp_path / "o"
-    cfg = ExperimentConfig(preset="fused-lasso-graph", preset_params={"n": 30, "d": 4},
+    cfg = ExperimentConfig(preset=preset, preset_params={"n": 30, "d": 4},
                            replications=replications, solver=SolverConfig(t_max=50),
                            out_dir=str(out))
     report, code = run_experiment(cfg)
