@@ -58,7 +58,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_reference(args) -> int:
     cfg = _load_config(args)
-    preset = plan_experiment(cfg)
+    preset, _ = plan_experiment(cfg)
     if not preset.supports_reference:
         print(f"preset {cfg.preset} has no certified reference path",
               file=sys.stderr)

@@ -8,7 +8,8 @@ A run produces, inside the output directory:
 * ``aggregate.csv``        mean / stderr of the error measure per grid point,
   over the completed replications; written only with a certified optimum,
   which every error column needs;
-* ``report.json``          rate fits, bound checks, tail checks, pass/fail;
+* ``report.json``          rate fits, bound checks, tail checks, pass/fail,
+  and the facts of the constraint the steps used (``step_plan``);
 * ``invariants.log``       one line per violated runtime invariant (empty on
   success);
 * ``reference.npz`` + ``reference.sha256``  cached certified optimum, keyed
@@ -39,7 +40,8 @@ from .oracle import SampleBuffer
 from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
                       build_preset)
 from .problem import IterateState
-from .solvers import AVERAGINGS, INVARIANTS, SCHEDULES, SolverConfig, Trajectory, run
+from .solvers import (AVERAGINGS, INVARIANTS, SCHEDULES, SolverConfig, StepPlan,
+                      Trajectory, run)
 
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
            "run_replications", "default_t_grid", "reference_key"]
@@ -194,16 +196,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def plan_experiment(cfg: ExperimentConfig) -> Preset:
+def plan_experiment(cfg: ExperimentConfig) -> tuple[Preset, StepPlan]:
     """Validate cfg, build its preset and check the solver against it; a run
-    does this once, before its reference solve."""
+    does this once, before its reference solve.  Returns the preset and the
+    solver's plan of its steps."""
     cfg.validate()
     try:
         preset = build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
     except ValueError as exc:
         raise ConfigError(f"preset_params: {exc}") from exc
     try:
-        cfg.solver.validate(preset.spec)
+        plan = cfg.solver.validate(preset.spec)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
     # every requested gate must be one the run can evaluate
@@ -218,7 +221,7 @@ def plan_experiment(cfg: ExperimentConfig) -> Preset:
                 require_tail_bound(cfg.solver, preset.make_oracle(0).bounded)
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    return preset
+    return preset, plan
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -362,7 +365,7 @@ def load_reference(out_dir: str, key: str | None = None) -> ReferenceSolution | 
 
 def run_experiment(cfg: ExperimentConfig):
     """Execute the configured experiment; returns (report dict, exit code)."""
-    preset = plan_experiment(cfg)
+    preset, plan = plan_experiment(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     reference = None
@@ -404,6 +407,7 @@ def run_experiment(cfg: ExperimentConfig):
         "schedule": cfg.solver.schedule,
         "averaging": averaging,
         "kernel_path": _kernel_eligible(preset, cfg.solver),
+        "step_plan": plan.facts(),
         "theta_star": theta_star,
         "invariant_violations": len(invariant_lines),
         "invariant_probes": {name: sum(t.invariant_probes.get(name, 0)

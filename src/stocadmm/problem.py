@@ -160,15 +160,18 @@ def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):
 
 
 class IterateState:
-    """Mutable per-run iterate (x_k, y_k, lam_k) with running averages.
+    """Mutable per-run iterate (x_k, y_k, lam_k) with the running sums of
+    its averages.
 
     Two averaging conventions are maintained simultaneously:
 
-    * shifted: x averaged over indices 0..k-1, y over 1..k;
-    * aligned: x averaged over 1..k (the y averages coincide).
+    * shifted: x averaged over indices 0..k-1 (sum_x_shifted), y over 1..k
+      (sum_y);
+    * aligned: x averaged over 1..k (sum_x_aligned; the y averages coincide).
 
-    The arrays may carry a leading replication axis, (R, d) for R
-    replications advanced together; replication(r) is one of them.
+    Each average is its sum divided by k.  The arrays may carry a leading
+    replication axis, (R, d) for R replications advanced together;
+    replication(r) is one of them.
     """
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray):
@@ -176,9 +179,9 @@ class IterateState:
         self.y = np.array(y0, dtype=float)
         self.lam = np.array(lam0, dtype=float)
         self.k = 0
-        self._sum_x_shifted = np.zeros_like(self.x)
-        self._sum_x_aligned = np.zeros_like(self.x)
-        self._sum_y = np.zeros_like(self.y)
+        self.sum_x_shifted = np.zeros_like(self.x)
+        self.sum_x_aligned = np.zeros_like(self.x)
+        self.sum_y = np.zeros_like(self.y)
 
     @classmethod
     def zeros(cls, spec: ProblemSpec, replications: int | None = None) -> "IterateState":
@@ -198,32 +201,23 @@ class IterateState:
 
     def advance(self, x_new: np.ndarray, y_new: np.ndarray, lam_new: np.ndarray):
         """Record one completed iteration k -> k+1."""
-        self._sum_x_shifted += self.x
+        self.sum_x_shifted += self.x
         self.x, self.y, self.lam = x_new, y_new, lam_new
-        self._sum_x_aligned += self.x
-        self._sum_y += self.y
+        self.sum_x_aligned += self.x
+        self.sum_y += self.y
         self.k += 1
-
-    def write_averages(self, x_shifted: np.ndarray, x_aligned: np.ndarray,
-                       y: np.ndarray):
-        """Write the three averages into the given arrays, without a
-        temporary; the values are those of the properties below."""
-        k = max(self.k, 1)
-        np.divide(self._sum_x_shifted, k, out=x_shifted)
-        np.divide(self._sum_x_aligned, k, out=x_aligned)
-        np.divide(self._sum_y, k, out=y)
 
     @property
     def avg_x_shifted(self) -> np.ndarray:
-        return self._sum_x_shifted / max(self.k, 1)
+        return self.sum_x_shifted / max(self.k, 1)
 
     @property
     def avg_x_aligned(self) -> np.ndarray:
-        return self._sum_x_aligned / max(self.k, 1)
+        return self.sum_x_aligned / max(self.k, 1)
 
     @property
     def avg_y(self) -> np.ndarray:
-        return self._sum_y / max(self.k, 1)
+        return self.sum_y / max(self.k, 1)
 
     def as_w(self) -> StackedW:
         return StackedW(self.x.copy(), self.y.copy(), self.lam.copy())

@@ -16,12 +16,16 @@ x-update:
   subgradient, with an l2 prox term scaled by the stepsize 1/eta_k.
 
 StepPlan holds everything about the x-update and the y-update that is fixed
-for a run, computed and checked once; step() applies it, to one iterate or
-to R replications at once as (R, d) rows.
+for a run, computed and checked once, with the exact facts of the
+constraint: B = s*I, and whether A = I and b = 0.  step() applies it, to one
+iterate or to R replications at once as (R, d) rows, and uses the facts to
+leave out the products with I and the sums with 0, which changes no value.
 
 loop() is the solver loop of every run: it takes the update of a step and
 owns the rest, the stepsize, the draw, the capture of a step's error and the
-recorded rows, whose metrics it computes after the loop (RecordedRows).
+recorded rows.  These store the running sums of the averages, which are
+divided by k and whose metrics are computed once, after the loop
+(RecordedRows).
 run() passes it step(), kernels.admm_identity_split the identity-split
 update.  A checked loop stores each step's iterate, subgradient and stepsize
 too (CheckedSteps) and checks the invariants once every CHECK_CHUNK steps,
@@ -150,12 +154,14 @@ def _quadratic_parts(spec: ProblemSpec, message: str):
 
 
 def _y_prox_scale(spec: ProblemSpec) -> float:
+    """The s of B = s*I, which must hold exactly: every step multiplies by s
+    in place of B, so an entry off s*I, however small, would be ignored."""
     B, d2 = spec.B, spec.d2
     s = float(B[0, 0]) if B.shape == (d2, d2) and d2 > 0 else 1.0
-    if B.shape != (d2, d2) or s == 0 or not np.allclose(B, s * np.eye(d2)):
+    if B.shape != (d2, d2) or s == 0 or not np.array_equal(B, s * np.eye(d2)):
         raise SolverError(
-            "y-update reduces to a prox only for B = s*I; use an inner solver "
-            "for general B"
+            "y-update reduces to a prox only for B = s*I exactly; use an inner "
+            "solver for general B"
         )
     if isinstance(spec.Y, Ball) and not isinstance(spec.theta2, ZeroFunction):
         raise SolverError("y-update over a ball Y is exact only for theta2 = 0, "
@@ -184,18 +190,27 @@ class StepPlan:
     x-update is the prox form argmin theta1(x) + (r/2)||x - rhs/r||^2 (c = 0),
     which needs whole-space X.  The y-update is the prox of theta2 with scale
     s, for B = s*I.
+
+    The plan also reads three exact facts of the constraint off the spec
+    once: B = s*I (required), A = I (A_identity) and b = 0 (b_zero).  For a
+    scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  step()
+    replaces each product these facts make trivial by the scalar operation
+    that gives the same values.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
         self.spec = spec
         self.beta = beta = cfg.beta
         self.s = _y_prox_scale(spec)
+        self.A_identity = (spec.A.shape == (spec.d1, spec.d1)
+                           and np.array_equal(spec.A, np.eye(spec.d1)))
+        self.b_zero = not np.any(spec.b)
         AtA = spec.A.T @ spec.A
         G = cfg.G if cfg.variant == "linearized" else None
         if G is not None and np.isscalar(G) and G == 0:
             G = None
         self.shift = 0.0             # None: 1/eta_k, set per step
-        self.G_rest = None           # G - shift*I, when not zero
+        self.G_rest = None           # G - shift*I, when not zero; a scalar for -beta*I
         self.prox = False
         self.c = 0.0
         H0 = None
@@ -211,7 +226,7 @@ class StepPlan:
                     f"not psd"
                 )
             self.shift = r
-            self.G_rest = -beta * AtA
+            self.G_rest = -beta if self.A_identity else -beta * AtA
             theta1 = spec.theta1
             if hasattr(theta1, "prox") and not hasattr(theta1, "quadratic_parts"):
                 if not isinstance(spec.X, WholeSpace):
@@ -246,6 +261,11 @@ class StepPlan:
             raise SolverError(f"x-update quadratic is singular over "
                               f"{type(spec.X).__name__} X")
 
+    def facts(self) -> dict:
+        """The facts of the constraint the steps use, for the run's report."""
+        return {"A_identity": self.A_identity, "b_zero": self.b_zero,
+                "B_scale": self.s}
+
 
 def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
          eta: float = math.nan) -> IterateState:
@@ -253,7 +273,11 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     dual ascent.  A stochastic plan takes the sampled subgradient g at
     state.x and the stepsize eta; the other variants take neither.  A state
     of R replications with (R, d) arrays (and g with R rows) advances every
-    replication by the same formulas, written for rows."""
+    replication by the same formulas, written for rows.
+
+    B y is s*y, A v is v for a plan with A = I, and b is left out for
+    b = 0: each gives the values of the matrix product or the sum it
+    replaces, and every other operation keeps its order."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = plan.shift
     if shift is None:
@@ -262,10 +286,15 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
         if not eta > 0:
             raise ValueError("eta must be positive")
         shift = 1.0 / eta
-    v = spec.b + state.lam / beta - state.y @ spec.B.T
-    rhs = beta * (v @ spec.A) - plan.c + shift * x
-    if plan.G_rest is not None:
-        rhs = rhs + x @ plan.G_rest.T
+    # v = b + lam/beta - B y_k
+    v = state.lam / beta
+    if not plan.b_zero:
+        v = spec.b + v
+    v = v - plan.s * state.y
+    rhs = beta * (v if plan.A_identity else v @ spec.A) - plan.c + shift * x
+    G = plan.G_rest
+    if G is not None:
+        rhs = rhs + (x @ G.T if isinstance(G, np.ndarray) else G * x)
     if g is not None:
         rhs = rhs - g
     if plan.prox:
@@ -273,10 +302,12 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     else:
         x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X,
                                         x_init=x)
-    Ax_next = x_next @ spec.A.T
+    Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
     y_next = solve_y_update(Ax_next, state.lam, spec, beta, plan.s)
-    state.advance(x_next, y_next,
-                  state.lam - beta * (Ax_next + y_next @ spec.B.T - spec.b))
+    residual = Ax_next + plan.s * y_next
+    if not plan.b_zero:
+        residual = residual - spec.b
+    state.advance(x_next, y_next, state.lam - beta * residual)
     return state
 
 
@@ -321,12 +352,13 @@ METRIC_CHUNK = 256
 
 
 class RecordedRows:
-    """The rows of one loop: the stepsize and the three averages after step k,
-    for each k of record_at within 1..t_max (every k by default), stored in
-    one buffer allocated before the loop, each row the averages (x shifted,
-    x aligned, y) side by side: (N, 2*d1 + d2), or (R, N, 2*d1 + d2) for a
-    state with a leading replication axis.
-    trajectories() computes the metrics of every row once, after the loop."""
+    """The rows of one loop: the stepsize and the three running sums after
+    step k, for each k of record_at within 1..t_max (every k by default),
+    stored in one buffer allocated before the loop, each row the sums (x
+    shifted, x aligned, y) side by side: (N, 2*d1 + d2), or (R, N, 2*d1 + d2)
+    for a state with a leading replication axis.
+    trajectories() divides every row by its k, which gives the averages, and
+    computes their metrics once, after the loop."""
 
     def __init__(self, state: IterateState, t_max: int, record_at=None):
         k = np.arange(1, t_max + 1)
@@ -335,23 +367,27 @@ class RecordedRows:
         d1, d2 = state.x.shape[-1], state.y.shape[-1]
         self.buf = np.empty(state.x.shape[:-1] + (len(self.k), 2 * d1 + d2))
         self.parts = (slice(0, d1), slice(d1, 2 * d1), slice(2 * d1, None))
-        # the aligned x and y averages, which take in x_k and y_k at row k
+        # the aligned x and y sums, which take in x_k and y_k at row k
         self.latest = slice(d1, None)
         self.n = 0  # rows stored
 
     def record(self, state: IterateState, eta: float) -> bool:
         """Store the row of step state.k if it is due.  Returns whether it
-        was, and no replication's averages in it are finite: from then on
-        every replication has ended (see trajectories)."""
+        was, and no replication's sums in it are finite: from then on every
+        replication has ended (see trajectories).  A sum is finite exactly
+        when its average is."""
         n = self.n
         if n == len(self.k) or self.k[n] != state.k:
             return False
         self.eta[n] = eta
         row = self.buf[..., n, :]
         shifted, aligned, y = self.parts
-        state.write_averages(row[..., shifted], row[..., aligned], row[..., y])
+        row[..., shifted] = state.sum_x_shifted
+        row[..., aligned] = state.sum_x_aligned
+        row[..., y] = state.sum_y
         self.n += 1
-        # a finite sum means every entry is finite, which is the common case
+        # a finite sum of the entries means every entry is finite, which is
+        # the common case
         latest = row[..., self.latest]
         if math.isfinite(np.add.reduce(latest, axis=None)):
             return False
@@ -363,13 +399,17 @@ class RecordedRows:
         """One trajectory per replication from the rows stored so far, with
         final_states[r] the final state of replication r, error that of the
         loop and records[r] the InvariantRecord of replication r, if checked.
-        Without theta_star the gaps and errors are NaN.  A non-finite
-        iterate ends its replication with "iteration k: non-finite iterate",
-        at the first row k whose averages are not finite, whose rows before
-        it are kept, or else at the final state's k."""
+        Called once, at the end of the loop: it turns the stored sums into
+        averages in place.  Without theta_star the gaps and errors are NaN.
+        A non-finite iterate ends its replication with "iteration k:
+        non-finite iterate", at the first row k whose averages are not
+        finite, whose rows before it are kept, or else at the final state's
+        k."""
         n, R = self.n, len(final_states)
         star = math.nan if theta_star is None else theta_star
-        rows = self.buf[..., :n, :].reshape(R * n, self.buf.shape[-1])
+        stored = self.buf[..., :n, :]
+        stored /= self.k[:n, None]
+        rows = stored.reshape(R * n, self.buf.shape[-1])
         x_shifted, x_aligned, y = (rows[:, part] for part in self.parts)
         finite = np.isfinite(rows[:, self.latest]).all(axis=1).reshape(R, n)
         cols = {}

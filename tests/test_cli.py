@@ -73,6 +73,10 @@ def test_rerun_gives_byte_identical_trajectory_csvs(tmp_path, preset):
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         outs.append([(out / f"traj_rep{r:03d}.csv").read_bytes() for r in range(2)])
     assert outs[0] == outs[1] and outs[0][0] != outs[0][1]
+    # the report names the facts of the constraint the plan read
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    assert report["step_plan"] == {"A_identity": preset == "lasso-split",
+                                   "b_zero": True, "B_scale": -1.0}
 
 
 def test_non_stochastic_replications_are_one_run(tmp_path, monkeypatch):
@@ -338,22 +342,30 @@ def test_config_validation_limits():
                           "solver": {"variant": "linearized", "G": 1e-6}})
 
 
+def _b_off_identity(spec):
+    B = spec.B.copy()
+    B[0, 1] = 5e-9
+    return dataclasses.replace(spec, B=B)
+
+
 def test_plan_refuses_a_y_update_the_prox_cannot_solve(tmp_path, monkeypatch):
-    # an l1 theta2 over a ball Y has no closed-form prox
     from stocadmm import harness
     real = harness.build_preset
-
-    def ball_y(*args, **kwargs):
-        preset = real(*args, **kwargs)
-        spec = dataclasses.replace(preset.spec, Y=Ball(preset.spec.d2, 1.0))
-        return dataclasses.replace(preset, spec=spec)
-
-    monkeypatch.setattr(harness, "build_preset", ball_y)
     cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
                            out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="solver: y-update over a ball Y is exact "
-                                          "only for theta2 = 0"):
-        plan_experiment(cfg)
+    for change, message in (
+            # an l1 theta2 over a ball Y has no closed-form prox
+            (lambda spec: dataclasses.replace(spec, Y=Ball(spec.d2, 1.0)),
+             "y-update over a ball Y is exact only for theta2 = 0"),
+            # B within rounding of -I is not -I: the steps would ignore B[0, 1]
+            (_b_off_identity, r"y-update reduces to a prox only for B = s\*I exactly")):
+        def changed(*args, change=change, **kwargs):
+            preset = real(*args, **kwargs)
+            return dataclasses.replace(preset, spec=change(preset.spec))
+
+        monkeypatch.setattr(harness, "build_preset", changed)
+        with pytest.raises(ConfigError, match="solver: " + message):
+            plan_experiment(cfg)
 
 
 def test_cli_run_builds_and_validates_once(tmp_path, monkeypatch):

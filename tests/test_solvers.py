@@ -1,6 +1,8 @@
 """The step plan and the solver loop: hand-checked steps, variant
 equivalences, structural checks, invariant probes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from stocadmm.harness import run_replications
 from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                               err_rho, eval_F)
-from stocadmm.prox import three_points_check
+from stocadmm.presets import build_preset
+from stocadmm.prox import min_quadratic_over_set, solve_y_update, three_points_check
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import (CHECK_CHUNK, INVARIANTS, METRIC_CHUNK, PROBE_COUNT,
                               SolverConfig, SolverError, check_y_optimality, run, step,
@@ -362,7 +365,7 @@ def test_validate_rejects_structural_mismatches():
 
 
 def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
-    calls = {"eigvalsh": 0, "quadratic_parts": 0, "allclose": 0}
+    calls = {"eigvalsh": 0, "quadratic_parts": 0, "array_equal": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -373,20 +376,82 @@ def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(LeastSquares, "quadratic_parts",
                         counted("quadratic_parts", LeastSquares.quadratic_parts))
-    monkeypatch.setattr(np, "allclose", counted("allclose", np.allclose))
+    monkeypatch.setattr(np, "array_equal", counted("array_equal", np.array_equal))
     spec = lasso_preset.spec
     traj = run(spec, SolverConfig(variant="linearized", G=2.0, t_max=50),
                theta_star=0.0)
     assert traj.error is None and len(traj) == 50
     assert calls["eigvalsh"] <= 1
     assert calls["quadratic_parts"] <= 1
-    allclose_at_plan = calls["allclose"]
-    assert allclose_at_plan <= 1
+    # the plan's two exact tests, B = s*I and A = I
+    at_plan = calls["array_equal"]
+    assert at_plan <= 2
     traj = run(spec, SolverConfig(variant="stochastic", t_max=50),
                oracle=lasso_preset.make_oracle(0), theta_star=0.0)
     assert traj.error is None and len(traj) == 50
-    # only the plan checks B = s*I, never the loop
-    assert calls["allclose"] - allclose_at_plan <= 1
+    # only the plan tests them, never the loop
+    assert calls["array_equal"] - at_plan <= 2
+
+
+def _reference_step(state, plan, cfg, g=None, eta=np.nan):
+    """step() written with the full products of A, B and G and the sums
+    with b, as the formulas of the problem state them."""
+    spec, beta, x = plan.spec, cfg.beta, state.x
+    A, B, b = spec.A, spec.B, spec.b
+    shift = 1.0 / eta if plan.shift is None else plan.shift
+    v = b + state.lam / beta - state.y @ B.T
+    rhs = beta * (v @ A) - plan.c + shift * x
+    if cfg.variant == "linearized":
+        rhs = rhs + x @ (-beta * (A.T @ A)).T
+    if g is not None:
+        rhs = rhs - g
+    x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
+    Ax_next = x_next @ A.T
+    y_next = solve_y_update(Ax_next, state.lam, spec, beta, B[0, 0])
+    state.advance(x_next, y_next, state.lam - beta * (Ax_next + y_next @ B.T - b))
+
+
+def _step_specs():
+    lasso = small_lasso_preset().spec
+    fused = build_preset("fused-lasso-graph", seed=2, n=30, d=4).spec
+    shifted = dataclasses.replace(
+        lasso, B=2.0 * np.eye(lasso.d2),
+        b=np.random.default_rng(5).standard_normal(lasso.m))
+    return {"lasso-split": (lasso, (True, True, -1.0)),
+            "fused-lasso-graph": (fused, (False, True, -1.0)),
+            "b-and-B-2I": (shifted, (True, False, 2.0))}
+
+
+@pytest.mark.parametrize("variant", ["deterministic", "linearized", "stochastic"])
+@pytest.mark.parametrize("name", ["lasso-split", "fused-lasso-graph", "b-and-B-2I"])
+def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
+    """The plan's exact facts let step() drop products with I and sums with
+    0; after 50 steps the iterates equal those of the full products."""
+    spec, (A_identity, b_zero, B_scale) = _step_specs()[name]
+    G = None
+    if variant == "linearized":  # a scalar G: r I - beta A'A, psd for r >= ||A'A||
+        G = 1.1 * float(np.linalg.eigvalsh(spec.A.T @ spec.A)[-1])
+    cfg = SolverConfig(variant=variant, G=G)
+    plan = cfg.validate(spec)
+    assert plan.facts() == {"A_identity": A_identity, "b_zero": b_zero,
+                            "B_scale": B_scale}
+    R = 3 if variant == "stochastic" else None
+    fast, ref = IterateState.zeros(spec, R), IterateState.zeros(spec, R)
+    noise = np.random.default_rng(0).standard_normal((50, R or 1, spec.d1))
+    for k in range(50):
+        g = eta = None
+        if variant == "stochastic":
+            eta = cfg.eta(k + 1, spec)
+            g = spec.theta1.subgrad(fast.x) + noise[k]
+            assert np.array_equal(g, spec.theta1.subgrad(ref.x) + noise[k])
+            step(fast, plan, g, eta)
+            _reference_step(ref, plan, cfg, g, eta)
+        else:
+            step(fast, plan)
+            _reference_step(ref, plan, cfg)
+    for part in ("x", "y", "lam"):
+        assert np.array_equal(getattr(fast, part), getattr(ref, part)), part
+    assert np.all(np.isfinite(fast.lam)) and fast.k == 50
 
 
 def test_matrix_g_must_be_psd():
