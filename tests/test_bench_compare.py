@@ -20,9 +20,18 @@ def test_summary_counts_wins_per_pair_and_applies_the_gain_rule():
     assert (out["parent"]["q1"], out["parent"]["q3"]) == pytest.approx((1.075, 1.225))
     assert out["change"]["median"] == pytest.approx(1.05)
     assert not out["gain"] and out["within_bound"]
-    # every pair won, by more than the parent's interquartile range 0.15
+    # every pair won, by more than the parent's interquartile range 0.15, but
+    # four pairs are too few for a gain
     out = bench_compare.summarize(parent, [0.8, 0.9, 1.0, 1.1], "lower", 0.05)
-    assert out["change_wins"] == 4 and out["gain"]
-    # for a higher-is-better metric, the same numbers are a loss past the bound
+    assert out["change_wins"] == 4 and not out["gain"]
+    # ten pairs won by more than the parent's IQR 0.175 are a gain; so are 9 of 10
+    parent10 = parent * 2 + parent[:2]
+    change10 = [a - 0.3 for a in parent10]
+    out = bench_compare.summarize(parent10, change10, "lower", 0.05)
+    assert out["pairs"] == bench_compare.PAIRS == 10
+    assert out["change_wins"] == 10 and out["gain"]
+    out = bench_compare.summarize(parent10, change10[:-1] + [2.0], "lower", 0.05)
+    assert out["change_wins"] == 9 and out["gain"]
+    # for a higher-is-better metric, the four-pair numbers above are a loss past the bound
     out = bench_compare.summarize(parent, [0.8, 0.9, 1.0, 1.1], "higher", 0.05)
     assert out["change_wins"] == 0 and not out["gain"] and not out["within_bound"]

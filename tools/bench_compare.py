@@ -1,20 +1,21 @@
 """Paired benchmark of a change against its parent, written to BENCH_<n>.json.
 
-    python3 tools/bench_compare.py --parent ../parent --out BENCH_<n>.json \
-        --pairs 10 --seed 7 --seconds 6
+    python3 tools/bench_compare.py --parent ../parent --out BENCH_<n>.json --seed 7
 
 Runs ``perfbench/run.py --trace 0`` of the parent checkout and of this one,
-each in its own directory and with the same ``--seed`` and ``--seconds``, on
-every workload of this checkout's ``BENCHMARK.json``.  One pair is one run of
-each side on one workload; the side that runs first alternates from pair to
-pair.  For each workload and end-to-end metric the output gives each side's
+each in its own directory, with the same ``--seed`` and with the run length
+``run_seconds`` of this checkout's ``BENCHMARK.json``, on every workload that
+file lists.  One pair is one run of each side on one workload; the side that
+runs first alternates from pair to pair, and every workload gets ``PAIRS``
+pairs.  For each workload and end-to-end metric the output gives each side's
 runs, median and quartiles (inclusive method), the number of pairs and the
-change's wins, a tie counting for neither side.  ``gain`` holds when the
-change wins at least nine tenths of the pairs and the medians differ by more
-than the parent's interquartile range; ``within_bound`` when the change's
-median is no worse than the parent's by more than the metric's bound.  The
-``manifest`` lines that each side's runs print (Python, numpy, CPU, source
-hash) are kept, one list per side, without repeats.
+change's wins, a tie counting for neither side.  ``gain`` holds when there are
+at least ``PAIRS`` pairs, the change wins at least nine tenths of them and the
+medians differ by more than the parent's interquartile range;
+``within_bound`` when the change's median is no worse than the parent's by
+more than the metric's bound.  The ``manifest`` lines that each side's runs
+print (Python, numpy, CPU, source hash) are kept, one list per side, without
+repeats.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
@@ -57,7 +59,7 @@ def summarize(parent: list, change: list, better: str, bound: float) -> dict:
     wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change, strict=True))
     worse_by = sign * (p["median"] - c["median"])
     return {"parent": p, "change": c, "pairs": len(parent), "change_wins": wins,
-            "gain": (wins >= 0.9 * len(parent)
+            "gain": (len(parent) >= PAIRS and wins >= 0.9 * len(parent)
                      and -worse_by > p["q3"] - p["q1"]),
             "within_bound": worse_by <= bound * abs(p["median"])}
 
@@ -67,27 +69,24 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, type=Path,
                         help="checkout of the parent commit")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=6.0)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {w["name"]: {s: [] for s in SIDES} for w in spec["workloads"]}
     manifests = {s: [] for s in SIDES}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for workload, sides in runs.items():
             for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                manifest, metrics = bench(checkouts[s], workload, args.seed, args.seconds)
+                manifest, metrics = bench(checkouts[s], workload, args.seed, seconds)
                 if manifest not in manifests[s]:
                     manifests[s].append(manifest)
                 sides[s].append(metrics)
                 print(f"pair {i} {workload} {s}: {json.dumps(metrics)}", flush=True)
     out = {
         "command": ["python3", "perfbench/run.py", "--seed", str(args.seed),
-                    "--seconds", str(args.seconds), "--trace", "0"],
+                    "--seconds", str(seconds), "--trace", "0"],
         "manifest": manifests,
         "workloads": {
             workload: {m["name"]: {"unit": m["unit"], "better": m["better"],
