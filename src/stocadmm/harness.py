@@ -286,22 +286,44 @@ def run_replications(preset: Preset, solver: SolverConfig, R: int,
 # file export
 
 
-def _write_csv(path: str, header, columns):
-    # tolist() gives Python ints and floats, whose repr round-trips
+# rows the CSV writer formats and writes at once
+CSV_BLOCK = 512
+
+
+def _write_csv(path: str, header, columns, kept: dict | None = None):
+    """Write the header and the rows of the equal-length columns, CSV_BLOCK
+    rows at a time, each column of a block formatted at once.  kept maps
+    id(col) to the text of col's blocks, one joined string per block: a
+    column listed there reuses its text if it has it and stores it if not,
+    so that a column that two files share is formatted once."""
+    columns = [(np.asarray(col), None if kept is None else kept.get(id(col)))
+               for col in columns]
+    n = len(columns[0][0])
+    if any(len(col) != n for col, _ in columns):
+        raise ValueError("CSV columns differ in length")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*(np.asarray(col).tolist() for col in columns), strict=True):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for block, i in enumerate(range(0, n, CSV_BLOCK)):
+            texts = []
+            for col, text in columns:
+                if text is not None and block < len(text):
+                    texts.append(text[block].split("\n"))
+                    continue
+                # tolist() gives Python ints and floats, whose repr round-trips
+                texts.append(list(map(repr, col[i:i + CSV_BLOCK].tolist())))
+                if text is not None:
+                    text.append("\n".join(texts[-1]))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def write_trajectory_csv(path: str, traj: Trajectory):
+def write_trajectory_csv(path: str, traj: Trajectory, kept: dict | None = None):
     _write_csv(path, Trajectory.COLUMNS,
-               [getattr(traj, col) for col in Trajectory.COLUMNS])
+               [getattr(traj, col) for col in Trajectory.COLUMNS], kept)
 
 
-def write_aggregate_csv(path: str, t_grid, stats: dict):
+def write_aggregate_csv(path: str, t_grid, stats: dict, kept: dict | None = None):
     cols = ["mean_err_eq2", "stderr_err_eq2", "mean_err_eq10", "stderr_err_eq10"]
-    _write_csv(path, ["t", *cols], [t_grid, *(stats[c] for c in cols)])
+    _write_csv(path, ["t", *cols], [t_grid, *(stats[c] for c in cols)], kept)
 
 
 def _sha256(path: str) -> str:
@@ -383,12 +405,34 @@ def run_experiment(cfg: ExperimentConfig):
     trajectories = run_replications(preset, cfg.solver, cfg.replications,
                                     t_grid, theta_star)
 
-    for r, traj in enumerate(trajectories):
-        write_trajectory_csv(os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv"), traj)
-
     failed_runs = [f"rep={r} {t.error}" for r, t in enumerate(trajectories) if t.error]
     # a replication that ended with an error lacks rows of t_grid
     completed = [t for t in trajectories if not t.error]
+    averaging = cfg.solver.default_averaging()
+    # the error columns need theta*, so without it there is no aggregate
+    stats = mean = stderr = None
+    if completed and theta_star is not None:
+        stats = {}
+        for tag, convention in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
+            if len(completed) >= 2:
+                curve, spread = estimate_expectation(completed, t_grid, convention)
+            else:  # one replication: its own curve, no spread
+                curve = completed[0].err_curve(convention)
+                spread = np.zeros_like(curve)
+            stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"] = curve, spread
+            if convention == averaging:
+                mean, stderr = curve, spread
+
+    # the text of the aggregate's columns that are also a trajectory's, such
+    # as the error curves of one replication, is formatted once
+    in_trajs = {id(getattr(t, name)) for t in trajectories for name in Trajectory.COLUMNS}
+    kept = {id(col): [] for col in (stats or {}).values() if id(col) in in_trajs}
+    for r, traj in enumerate(trajectories):
+        write_trajectory_csv(os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv"), traj,
+                             kept)
+    if stats is not None:
+        write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats,
+                            kept)
     invariant_lines = [f"rep={r} k={k} {name} residual={res:.6e}"
                        for r, traj in enumerate(trajectories)
                        for k, name, res in traj.invariant_log]
@@ -397,7 +441,6 @@ def run_experiment(cfg: ExperimentConfig):
     # np.max, unlike max, keeps a NaN residual
     worst = {name: [t.invariant_worst[name] for t in trajectories
                     if name in t.invariant_worst] for name in INVARIANTS}
-    averaging = cfg.solver.default_averaging()
 
     report = {
         "preset": cfg.preset,
@@ -418,21 +461,6 @@ def run_experiment(cfg: ExperimentConfig):
         "failed_runs": failed_runs,
         "checks": {},
     }
-
-    # the error columns need theta*, so without it there is no aggregate
-    mean = stderr = None
-    if completed and theta_star is not None:
-        stats = {}
-        for tag, convention in (("eq2", "eq2-shifted"), ("eq10", "eq10-aligned")):
-            if len(completed) >= 2:
-                curve, spread = estimate_expectation(completed, t_grid, convention)
-            else:  # one replication: its own curve, no spread
-                curve = completed[0].err_curve(convention)
-                spread = np.zeros_like(curve)
-            stats[f"mean_err_{tag}"], stats[f"stderr_err_{tag}"] = curve, spread
-            if convention == averaging:
-                mean, stderr = curve, spread
-        write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats)
 
     if mean is not None:
         d_yb = reference.d_y_star_b(preset.spec)
@@ -463,6 +491,7 @@ def run_experiment(cfg: ExperimentConfig):
           and all(tail["passed"] for tail in report.get("high_prob", ())))
     report["passed"] = ok
     with open(os.path.join(cfg.out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        # the bytes of json.dump, in far fewer writes
+        fh.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(report))
         fh.write("\n")
     return report, (0 if ok else 1)

@@ -143,9 +143,12 @@ def _long_admm(spec: ProblemSpec, beta: float, tol: float, budget: int) -> Refer
         # step() replaces the iterate arrays rather than writing into them
         x_prev, y_prev, lam_prev = state.x, state.y, state.lam
         step_deterministic(state, plan)
-        move = float(np.linalg.norm(state.x - x_prev) + np.linalg.norm(state.y - y_prev))
+        # sqrt(v @ v) is the 2-norm np.linalg.norm(v) takes of a 1-D v
+        dx, dy = state.x - x_prev, state.y - y_prev
+        move = math.sqrt(dx @ dx) + math.sqrt(dy @ dy)
         # the dual step was lam_prev - beta * residual(x, y)
-        feas = float(np.linalg.norm(lam_prev - state.lam)) / beta
+        dlam = lam_prev - state.lam
+        feas = math.sqrt(dlam @ dlam) / beta
         achieved = move + feas
         if achieved <= tol:
             return ReferenceSolution(state.x.copy(), state.y.copy(),

@@ -8,6 +8,7 @@ whether the batched kernel applies is read off it (kernels.identity_split).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,13 @@ def _fista_reduced_lasso(design, targets, lam_reg, mu, max_iters=3000):
     for _ in range(max_iters):
         grad = design.T @ (design @ z - targets) / n + mu * z
         x_new = soft_threshold(z - step * grad, step * lam_reg)
-        moved = np.linalg.norm(x_new - x)
-        s_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * s * s))
-        z = x_new + (s - 1.0) / s_new * (x_new - x)
+        # sqrt(v @ v) is the 2-norm np.linalg.norm(v) takes of a 1-D v
+        dx = x_new - x
+        moved = math.sqrt(dx @ dx)
+        s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s * s))
+        z = x_new + (s - 1.0) / s_new * dx
         x, s = x_new, s_new
-        if moved <= 1e-15 * max(np.linalg.norm(x), 1.0):
+        if moved <= 1e-15 * max(math.sqrt(x @ x), 1.0):
             break
     return x
 

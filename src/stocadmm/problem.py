@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import matmul_rows
 from .sets import SetDescriptor
 
 __all__ = [
@@ -106,7 +107,7 @@ class ProblemSpec:
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """A x + B y - b, row by row for (P, d) rows of x and y."""
-        return x @ self.A.T + y @ self.B.T - self.b
+        return matmul_rows(x, self.A.T) + matmul_rows(y, self.B.T) - self.b
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,9 @@ def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:
     if (w.x.shape[-1:] != (spec.d1,) or w.y.shape[-1:] != (spec.d2,)
             or w.lam.shape[-1:] != (spec.m,)):
         raise ValueError("stacked vector does not match problem dimensions")
-    return StackedW(-w.lam @ spec.A, -w.lam @ spec.B, spec.residual(w.x, w.y))
+    neg_lam = -w.lam
+    return StackedW(matmul_rows(neg_lam, spec.A), matmul_rows(neg_lam, spec.B),
+                    spec.residual(w.x, w.y))
 
 
 def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):

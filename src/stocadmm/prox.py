@@ -144,16 +144,17 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
     raise TypeError(f"unsupported set descriptor {type(X).__name__}")
 
 
-def solve_y_update(Ax_next: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-                   beta: float, s: float) -> np.ndarray:
-    """argmin_{y in Y} theta2(y) + (beta/2)||A x_{k+1} + B y - b - lam/beta||^2
-    for B = s*I, which makes the update an exact prox of theta2.  Takes the
-    product Ax_next = A x_{k+1}, which the caller reuses for the dual step,
-    and relies on the caller having checked B = s*I once for the run.
+def solve_y_update(v: np.ndarray, spec: ProblemSpec, beta: float,
+                   s: float) -> np.ndarray:
+    """argmin_{y in Y} theta2(y) + (beta/2)||s y + v||^2 for B = s*I, which
+    makes the update an exact prox of theta2.  Takes the point
+    v = A x_{k+1} - b - lam_k/beta, whose parts the caller has formed for
+    the x-update and the dual step, and relies on the caller having checked
+    B = s*I once for the run.
     """
-    v = Ax_next - spec.b - lam / beta
-    # beta/2 ||s y + v||^2 = (beta s^2/2) ||y + v/s||^2
-    return prox_theta2(-v / s, beta * s * s, spec.theta2, spec.Y)
+    # beta/2 ||s y + v||^2 = (beta s^2/2) ||y + v/s||^2; v / -s is -v / s,
+    # since negation is exact
+    return prox_theta2(v / -s, beta * s * s, spec.theta2, spec.Y)
 
 
 def three_points_check(x_star: np.ndarray, u: np.ndarray, probe_x: np.ndarray,

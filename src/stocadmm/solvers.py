@@ -277,7 +277,8 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
 
     B y is s*y, A v is v for a plan with A = I, and b is left out for
     b = 0: each gives the values of the matrix product or the sum it
-    replaces, and every other operation keeps its order."""
+    replaces, and every other operation keeps its order.  lam/beta is
+    formed once, for the x-update's v and the y-update's point."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = plan.shift
     if shift is None:
@@ -287,9 +288,8 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
             raise ValueError("eta must be positive")
         shift = 1.0 / eta
     # v = b + lam/beta - B y_k
-    v = state.lam / beta
-    if not plan.b_zero:
-        v = spec.b + v
+    lam_beta = state.lam / beta
+    v = lam_beta if plan.b_zero else spec.b + lam_beta
     v = v - plan.s * state.y
     rhs = beta * (v if plan.A_identity else v @ spec.A) - plan.c + shift * x
     G = plan.G_rest
@@ -303,7 +303,9 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
         x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X,
                                         x_init=x)
     Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
-    y_next = solve_y_update(Ax_next, state.lam, spec, beta, plan.s)
+    # the y-update's point A x_{k+1} - b - lam/beta
+    y_next = solve_y_update((Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta,
+                            spec, beta, plan.s)
     residual = Ax_next + plan.s * y_next
     if not plan.b_zero:
         residual = residual - spec.b
@@ -381,10 +383,8 @@ class RecordedRows:
             return False
         self.eta[n] = eta
         row = self.buf[..., n, :]
-        shifted, aligned, y = self.parts
-        row[..., shifted] = state.sum_x_shifted
-        row[..., aligned] = state.sum_x_aligned
-        row[..., y] = state.sum_y
+        np.concatenate((state.sum_x_shifted, state.sum_x_aligned, state.sum_y),
+                       axis=-1, out=row)
         self.n += 1
         # a finite sum of the entries means every entry is finite, which is
         # the common case

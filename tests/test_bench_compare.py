@@ -35,3 +35,34 @@ def test_summary_counts_wins_per_pair_and_applies_the_gain_rule():
     # for a higher-is-better metric, the four-pair numbers above are a loss past the bound
     out = bench_compare.summarize(parent, [0.8, 0.9, 1.0, 1.1], "higher", 0.05)
     assert out["change_wins"] == 0 and not out["gain"] and not out["within_bound"]
+
+
+def _fake_checkout(root, body):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body)
+    return root
+
+
+def test_failed_run_names_checkout_workload_exit_code_and_output(tmp_path):
+    checkout = _fake_checkout(tmp_path / "broken", (
+        "import sys\n"
+        "print('manifest {}')\n"
+        "print('  FAILED: final mean error eq2 nan')\n"
+        "print('traceback tail', file=sys.stderr)\n"
+        "sys.exit(1)\n"))
+    with pytest.raises(RuntimeError) as err:
+        bench_compare.bench(checkout, "checked", 7, 1.0)
+    msg = str(err.value)
+    assert str(checkout) in msg and "checked" in msg and "exit code 1" in msg
+    assert "FAILED: final mean error eq2 nan" in msg and "traceback tail" in msg
+
+
+def test_run_reporting_failed_replications_is_an_error(tmp_path):
+    checkout = _fake_checkout(tmp_path / "wrong", (
+        "import json\n"
+        "print('manifest {}')\n"
+        "print('  FAILED: gates failed')\n"
+        "print(json.dumps({'correct': False, 'attempted': 2, 'failed': 1, 'metrics': {}}))\n"))
+    with pytest.raises(RuntimeError, match="exit code 0") as err:
+        bench_compare.bench(checkout, "general-step", 7, 1.0)
+    assert "FAILED: gates failed" in str(err.value)

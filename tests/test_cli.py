@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from stocadmm import harness
 from stocadmm.cli import main
 from stocadmm.harness import (ConfigError, ExperimentConfig, config_from_dict,
                               default_t_grid, load_reference, plan_experiment,
@@ -61,6 +62,29 @@ def test_run_twice_gives_byte_identical_aggregate(tmp_path):
     assert outs[0] == outs[1]
     header = outs[0].decode().splitlines()[0]
     assert header == "t,mean_err_eq2,stderr_err_eq2,mean_err_eq10,stderr_err_eq10"
+
+
+def test_blocked_csv_writer_gives_the_row_by_row_text(tmp_path, monkeypatch):
+    """Rows written in blocks, and a column's text kept from one file and
+    reused in the next, give the text of one repr per value and row."""
+    monkeypatch.setattr(harness, "CSV_BLOCK", 7)
+    k = np.arange(1, 31)
+    a = np.random.default_rng(0).standard_normal(30)
+    a[3], a[11] = np.nan, -0.0
+    b = a[::-1] * 1e-300
+
+    def expected(*cols):
+        return "h\n" + "".join(",".join(map(repr, row)) + "\n"
+                               for row in zip(*(c.tolist() for c in cols)))
+
+    kept = {id(a): []}
+    harness._write_csv(str(tmp_path / "one.csv"), ["h"], [k, a], kept)
+    assert (tmp_path / "one.csv").read_text() == expected(k, a)
+    assert len(kept[id(a)]) == 5  # one string per block of 7 rows
+    harness._write_csv(str(tmp_path / "two.csv"), ["h"], [b, a, k], kept)
+    assert (tmp_path / "two.csv").read_text() == expected(b, a, k)
+    with pytest.raises(ValueError, match="differ in length"):
+        harness._write_csv(str(tmp_path / "bad.csv"), ["h"], [k, a[:-1]])
 
 
 @pytest.mark.parametrize("preset", ["lasso-split", "fused-lasso-graph"])

@@ -1,0 +1,75 @@
+"""Outputs pinned to recorded values: a change that only removes repeated
+work must leave every CSV byte and every setup result as it was.
+
+The digests and float.hex literals were recorded from the code before the
+y-update took its point from step(), the recorder filled a row with one
+concatenate and the CSV writer formatted blocks of rows; they hold as long
+as no output value or its formatting changes."""
+
+import hashlib
+
+import pytest
+
+from stocadmm.harness import ExperimentConfig, run_experiment
+from stocadmm.metrics import compute_reference
+from stocadmm.presets import build_preset
+from stocadmm.solvers import SolverConfig
+
+SMALL = {"n": 50, "d": 6}
+
+# config name -> (ExperimentConfig fields, sha256 of each CSV file it writes),
+# small runs shaped like the four benchmark workloads
+GOLDEN = {
+    "linearized-every-step": (
+        dict(preset="lasso-split", replications=1, t_grid=list(range(1, 301)),
+             solver=SolverConfig(variant="linearized", G=2.0, t_max=300)),
+        {"aggregate.csv": "3f27cf164770b923c4413aca926b36381dbb5b704e916a354edcd318d6dd0c85",
+         "traj_rep000.csv": "b3dc60a32da8a49d4af17314dfb046253461ef48db5dfc8f5f5d4e0e3f8a8b57"}),
+    "kernel-stochastic": (
+        dict(preset="lasso-split", replications=3, solver=SolverConfig(t_max=300)),
+        {"aggregate.csv": "d1c5fb4a7b37c6a5a86b861a46cb64eac1ca19137abe99cce27920b4321cd535",
+         "traj_rep000.csv": "8f0aa9045740afe203366efc1791c0404d86c13e274203451b02b3dbbe51418c",
+         "traj_rep001.csv": "80cbdd878d59ba51b71fd513d8da7870b6246718e146f20575779c01f4fd2b00",
+         "traj_rep002.csv": "d0a0660717f74d05370925af57e7b9587462f329557450a7e2665737560c4ce0"}),
+    "general-step": (
+        dict(preset="fused-lasso-graph", replications=2, solver=SolverConfig(t_max=300)),
+        {"aggregate.csv": "f020b2f153b174b135a949de343f7892140aa6eb478a9fd02183332e1b7f7b88",
+         "traj_rep000.csv": "e98a6417314af5a1d4954b9818d34d69f5848ce1b8dd820da8eb5849bef84a5a",
+         "traj_rep001.csv": "f9e959092f3dc24e91a4b3b95360b49dc3901d63efd3f6ac98c79ad883a18026"}),
+    "checked": (
+        dict(preset="lasso-split", replications=2,
+             solver=SolverConfig(t_max=100, check_invariants=True)),
+        {"aggregate.csv": "4ec6500e32f4572e1d0220bfc164e46b80d7ff1fb9777a4129e66e59222886c0",
+         "traj_rep000.csv": "d0b131cf6ed899a8610324fe61243b162b2a6fc7e28f932e522c3e7cf711f7ad",
+         "traj_rep001.csv": "66ca9c30ab925ccec370d682bb26f13745d731636351b693bbf4f72e66620112"}),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_csv_outputs_match_recorded_digests(tmp_path, name):
+    fields, digests = GOLDEN[name]
+    _, code = run_experiment(ExperimentConfig(preset_params=SMALL, out_dir=str(tmp_path),
+                                              **fields))
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    assert written == digests
+
+
+# (preset, seed) -> float.hex of the feasible ball's radius, sized by the
+# FISTA solve, and of the long-ADMM reference optimum theta*
+SETUP = {
+    ("lasso-split", 0): ("0x1.51c84dd068c59p+1", "0x1.ac9383fccec1ap-1"),
+    ("lasso-split", 1): ("0x1.a26c9f01f28ddp+1", "0x1.a8fc69dbf54e2p-1"),
+    ("lasso-split", 2): ("0x1.a2d6f86b9047ep+0", "0x1.52df1aefee9a3p-1"),
+    ("strongly-convex-lasso", 0): ("0x1.e547d3985b182p+0", "0x1.cc74c51756a21p-1"),
+    ("strongly-convex-lasso", 1): ("0x1.6a2fb7108311bp+1", "0x1.e428bce461ca0p-1"),
+    ("strongly-convex-lasso", 2): ("0x1.4db4fae00fb4cp+0", "0x1.607e7a4924930p-1"),
+}
+
+
+@pytest.mark.parametrize("preset,seed", list(SETUP))
+def test_ball_radius_and_reference_optimum_match_recorded_bits(preset, seed):
+    spec = build_preset(preset, seed).spec
+    ref = compute_reference(spec, "auto", beta=1.0)
+    assert (spec.X.radius.hex(), ref.theta_star.hex()) == SETUP[preset, seed]

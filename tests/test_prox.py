@@ -220,7 +220,7 @@ def test_y_update_matches_grid_search_1d():
     lam = np.array([0.7])
     x_next = np.array([1.2])
     beta = 2.0
-    y = solve_y_update(spec.A @ x_next, lam, spec, beta, s=-1.0)
+    y = solve_y_update(spec.A @ x_next - spec.b - lam / beta, spec, beta, s=-1.0)
     ys = np.arange(-5.0, 5.0, 1e-6)
     vals = 0.4 * np.abs(ys) + 0.5 * beta * (x_next[0] - ys - lam[0] / beta) ** 2
     assert y[0] == pytest.approx(ys[np.argmin(vals)], abs=2e-6)

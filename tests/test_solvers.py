@@ -407,7 +407,7 @@ def _reference_step(state, plan, cfg, g=None, eta=np.nan):
         rhs = rhs - g
     x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
     Ax_next = x_next @ A.T
-    y_next = solve_y_update(Ax_next, state.lam, spec, beta, B[0, 0])
+    y_next = solve_y_update(Ax_next - b - state.lam / beta, spec, beta, B[0, 0])
     state.advance(x_next, y_next, state.lam - beta * (Ax_next + y_next @ B.T - b))
 
 

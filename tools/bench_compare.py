@@ -30,20 +30,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+# lines of a failed run's stdout and stderr that its error repeats
+TAIL_LINES = 10
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, dict]:
-    """One perfbench run: its manifest line and its end-to-end metrics."""
+    """One perfbench run: its manifest line and its end-to-end metrics.
+    Raises RuntimeError, naming the checkout, the workload, the exit code and
+    the run's last output lines (its FAILED: lines among them), when the run
+    exits non-zero or reports correct: false."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 else None
+    except (IndexError, ValueError):
+        result = None
+    if result is None or not result.get("correct"):
+        failed = [line.strip() for line in lines if line.lstrip().startswith("FAILED:")]
+        tail = [*lines[-TAIL_LINES:], *proc.stderr.strip().splitlines()[-TAIL_LINES:]]
+        raise RuntimeError("\n".join([
+            f"perfbench/run.py of {checkout} on {workload} failed: exit code "
+            f"{proc.returncode}", *failed, "last output:", *tail]))
     manifest = next(line for line in lines if line.startswith("manifest "))
-    result = json.loads(lines[-1])
-    if not result["correct"]:
-        raise RuntimeError(f"{checkout} {workload}: {result['failed']} of "
-                           f"{result['attempted']} replications failed")
     return manifest, {name: m["value"] for name, m in result["metrics"].items()}
 
 
