@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -427,9 +428,16 @@ def run_experiment(cfg: ExperimentConfig):
     # as the error curves of one replication, is formatted once
     in_trajs = {id(getattr(t, name)) for t in trajectories for name in Trajectory.COLUMNS}
     kept = {id(col): [] for col in (stats or {}).values() if id(col) in in_trajs}
+    # a trajectory returned for several replications (a run that draws
+    # nothing) is formatted once; its later files are copies of the first
+    written = {}
     for r, traj in enumerate(trajectories):
-        write_trajectory_csv(os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv"), traj,
-                             kept)
+        path = os.path.join(cfg.out_dir, f"traj_rep{r:03d}.csv")
+        if id(traj) in written:
+            shutil.copyfile(written[id(traj)], path)
+        else:
+            write_trajectory_csv(path, traj, kept)
+            written[id(traj)] = path
     if stats is not None:
         write_aggregate_csv(os.path.join(cfg.out_dir, "aggregate.csv"), t_grid, stats,
                             kept)

@@ -122,8 +122,12 @@ def _max_quadratic_over_ball(P, q, c, radius):
         hi = lo + 1.0
         while z_norm2(hi) > radius**2:
             hi = top + 2.0 * (hi - top)
+        # a midpoint equal to lo or hi leaves both unchanged, and every
+        # later iteration would repeat it: the bisection has converged
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if z_norm2(mid) > radius**2:
                 lo = mid
             else:

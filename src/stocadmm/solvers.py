@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import ZeroFunction
+from .functions import ZeroFunction, matmul_rows
 from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
 from .prox import min_quadratic_over_set, solve_y_update, three_points_check
@@ -124,18 +124,23 @@ class SolverConfig:
                 spec.diameter_x  # raises if whole-space X lacks a declared diameter
         return StepPlan(spec, self)
 
-    def eta(self, k: int, spec: ProblemSpec) -> float:
-        """Stepsize used by the step from x_{k-1} to x_k (k >= 1)."""
+    def eta(self, k, spec: ProblemSpec):
+        """Stepsize used by the step from x_{k-1} to x_k (k >= 1); for an
+        array of k, the array of their stepsizes.  np.sqrt, like math.sqrt,
+        is correctly rounded, so both give the same bits."""
         c = spec.constants
+        k = np.asarray(k, dtype=float)
         if self.schedule == "convex":
-            return spec.diameter_x / (c.M * math.sqrt(2.0 * k))
-        if self.schedule == "strongly-convex":
-            return 1.0 / (k * c.mu)
-        if self.schedule == "smooth":
-            return 1.0 / (c.L + c.sigma * math.sqrt(2.0 * k) / spec.diameter_x)
-        if self.schedule == "constant":
-            return float(self.eta0)
-        raise ValueError(f"unknown schedule {self.schedule!r}")
+            eta = spec.diameter_x / (c.M * np.sqrt(2.0 * k))
+        elif self.schedule == "strongly-convex":
+            eta = 1.0 / (k * c.mu)
+        elif self.schedule == "smooth":
+            eta = 1.0 / (c.L + c.sigma * np.sqrt(2.0 * k) / spec.diameter_x)
+        elif self.schedule == "constant":
+            eta = np.full(k.shape, float(self.eta0))
+        else:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        return float(eta) if eta.ndim == 0 else eta
 
     def default_averaging(self) -> str:
         if self.averaging is not None:
@@ -435,9 +440,34 @@ class RecordedRows:
         return trajs
 
 
+def _theta1_quadratic(spec: ProblemSpec):
+    """(H, c, const) with theta1(x) = x'Hx/2 + c'x + const, for a theta1
+    with a quadratic form (LeastSquares, Quadratic), else None."""
+    parts = getattr(spec.theta1, "quadratic_parts", None)
+    return None if parts is None else parts()
+
+
+def _theta1_value(x: np.ndarray, spec: ProblemSpec, quadratic):
+    """theta1 at the rows of x: through its quadratic form, one (rows, d) @
+    (d, d) product, or by theta1.value without one."""
+    if quadratic is None:
+        return spec.theta1.value(x)
+    H, c, const = quadratic
+    return np.vecdot(x, 0.5 * matmul_rows(x, H.T) + c) + const
+
+
+def _theta1_subgrad(x: np.ndarray, spec: ProblemSpec, quadratic):
+    """The exact subgradient of theta1 at the rows of x: H x + c through its
+    quadratic form, or theta1.subgrad without one."""
+    if quadratic is None:
+        return spec.theta1.subgrad(x)
+    H, c, _ = quadratic
+    return matmul_rows(x, H.T) + c
+
+
 def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
                           g: np.ndarray, delta: np.ndarray, eta: float,
-                          spec: ProblemSpec, beta: float):
+                          spec: ProblemSpec, beta: float, *, quadratic=None):
     """Signed residual of the per-iteration variational bound at the probes.
 
     The bound compares the linearized Lagrangian decrease against telescoping
@@ -447,14 +477,18 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
     rows.  Returns (residual, scale), (P,) arrays for P probes, with scale
     the sum of term magnitudes.  The arguments broadcast as rows: (n, 1, d)
     iterates and subgradients, an (n, 1) eta and (n, P, d) probes give
-    (n, P) arrays.
+    (n, P) arrays.  theta1 is evaluated through quadratic, its (H, c, const)
+    (read from spec.theta1 when not given), if it has a quadratic form.
     """
     def sq(v):
         return np.vecdot(v, v)
 
+    if quadratic is None:
+        quadratic = _theta1_quadratic(spec)
     px, py = probe_w.x, probe_w.y
-    lhs = (spec.theta1.value(prev.x) + spec.theta2.value(curr.y)
-           - spec.theta(px, py) + (curr - probe_w).dot(eval_F(curr, spec)))
+    lhs = (_theta1_value(prev.x, spec, quadratic) + spec.theta2.value(curr.y)
+           - (_theta1_value(px, spec, quadratic) + spec.theta2.value(py))
+           + (curr - probe_w).dot(eval_F(curr, spec)))
     t1 = eta * sq(g) / 2.0
     t2 = (sq(prev.x - px) - sq(curr.x - px)) / (2.0 * eta)
     t3 = beta * (sq(spec.residual(px, prev.y)) - sq(spec.residual(px, curr.y))) / 2.0
@@ -531,9 +565,11 @@ def loop(spec: ProblemSpec, cfg: SolverConfig, state: IterateState, update,
     stochastic = cfg.variant == "stochastic"
     rows = RecordedRows(state, cfg.t_max, record_at)
     checks = CheckedSteps(state, spec, cfg) if cfg.check_invariants else None
+    # the stepsizes of steps 1..t_max, computed at once
+    etas = cfg.eta(np.arange(1, cfg.t_max + 1), spec).tolist() if stochastic else None
     error = None
     for k in range(cfg.t_max):
-        eta = cfg.eta(k + 1, spec) if stochastic else math.nan
+        eta = etas[k] if stochastic else math.nan
         try:
             g = draws.subgradient(spec.theta1, state.x, k) if stochastic else None
             update(state, g, eta)
@@ -563,12 +599,14 @@ class CheckedSteps:
     and at flush() when the loop ends, one _run_checks call checks the
     stored steps of every replication still checked, with replication r's
     record and probe generator records[r] and rngs[r]; a replication's
-    checks end after its first non-finite step."""
+    checks end after its first non-finite step.  The quadratic form of
+    theta1, if it has one, is read once, for every check pass."""
 
     def __init__(self, state: IterateState, spec: ProblemSpec, cfg: SolverConfig):
         R = 1 if state.x.ndim == 1 else len(state.x)
         lead = (CHECK_CHUNK + 1, R)
         self.spec, self.cfg = spec, cfg
+        self.quadratic = _theta1_quadratic(spec)
         self.w = StackedW(np.empty(lead + (spec.d1,)), np.empty(lead + (spec.d2,)),
                           np.empty(lead + (spec.m,)))
         self.g = (np.empty((CHECK_CHUNK, R, spec.d1))
@@ -625,19 +663,11 @@ class InvariantRecord:
         self.worst = dict.fromkeys(INVARIANTS, -math.inf)
         self.probes = dict.fromkeys(INVARIANTS, 0)
 
-    def note(self, k: np.ndarray, name: str, res, worst, violated,
-             probes: int | None = None):
-        """One check at the steps k, one per row: its residuals res, the
-        values that enter the worst residual and the violation flags, each
-        (rows,) or (rows, P) with a column per probe; probes counts the
-        points behind each row's single reduced residual."""
-        res, worst, violated = (np.reshape(a, (len(k), -1))
-                                for a in (res, worst, violated))
-        self.probes[name] += res.size if probes is None else len(k) * probes
-        # np.maximum, unlike max, keeps a NaN residual
-        self.worst[name] = float(np.maximum(self.worst[name], worst.max()))
-        self.log.extend((int(k[i]), name, float(res[i, j]))
-                        for i, j in zip(*np.nonzero(violated)))
+    def add(self, name: str, probes: int, worst: float):
+        """probes more points of the check name, whose worst residual was
+        worst; a NaN residual stays (max(nan, w) is nan, max(w, nan) is w)."""
+        self.probes[name] += probes
+        self.worst[name] = math.nan if math.isnan(worst) else max(self.worst[name], worst)
 
     def fields(self) -> dict:
         ran = [name for name in INVARIANTS if self.probes[name]]
@@ -656,7 +686,9 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
     draws its probes from chunk.rngs[r], one array per probe kind for all
     its steps, and its results go to chunk.records[r].  The replications
     are evaluated in groups of at most CHECK_ROWS (step, replication) rows,
-    each check over all rows and probes of a group at once."""
+    each check over all rows and probes of a group at once, and each
+    check's results reduced once per group: the worst residual per
+    replication, and a log entry only where a probe is violated."""
     spec, beta, w, g, records = chunk.spec, chunk.cfg.beta, chunk.w, chunk.g, chunk.records
     reps = list(steps)
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
@@ -665,16 +697,30 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         # the group's rows, replication-major: rep_rows[i] are group[i]'s,
         # row (j, r) is step k0 + 1 + j of replication r
         counts = [steps[rep] for rep in group]
+        assert min(counts) >= 1, "a replication checked has a step to check"
         r = np.repeat(group, counts)
         j = np.concatenate([np.arange(c) for c in counts])
-        rep_rows = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
+        ends = np.cumsum(counts)
+        rep_rows = [slice(end - c, end) for c, end in zip(counts, ends.tolist())]
+        starts = ends - counts
         k = chunk.k0 + 1 + j
         prev, curr = w[j, r], w[j + 1, r]
 
         def note(name, res, worst, violated, probes=None):
-            for rep, sl in zip(group, rep_rows):
-                records[rep].note(k[sl], name, res[sl], worst[sl], violated[sl],
-                                  probes)
+            """One check at the group's rows: its residuals res, the values
+            that enter the worst residual and the violation flags, each
+            (rows,) or (rows, P) with a column per probe; probes counts the
+            points behind each row's single reduced residual."""
+            res, worst, violated = (np.reshape(a, (len(k), -1))
+                                    for a in (res, worst, violated))
+            per_row = res.shape[1] if probes is None else probes
+            # np.max and np.maximum, unlike max, keep a NaN residual
+            rep_worst = np.maximum.reduceat(worst.max(axis=1), starts)
+            for rep, count, value in zip(group, counts, rep_worst.tolist()):
+                records[rep].add(name, count * per_row, value)
+            if violated.any():
+                for i, p in zip(*np.nonzero(violated)):
+                    records[r[i]].log.append((int(k[i]), name, float(res[i, p])))
 
         # dual-update identity: exact by construction
         dual_res = np.linalg.norm(
@@ -685,12 +731,12 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
 
         # y-optimality, and the probes of the x-checks, one replication at a
         # time from its own generator
-        probe_x, probe_w = [], []
+        yres, yscale, probe_x, probe_w = [], [], [], []
         for rep, sl in zip(group, rep_rows):
             rng = chunk.rngs[rep]
-            yres, yscale = check_y_optimality(curr[sl], spec, rng, probes=Y_PROBE_COUNT)
-            records[rep].note(k[sl], "y-optimality", yres, yres / yscale,
-                              ~(yres <= CHECK_TOL * yscale), probes=Y_PROBE_COUNT)
+            res, scale = check_y_optimality(curr[sl], spec, rng, probes=Y_PROBE_COUNT)
+            yres.append(res)
+            yscale.append(scale)
             if g is not None:
                 size = (sl.stop - sl.start, PROBE_COUNT)
                 lam_scale = 1.0 + np.linalg.norm(curr.lam[sl], axis=-1)
@@ -699,6 +745,9 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
                                 spec.Y.sample(rng, size=size),
                                 lam_scale[:, None, None]
                                 * rng.standard_normal((*size, spec.m))))
+        yres, yscale = np.concatenate(yres), np.concatenate(yscale)
+        note("y-optimality", yres, yres / yscale, ~(yres <= CHECK_TOL * yscale),
+             probes=Y_PROBE_COUNT)
         if g is None:
             continue
 
@@ -714,9 +763,10 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         note("three-points", res, res, ~ok)
         # per-iteration variational bound at random probes; delta is the
         # deviation of g from the exact subgradient at the previous iterate
-        delta = gr - spec.theta1.subgrad(prev.x)
+        delta = gr - _theta1_subgrad(prev.x, spec, chunk.quadratic)
         px, py, plam = (np.concatenate(part) for part in zip(*probe_w))
         probes = StackedW(spec.X.project(px), spec.Y.project(py), plam)
         res, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
-                                           delta[:, None], e, spec, beta)
+                                           delta[:, None], e, spec, beta,
+                                           quadratic=chunk.quadratic)
         note("step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))

@@ -87,6 +87,29 @@ def test_blocked_csv_writer_gives_the_row_by_row_text(tmp_path, monkeypatch):
         harness._write_csv(str(tmp_path / "bad.csv"), ["h"], [k, a[:-1]])
 
 
+def test_repeated_trajectory_is_formatted_once(tmp_path, monkeypatch):
+    """A linearized run draws nothing, so its R replications are one
+    trajectory: it is formatted once and its R files are byte-identical,
+    the file of a one-replication run."""
+    real, calls = harness.write_trajectory_csv, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "write_trajectory_csv", counted)
+    texts = {}
+    for R in (1, 3):
+        out = tmp_path / f"r{R}"
+        calls[0] = 0
+        _, code = run_experiment(ExperimentConfig(
+            preset="lasso-split", preset_params={"n": 30, "d": 4}, replications=R,
+            out_dir=str(out), solver=SolverConfig(variant="linearized", G=2.0, t_max=60)))
+        assert code == 0 and calls[0] == 1
+        texts[R] = [(out / f"traj_rep{r:03d}.csv").read_bytes() for r in range(R)]
+    assert texts[3] == texts[1] * 3
+
+
 @pytest.mark.parametrize("preset", ["lasso-split", "fused-lasso-graph"])
 def test_rerun_gives_byte_identical_trajectory_csvs(tmp_path, preset):
     # lasso-split takes the identity-split update, fused-lasso-graph step()

@@ -347,3 +347,34 @@ def test_checked_run_with_more_replications_than_one_check_group(monkeypatch):
         assert batched[r].invariant_log and batched[r].invariant_log == one.invariant_log
         assert batched[r].invariant_worst == one.invariant_worst
         assert batched[r].invariant_probes == one.invariant_probes
+
+
+def test_checked_group_with_one_perturbed_replication(monkeypatch):
+    """In a group of two replications whose stream 1 alone has its x-update
+    of step 20 moved off its minimizer, replication 1's log, worst residuals
+    and probe counts are those of its one-stream run with that step moved,
+    and replication 0 logs nothing, as its clean one-stream run."""
+    from stocadmm import solvers
+    real, calls, moved = solvers.min_quadratic_over_set, [0], [None]
+
+    def perturbed(*args, **kwargs):
+        x = real(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == 20 and moved[0] is not None:
+            x = x.copy()
+            x[moved[0]] += 3.0
+        return x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
+    preset = build_preset("lasso-split", seed=0, n=30, d=4)
+    solver = SolverConfig(t_max=40, check_invariants=True)
+    moved[0] = 1  # row 1 of the batched (2, d) x-update
+    batched = run_replications(preset, solver, 2, np.arange(1, 41), None)
+    for r, row in ((0, None), (1, Ellipsis)):
+        calls[0], moved[0] = 0, row
+        one = run(preset.spec, solver, oracle=preset.make_oracle(r))
+        assert batched[r].invariant_log == one.invariant_log
+        assert batched[r].invariant_worst == one.invariant_worst
+        assert batched[r].invariant_probes == one.invariant_probes
+    assert batched[0].invariant_log == []
+    assert {k for k, _, _ in batched[1].invariant_log} == {20}

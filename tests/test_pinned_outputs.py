@@ -3,8 +3,9 @@ work must leave every CSV byte and every setup result as it was.
 
 The digests and float.hex literals were recorded from the code before the
 y-update took its point from step(), the recorder filled a row with one
-concatenate and the CSV writer formatted blocks of rows; they hold as long
-as no output value or its formatting changes."""
+concatenate and the CSV writer formatted blocks of rows, and those of M
+before its bisection stopped at convergence; they hold as long as no output
+value or its formatting changes."""
 
 import hashlib
 
@@ -73,3 +74,20 @@ def test_ball_radius_and_reference_optimum_match_recorded_bits(preset, seed):
     spec = build_preset(preset, seed).spec
     ref = compute_reference(spec, "auto", beta=1.0)
     assert (spec.X.radius.hex(), ref.theta_star.hex()) == SETUP[preset, seed]
+
+
+# (preset, seed) -> float.hex of the subgradient bound M, the sup of a
+# quadratic over the ball found by bisection on its secular equation
+BOUND_M = {
+    ("lasso-split", 0): "0x1.46c68e7ef6924p+3",
+    ("lasso-split", 1): "0x1.ae2888fc37621p+3",
+    ("lasso-split", 2): "0x1.c2d76937405bap+2",
+    ("fused-lasso-graph", 0): "0x1.3914d0ed65b38p+4",
+    ("fused-lasso-graph", 1): "0x1.2cd5c8b49f65bp+4",
+    ("fused-lasso-graph", 2): "0x1.3a3e7eb309b75p+4",
+}
+
+
+@pytest.mark.parametrize("preset,seed", list(BOUND_M))
+def test_subgradient_bound_matches_recorded_bits(preset, seed):
+    assert build_preset(preset, seed).spec.constants.M.hex() == BOUND_M[preset, seed]

@@ -553,6 +553,44 @@ def test_batched_checks_match_probe_by_probe_formulas(which, lasso_preset):
                                    + np.linalg.norm(grad_term), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["lasso-split", "strongly-convex-lasso"])
+def test_quadratic_form_of_theta1_matches_its_value_and_subgradient(name):
+    """The checks evaluate a least-squares theta1 through (H, c, const): its
+    value at (n, P, d) probes and (n, 1, d) iterates, and its subgradient H x
+    + c at (n, d) iterates, agree with value() and subgrad()."""
+    preset = build_preset(name, seed=1)
+    spec = preset.spec
+    quadratic = solvers._theta1_quadratic(spec)
+    assert quadratic is not None
+    assert name != "strongly-convex-lasso" or spec.theta1.mu > 0
+    rng = np.random.default_rng(5)
+    probes = spec.X.project(spec.X.sample(rng, size=(4, PROBE_COUNT)))
+    state = IterateState.zeros(spec, 4)
+    draws = preset.make_oracle(0).presample(30)
+    plan = SolverConfig(t_max=30).validate(spec)
+    for k in range(30):
+        step(state, plan, draws.subgradient(spec.theta1, state.x, k), 0.05)
+    for x in (probes, state.x[:, None]):
+        value = solvers._theta1_value(x, spec, quadratic)
+        assert value.shape == x.shape[:-1]
+        np.testing.assert_allclose(value, spec.theta1.value(x), rtol=1e-12, atol=0)
+    grad, exact = solvers._theta1_subgrad(state.x, spec, quadratic), \
+        spec.theta1.subgrad(state.x)
+    assert np.all(np.linalg.norm(grad - exact, axis=-1)
+                  <= 1e-12 * np.linalg.norm(exact, axis=-1))
+
+
+def test_checks_without_a_quadratic_form_call_value_and_subgrad():
+    """A hinge-loss theta1 has no quadratic form: the checks evaluate it
+    with value() and subgrad() and stay quiet on a valid run."""
+    preset = build_preset("hinge-svm-split", seed=0, n=30, d=4)
+    assert solvers._theta1_quadratic(preset.spec) is None
+    traj = _checked_run(preset.spec, preset.make_oracle(0))
+    assert traj.error is None and traj.invariant_log == []
+    assert traj.invariant_probes["step-inequality"] == PROBE_COUNT * 40
+    assert traj.max_invariant_residual <= 1e-9
+
+
 def _checked_run(spec, oracle, t_max=40):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=t_max,
                        check_invariants=True)
