@@ -117,12 +117,12 @@ class HingeLoss:
         return self.design.shape[1]
 
     def value(self, x: np.ndarray):
-        margins = self.labels * (x @ self.design.T)
+        margins = self.labels * matmul_rows(x, self.design.T)
         return np.mean(np.maximum(0.0, 1.0 - margins), axis=-1)
 
     def subgrad(self, x: np.ndarray) -> np.ndarray:
-        active = self.labels * (x @ self.design.T) < 1.0
-        return -(np.where(active, self.labels, 0.0) @ self.design) / self.n
+        active = self.labels * matmul_rows(x, self.design.T) < 1.0
+        return -matmul_rows(np.where(active, self.labels, 0.0), self.design) / self.n
 
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
         rows, labels = self.design[i], self.labels[i]

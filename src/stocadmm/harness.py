@@ -250,11 +250,6 @@ def validate_config(path: str) -> ExperimentConfig:
 # replication running
 
 
-def _kernel_eligible(preset: Preset, cfg: SolverConfig) -> bool:
-    return (cfg.variant == "stochastic" and not cfg.check_invariants
-            and kernels.identity_split(preset.spec))
-
-
 def _stack_draws(preset: Preset, R: int, t: int) -> SampleBuffer:
     """The presampled draws of t steps on streams 0..R-1, stacked to (R, t)
     indices and (R, t, d) noise; either is None when the oracle draws none."""
@@ -264,22 +259,23 @@ def _stack_draws(preset: Preset, R: int, t: int) -> SampleBuffer:
                           for name in ("indices", "noise")))
 
 
-def run_replications(preset: Preset, solver: SolverConfig, R: int,
+def run_replications(preset: Preset, plan: StepPlan, R: int,
                      t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
-    """Replications on streams 0..R-1 from one solver loop.  A stochastic
-    run advances all of them together on their presampled draws, with the
-    identity-split update (kernels.admm_identity_split) when it applies and
-    step() otherwise.  The other variants draw nothing, so all R are one
-    one-stream run, whose trajectory is returned R times."""
-    spec = preset.spec
-    if solver.variant != "stochastic":
-        return [run(spec, solver, theta_star=theta_star, record_at=t_grid)] * R
-    draws = _stack_draws(preset, R, solver.t_max)
+    """Replications on streams 0..R-1 of the planned run (plan, from
+    plan.cfg.validate(preset.spec)), from one solver loop.  A stochastic run
+    advances all of them together on their presampled draws, with the
+    identity-split update (kernels.admm_identity_split) when the plan takes
+    it and step() in run() otherwise.  The other variants draw nothing, so
+    all R are one one-stream run, whose trajectory is returned R times."""
+    spec, cfg = plan.spec, plan.cfg
+    if not plan.stochastic:
+        return [run(spec, cfg, theta_star=theta_star, record_at=t_grid)] * R
+    draws = _stack_draws(preset, R, cfg.t_max)
     state = IterateState.zeros(spec, R)
-    if _kernel_eligible(preset, solver):
-        return kernels.admm_identity_split(spec, solver, draws.indices, draws.noise,
+    if plan.takes_identity_split:
+        return kernels.admm_identity_split(plan, draws.indices, draws.noise,
                                            state, theta_star, t_grid)
-    return run(spec, solver, theta_star=theta_star, record_at=t_grid,
+    return run(spec, cfg, theta_star=theta_star, record_at=t_grid,
                state=state, draws=draws)
 
 
@@ -403,8 +399,7 @@ def run_experiment(cfg: ExperimentConfig):
     t_grid = (np.asarray(sorted(set(int(t) for t in cfg.t_grid)))
               if cfg.t_grid else default_t_grid(cfg.solver.t_max))
 
-    trajectories = run_replications(preset, cfg.solver, cfg.replications,
-                                    t_grid, theta_star)
+    trajectories = run_replications(preset, plan, cfg.replications, t_grid, theta_star)
 
     failed_runs = [f"rep={r} {t.error}" for r, t in enumerate(trajectories) if t.error]
     # a replication that ended with an error lacks rows of t_grid
@@ -457,7 +452,7 @@ def run_experiment(cfg: ExperimentConfig):
         "variant": cfg.solver.variant,
         "schedule": cfg.solver.schedule,
         "averaging": averaging,
-        "kernel_path": _kernel_eligible(preset, cfg.solver),
+        "kernel_path": plan.takes_identity_split,
         "step_plan": plan.facts(),
         "theta_star": theta_star,
         "invariant_violations": len(invariant_lines),
@@ -491,8 +486,7 @@ def run_experiment(cfg: ExperimentConfig):
             errs = [t.err_curve(averaging)[-1] for t in completed]
             report["high_prob"] = [
                 asdict(high_prob_check(errs, int(t_grid[-1]), float(omega),
-                                       preset.spec.constants.M, preset.spec.diameter_x,
-                                       d_yb, cfg.solver.beta, cfg.solver.rho))
+                                       cfg.solver, preset.spec, d_yb))
                 for omega in cfg.omegas]
 
     ok = (not failed_runs and not invariant_lines and all(report["checks"].values())

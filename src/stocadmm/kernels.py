@@ -3,12 +3,12 @@
 
 For an identity split the x-subproblem of the stochastic step is an isotropic
 quadratic over X, so its minimizer is the projection of a closed-form point,
-and the y-update is the prox of theta2 at x - lam/beta.  admm_identity_split
-passes that update, for R replications as (R, d) arrays, to solvers.loop,
-which owns the rest of every run: the stepsize, the draws of each stream,
-the capture of a step's error and the recorded rows.  The projection and the
-prox are the spec's own methods, so each replication's trajectory agrees
-with run() on its stream up to floating-point summation order.
+and the y-update is the prox of theta2 at x - lam/beta.  A run takes it when
+its plan says so (StepPlan.takes_identity_split).  admm_identity_split
+passes the update, for R replications as (R, d) arrays, to solvers.loop,
+which owns the rest of every run.  The projection and the prox are the
+spec's own methods, so each replication's trajectory agrees with run() on
+its stream up to floating-point summation order.
 """
 
 from __future__ import annotations
@@ -16,34 +16,30 @@ from __future__ import annotations
 import numpy as np
 
 from .oracle import SampleBuffer
-from .problem import IterateState, ProblemSpec
+from .problem import IterateState
 from .prox import prox_theta2
-from .solvers import SolverConfig, Trajectory, loop
+from .solvers import SolverError, StepPlan, Trajectory, loop
 
-__all__ = ["admm_identity_split", "identity_split"]
-
-
-def identity_split(spec: ProblemSpec) -> bool:
-    """Whether spec has A = I, B = -I and b = 0 exactly, the structure
-    admm_identity_split needs."""
-    eye = np.eye(spec.d1)
-    return (np.array_equal(spec.A, eye) and np.array_equal(spec.B, -eye)
-            and not np.any(spec.b))
+__all__ = ["admm_identity_split"]
 
 
-def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
-                        state: IterateState, theta_star: float | None = None,
+def admm_identity_split(plan: StepPlan, idx, noise, state: IterateState,
+                        theta_star: float | None = None,
                         record_at: np.ndarray | None = None) -> list[Trajectory]:
-    """Advance state, R replications with (R, d) arrays, by cfg.t_max
+    """Advance state, R replications with (R, d) arrays, by the plan's t_max
     stochastic ADMM steps and return one trajectory per replication.
 
-    spec must be an identity split (see identity_split).  idx: (R, t)
-    sampled component indices, idx[r, k] for step k of replication r, or
-    None for the exact (sub)gradient; noise: (R, t, d) rows added to it, or
-    None.  theta_star and record_at are those of solvers.run, and each
-    trajectory's final_state is its replication of state.
+    plan must take the identity split (StepPlan.takes_identity_split).
+    idx: (R, t) sampled component indices, idx[r, k] for step k of
+    replication r, or None for the exact (sub)gradient; noise: (R, t, d)
+    rows added to it, or None.  theta_star and record_at are those of
+    solvers.run, and each trajectory's final_state is its replication of
+    state.
     """
-    beta = cfg.beta
+    if not plan.takes_identity_split:
+        raise SolverError("the identity-split update needs an unchecked stochastic "
+                          "plan with A = I, B = -I and b = 0")
+    spec, beta = plan.spec, plan.beta
 
     def update(state, g, eta):
         # x-update: the quadratic is isotropic, so its minimizer over X is
@@ -53,5 +49,4 @@ def admm_identity_split(spec: ProblemSpec, cfg: SolverConfig, idx, noise,
         y = prox_theta2(x - state.lam / beta, beta, spec.theta2, spec.Y)
         state.advance(x, y, state.lam - beta * (x - y))
 
-    return loop(spec, cfg, state, update, SampleBuffer(idx, noise), theta_star,
-                record_at)
+    return loop(plan, state, update, SampleBuffer(idx, noise), theta_star, record_at)

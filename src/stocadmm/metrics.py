@@ -44,16 +44,26 @@ __all__ = [
 # theoretical bounds
 
 
+def _deterministic_term(t, solver: SolverConfig, d_yb: float):
+    """(beta Dy^2 + rho^2/beta) / (2t), the term of every variant."""
+    return (solver.beta * d_yb**2 + solver.rho**2 / solver.beta) / (2.0 * t)
+
+
+def _convex_term(t, spec: ProblemSpec):
+    """sqrt(2) D M / sqrt(t), the term of the convex schedule."""
+    return math.sqrt(2.0) * spec.diameter_x * spec.constants.M / np.sqrt(t)
+
+
 def rate_bound(t, solver: SolverConfig, spec: ProblemSpec, d_yb: float):
     """The bound on the expected error measure after t steps of solver on
     spec, with d_yb = Dy; raises for the constant schedule, which has none."""
     t = np.asarray(t, dtype=float)
-    bound = (solver.beta * d_yb**2 + solver.rho**2 / solver.beta) / (2.0 * t)
+    bound = _deterministic_term(t, solver, d_yb)
     if solver.variant != "stochastic":
         return bound
     c, D = spec.constants, spec.diameter_x
     if solver.schedule == "convex":
-        return math.sqrt(2.0) * D * c.M / np.sqrt(t) + bound
+        return _convex_term(t, spec) + bound
     if solver.schedule == "strongly-convex":
         return c.M**2 * np.log(t) / (c.mu * t) + c.mu * D**2 / (2.0 * t) + bound
     if solver.schedule == "smooth":
@@ -72,10 +82,12 @@ def require_tail_bound(solver: SolverConfig, bounded_oracle: bool):
         raise ValueError("the tail bound needs a bounded-noise oracle")
 
 
-def high_prob_threshold(t, Omega, M, D_X, D_yB, beta, rho):
-    m1 = math.sqrt(2.0) * D_X * M / math.sqrt(t)
-    m2 = (beta * D_yB**2 + rho**2 / beta) / (2.0 * t)
-    return (1.0 + 0.5 * Omega + 2.0 * math.sqrt(2.0 * Omega)) * m1 + m2
+def high_prob_threshold(t, omega: float, solver: SolverConfig, spec: ProblemSpec,
+                        d_yb: float) -> float:
+    """The level (1 + omega/2 + 2 sqrt(2 omega)) M1(t) + M2(t) of the tail
+    statement, from the convex and deterministic terms of rate_bound."""
+    return float((1.0 + 0.5 * omega + 2.0 * math.sqrt(2.0 * omega))
+                 * _convex_term(t, spec) + _deterministic_term(t, solver, d_yb))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +308,19 @@ class HighProbResult:
     passed: bool
 
 
-def high_prob_check(err_values, t: int, Omega: float, M: float, D_X: float,
-                    D_yB: float, beta: float, rho: float) -> HighProbResult:
+def high_prob_check(err_values, t: int, omega: float, solver: SolverConfig,
+                    spec: ProblemSpec, d_yb: float) -> HighProbResult:
     """Empirical tail frequency against the theoretical exceedance bound,
-    for runs that require_tail_bound admits.
+    for runs that require_tail_bound admits (arguments as for rate_bound).
 
     err_values holds one realized error measure per replication at iteration
     t.  The check passes when the exceedance fraction is at most
-    2 exp(-Omega) plus a binomial 95% confidence slack.
+    2 exp(-omega) plus a binomial 95% confidence slack.
     """
     err_values = np.asarray(err_values, dtype=float)
     R = len(err_values)
-    thr = high_prob_threshold(t, Omega, M, D_X, D_yB, beta, rho)
+    thr = high_prob_threshold(t, omega, solver, spec, d_yb)
     frac = float(np.mean(err_values > thr))
-    bound = min(2.0 * math.exp(-Omega), 1.0)
+    bound = min(2.0 * math.exp(-omega), 1.0)
     slack = 1.96 * math.sqrt(bound * (1.0 - bound) / R) if R else 0.0
-    return HighProbResult(Omega, thr, frac, bound, slack, frac <= bound + slack)
+    return HighProbResult(omega, thr, frac, bound, slack, frac <= bound + slack)

@@ -3,7 +3,8 @@
 Each preset generates data deterministically from its seed, wraps it in a
 ProblemSpec with certified structural constants, and knows how to build
 per-replication oracles.  The spec is the whole description of the problem:
-whether the batched kernel applies is read off it (kernels.identity_split).
+which update a run takes is read off it by the run's plan
+(solvers.StepPlan.takes_identity_split).
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ def _max_quadratic_over_ball(P, q, c, radius):
     return max(val, c)
 
 
-def _lsq_constants(design, targets, radius, mu):
-    """Certified moment bound for uniform component sampling of a
-    least-squares finite sum over an origin-centered ball.
+def _lsq_constants(design, targets, radius, mu, oracle):
+    """Certified structural constants of a least-squares finite sum over an
+    origin-centered ball, for the oracle mode oracle: the moment bound M of
+    uniform component sampling, the noise bound sigma and the smoothness L.
 
     E||g||^2 at x is itself a quadratic in x, so its sup over the ball is
     computed exactly instead of via the loose per-row worst case.
@@ -154,51 +156,53 @@ def _lsq_constants(design, targets, radius, mu):
     M2 = _max_quadratic_over_ball(P, q, c, radius)
     M = float(np.sqrt(M2))
     L = float(np.linalg.eigvalsh(design.T @ design / n)[-1]) + mu
-    # ||delta|| <= ||g_i|| + ||E g|| <= 2M pointwise
-    sigma = 2.0 * M
-    return M, sigma, L
+    # ||delta|| <= ||g_i|| + ||E g|| <= 2M pointwise; the exact oracle has
+    # no noise
+    sigma = 0.0 if oracle == "exact" else 2.0 * M
+    return StructuralConstants(M=M, sigma=sigma, mu=mu, L=L)
+
+
+def _sparse_regression(rng, p, signs_first: bool):
+    """The design, a sparse x_true with entries +-1 and the noisy targets of
+    a least-squares preset, drawn from rng.  signs_first draws the signs of
+    x_true before its support, the order of the fused-lasso-graph preset."""
+    n, d = int(p["n"]), int(p["d"])
+    design = _make_design(rng, n, d, float(p["cond"]))
+    k = max(1, int(round(p["sparsity"] * d)))
+    # a tuple's items are drawn left to right
+    if signs_first:
+        signs, support = rng.choice([-1.0, 1.0], size=k), rng.choice(d, size=k, replace=False)
+    else:
+        support, signs = rng.choice(d, size=k, replace=False), rng.choice([-1.0, 1.0], size=k)
+    x_true = np.zeros(d)
+    x_true[support] = signs
+    targets = design @ x_true + float(p["noise"]) * rng.standard_normal(n)
+    return design, x_true, targets
 
 
 def _lasso_like(name, seed, p):
     mu = float(p["mu"]) if name == "strongly-convex-lasso" else 0.0
     if name == "strongly-convex-lasso" and mu <= 0:
         raise ValueError("strongly-convex-lasso needs mu > 0")
-    rng = np.random.default_rng(seed)
-    n, d = int(p["n"]), int(p["d"])
-    design = _make_design(rng, n, d, float(p["cond"]))
-    x_true = np.zeros(d)
-    k = max(1, int(round(p["sparsity"] * d)))
-    idx = rng.choice(d, size=k, replace=False)
-    x_true[idx] = rng.choice([-1.0, 1.0], size=k)
-    targets = design @ x_true + float(p["noise"]) * rng.standard_normal(n)
-
+    design, _, targets = _sparse_regression(np.random.default_rng(seed), p,
+                                            signs_first=False)
+    d = design.shape[1]
     lam_reg = float(p["lam_reg"])
     x_hat = _fista_reduced_lasso(design, targets, lam_reg, mu)
     radius = max(1.0, 2.0 * float(np.linalg.norm(x_hat)))
-
-    theta1 = LeastSquares(design, targets, mu=mu)
-    theta2 = L1Norm(lam_reg)
-    M, sigma, L = _lsq_constants(design, targets, radius, mu)
-    if p["oracle"] == "exact":
-        sigma = 0.0
     spec = ProblemSpec(
-        theta1=theta1, theta2=theta2,
+        theta1=LeastSquares(design, targets, mu=mu), theta2=L1Norm(lam_reg),
         A=np.eye(d), B=-np.eye(d), b=np.zeros(d),
         X=Ball(d, radius), Y=WholeSpace(d),
-        constants=StructuralConstants(M=M, sigma=sigma, mu=mu, L=L),
+        constants=_lsq_constants(design, targets, radius, mu, p["oracle"]),
     )
     return Preset(name, spec, p, seed, p["oracle"])
 
 
 def _fused_lasso_graph(seed, p):
-    rng = np.random.default_rng(seed)
-    n, d = int(p["n"]), int(p["d"])
-    design = _make_design(rng, n, d, float(p["cond"]))
-    x_true = np.zeros(d)
-    k = max(1, int(round(p["sparsity"] * d)))
-    x_true[rng.choice(d, size=k, replace=False)] = rng.choice([-1.0, 1.0], size=k)
-    targets = design @ x_true + float(p["noise"]) * rng.standard_normal(n)
-
+    design, x_true, targets = _sparse_regression(np.random.default_rng(seed), p,
+                                                 signs_first=True)
+    d = design.shape[1]
     edges = p["edges"] or [(i, i + 1) for i in range(d - 1)]  # chain graph default
     m = len(edges)
     A = np.zeros((m, d))
@@ -206,17 +210,12 @@ def _fused_lasso_graph(seed, p):
         A[r, i] = 1.0
         A[r, j] = -1.0
 
-    lam_reg = float(p["lam_reg"])
     radius = max(1.0, 2.0 * float(np.linalg.norm(x_true)) + 1.0)
-    theta1 = LeastSquares(design, targets)
-    M, sigma, L = _lsq_constants(design, targets, radius, 0.0)
-    if p["oracle"] == "exact":
-        sigma = 0.0
     spec = ProblemSpec(
-        theta1=theta1, theta2=L1Norm(lam_reg),
+        theta1=LeastSquares(design, targets), theta2=L1Norm(float(p["lam_reg"])),
         A=A, B=-np.eye(m), b=np.zeros(m),
         X=Ball(d, radius), Y=WholeSpace(m),
-        constants=StructuralConstants(M=M, sigma=sigma, mu=0.0, L=L),
+        constants=_lsq_constants(design, targets, radius, 0.0, p["oracle"]),
     )
     return Preset("fused-lasso-graph", spec, p, seed, p["oracle"])
 

@@ -15,25 +15,25 @@ x-update:
 * stochastic: the first-order model at x_k built from one sampled
   subgradient, with an l2 prox term scaled by the stepsize 1/eta_k.
 
-StepPlan holds everything about the x-update and the y-update that is fixed
-for a run, computed and checked once, with the exact facts of the
-constraint: B = s*I, and whether A = I and b = 0.  step() applies it, to one
-iterate or to R replications at once as (R, d) rows, and uses the facts to
-leave out the products with I and the sums with 0, which changes no value.
+StepPlan, which SolverConfig.validate returns, is the one reader of the
+problem's structure: everything about the x-update and the y-update that is
+fixed for a run, computed and checked once, with the exact facts of the
+constraint (B = s*I, A = I, b = 0) and the update the run takes.  step()
+applies it, to one iterate or to R replications as (R, d) rows.
 
-loop() is the solver loop of every run: it takes the update of a step and
-owns the rest, the stepsize, the draw, the capture of a step's error and the
-recorded rows.  These store the running sums of the averages, which are
-divided by k and whose metrics are computed once, after the loop
-(RecordedRows).
-run() passes it step(), kernels.admm_identity_split the identity-split
-update.  A checked loop stores each step's iterate, subgradient and stepsize
-too (CheckedSteps) and checks the invariants once every CHECK_CHUNK steps,
-for a whole chunk of steps and every replication still checked in one pass.
+loop() is the solver loop of every run and takes a plan, so no run reaches
+it unvalidated.  It takes the update of a step, step() from run() or the
+identity-split update of kernels.admm_identity_split, and owns the rest:
+the stepsize, the draw, the capture of a step's error and the recorded rows
+(RecordedRows), whose metrics are computed once, after the loop.  A checked
+loop stores each step's iterate, subgradient and stepsize too (CheckedSteps)
+and checks the invariants once every CHECK_CHUNK steps, for a whole chunk of
+steps and every replication still checked in one pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -109,6 +109,9 @@ class SolverConfig:
         if self.averaging not in (None, *AVERAGINGS):
             raise ValueError(f"averaging: expected one of {AVERAGINGS}, "
                              f"got {self.averaging!r}")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"schedule: expected one of {SCHEDULES}, "
+                             f"got {self.schedule!r}")
         c = spec.constants
         if self.variant == "stochastic":
             if self.schedule == "strongly-convex" and not c.mu > 0:
@@ -148,14 +151,6 @@ class SolverConfig:
         if self.variant != "stochastic" or self.schedule == "smooth":
             return "eq10-aligned"
         return "eq2-shifted"
-
-
-def _quadratic_parts(spec: ProblemSpec, message: str):
-    try:
-        H, c, _ = spec.theta1.quadratic_parts()
-    except AttributeError as exc:
-        raise SolverError(message) from exc
-    return H, c
 
 
 def _y_prox_scale(spec: ProblemSpec) -> float:
@@ -200,55 +195,57 @@ class StepPlan:
     once: B = s*I (required), A = I (A_identity) and b = 0 (b_zero).  For a
     scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  step()
     replaces each product these facts make trivial by the scalar operation
-    that gives the same values.
+    that gives the same values.  theta1's (H, c, const), None without a
+    quadratic form, is read once, for the x-update and the invariant checks.
+    takes_identity_split, an unchecked stochastic run with A = I, B = -I and
+    b = 0, selects the update of kernels.admm_identity_split.  cfg is a copy
+    of the config the plan was built from.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
-        self.spec = spec
+        self.spec, self.cfg = spec, dataclasses.replace(cfg)
         self.beta = beta = cfg.beta
+        self.stochastic = cfg.variant == "stochastic"
         self.s = _y_prox_scale(spec)
         self.A_identity = (spec.A.shape == (spec.d1, spec.d1)
                            and np.array_equal(spec.A, np.eye(spec.d1)))
         self.b_zero = not np.any(spec.b)
+        self.takes_identity_split = (self.stochastic and not cfg.check_invariants
+                                     and self.A_identity and self.s == -1.0
+                                     and self.b_zero)
+        self.quadratic = _theta1_quadratic(spec)
         AtA = spec.A.T @ spec.A
         G = cfg.G if cfg.variant == "linearized" else None
-        if G is not None and np.isscalar(G) and G == 0:
+        if np.isscalar(G) and G == 0:
             G = None
-        self.shift = 0.0             # None: 1/eta_k, set per step
+        scalar_G = np.isscalar(G)
+        # None: 1/eta_k, set per step
+        self.shift = None if self.stochastic else float(G) if scalar_G else 0.0
         self.G_rest = None           # G - shift*I, when not zero; a scalar for -beta*I
-        self.prox = False
+        self.prox = scalar_G and self.quadratic is None and hasattr(spec.theta1, "prox")
         self.c = 0.0
-        H0 = None
-        if cfg.variant == "stochastic":
-            self.shift = None
-            H0 = beta * AtA
-        elif G is not None and np.isscalar(G):
-            r = float(G)
-            top = beta * float(np.linalg.eigvalsh(AtA)[-1])
-            if r < top - 1e-12:
+        if not (self.stochastic or self.prox):
+            if self.quadratic is None:
                 raise SolverError(
-                    f"r = {r} < beta*||A'A||_2 = {top}: G = r*I - beta*A'A is "
-                    f"not psd"
+                    f"the {cfg.variant} x-update needs a first-block objective with "
+                    f"a quadratic form{' or a prox' if scalar_G else ''}; the "
+                    f"stochastic variant needs neither")
+            H, self.c, _ = self.quadratic
+        if self.stochastic:
+            H0 = beta * AtA
+        elif scalar_G:
+            top = beta * float(np.linalg.eigvalsh(AtA)[-1])
+            if self.shift < top - 1e-12:
+                raise SolverError(
+                    f"r = {self.shift} < beta*||A'A||_2 = {top}: G = r*I - beta*A'A "
+                    f"is not psd"
                 )
-            self.shift = r
             self.G_rest = -beta if self.A_identity else -beta * AtA
-            theta1 = spec.theta1
-            if hasattr(theta1, "prox") and not hasattr(theta1, "quadratic_parts"):
-                if not isinstance(spec.X, WholeSpace):
-                    raise SolverError(
-                        "prox-based linearized x-update supports whole-space X only"
-                    )
-                self.prox = True
-            else:
-                H0, self.c = _quadratic_parts(
-                    spec, "linearized update needs a first-block objective with "
-                          "a quadratic form or a prox")
+            if self.prox and not isinstance(spec.X, WholeSpace):
+                raise SolverError(
+                    "prox-based linearized x-update supports whole-space X only")
+            H0 = None if self.prox else H
         else:
-            H, self.c = _quadratic_parts(
-                spec, "matrix-G linearized update needs a quadratic first-block "
-                      "objective" if G is not None else
-                      "exact x-minimization needs a quadratic first-block "
-                      "objective; use the linearized or stochastic variant instead")
             H0 = H + beta * AtA
             if G is not None:
                 G = np.asarray(G, dtype=float)
@@ -523,7 +520,8 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generat
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         theta_star: float | None = None, record_at: np.ndarray | None = None,
         *, state: IterateState | None = None, draws: SampleBuffer | None = None):
-    """Execute t_max step() calls from zero in loop() and record the trajectory.
+    """Plan cfg on spec (SolverConfig.validate), execute t_max step() calls
+    from zero in loop() and record the trajectory.
 
     Structural errors raise before any step; an error during the steps is
     returned in the partial trajectory.  record_at restricts metric rows to
@@ -538,33 +536,32 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
     step advances all R rows at once, and the result is R trajectories.
     """
     plan = cfg.validate(spec)
-    stochastic = cfg.variant == "stochastic"
     one_stream = state is None
     if one_stream:
-        if stochastic and oracle is None:
+        if plan.stochastic and oracle is None:
             raise ValueError("stochastic variant needs an oracle")
         state = IterateState.zeros(spec)
-        draws = oracle.presample(cfg.t_max) if (stochastic and cfg.t_max) else None
-    elif stochastic and draws is None:
+        draws = oracle.presample(cfg.t_max) if (plan.stochastic and cfg.t_max) else None
+    elif plan.stochastic and draws is None:
         raise ValueError("a batched stochastic run needs its stacked draws")
-    out = loop(spec, cfg, state, lambda state, g, eta: step(state, plan, g, eta),
+    out = loop(plan, state, lambda state, g, eta: step(state, plan, g, eta),
                draws, theta_star, record_at)
     return out[0] if one_stream else out
 
 
-def loop(spec: ProblemSpec, cfg: SolverConfig, state: IterateState, update,
+def loop(plan: StepPlan, state: IterateState, update,
          draws: SampleBuffer | None = None, theta_star: float | None = None,
          record_at: np.ndarray | None = None) -> list[Trajectory]:
     """Advance state, one stream or R replications as (R, d) arrays, by
-    cfg.t_max calls of update(state, g, eta), which advance it in place, and
-    return one trajectory per replication.  A stochastic cfg passes the
+    t_max calls of update(state, g, eta), which advance it in place, and
+    return one trajectory per replication.  A stochastic plan passes the
     stepsize and the subgradient sampled from draws at state.x, the others
     g = None and eta = NaN.  An exception in an update ends every
     replication there, with the error in its trajectory; the loop also ends
     at a recorded row where no replication is finite."""
-    stochastic = cfg.variant == "stochastic"
+    spec, cfg, stochastic = plan.spec, plan.cfg, plan.stochastic
     rows = RecordedRows(state, cfg.t_max, record_at)
-    checks = CheckedSteps(state, spec, cfg) if cfg.check_invariants else None
+    checks = CheckedSteps(state, plan) if cfg.check_invariants else None
     # the stepsizes of steps 1..t_max, computed at once
     etas = cfg.eta(np.arange(1, cfg.t_max + 1), spec).tolist() if stochastic else None
     error = None
@@ -599,18 +596,17 @@ class CheckedSteps:
     and at flush() when the loop ends, one _run_checks call checks the
     stored steps of every replication still checked, with replication r's
     record and probe generator records[r] and rngs[r]; a replication's
-    checks end after its first non-finite step.  The quadratic form of
-    theta1, if it has one, is read once, for every check pass."""
+    checks end after its first non-finite step.  Every check pass evaluates
+    theta1 through the plan's quadratic form, if it has one."""
 
-    def __init__(self, state: IterateState, spec: ProblemSpec, cfg: SolverConfig):
+    def __init__(self, state: IterateState, plan: StepPlan):
         R = 1 if state.x.ndim == 1 else len(state.x)
         lead = (CHECK_CHUNK + 1, R)
-        self.spec, self.cfg = spec, cfg
-        self.quadratic = _theta1_quadratic(spec)
+        spec = plan.spec
+        self.plan = plan
         self.w = StackedW(np.empty(lead + (spec.d1,)), np.empty(lead + (spec.d2,)),
                           np.empty(lead + (spec.m,)))
-        self.g = (np.empty((CHECK_CHUNK, R, spec.d1))
-                  if cfg.variant == "stochastic" else None)
+        self.g = np.empty((CHECK_CHUNK, R, spec.d1)) if plan.stochastic else None
         self.eta = np.empty(CHECK_CHUNK)
         self.records = [InvariantRecord() for _ in range(R)]
         self.rngs = [np.random.default_rng(PROBE_SEED) for _ in range(R)]
@@ -689,7 +685,8 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
     each check over all rows and probes of a group at once, and each
     check's results reduced once per group: the worst residual per
     replication, and a log entry only where a probe is violated."""
-    spec, beta, w, g, records = chunk.spec, chunk.cfg.beta, chunk.w, chunk.g, chunk.records
+    plan, w, g, records = chunk.plan, chunk.w, chunk.g, chunk.records
+    spec, beta = plan.spec, plan.beta
     reps = list(steps)
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
     for first in range(0, len(reps), per_group):
@@ -763,10 +760,10 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         note("three-points", res, res, ~ok)
         # per-iteration variational bound at random probes; delta is the
         # deviation of g from the exact subgradient at the previous iterate
-        delta = gr - _theta1_subgrad(prev.x, spec, chunk.quadratic)
+        delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
         px, py, plam = (np.concatenate(part) for part in zip(*probe_w))
         probes = StackedW(spec.X.project(px), spec.Y.project(py), plam)
         res, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
                                            delta[:, None], e, spec, beta,
-                                           quadratic=chunk.quadratic)
+                                           quadratic=plan.quadratic)
         note("step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))

@@ -45,7 +45,7 @@ def test_criterion_01_convex_rate(lasso):
     cfg = SolverConfig(variant="stochastic", beta=1.0, schedule="convex",
                        t_max=100_000, rho=1.0)
     grid = _grid(cfg.t_max)
-    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
+    trajs = run_replications(preset, cfg.validate(spec), 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
     bound = rate_bound(grid, cfg, spec, ref.d_y_star_b(spec))
@@ -63,7 +63,7 @@ def test_criterion_02_strongly_convex_rate():
     cfg = SolverConfig(variant="stochastic", beta=1.0,
                        schedule="strongly-convex", t_max=100_000, rho=1.0)
     grid = _grid(cfg.t_max)
-    trajs = run_replications(preset, cfg, 50, grid, ref.theta_star)
+    trajs = run_replications(preset, cfg.validate(spec), 50, grid, ref.theta_star)
     mean, stderr = estimate_expectation(trajs, grid, "eq2-shifted")
     fit = fit_rate(grid, mean, (1e3, 1e5))
     bound = rate_bound(grid, cfg, spec, ref.d_y_star_b(spec))
@@ -203,15 +203,14 @@ def test_criterion_08_high_probability_tail(lasso):
     cfg = SolverConfig(variant="stochastic", beta=1.0, schedule="convex",
                        t_max=10_000, rho=1.0)
     grid = np.array([10_000])
-    trajs = run_replications(preset, cfg, 200, grid, ref.theta_star)
+    trajs = run_replications(preset, cfg.validate(spec), 200, grid, ref.theta_star)
     errs = [t.err_rho_eq2[-1] for t in trajs]
     d_yb = ref.d_y_star_b(spec)
     require_tail_bound(cfg, preset.make_oracle(0).bounded)
     lines = []
     ok = True
     for omega in (1.0, 2.0):
-        res = high_prob_check(errs, 10_000, omega, spec.constants.M,
-                              spec.diameter_x, d_yb, cfg.beta, cfg.rho)
+        res = high_prob_check(errs, 10_000, omega, cfg, spec, d_yb)
         ok = ok and res.passed
         lines.append(f"Omega={omega:.0f}: exceed {res.exceed_fraction:.3f} "
                      f"<= {res.bound:.3f}+{res.slack:.3f}")

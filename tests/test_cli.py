@@ -150,8 +150,8 @@ def test_non_stochastic_replications_are_one_run(tmp_path, monkeypatch):
     stats = np.loadtxt(out / "aggregate.csv", delimiter=",", skiprows=1)
     assert np.all(stats[:, [2, 4]] <= 1e-15 * stats[:, [1, 3]])
 
-    def separate_runs(preset, solver, R, t_grid, theta_star):
-        return [real(preset.spec, solver, theta_star=theta_star, record_at=t_grid)
+    def separate_runs(preset, plan, R, t_grid, theta_star):
+        return [real(preset.spec, plan.cfg, theta_star=theta_star, record_at=t_grid)
                 for _ in range(R)]
 
     monkeypatch.setattr(harness, "run_replications", separate_runs)
@@ -413,6 +413,22 @@ def test_plan_refuses_a_y_update_the_prox_cannot_solve(tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "build_preset", changed)
         with pytest.raises(ConfigError, match="solver: " + message):
             plan_experiment(cfg)
+
+
+def test_plan_refuses_an_unknown_schedule_of_any_variant(tmp_path):
+    """A programmatic config skips parse_config's check of solver.schedule;
+    the plan refuses the schedule before the run writes anything."""
+    for variant in ("stochastic", "linearized", "deterministic"):
+        out = tmp_path / variant
+        out.mkdir()
+        cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                               out_dir=str(out),
+                               solver=SolverConfig(variant=variant, schedule="bogus",
+                                                   G=2.0))
+        with pytest.raises(ConfigError, match="solver: schedule: expected one of "
+                                              ".*, got 'bogus'"):
+            run_experiment(cfg)
+        assert list(out.iterdir()) == []
 
 
 def test_cli_run_builds_and_validates_once(tmp_path, monkeypatch):

@@ -11,13 +11,13 @@ import pytest
 from stocadmm import kernels
 from stocadmm.functions import (HingeLoss, L1Norm, LeastSquares, Quadratic,
                                 SquaredL2Penalty, ZeroFunction, soft_threshold)
-from stocadmm.harness import (ExperimentConfig, _kernel_eligible, run_experiment,
+from stocadmm.harness import (ConfigError, ExperimentConfig, run_experiment,
                               run_replications)
 from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import CHECK_CHUNK, CHECK_ROWS, SolverConfig, run
+from stocadmm.solvers import CHECK_CHUNK, CHECK_ROWS, SolverConfig, SolverError, run
 
 
 def _assert_agrees(kern, general):
@@ -38,7 +38,7 @@ def test_kernel_agrees_with_step_by_step_solver(name):
     spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200)
     grid = np.arange(1, 201)
-    kern = run_replications(preset, solver, 4, grid, theta_star=0.0)[3]
+    kern = run_replications(preset, solver.validate(spec), 4, grid, theta_star=0.0)[3]
     general = run(spec, solver, oracle=preset.make_oracle(3), theta_star=0.0,
                   record_at=grid)
     _assert_agrees(kern, general)
@@ -57,7 +57,8 @@ def test_batched_kernel_matches_step_by_step(name, params, solver_kw, grid):
     preset = build_preset(name, seed=2, n=30, d=4, **params)
     solver = SolverConfig(variant="stochastic", t_max=300, **solver_kw)
     grid = np.arange(1, 301) if grid is None else np.array(grid)
-    batched = run_replications(preset, solver, 3, grid, theta_star=0.0)
+    batched = run_replications(preset, solver.validate(preset.spec), 3, grid,
+                               theta_star=0.0)
     assert len(batched) == 3
     for stream, kern in enumerate(batched):
         general = run(preset.spec, solver, oracle=preset.make_oracle(stream),
@@ -73,7 +74,7 @@ def test_kernel_snapshot_grid_positions():
 
     def rows_at(grid):
         zeros = np.zeros((2, spec.d1))
-        return kernels.admm_identity_split(spec, solver, idx, None,
+        return kernels.admm_identity_split(solver.validate(spec), idx, None,
                                            IterateState(zeros, zeros, zeros),
                                            0.0, grid)
 
@@ -92,12 +93,13 @@ def test_exact_oracle_sentinel_uses_full_gradient(monkeypatch):
     seen = {}
     kernel = kernels.admm_identity_split
 
-    def spy(spec, cfg, idx, noise, *rest):
+    def spy(plan, idx, noise, *rest):
         seen.update(idx=idx, noise=noise)
-        return kernel(spec, cfg, idx, noise, *rest)
+        return kernel(plan, idx, noise, *rest)
 
     monkeypatch.setattr(kernels, "admm_identity_split", spy)
-    trajectories = run_replications(preset, solver, 2, np.array([1]), None)
+    trajectories = run_replications(preset, solver.validate(spec), 2, np.array([1]),
+                                    None)
     assert seen["idx"] is None and seen["noise"] is None
     # one step from zero by hand: full least-squares gradient, prox step,
     # ball projection, soft-threshold, dual ascent (beta = 1)
@@ -127,15 +129,44 @@ def test_identity_split_spec_with_box_x_takes_the_kernel():
     )
     preset = Preset("box-lasso", spec, {}, 3, "finite-sum")
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
-    assert _kernel_eligible(preset, solver)
+    plan = solver.validate(spec)
+    assert plan.takes_identity_split
     grid = np.arange(1, 301)
-    batched = run_replications(preset, solver, 3, grid, theta_star=0.0)
+    batched = run_replications(preset, plan, 3, grid, theta_star=0.0)
     for stream, kern in enumerate(batched):
         general = run(spec, solver, oracle=preset.make_oracle(stream),
                       theta_star=0.0, record_at=grid)
         _assert_agrees(kern, general)
     # the box is active, so the projection is exercised
     assert any(np.any(np.abs(kern.final_state.x) == 0.25) for kern in batched)
+
+
+def test_identity_split_update_runs_only_on_a_plan_that_takes_it(tmp_path, monkeypatch):
+    """The update is passed the validated plan: the mu = 0 strongly-convex
+    lasso-split config, whose stepsize 1/(k*mu) is inf, fails in validate
+    before any step, and a plan that does not take the identity split
+    (checked, or a general A) is refused by the update itself."""
+    lasso = build_preset("lasso-split", seed=0, n=30, d=4)
+    fused = build_preset("fused-lasso-graph", seed=0, n=30, d=4)
+    real = kernels.admm_identity_split
+    for preset, solver in ((lasso, SolverConfig(check_invariants=True)),
+                           (fused, SolverConfig())):
+        plan = solver.validate(preset.spec)
+        assert plan.stochastic and not plan.takes_identity_split
+        with pytest.raises(SolverError, match="identity-split update needs"):
+            real(plan, None, None, IterateState.zeros(preset.spec, 2))
+
+    solver = SolverConfig(schedule="strongly-convex", t_max=20)
+    with pytest.raises(ValueError, match="strongly-convex schedule needs mu > 0"):
+        solver.validate(lasso.spec)
+    calls = []
+    monkeypatch.setattr(kernels, "admm_identity_split",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                           solver=solver, out_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="solver: strongly-convex schedule needs mu > 0"):
+        run_experiment(cfg)
+    assert calls == [] and not (tmp_path / "o").exists()
 
 
 def test_catalog_batched_rows_match_one_point_calls():
@@ -196,6 +227,15 @@ def test_catalog_batched_rows_match_one_point_calls():
     radius = float(np.median(np.linalg.norm(x, axis=1)))  # rows on both sides
     for X in (WholeSpace(d), Ball(d, radius), Box(np.full(d, -0.5), np.full(d, 0.5))):
         rows_agree(X.project(x), lambda r: X.project(x[r]))
+    # (n, P, d) points, the shape of the invariant checks' probes: the hinge
+    # loss takes them as one 2-D product of all their rows
+    hinge, x3 = HingeLoss(design, labels), rng.standard_normal((2, 3, d))
+    value, subgrad = hinge.value(x3), hinge.subgrad(x3)
+    assert value.shape == x3.shape[:-1] and subgrad.shape == x3.shape
+    for i in np.ndindex(*x3.shape[:-1]):
+        one = hinge.value(x3[i])
+        assert abs(value[i] - one) <= 1e-15 * (1.0 + abs(one))
+        assert np.max(np.abs(subgrad[i] - hinge.subgrad(x3[i]))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +258,10 @@ def _general_a_box_preset(seed=4, n=30, d=4, m=3):
 
 
 def _assert_batched_matches_one_stream_runs(preset, solver, R=3):
-    assert not _kernel_eligible(preset, solver)
+    plan = solver.validate(preset.spec)
+    assert not plan.takes_identity_split
     grid = np.arange(1, solver.t_max + 1)
-    batched = run_replications(preset, solver, R, grid, theta_star=0.0)
+    batched = run_replications(preset, plan, R, grid, theta_star=0.0)
     assert len(batched) == R
     for stream, traj in enumerate(batched):
         one = run(preset.spec, solver, oracle=preset.make_oracle(stream),
@@ -340,7 +381,8 @@ def test_checked_run_with_more_replications_than_one_check_group(monkeypatch):
     R = CHECK_ROWS // CHECK_CHUNK + 2
     preset = build_preset("lasso-split", seed=0, n=30, d=4)
     solver = SolverConfig(t_max=40, check_invariants=True)
-    batched = run_replications(preset, solver, R, np.arange(1, 41), None)
+    batched = run_replications(preset, solver.validate(preset.spec), R,
+                               np.arange(1, 41), None)
     for r in range(R):
         calls[0] = 0
         one = run(preset.spec, solver, oracle=preset.make_oracle(r))
@@ -369,7 +411,8 @@ def test_checked_group_with_one_perturbed_replication(monkeypatch):
     preset = build_preset("lasso-split", seed=0, n=30, d=4)
     solver = SolverConfig(t_max=40, check_invariants=True)
     moved[0] = 1  # row 1 of the batched (2, d) x-update
-    batched = run_replications(preset, solver, 2, np.arange(1, 41), None)
+    batched = run_replications(preset, solver.validate(preset.spec), 2,
+                               np.arange(1, 41), None)
     for r, row in ((0, None), (1, Ellipsis)):
         calls[0], moved[0] = 0, row
         one = run(preset.spec, solver, oracle=preset.make_oracle(r))

@@ -203,20 +203,28 @@ def test_bound_formulas_hand_values():
     assert sm == pytest.approx(math.sqrt(2) / 2.0 + 0.25 + 0.5 + 0.125)
     with pytest.raises(ValueError, match="constant schedule has no rate bound"):
         bound(schedule="constant", M=2.0)
-    thr = high_prob_threshold(4, Omega=2.0, M=2.0, D_X=1.0, D_yB=2.0,
-                              beta=1.0, rho=1.0)
-    m1 = math.sqrt(2) * 1.0 * 2.0 / 2.0
-    assert thr == pytest.approx((1.0 + 1.0 + 2.0 * math.sqrt(4.0)) * m1 + 5.0 / 8.0)
+    spec = SimpleNamespace(constants=StructuralConstants(M=2.0), diameter_x=1.0)
+    solver = SolverConfig(beta=1.0, rho=1.0)
+    thr = high_prob_threshold(4, 2.0, solver, spec, 2.0)
+    assert thr == pytest.approx((1.0 + 1.0 + 2.0 * math.sqrt(4.0)) * math.sqrt(2)
+                                + 5.0 / 8.0)
+    # the terms rate_bound sums, in the order of operations of the formula
+    m1 = math.sqrt(2.0) * 1.0 * 2.0 / math.sqrt(4)
+    m2 = (1.0 * 2.0**2 + 1.0**2 / 1.0) / (2.0 * 4)
+    assert thr == (1.0 + 0.5 * 2.0 + 2.0 * math.sqrt(2.0 * 2.0)) * m1 + m2
 
 
 # ---------------------------------------------------------------------------
 # tail checks
 
+# M = 1 and a diameter of 1: with beta = rho = 1 and d_yb = 1 every term of
+# the tail level is a power of t
+_UNIT_SPEC = SimpleNamespace(constants=StructuralConstants(M=1.0), diameter_x=1.0)
+
 
 def test_high_prob_check_counts_exceedances():
     errs = [0.1] * 95 + [100.0] * 5
-    res = high_prob_check(errs, t=100, Omega=0.1, M=1.0, D_X=1.0, D_yB=1.0,
-                          beta=1.0, rho=1.0)
+    res = high_prob_check(errs, 100, 0.1, SolverConfig(), _UNIT_SPEC, 1.0)
     assert res.exceed_fraction == pytest.approx(0.05)
     assert res.bound == pytest.approx(min(2.0 * math.exp(-0.1), 1.0))
     assert res.passed  # bound > 0.9 here, vacuously satisfied
@@ -224,8 +232,7 @@ def test_high_prob_check_counts_exceedances():
 
 def test_high_prob_large_omega_fails_on_heavy_tail():
     errs = [1e6] * 100
-    res = high_prob_check(errs, t=10_000, Omega=5.0, M=1.0, D_X=1.0, D_yB=1.0,
-                          beta=1.0, rho=1.0)
+    res = high_prob_check(errs, 10_000, 5.0, SolverConfig(), _UNIT_SPEC, 1.0)
     assert res.exceed_fraction == 1.0
     assert not res.passed
 

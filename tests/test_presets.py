@@ -7,9 +7,9 @@ import pytest
 
 from stocadmm import presets
 from stocadmm.functions import soft_threshold
-from stocadmm.kernels import identity_split
 from stocadmm.oracle import validate_assumptions
 from stocadmm.presets import PRESET_NAMES, build_preset
+from stocadmm.solvers import SolverConfig
 
 
 def test_same_seed_reproduces_data_bitwise():
@@ -88,7 +88,7 @@ def test_fused_lasso_constraint_is_edge_difference():
         assert sorted(nz) == [-1.0, 1.0]
         assert row.sum() == 0.0
     assert not np.allclose(preset.spec.A, np.eye(6)[:5])
-    assert not identity_split(preset.spec)
+    assert not SolverConfig().validate(preset.spec).takes_identity_split
 
 
 def test_lasso_build_stops_fista_once_the_iterate_settles(monkeypatch):
@@ -117,7 +117,7 @@ def test_hinge_preset_shape():
     preset = build_preset("hinge-svm-split", seed=0)
     assert set(np.unique(preset.spec.theta1.labels)) <= {-1.0, 1.0}
     assert not preset.supports_reference
-    assert identity_split(preset.spec)
+    assert SolverConfig().validate(preset.spec).takes_identity_split
     # worst-case single-row subgradient norm certifies the moment bound
     rows = np.linalg.norm(preset.spec.theta1.design, axis=1)
     assert preset.spec.constants.M == pytest.approx(float(rows.max()))

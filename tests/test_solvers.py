@@ -659,7 +659,8 @@ def test_an_exception_mid_chunk_keeps_the_checks_of_every_completed_step(
 
     monkeypatch.setattr(solvers, "step", failing_step)
     solver = SolverConfig(t_max=50, check_invariants=True)
-    trajs = run_replications(lasso_preset, solver, 2, np.arange(1, 51), None)
+    trajs = run_replications(lasso_preset, solver.validate(lasso_preset.spec), 2,
+                             np.arange(1, 51), None)
     for traj in trajs:
         assert traj.error == "iteration 29: injected failure"
         # steps 1..29 completed, the last 29 - CHECK_CHUNK of them in an
