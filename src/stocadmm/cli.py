@@ -19,7 +19,6 @@ from .harness import (ConfigError, ExperimentConfig, parse_config,
                       run_experiment, save_reference, validate_config)
 from .metrics import compute_reference
 from .presets import PRESET_NAMES
-from .solvers import SolverConfig
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -28,8 +27,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         cfg = parse_config(read_config(args.config))
     elif args.preset:
-        cfg = ExperimentConfig(preset=args.preset,
-                               solver=SolverConfig(t_max=100))
+        cfg = ExperimentConfig(preset=args.preset)
     else:
         raise ConfigError("either --config or --preset is required")
     if args.out:

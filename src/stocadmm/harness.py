@@ -1,6 +1,9 @@
 """Experiment orchestration: configs, replication running, file export.
 
-A run produces, inside the output directory:
+ExperimentConfig and its SolverConfig declare each field's rule once
+(schema.setting), so parse_config and validate check a parsed config and one
+built in Python alike; plan_experiment adds the checks across fields and those
+that need the built preset.  A run produces, inside the output directory:
 
 * ``traj_rep###.csv``      one row per recorded iteration and replication,
   with the fixed column order k, eta, obj_gap_eq2, feas_eq2, err_rho_eq2,
@@ -8,8 +11,8 @@ A run produces, inside the output directory:
 * ``aggregate.csv``        mean / stderr of the error measure per grid point,
   over the completed replications; written only with a certified optimum,
   which every error column needs;
-* ``report.json``          rate fits, bound checks, tail checks, pass/fail,
-  and the facts of the constraint the steps used (``step_plan``);
+* ``report.json``          rate fits, bound and tail checks, pass/fail, the
+  constraint's facts (``step_plan``) and the config's hash (``config_sha256``);
 * ``invariants.log``       one line per violated runtime invariant (empty on
   success);
 * ``reference.npz`` + ``reference.sha256``  cached certified optimum, keyed
@@ -29,7 +32,7 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
@@ -41,47 +44,39 @@ from .oracle import SampleBuffer
 from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
                       build_preset)
 from .problem import IterateState
-from .solvers import (AVERAGINGS, INVARIANTS, SCHEDULES, SolverConfig, StepPlan,
-                      Trajectory, run)
+from .schema import ConfigError, check, dump, parse, setting
+from .solvers import INVARIANTS, SolverConfig, StepPlan, Trajectory, run
 
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
-           "run_replications", "default_t_grid", "reference_key"]
-
-
-class ConfigError(ValueError):
-    pass
+           "run_replications", "default_t_grid", "reference_key", "config_sha256"]
 
 
 @dataclass
 class ExperimentConfig:
-    preset: str
-    preset_params: dict = field(default_factory=dict)
-    preset_seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    replications: int = 1
-    t_grid: list | None = None
-    omegas: list = field(default_factory=list)
-    out_dir: str = "out"
-    rate_window: tuple | None = None
-    slope_band: tuple | None = None
-    check_bound: bool = False
+    preset: str = setting(str, choices=PRESET_NAMES)
+    preset_params: dict = setting(dict, factory=dict, keys=lambda values: {
+        key: dict(type=type(val), **({"choices": ORACLE_MODES} if key == "oracle" else {}))
+        for key, val in PRESET_PARAMS[values["preset"]].items()})
+    preset_seed: int = setting(int, 0)
+    solver: SolverConfig = setting(SolverConfig, factory=SolverConfig)
+    replications: int = setting(int, 1, ge=1)
+    t_grid: list | None = setting(list, None, item=dict(type=int, ge=1))
+    omegas: list = setting(list, factory=list, item=dict(type=float, gt=0))
+    out_dir: str = setting(str, "out")
+    rate_window: tuple | None = setting(tuple, None, item=dict(type=float), size=2,
+                                        holds=("1 <= lo < hi", lambda lo, hi: 1 <= lo < hi))
+    slope_band: tuple | None = setting(tuple, None, item=dict(type=float), size=2,
+                                       holds=("lo <= hi", lambda lo, hi: lo <= hi))
+    check_bound: bool = setting(bool, False)
 
     def validate(self):
-        if self.replications < 1:
-            raise ConfigError("replications: must be >= 1")
+        check(self)
         if self.solver.t_max < 10:
             raise ConfigError("solver.t_max: must be >= 10")
         for i, t in enumerate(self.t_grid or ()):
             if t > self.solver.t_max:
                 raise ConfigError(f"t_grid[{i}]: grid point {t} exceeds "
                                   f"solver.t_max = {self.solver.t_max}")
-        for i, omega in enumerate(self.omegas):
-            if not omega > 0:
-                raise ConfigError(f"omegas[{i}]: must be > 0, got {omega}")
-        if self.rate_window and not 1 <= self.rate_window[0] < self.rate_window[1]:
-            raise ConfigError(f"rate_window: expected 1 <= lo < hi, got {self.rate_window}")
-        if self.slope_band and not self.slope_band[0] <= self.slope_band[1]:
-            raise ConfigError(f"slope_band: expected lo <= hi, got {self.slope_band}")
         # the directory is created by the run; here only the nearest
         # existing ancestor must be a writable directory
         base = os.path.abspath(self.out_dir)
@@ -96,105 +91,15 @@ def default_t_grid(t_max: int, n_points: int = 20) -> np.ndarray:
     return grid
 
 
-_SOLVER_FIELDS = {
-    "variant": str, "beta": float, "schedule": str, "eta0": float, "t_max": int,
-    "rho": float, "averaging": str, "check_invariants": bool, "G": float,
-}
-
-_TOP_FIELDS = {
-    "preset": str, "preset_params": dict, "preset_seed": int,
-    "replications": int, "t_grid": list, "omegas": list, "out_dir": str,
-    "rate_window": list, "slope_band": list,
-    "check_bound": bool, "solver": dict,
-}
-
-
-def _coerce(path, value, typ):
-    if typ in (float, int) and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not np.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        if typ is int and not float(value).is_integer():
-            raise ConfigError(f"{path}: expected int, got {value!r}")
-        return typ(value)
-    # bool subclasses int; only a bool field takes one
-    if not isinstance(value, typ) or isinstance(value, bool) != (typ is bool):
-        raise ConfigError(f"{path}: expected {typ.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _coerce_list(path, value, typ, length=None):
-    value = _coerce(path, value, list)
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{path}: expected {length} values, got {len(value)}")
-    return [_coerce(f"{path}[{i}]", v, typ) for i, v in enumerate(value)]
-
-
-def _optional_list(raw, key, typ, length=None):
-    value = raw.get(key)
-    if value is None or value == []:  # an empty list means unset
-        return None
-    return _coerce_list(key, value, typ, length)
-
-
-def _preset_params(preset: str, raw) -> dict:
-    """raw with each value checked against the type of its default."""
-    defaults = PRESET_PARAMS[preset]
-    for key, val in _coerce("preset_params", raw, dict).items():
-        if key not in defaults:
-            raise ConfigError(f"preset_params.{key}: unknown field of {preset}")
-        if key == "oracle" and val not in ORACLE_MODES:
-            raise ConfigError(f"preset_params.oracle: expected one of {ORACLE_MODES}, "
-                              f"got {val!r}")
-    return {key: _coerce(f"preset_params.{key}", val, type(defaults[key]))
-            for key, val in raw.items()}
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Type-check a raw config mapping and fill defaults.  The checks that
-    need values from several fields or the built preset are left to
-    plan_experiment."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    if "preset" not in raw:
-        raise ConfigError("preset: required field is missing")
-    for key in raw:
-        if key not in _TOP_FIELDS:
-            raise ConfigError(f"{key}: unknown field")
-    preset = _coerce("preset", raw["preset"], str)
-    if preset not in PRESET_PARAMS:
-        raise ConfigError(f"preset: unknown preset {preset!r}; choose from "
-                          f"{PRESET_NAMES}")
-    solver_raw = raw.get("solver", {}) or {}
-    for key in solver_raw:
-        if key not in _SOLVER_FIELDS:
-            raise ConfigError(f"solver.{key}: unknown field")
-    solver_kwargs = {
-        key: _coerce(f"solver.{key}", val, _SOLVER_FIELDS[key])
-        for key, val in solver_raw.items() if val is not None
-    }
-    for key, choices in (("averaging", AVERAGINGS), ("schedule", SCHEDULES)):
-        if solver_kwargs.get(key, choices[0]) not in choices:
-            raise ConfigError(f"solver.{key}: expected one of {choices}, "
-                              f"got {solver_kwargs[key]!r}")
-    solver = SolverConfig(**solver_kwargs)
-    t_grid = _optional_list(raw, "t_grid", int)
-    if t_grid and min(t_grid) < 1:
-        raise ConfigError("t_grid: grid points must be >= 1")
-    rate_window = _optional_list(raw, "rate_window", float, 2)
-    slope_band = _optional_list(raw, "slope_band", float, 2)
-    return ExperimentConfig(
-        preset=preset,
-        preset_params=_preset_params(preset, raw.get("preset_params", {}) or {}),
-        preset_seed=_coerce("preset_seed", raw.get("preset_seed", 0), int),
-        solver=solver,
-        replications=_coerce("replications", raw.get("replications", 1), int),
-        t_grid=t_grid,
-        omegas=_coerce_list("omegas", raw.get("omegas") or [], float),
-        out_dir=_coerce("out_dir", raw.get("out_dir", "out"), str),
-        rate_window=None if rate_window is None else tuple(rate_window),
-        slope_band=None if slope_band is None else tuple(slope_band),
-        check_bound=_coerce("check_bound", raw.get("check_bound", False), bool),
-    )
+    """The config of raw, without the checks of plan_experiment."""
+    return parse(ExperimentConfig, raw)
+
+
+def config_sha256(cfg: ExperimentConfig) -> str:
+    """sha256 of the compact, key-sorted JSON of the config's dump."""
+    blob = json.dumps(dump(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def plan_experiment(cfg: ExperimentConfig) -> tuple[Preset, StepPlan]:
@@ -452,6 +357,7 @@ def run_experiment(cfg: ExperimentConfig):
         "variant": cfg.solver.variant,
         "schedule": cfg.solver.schedule,
         "averaging": averaging,
+        "config_sha256": config_sha256(cfg),
         "kernel_path": plan.takes_identity_split,
         "step_plan": plan.facts(),
         "theta_star": theta_star,

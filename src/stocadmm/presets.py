@@ -206,7 +206,13 @@ def _fused_lasso_graph(seed, p):
     edges = p["edges"] or [(i, i + 1) for i in range(d - 1)]  # chain graph default
     m = len(edges)
     A = np.zeros((m, d))
-    for r, (i, j) in enumerate(edges):
+    for r, edge in enumerate(edges):
+        # an index out of range would raise or wrap; i = j would penalize -x_i
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and edge[0] != edge[1]
+                and all(type(i) is int and 0 <= i < d for i in edge)):
+            raise ValueError(f"edges[{r}]: expected two distinct node indices in "
+                             f"0..{d - 1}, got {edge!r}")
+        i, j = edge
         A[r, i] = 1.0
         A[r, j] = -1.0
 

@@ -43,6 +43,7 @@ from .functions import ZeroFunction, matmul_rows
 from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
 from .prox import min_quadratic_over_set, solve_y_update, three_points_check
+from .schema import check, setting
 from .sets import Ball, WholeSpace
 
 __all__ = [
@@ -82,15 +83,17 @@ class SolverError(ValueError):
 
 @dataclass
 class SolverConfig:
-    variant: str = "stochastic"          # deterministic | linearized | stochastic
-    beta: float = 1.0
-    schedule: str = "convex"             # convex | strongly-convex | smooth | constant
-    eta0: float | None = None            # constant schedule only
-    t_max: int = 100
-    rho: float = 1.0
-    averaging: str | None = None         # eq2-shifted | eq10-aligned
-    check_invariants: bool = False
-    G: float | np.ndarray | None = None  # scalar r means G = r*I - beta*A'A
+    variant: str = setting(str, "stochastic",
+                           choices=("deterministic", "linearized", "stochastic"))
+    beta: float = setting(float, 1.0, gt=0)
+    schedule: str = setting(str, "convex", choices=SCHEDULES)
+    eta0: float | None = setting(float, None)            # constant schedule only
+    t_max: int = setting(int, 100, ge=0)
+    rho: float = setting(float, 1.0, gt=0)
+    averaging: str | None = setting(str, None, choices=AVERAGINGS)
+    check_invariants: bool = setting(bool, False)
+    # scalar r means G = r*I - beta*A'A; a matrix G only from Python
+    G: float | np.ndarray | None = setting(float, None, also=np.ndarray)
 
     def validate(self, spec: ProblemSpec) -> "StepPlan":
         """Check the config against spec and plan the run's steps.
@@ -98,20 +101,7 @@ class SolverConfig:
         Raises ValueError for a bad field and SolverError (a ValueError) when
         the problem's structure does not fit the variant.
         """
-        if self.variant not in ("deterministic", "linearized", "stochastic"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.averaging not in (None, *AVERAGINGS):
-            raise ValueError(f"averaging: expected one of {AVERAGINGS}, "
-                             f"got {self.averaging!r}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule: expected one of {SCHEDULES}, "
-                             f"got {self.schedule!r}")
+        check(self, "solver.")
         c = spec.constants
         if self.variant == "stochastic":
             if self.schedule == "strongly-convex" and not c.mu > 0:

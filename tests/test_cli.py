@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import os
-import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ import yaml
 from stocadmm import harness
 from stocadmm.cli import main
 from stocadmm.harness import (ConfigError, ExperimentConfig, config_from_dict,
-                              default_t_grid, load_reference, plan_experiment,
-                              run_experiment, save_reference, validate_config)
+                              config_sha256, default_t_grid, load_reference,
+                              parse_config, plan_experiment, run_experiment,
+                              save_reference, validate_config)
 from stocadmm.metrics import ReferenceSolution, compute_reference
-from stocadmm.presets import build_preset
+from stocadmm.presets import PRESET_NAMES, build_preset
+from stocadmm.schema import dump
 from stocadmm.sets import Ball
 from stocadmm.solvers import SolverConfig
 
@@ -320,63 +322,79 @@ def test_t_grid_beyond_t_max_is_rejected(tmp_path):
         run_experiment(validate_config(cfg))
 
 
+# (raw config fields besides preset: lasso-split, the pattern of the error
+# they give); a config built in Python from the same fields gives the same
+# error (test_parsed_and_python_built_configs_fail_alike)
+VALIDATION_CASES = [
+    # wrong types fail with the field's path, never truncate
+    ({"replications": 1.5}, "replications"),
+    ({"solver": {"t_max": 10.9}}, "solver.t_max"),
+    ({"t_grid": "abc"}, "t_grid"),
+    ({"t_grid": [1, 2.5]}, "t_grid\\[1\\]"),
+    ({"rate_window": [1, "x"]}, "rate_window\\[1\\]"),
+    ({"omegas": ["a"]}, "omegas\\[0\\]"),
+    ({"slope_band": 5}, "slope_band"),
+    ({"slope_band": [-0.6]}, "slope_band"),
+    ({"preset": "bogus"}, "preset: expected one of .*, got 'bogus'"),
+    ({"preset_params": {"nn": 50}}, "preset_params.nn: unknown field"),
+    ({"preset_params": {"n": "abc"}}, "preset_params.n: expected int"),
+    ({"preset_params": {"d": 4.5}}, "preset_params.d: expected int"),
+    # a bool is an int to isinstance, never to a config
+    ({"replications": True}, "replications: expected int, got bool"),
+    ({"preset_seed": True}, "preset_seed: expected int, got bool"),
+    ({"solver": {"t_max": True}}, "solver.t_max: expected int, got bool"),
+    ({"preset_params": {"n": True}}, "preset_params.n: expected int, got bool"),
+    ({"preset_params": {"oracle": "exakt"}},
+     "preset_params.oracle: expected one of .*, got 'exakt'"),
+    ({"solver": {"averaging": "bogus"}},
+     "solver.averaging: expected one of .*, got 'bogus'"),
+    ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
+     "preset_params: .*mu > 0"),
+    ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max"),
+    ({"solver": {"schedule": "bogus"}},
+     "solver.schedule: expected one of .*, got 'bogus'"),
+    # every float field is finite
+    ({"solver": {"rho": math.inf}}, "solver.rho: expected a finite number"),
+    ({"solver": {"beta": math.nan}}, "solver.beta: expected a finite number"),
+    ({"omegas": [-math.inf]}, "omegas\\[0\\]: expected a finite number"),
+    ({"preset_params": {"noise": math.inf}},
+     "preset_params.noise: expected a finite number"),
+    # gate fields in range
+    ({"omegas": [1.0, -1]}, "omegas\\[1\\]: must be > 0"),
+    ({"rate_window": [100, 10]}, "rate_window: expected 1 <= lo < hi"),
+    ({"rate_window": [0, 10]}, "rate_window: expected 1 <= lo < hi"),
+    ({"slope_band": [-0.3, -0.6]}, "slope_band: expected lo <= hi"),
+    # a requested gate the run could not evaluate
+    *(({"preset": "hinge-svm-split", name: value},
+       f"{name}: preset hinge-svm-split has no certified optimum")
+      for name, value in (("slope_band", [-0.65, -0.35]),
+                          ("check_bound", True), ("omegas", [1.0]))),
+    ({"check_bound": True, "solver": {"schedule": "constant", "eta0": 0.1}},
+     "check_bound: the constant schedule has no rate bound"),
+    *(({"omegas": [1.0], **raw}, "omegas: the tail bound holds for the "
+       "stochastic variant with the convex schedule only")
+      for raw in ({"solver": {"variant": "linearized", "G": 2.0}},
+                  {"solver": {"schedule": "constant", "eta0": 0.1}},
+                  {"preset": "strongly-convex-lasso",
+                   "solver": {"schedule": "strongly-convex"}})),
+    ({"preset_params": {"n": "30"}}, "preset_params.n: expected int, got str"),
+    ({"t_grid": [0, 5]}, "t_grid\\[0\\]: must be >= 1, got 0"),
+    ({"t_grid": [2.5, 5]}, "t_grid\\[0\\]: expected int, got 2.5"),
+    ({"replications": 2.5}, "replications: expected int, got 2.5"),
+    # each edge of the graph joins two distinct nodes of 0..d-1
+    *(({"preset": "fused-lasso-graph", "preset_params": {"d": 4, "edges": edges}},
+       "preset_params: edges\\[1\\]: expected two distinct node indices in 0..3, got ")
+      for edges in ([[0, 1], [0, 99]], [[0, 1], [0, 1.5]], [[0, 1], [-1, 2]],
+                    [[0, 1], [0, 0]])),
+]
+
+
 def test_config_validation_limits():
     with pytest.raises(ConfigError, match="replications"):
         config_from_dict({"preset": "lasso-split", "replications": 0})
     with pytest.raises(ConfigError, match="t_max"):
         config_from_dict({"preset": "lasso-split", "solver": {"t_max": 5}})
-    # wrong types fail at parse time with the field's path, never truncate
-    for raw, path in (
-            ({"replications": 1.5}, "replications"),
-            ({"solver": {"t_max": 10.9}}, "solver.t_max"),
-            ({"t_grid": "abc"}, "t_grid"),
-            ({"t_grid": [1, 2.5]}, "t_grid\\[1\\]"),
-            ({"rate_window": [1, "x"]}, "rate_window\\[1\\]"),
-            ({"omegas": ["a"]}, "omegas\\[0\\]"),
-            ({"slope_band": 5}, "slope_band"),
-            ({"slope_band": [-0.6]}, "slope_band"),
-            ({"preset": "bogus"}, "preset: unknown preset"),
-            ({"preset_params": {"nn": 50}}, "preset_params.nn: unknown field"),
-            ({"preset_params": {"n": "abc"}}, "preset_params.n: expected int"),
-            ({"preset_params": {"d": 4.5}}, "preset_params.d: expected int"),
-            # a bool is an int to isinstance, never to a config
-            ({"replications": True}, "replications: expected int, got bool"),
-            ({"preset_seed": True}, "preset_seed: expected int, got bool"),
-            ({"solver": {"t_max": True}}, "solver.t_max: expected int, got bool"),
-            ({"preset_params": {"n": True}}, "preset_params.n: expected int, got bool"),
-            ({"preset_params": {"oracle": "exakt"}},
-             "preset_params.oracle: expected one of .*, got 'exakt'"),
-            ({"solver": {"averaging": "bogus"}},
-             "solver.averaging: expected one of .*, got 'bogus'"),
-            ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
-             "preset_params: .*mu > 0"),
-            ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max"),
-            ({"solver": {"schedule": "bogus"}},
-             "solver.schedule: expected one of .*, got 'bogus'"),
-            # every float field is finite
-            ({"solver": {"rho": math.inf}}, "solver.rho: expected a finite number"),
-            ({"solver": {"beta": math.nan}}, "solver.beta: expected a finite number"),
-            ({"omegas": [-math.inf]}, "omegas\\[0\\]: expected a finite number"),
-            ({"preset_params": {"noise": math.inf}},
-             "preset_params.noise: expected a finite number"),
-            # gate fields in range
-            ({"omegas": [1.0, -1]}, "omegas\\[1\\]: must be > 0"),
-            ({"rate_window": [100, 10]}, "rate_window: expected 1 <= lo < hi"),
-            ({"rate_window": [0, 10]}, "rate_window: expected 1 <= lo < hi"),
-            ({"slope_band": [-0.3, -0.6]}, "slope_band: expected lo <= hi"),
-            # a requested gate the run could not evaluate
-            *(({"preset": "hinge-svm-split", name: value},
-               f"{name}: preset hinge-svm-split has no certified optimum")
-              for name, value in (("slope_band", [-0.65, -0.35]),
-                                  ("check_bound", True), ("omegas", [1.0]))),
-            ({"check_bound": True, "solver": {"schedule": "constant", "eta0": 0.1}},
-             "check_bound: the constant schedule has no rate bound"),
-            *(({"omegas": [1.0], **raw}, "omegas: the tail bound holds for the "
-               "stochastic variant with the convex schedule only")
-              for raw in ({"solver": {"variant": "linearized", "G": 2.0}},
-                          {"solver": {"schedule": "constant", "eta0": 0.1}},
-                          {"preset": "strongly-convex-lasso",
-                           "solver": {"schedule": "strongly-convex"}}))):
+    for raw, path in VALIDATION_CASES:
         with pytest.raises(ConfigError, match=path):
             config_from_dict({"preset": "lasso-split", **raw})
     # an empty list leaves an optional list field unset
@@ -387,6 +405,88 @@ def test_config_validation_limits():
     with pytest.raises(ConfigError, match="solver: .*not psd"):
         config_from_dict({"preset": "lasso-split",
                           "solver": {"variant": "linearized", "G": 1e-6}})
+
+
+def _built_in_python(raw):
+    """The ExperimentConfig of the fields of raw, built by the constructors,
+    each value as given."""
+    fields = dict(raw)
+    if "solver" in fields:
+        fields["solver"] = SolverConfig(**fields["solver"])
+    return ExperimentConfig(**fields)
+
+
+def test_parsed_and_python_built_configs_fail_alike():
+    for raw, path in VALIDATION_CASES:
+        raw = {"preset": "lasso-split", **raw}
+        with pytest.raises(ConfigError, match=path) as parsed:
+            config_from_dict(raw)
+        with pytest.raises(ConfigError, match=path) as built:
+            plan_experiment(_built_in_python(raw))
+        assert str(built.value) == str(parsed.value)
+
+
+def _every_field_set():
+    return {"preset": "fused-lasso-graph",
+            "preset_params": {"n": 40, "d": 5, "cond": 3.0, "noise": 0.5,
+                              "lam_reg": 0.2, "sparsity": 0.4, "oracle": "exact",
+                              "edges": [[0, 1], [1, 3], [2, 4]]},
+            "preset_seed": 3, "replications": 4, "t_grid": [1, 7, 50],
+            "omegas": [1.0, 2.5], "out_dir": "elsewhere",
+            "rate_window": [2.0, 40.0], "slope_band": [-0.9, -0.1],
+            "check_bound": True,
+            "solver": {"variant": "linearized", "beta": 2.0, "schedule": "constant",
+                       "eta0": 0.3, "t_max": 50, "rho": 0.5,
+                       "averaging": "eq10-aligned", "check_invariants": True,
+                       "G": 9.0}}
+
+
+@pytest.mark.parametrize("raw", [*({"preset": name} for name in PRESET_NAMES),
+                                 _every_field_set()])
+def test_dump_parses_back_to_the_config(raw):
+    cfg = parse_config(raw)
+    assert parse_config(dump(cfg)) == cfg
+    # a dump is plain data: its YAML and its JSON read back as the same dump
+    assert yaml.safe_load(yaml.safe_dump(dump(cfg))) == dump(cfg)
+    assert json.loads(json.dumps(dump(cfg))) == dump(cfg)
+
+
+def test_config_hash_is_the_same_for_one_config_and_moves_with_any_field():
+    base = parse_config(_every_field_set())
+    assert config_sha256(base) == config_sha256(parse_config(_every_field_set()))
+    # the canonical dump makes an int and the float of it one value
+    assert config_sha256(dataclasses.replace(base, omegas=[1, 2.5])) == config_sha256(base)
+    changed = [dataclasses.replace(base, preset_seed=4),
+               dataclasses.replace(base, t_grid=[1, 7, 49]),
+               dataclasses.replace(base, preset_params={**base.preset_params, "n": 41}),
+               dataclasses.replace(base, solver=dataclasses.replace(base.solver, rho=0.25))]
+    hashes = {config_sha256(cfg) for cfg in [base, *changed]}
+    assert len(hashes) == 1 + len(changed)
+
+
+def test_report_carries_the_config_hash(tmp_path):
+    cfg = parse_config({"preset": "lasso-split", "preset_params": {"n": 30, "d": 4},
+                        "solver": {"t_max": 20}, "out_dir": str(tmp_path)})
+    first, _ = run_experiment(cfg)
+    second, _ = run_experiment(cfg)
+    assert first["config_sha256"] == second["config_sha256"] == config_sha256(cfg)
+    cfg.preset_seed = 1
+    third, _ = run_experiment(cfg)
+    assert third["config_sha256"] != first["config_sha256"]
+
+
+def test_readme_config_example_parses_and_round_trips():
+    """The README's YAML example is a valid config whose dump keeps each of
+    its values, so the example cannot drift from the schema."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("Config files are YAML:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(example)
+    cfg = config_from_dict(raw)
+    assert parse_config(dump(cfg)) == cfg
+    dumped = dump(cfg)
+    assert {key: dumped[key] for key in raw if key != "solver"} == {
+        key: val for key, val in raw.items() if key != "solver"}
+    assert {key: dumped["solver"][key] for key in raw["solver"]} == raw["solver"]
 
 
 def _b_off_identity(spec):
@@ -416,8 +516,8 @@ def test_plan_refuses_a_y_update_the_prox_cannot_solve(tmp_path, monkeypatch):
 
 
 def test_plan_refuses_an_unknown_schedule_of_any_variant(tmp_path):
-    """A programmatic config skips parse_config's check of solver.schedule;
-    the plan refuses the schedule before the run writes anything."""
+    """A config built in Python gets the schedule check of a parsed one,
+    before the run writes anything."""
     for variant in ("stochastic", "linearized", "deterministic"):
         out = tmp_path / variant
         out.mkdir()
@@ -425,7 +525,7 @@ def test_plan_refuses_an_unknown_schedule_of_any_variant(tmp_path):
                                out_dir=str(out),
                                solver=SolverConfig(variant=variant, schedule="bogus",
                                                    G=2.0))
-        with pytest.raises(ConfigError, match="solver: schedule: expected one of "
+        with pytest.raises(ConfigError, match="solver.schedule: expected one of "
                                               ".*, got 'bogus'"):
             run_experiment(cfg)
         assert list(out.iterdir()) == []
@@ -567,25 +667,26 @@ def _checked_lasso_run(out, t_max=400):
     cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
                            replications=2, out_dir=str(out),
                            solver=SolverConfig(t_max=t_max, check_invariants=True))
-    t0 = time.perf_counter()
-    report, code = run_experiment(cfg)
-    return report, code, time.perf_counter() - t0
+    return run_experiment(cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
     """After its first non-finite step a replication is no longer checked:
-    the run logs that step only and costs no more than a clean one."""
-    _, code, clean_s = _checked_lasso_run(tmp_path / "clean")
+    the run logs that step only and probes no step after it."""
+    clean, code = _checked_lasso_run(tmp_path / "clean")
     assert code == 0
     _nan_subgradient_at_step_20(monkeypatch, 1)
-    report, code, nan_s = _checked_lasso_run(tmp_path / "nan")
+    report, code = _checked_lasso_run(tmp_path / "nan")
     assert code == 1 and report["failed_runs"][0].startswith("rep=1 ")
     logged = (tmp_path / "nan" / "invariants.log").read_text().splitlines()
     assert logged and all(line.startswith("rep=1 k=20 ") for line in logged)
-    # replication 0 runs on, checked at every step
-    assert report["invariant_probes"]["dual-identity"] == 400 + 20
-    assert nan_s < 2.0 * clean_s
+    # replication 0 runs on, checked at every step, and replication 1 up to
+    # step 20: the probes of the clean run's steps (2 x 400), per step
+    per_step = {name: n / (2 * 400) for name, n in clean["invariant_probes"].items()}
+    assert all(n > 0 for n in per_step.values())
+    assert report["invariant_probes"] == {name: n * (400 + 20)
+                                          for name, n in per_step.items()}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

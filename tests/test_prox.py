@@ -201,7 +201,7 @@ def test_x_subproblem_validates_inputs():
     state = IterateState.zeros(spec)
     with pytest.raises(ValueError, match="eta must be positive"):
         step(state, _stochastic_plan(spec), np.zeros(1), eta=0.0)
-    with pytest.raises(ValueError, match="beta must be positive"):
+    with pytest.raises(ValueError, match="solver.beta: must be > 0"):
         _stochastic_plan(spec, beta=-1.0)
 
 

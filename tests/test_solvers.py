@@ -160,7 +160,7 @@ def test_config_validation_messages():
         SolverConfig(schedule="smooth", t_max=10).validate(spec)
     with pytest.raises(ValueError, match="positive eta0"):
         SolverConfig(schedule="constant", t_max=10).validate(spec)
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match="solver.variant: expected one of"):
         SolverConfig(variant="magic").validate(spec)
     with pytest.raises(ValueError, match="rho"):
         SolverConfig(rho=0.0).validate(spec)
