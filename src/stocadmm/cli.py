@@ -62,7 +62,7 @@ def _cmd_reference(args) -> int:
               file=sys.stderr)
         return 1
     ref = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
-    path = save_reference(cfg.out_dir, ref, reference_key(cfg))
+    path = save_reference(cfg.out_dir, ref, reference_key(preset, cfg.solver.beta))
     print(f"reference cached at {path}: objective={ref.theta_star!r} "
           f"method={ref.method} tol={ref.certified_tolerance:.2e}")
     return 0

@@ -16,8 +16,8 @@ that need the built preset.  A run produces, inside the output directory:
 * ``invariants.log``       one line per violated runtime invariant (empty on
   success);
 * ``reference.npz`` + ``reference.sha256``  cached certified optimum, keyed
-  by the preset, its parameters and seed, the reference method, beta and the
-  package version; a cache with another key is recomputed.
+  by the preset, its canonical parameters (``Preset.params``) and seed, the
+  reference method, beta and the package version; another key recomputes it.
 
 Gates: slope_band, check_bound (under metrics.rate_bound; the constant
 schedule has none) and omegas (the tail check: stochastic convex schedule,
@@ -41,8 +41,7 @@ from . import __version__, kernels
 from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
                       fit_rate, high_prob_check, rate_bound, require_tail_bound)
 from .oracle import SampleBuffer
-from .presets import (ORACLE_MODES, PRESET_NAMES, PRESET_PARAMS, Preset,
-                      build_preset)
+from .presets import PARAM_RULES, PRESET_NAMES, Preset, build_preset
 from .problem import IterateState
 from .schema import ConfigError, check, dump, parse, setting
 from .solvers import INVARIANTS, SolverConfig, StepPlan, Trajectory, run
@@ -54,10 +53,9 @@ __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experi
 @dataclass
 class ExperimentConfig:
     preset: str = setting(str, choices=PRESET_NAMES)
-    preset_params: dict = setting(dict, factory=dict, keys=lambda values: {
-        key: dict(type=type(val), **({"choices": ORACLE_MODES} if key == "oracle" else {}))
-        for key, val in PRESET_PARAMS[values["preset"]].items()})
-    preset_seed: int = setting(int, 0)
+    preset_params: dict = setting(dict, factory=dict,
+                                  keys=lambda values: PARAM_RULES[values["preset"]])
+    preset_seed: int = setting(int, 0, ge=0)
     solver: SolverConfig = setting(SolverConfig, factory=SolverConfig)
     replications: int = setting(int, 1, ge=1)
     t_grid: list | None = setting(list, None, item=dict(type=int, ge=1))
@@ -236,13 +234,12 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def reference_key(cfg: ExperimentConfig) -> str:
-    """Hash of everything the certified optimum of cfg depends on; the cache
-    only ever holds the "auto" reference."""
-    blob = json.dumps({"preset": cfg.preset, "params": cfg.preset_params,
-                       "seed": cfg.preset_seed, "method": "auto",
-                       "beta": cfg.solver.beta, "version": __version__},
-                      sort_keys=True, default=str)
+def reference_key(preset: Preset, beta: float) -> str:
+    """Hash of everything the certified optimum of preset depends on, its
+    canonical params included; the cache only ever holds the "auto" reference."""
+    blob = json.dumps({"preset": preset.name, "params": preset.params,
+                       "seed": preset.seed, "method": "auto",
+                       "beta": float(beta), "version": __version__}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -294,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig):
 
     reference = None
     if preset.supports_reference:
-        key = reference_key(cfg)
+        key = reference_key(preset, cfg.solver.beta)
         reference = load_reference(cfg.out_dir, key)
         if reference is None:
             reference = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)

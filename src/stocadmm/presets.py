@@ -9,6 +9,7 @@ which update a run takes is read off it by the run's plan
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -18,9 +19,10 @@ from .functions import (HingeLoss, L1Norm, LeastSquares, SquaredL2Penalty,
                         soft_threshold)
 from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .problem import ProblemSpec, StructuralConstants
+from .schema import check_value
 from .sets import Ball, WholeSpace
 
-__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS", "ORACLE_MODES"]
+__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS", "PARAM_RULES"]
 
 # sampled finite-sum component, or the exact (sub)gradient
 ORACLE_MODES = ("finite-sum", "exact")
@@ -40,6 +42,13 @@ PRESET_PARAMS = {
 
 PRESET_NAMES = tuple(PRESET_PARAMS)
 
+# preset name -> each parameter's schema rule: its default's type, plus a bound
+# or the choices where _BOUNDS gives them
+_BOUNDS = dict(n=dict(ge=1), d=dict(ge=1), mu=dict(gt=0), oracle=dict(choices=ORACLE_MODES))
+PARAM_RULES = {name: {key: dict(_BOUNDS.get(key, {}), type=type(val))
+                      for key, val in params.items()}
+               for name, params in PRESET_PARAMS.items()}
+
 # oracle streams are offset from data-generation streams to keep them disjoint
 _ORACLE_SEED_OFFSET = 0x9E3779B9
 
@@ -48,16 +57,13 @@ _ORACLE_SEED_OFFSET = 0x9E3779B9
 class Preset:
     name: str
     spec: ProblemSpec
-    params: dict
+    params: dict  # every parameter, checked (build_preset)
     seed: int
-    oracle_mode: str  # one of ORACLE_MODES
     supports_reference: bool = True
 
     def make_oracle(self, stream: int = 0):
-        if self.oracle_mode not in ORACLE_MODES:
-            raise ValueError(f"oracle mode {self.oracle_mode!r} is not one of {ORACLE_MODES}")
         oseed = (self.seed + _ORACLE_SEED_OFFSET) % 2**63
-        if self.oracle_mode == "exact":
+        if self.params["oracle"] == "exact":
             return AdditiveNoiseOracle(self.spec.theta1, sigma=0.0, kind="none",
                                        seed=oseed, stream=stream)
         return FiniteSumOracle(self.spec.theta1, seed=oseed, stream=stream)
@@ -156,8 +162,8 @@ def _lsq_constants(design, targets, radius, mu, oracle):
     M2 = _max_quadratic_over_ball(P, q, c, radius)
     M = float(np.sqrt(M2))
     L = float(np.linalg.eigvalsh(design.T @ design / n)[-1]) + mu
-    # ||delta|| <= ||g_i|| + ||E g|| <= 2M pointwise; the exact oracle has
-    # no noise
+    # E||delta||^2 <= E||g||^2 <= M^2, so sigma = 2M is a valid but loose bound
+    # (not one of ||delta|| pointwise); the exact oracle has no noise
     sigma = 0.0 if oracle == "exact" else 2.0 * M
     return StructuralConstants(M=M, sigma=sigma, mu=mu, L=L)
 
@@ -166,9 +172,9 @@ def _sparse_regression(rng, p, signs_first: bool):
     """The design, a sparse x_true with entries +-1 and the noisy targets of
     a least-squares preset, drawn from rng.  signs_first draws the signs of
     x_true before its support, the order of the fused-lasso-graph preset."""
-    n, d = int(p["n"]), int(p["d"])
-    design = _make_design(rng, n, d, float(p["cond"]))
-    k = max(1, int(round(p["sparsity"] * d)))
+    n, d = p["n"], p["d"]
+    design = _make_design(rng, n, d, p["cond"])
+    k = max(1, round(p["sparsity"] * d))
     # a tuple's items are drawn left to right
     if signs_first:
         signs, support = rng.choice([-1.0, 1.0], size=k), rng.choice(d, size=k, replace=False)
@@ -176,27 +182,24 @@ def _sparse_regression(rng, p, signs_first: bool):
         support, signs = rng.choice(d, size=k, replace=False), rng.choice([-1.0, 1.0], size=k)
     x_true = np.zeros(d)
     x_true[support] = signs
-    targets = design @ x_true + float(p["noise"]) * rng.standard_normal(n)
+    targets = design @ x_true + p["noise"] * rng.standard_normal(n)
     return design, x_true, targets
 
 
 def _lasso_like(name, seed, p):
-    mu = float(p["mu"]) if name == "strongly-convex-lasso" else 0.0
-    if name == "strongly-convex-lasso" and mu <= 0:
-        raise ValueError("strongly-convex-lasso needs mu > 0")
+    mu = p.get("mu", 0.0)
     design, _, targets = _sparse_regression(np.random.default_rng(seed), p,
                                             signs_first=False)
     d = design.shape[1]
-    lam_reg = float(p["lam_reg"])
-    x_hat = _fista_reduced_lasso(design, targets, lam_reg, mu)
+    x_hat = _fista_reduced_lasso(design, targets, p["lam_reg"], mu)
     radius = max(1.0, 2.0 * float(np.linalg.norm(x_hat)))
     spec = ProblemSpec(
-        theta1=LeastSquares(design, targets, mu=mu), theta2=L1Norm(lam_reg),
+        theta1=LeastSquares(design, targets, mu=mu), theta2=L1Norm(p["lam_reg"]),
         A=np.eye(d), B=-np.eye(d), b=np.zeros(d),
         X=Ball(d, radius), Y=WholeSpace(d),
         constants=_lsq_constants(design, targets, radius, mu, p["oracle"]),
     )
-    return Preset(name, spec, p, seed, p["oracle"])
+    return Preset(name, spec, p, seed)
 
 
 def _fused_lasso_graph(seed, p):
@@ -218,44 +221,43 @@ def _fused_lasso_graph(seed, p):
 
     radius = max(1.0, 2.0 * float(np.linalg.norm(x_true)) + 1.0)
     spec = ProblemSpec(
-        theta1=LeastSquares(design, targets), theta2=L1Norm(float(p["lam_reg"])),
+        theta1=LeastSquares(design, targets), theta2=L1Norm(p["lam_reg"]),
         A=A, B=-np.eye(m), b=np.zeros(m),
         X=Ball(d, radius), Y=WholeSpace(m),
         constants=_lsq_constants(design, targets, radius, 0.0, p["oracle"]),
     )
-    return Preset("fused-lasso-graph", spec, p, seed, p["oracle"])
+    return Preset("fused-lasso-graph", spec, p, seed)
 
 
 def _hinge_svm_split(seed, p):
     rng = np.random.default_rng(seed)
-    n, d = int(p["n"]), int(p["d"])
+    n, d = p["n"], p["d"]
     design = rng.standard_normal((n, d)) / np.sqrt(d)
     w_true = rng.standard_normal(d)
     w_true /= np.linalg.norm(w_true)
-    labels = np.sign(design @ w_true + float(p["noise"]) * rng.standard_normal(n))
+    labels = np.sign(design @ w_true + p["noise"] * rng.standard_normal(n))
     labels[labels == 0] = 1.0
 
-    radius = float(p["radius"])
-    lam_reg = float(p["lam_reg"])
     theta1 = HingeLoss(design, labels)
     M = float(np.max(np.linalg.norm(design, axis=1)))
     spec = ProblemSpec(
-        theta1=theta1, theta2=SquaredL2Penalty(lam_reg),
+        theta1=theta1, theta2=SquaredL2Penalty(p["lam_reg"]),
         A=np.eye(d), B=-np.eye(d), b=np.zeros(d),
-        X=Ball(d, radius), Y=WholeSpace(d),
+        X=Ball(d, p["radius"]), Y=WholeSpace(d),
         constants=StructuralConstants(M=M, sigma=2.0 * M, mu=0.0, L=None),
     )
     # exact Line-1 minimization of the hinge sum has no closed form, so the
     # deterministic reference path is unavailable for this preset
-    return Preset("hinge-svm-split", spec, p, seed, p["oracle"],
-                  supports_reference=False)
+    return Preset("hinge-svm-split", spec, p, seed, supports_reference=False)
 
 
 def build_preset(name: str, seed: int = 0, **params) -> Preset:
-    """Preset name built from seed, with params overriding PRESET_PARAMS[name]."""
-    if name not in PRESET_PARAMS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    p = dict(PRESET_PARAMS[name], **params)
+    """Preset name built from seed, with params (checked as a config's, then
+    over a copy of PRESET_PARAMS[name], the preset's params) as overrides."""
+    check_value("preset", name, dict(type=str, choices=PRESET_NAMES), {})
+    rule = dict(type=dict, keys=lambda _: PARAM_RULES[name])
+    p = copy.deepcopy({**PRESET_PARAMS[name],
+                       **check_value("preset_params", params, rule, {})})
     if name == "fused-lasso-graph":
         return _fused_lasso_graph(seed, p)
     if name == "hinge-svm-split":

@@ -1,7 +1,7 @@
 """The config schema.  Each field of a config dataclass declares its type, its
-choices or range and its default once (setting).  parse (from a raw mapping)
-and dump (of a built config) check each value by one function, so a config
-from YAML and one built in Python fail alike, with the field's path."""
+choices or range and its default once (setting).  parse (from a raw mapping),
+dump (of a built config) and build_preset check each value by one function,
+check_value, so they fail alike, with the field's path."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ def setting(typ, default=MISSING, *, factory=MISSING, **rule):
                  metadata=dict(rule, type=typ, optional=default is None))
 
 
-def _value(path, v, rule, values):
+def check_value(path, v, rule, values):
     """v as dump gives it, once it passes rule (values: the config's, for keys)."""
     typ = rule["type"]
     if isinstance(v, rule.get("also", ())):
@@ -38,18 +38,18 @@ def _value(path, v, rule, values):
         # ints (a long t_grid): one pass over the types, and the min for a bound
         if item["type"] is int and set(map(type, v)) <= {int}:
             if v:
-                _value(f"{path}[{v.index(min(v))}]", min(v), item, values)
+                check_value(f"{path}[{v.index(min(v))}]", min(v), item, values)
         else:
-            v = [_value(f"{path}[{i}]", x, item, values) for i, x in enumerate(v)]
+            v = [check_value(f"{path}[{i}]", x, item, values) for i, x in enumerate(v)]
         if "holds" in rule and not rule["holds"][1](*v):
             raise ConfigError(f"{path}: expected {rule['holds'][0]}, got {list(v)}")
         return list(v)
     if "keys" in rule:
         keys = rule["keys"](values)
-        for key in _value(path, v, {"type": dict}, values):
+        for key in check_value(path, v, {"type": dict}, values):
             if key not in keys:
                 raise ConfigError(f"{path}.{key}: unknown field")
-        return {key: _value(f"{path}.{key}", x, keys[key], values) for key, x in v.items()}
+        return {k: check_value(f"{path}.{k}", x, keys[k], values) for k, x in v.items()}
     if typ in (int, float) and isinstance(v, (int, float)) and not isinstance(v, bool):
         if isinstance(v, float) and not math.isfinite(v):
             raise ConfigError(f"{path}: expected a finite number, got {v!r}")
@@ -83,8 +83,8 @@ def parse(cls, raw, path: str = ""):
                 raise ConfigError(f"{path}{f.name}: required field is missing")
         elif is_dataclass(typ):
             kwargs[f.name] = parse(typ, v, f"{path}{f.name}.")
-        else:  # typ makes a tuple of _value's list
-            kwargs[f.name] = typ(_value(path + f.name, v, f.metadata, kwargs))
+        else:  # typ makes a tuple of check_value's list
+            kwargs[f.name] = typ(check_value(path + f.name, v, f.metadata, kwargs))
     return cls(**kwargs)
 
 
@@ -92,7 +92,7 @@ def dump(cfg, path: str = "") -> dict:
     """The plain mapping whose parse is cfg (a matrix G, which only Python
     takes, excepted), checked as parse checks, path prefixing each name."""
     return {f.name: None if getattr(cfg, f.name) is None and f.metadata["optional"]
-            else _value(path + f.name, getattr(cfg, f.name), f.metadata, vars(cfg))
+            else check_value(path + f.name, getattr(cfg, f.name), f.metadata, vars(cfg))
             for f in fields(cfg)}
 
 

@@ -268,6 +268,30 @@ def test_reference_subcommand_and_cache(tmp_path, capsys):
         load_reference(str(out))
 
 
+def test_configs_of_one_problem_share_the_cached_reference(tmp_path, monkeypatch):
+    # a default left out or given, and a float given as an int, are one
+    # problem: the second run of each pair loads the first one's reference
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute_reference(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "compute_reference", counting)
+    for pair, params in enumerate((({}, {"n": 200}), ({"cond": 10}, {"cond": 10.0}))):
+        keys = [harness.reference_key(build_preset("lasso-split", 0, **p), 1.0)
+                for p in params]
+        assert keys[0] == keys[1]
+        thetas = []
+        for p in params:
+            cfg = ExperimentConfig(preset="lasso-split", preset_params=p,
+                                   solver=SolverConfig(t_max=10),
+                                   out_dir=str(tmp_path / f"o{pair}"))
+            thetas.append(run_experiment(cfg)[0]["theta_star"])
+            assert len(calls) == pair + 1  # the pair's first run solved it
+        assert thetas[0] == thetas[1]
+
+
 def test_reference_unavailable_for_hinge(tmp_path, capsys):
     code = main(["reference", "--preset", "hinge-svm-split",
                  "--out", str(tmp_path / "o")])
@@ -349,7 +373,10 @@ VALIDATION_CASES = [
     ({"solver": {"averaging": "bogus"}},
      "solver.averaging: expected one of .*, got 'bogus'"),
     ({"preset": "strongly-convex-lasso", "preset_params": {"mu": -1.0}},
-     "preset_params: .*mu > 0"),
+     "preset_params.mu: must be > 0, got -1.0"),
+    ({"preset_seed": -1}, "preset_seed: must be >= 0, got -1"),
+    ({"preset_params": {"n": 0}}, "preset_params.n: must be >= 1, got 0"),
+    ({"preset_params": {"d": 0}}, "preset_params.d: must be >= 1, got 0"),
     ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max"),
     ({"solver": {"schedule": "bogus"}},
      "solver.schedule: expected one of .*, got 'bogus'"),
@@ -424,6 +451,17 @@ def test_parsed_and_python_built_configs_fail_alike():
         with pytest.raises(ConfigError, match=path) as built:
             plan_experiment(_built_in_python(raw))
         assert str(built.value) == str(parsed.value)
+        # the preset builder checks its parameters by the same rules
+        if path.startswith("preset_params."):
+            with pytest.raises(ConfigError) as direct:
+                build_preset(raw["preset"], 0, **raw["preset_params"])
+            assert str(direct.value) == str(parsed.value)
+
+
+def test_negative_seed_flag_fails_at_its_field(tmp_path, capsys):
+    assert main(["run", "--preset", "lasso-split", "--seed", "-3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "preset_seed: must be >= 0, got -3" in capsys.readouterr().err
 
 
 def _every_field_set():

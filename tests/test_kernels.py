@@ -127,7 +127,7 @@ def test_identity_split_spec_with_box_x_takes_the_kernel():
         X=Box(np.full(d, -0.25), np.full(d, 0.25)), Y=WholeSpace(d),
         constants=StructuralConstants(M=10.0),
     )
-    preset = Preset("box-lasso", spec, {}, 3, "finite-sum")
+    preset = Preset("box-lasso", spec, {"oracle": "finite-sum"}, 3)
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
     plan = solver.validate(spec)
     assert plan.takes_identity_split
@@ -254,7 +254,7 @@ def _general_a_box_preset(seed=4, n=30, d=4, m=3):
         X=Box(np.full(d, -0.3), np.full(d, 0.3)), Y=WholeSpace(m),
         constants=StructuralConstants(M=10.0),
     )
-    return Preset("general-box", spec, {}, seed, "finite-sum")
+    return Preset("general-box", spec, {"oracle": "finite-sum"}, seed)
 
 
 def _assert_batched_matches_one_stream_runs(preset, solver, R=3):

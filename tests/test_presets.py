@@ -1,7 +1,5 @@
 """Synthetic presets: reproducibility and certified structural constants."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from stocadmm import presets
 from stocadmm.functions import soft_threshold
 from stocadmm.oracle import validate_assumptions
 from stocadmm.presets import PRESET_NAMES, build_preset
+from stocadmm.schema import ConfigError
 from stocadmm.solvers import SolverConfig
 
 
@@ -28,12 +27,30 @@ def test_different_seeds_differ():
 
 
 def test_unknown_preset_raises():
-    with pytest.raises(ValueError, match="unknown preset"):
+    with pytest.raises(ConfigError, match="preset: expected one of .*, got 'nope'"):
         build_preset("nope")
 
 
+def test_params_are_every_parameter_typed_as_its_default():
+    # a wrong name or type fails as in a config (VALIDATION_CASES in test_cli)
+    params = build_preset("lasso-split", 0, n=200, cond=10).params
+    assert params == build_preset("lasso-split", 0).params
+    assert type(params["cond"]) is float
+
+
+def test_params_share_no_list_with_the_defaults_or_the_caller():
+    first = build_preset("fused-lasso-graph", seed=0, d=5)
+    first.params["edges"].append((0, 2))
+    again = build_preset("fused-lasso-graph", seed=0, d=5)
+    assert again.params["edges"] == []
+    assert again.spec.A.shape == (4, 5)  # the chain graph
+    edges = [[0, 1], [1, 2]]
+    assert build_preset("fused-lasso-graph", seed=0, d=5, edges=edges).params["edges"] \
+        is not edges
+
+
 def test_strongly_convex_preset_requires_positive_mu():
-    with pytest.raises(ValueError, match="mu > 0"):
+    with pytest.raises(ConfigError, match="preset_params.mu: must be > 0, got 0.0"):
         build_preset("strongly-convex-lasso", mu=0.0)
     p = build_preset("strongly-convex-lasso", mu=0.2)
     assert p.spec.constants.mu == 0.2
@@ -130,8 +147,9 @@ def test_exact_oracle_mode_has_zero_variance():
     x = np.zeros(preset.spec.d1)
     assert np.array_equal(oracle.presample(1).subgradient(preset.spec.theta1, x, 0),
                           preset.spec.theta1.grad(x))
-    with pytest.raises(ValueError, match="oracle mode 'exakt'"):
-        dataclasses.replace(preset, oracle_mode="exakt").make_oracle(0)
+    with pytest.raises(ConfigError,
+                       match="preset_params.oracle: expected one of .*, got 'exakt'"):
+        build_preset("lasso-split", seed=0, oracle="exakt")
 
 
 def test_oracle_streams_are_independent_and_reproducible():
