@@ -41,7 +41,7 @@ from . import __version__, kernels
 from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
                       fit_rate, high_prob_check, rate_bound, require_tail_bound)
 from .oracle import SampleBuffer
-from .presets import PARAM_RULES, PRESET_NAMES, Preset, build_preset
+from .presets import PARAM_RULES, PRESET_NAMES, SEED_RULE, Preset, build_preset
 from .problem import IterateState
 from .schema import ConfigError, check, dump, parse, setting
 from .solvers import INVARIANTS, SolverConfig, StepPlan, Trajectory, run
@@ -55,7 +55,7 @@ class ExperimentConfig:
     preset: str = setting(str, choices=PRESET_NAMES)
     preset_params: dict = setting(dict, factory=dict,
                                   keys=lambda values: PARAM_RULES[values["preset"]])
-    preset_seed: int = setting(int, 0, ge=0)
+    preset_seed: int = setting(int, 0, **SEED_RULE)
     solver: SolverConfig = setting(SolverConfig, factory=SolverConfig)
     replications: int = setting(int, 1, ge=1)
     t_grid: list | None = setting(list, None, item=dict(type=int, ge=1))

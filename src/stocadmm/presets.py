@@ -22,7 +22,8 @@ from .problem import ProblemSpec, StructuralConstants
 from .schema import check_value
 from .sets import Ball, WholeSpace
 
-__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS", "PARAM_RULES"]
+__all__ = ["Preset", "build_preset", "PRESET_NAMES", "PRESET_PARAMS", "PARAM_RULES",
+           "SEED_RULE"]
 
 # sampled finite-sum component, or the exact (sub)gradient
 ORACLE_MODES = ("finite-sum", "exact")
@@ -44,10 +45,14 @@ PRESET_NAMES = tuple(PRESET_PARAMS)
 
 # preset name -> each parameter's schema rule: its default's type, plus a bound
 # or the choices where _BOUNDS gives them
-_BOUNDS = dict(n=dict(ge=1), d=dict(ge=1), mu=dict(gt=0), oracle=dict(choices=ORACLE_MODES))
+_BOUNDS = dict(n=dict(ge=1), d=dict(ge=1), mu=dict(gt=0), cond=dict(ge=1),
+               noise=dict(ge=0), lam_reg=dict(ge=0), radius=dict(gt=0),
+               sparsity=dict(gt=0, le=1), oracle=dict(choices=ORACLE_MODES))
 PARAM_RULES = {name: {key: dict(_BOUNDS.get(key, {}), type=type(val))
                       for key, val in params.items()}
                for name, params in PRESET_PARAMS.items()}
+# the rule of a preset's seed, a config's preset_seed
+SEED_RULE = dict(type=int, ge=0)
 
 # oracle streams are offset from data-generation streams to keep them disjoint
 _ORACLE_SEED_OFFSET = 0x9E3779B9
@@ -255,6 +260,7 @@ def build_preset(name: str, seed: int = 0, **params) -> Preset:
     """Preset name built from seed, with params (checked as a config's, then
     over a copy of PRESET_PARAMS[name], the preset's params) as overrides."""
     check_value("preset", name, dict(type=str, choices=PRESET_NAMES), {})
+    check_value("preset_seed", seed, SEED_RULE, {})
     rule = dict(type=dict, keys=lambda _: PARAM_RULES[name])
     p = copy.deepcopy({**PRESET_PARAMS[name],
                        **check_value("preset_params", params, rule, {})})

@@ -6,6 +6,7 @@ check_value, so they fail alike, with the field's path."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, field, fields, is_dataclass
 
 
@@ -13,8 +14,13 @@ class ConfigError(ValueError):
     pass
 
 
+# bound -> its text and the test a value passes
+_BOUND_TESTS = {"ge": (">=", operator.ge), "gt": (">", operator.gt),
+                "le": ("<=", operator.le)}
+
+
 def setting(typ, default=MISSING, *, factory=MISSING, **rule):
-    """A dataclass field of type typ and its rule: choices, ge or gt, item (each
+    """A dataclass field of type typ and its rule: choices, ge, gt, le, item (each
     item's rule), size, holds ((text, test of the items)), keys (the config's
     values -> each key's rule), also (a type only Python takes, dumped by
     tolist).  A None default allows None."""
@@ -61,9 +67,9 @@ def check_value(path, v, rule, values):
         raise ConfigError(f"{path}: expected {typ.__name__}, got {type(v).__name__}")
     if "choices" in rule and v not in rule["choices"]:
         raise ConfigError(f"{path}: expected one of {rule['choices']}, got {v!r}")
-    if "ge" in rule and v < rule["ge"] or "gt" in rule and v <= rule["gt"]:
-        bound = f">= {rule['ge']}" if "ge" in rule else f"> {rule['gt']}"
-        raise ConfigError(f"{path}: must be {bound}, got {v!r}")
+    for key, (text, holds) in _BOUND_TESTS.items():
+        if key in rule and not holds(v, rule[key]):
+            raise ConfigError(f"{path}: must be {text} {rule[key]}, got {v!r}")
     return v
 
 

@@ -486,22 +486,25 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
     return lhs - rhs, scale
 
 
-def check_y_optimality(curr: StackedW, spec: ProblemSpec, rng: np.random.Generator,
+def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
                        probes: int = Y_PROBE_COUNT):
     """Max signed residual of the y-update optimality inequality over probes.
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
-    -B'lam_{k+1}> <= 0 for every y' in Y.  The probes y' are drawn as one
-    (probes, d2) array, at the scale 1 + ||y_{k+1}||.  For n rows of curr,
-    as (n, d) parts, they are drawn as one (n, probes, d2) array, each row
-    at its own scale.  Returns (max residual, scale), (n,) arrays for n rows.
+    -B'lam_{k+1}> <= 0 for every y' in Y.  draw holds Y.sample's points at
+    scale 1, (probes, d2), or (n, probes, d2) for n rows of curr as (n, d)
+    parts; each probe y' projects a point of draw, at the scale 1 +
+    ||y_{k+1}|| of its row where Y.sample scales (a whole-space Y).  Returns
+    (max residual, scale), (n,) arrays for n rows.
     """
+    if draw.shape[-2] != probes:
+        raise ValueError(f"expected {probes} probes per row, got {draw.shape[-2]}")
     grad_term = -curr.lam @ spec.B
     th2 = spec.theta2.value(curr.y)
     scale = 1.0 + abs(th2) + np.linalg.norm(grad_term, axis=-1)
-    y_scale = 1.0 + np.linalg.norm(curr.y, axis=-1)[..., None, None]
-    y_probe = spec.Y.project(spec.Y.sample(
-        rng, scale=y_scale, size=(*curr.y.shape[:-1], probes)))
+    if isinstance(spec.Y, WholeSpace):  # a ball's or a box's points have no scale
+        draw = (1.0 + np.linalg.norm(curr.y, axis=-1))[..., None, None] * draw
+    y_probe = spec.Y.project(draw)
     res = (th2[..., None] - spec.theta2.value(y_probe)
            + np.vecdot(curr.y[..., None, :] - y_probe, grad_term[..., None, :]))
     return np.max(res, axis=-1, initial=-np.inf), scale
@@ -561,7 +564,7 @@ def loop(plan: StepPlan, state: IterateState, update,
             g = draws.subgradient(spec.theta1, state.x, k) if stochastic else None
             update(state, g, eta)
         except Exception as exc:  # return the partial trajectories with the error
-            error = f"iteration {k}: {exc}"
+            error = f"iteration {k + 1}: {exc}"
             break
         ended = rows.record(state, eta)
         if checks is not None:
@@ -585,8 +588,9 @@ class CheckedSteps:
     stepsize.  A one-stream state counts as R = 1.  Every CHECK_CHUNK steps,
     and at flush() when the loop ends, one _run_checks call checks the
     stored steps of every replication still checked, with replication r's
-    record and probe generator records[r] and rngs[r]; a replication's
-    checks end after its first non-finite step.  Every check pass evaluates
+    record records[r]; a replication's checks end after its first
+    non-finite step.  Every replication shares the probes of one generator,
+    rng, so a run draws as many whatever R is.  Every check pass evaluates
     theta1 through the plan's quadratic form, if it has one."""
 
     def __init__(self, state: IterateState, plan: StepPlan):
@@ -599,7 +603,7 @@ class CheckedSteps:
         self.g = np.empty((CHECK_CHUNK, R, spec.d1)) if plan.stochastic else None
         self.eta = np.empty(CHECK_CHUNK)
         self.records = [InvariantRecord() for _ in range(R)]
-        self.rngs = [np.random.default_rng(PROBE_SEED) for _ in range(R)]
+        self.rng = np.random.default_rng(PROBE_SEED)
         self.checked = list(range(R))
         self.k0 = state.k  # the k of slot 0
         self.n = 0         # steps stored
@@ -631,7 +635,8 @@ class CheckedSteps:
         # non-finite one, which is checked too
         all_finite = finite.all(axis=0)
         last = np.where(all_finite, n, np.argmin(finite, axis=0) + 1)
-        _run_checks(self, {r: int(last[r]) for r in self.checked})
+        if self.checked:  # none after every replication's first non-finite step
+            _run_checks(self, {r: int(last[r]) for r in self.checked})
         self.checked = [r for r in self.checked if all_finite[r]]
         for part in (w.x, w.y, w.lam):
             part[0] = part[n]
@@ -668,15 +673,22 @@ class InvariantRecord:
 
 def _run_checks(chunk: CheckedSteps, steps: dict):
     """All enabled per-iteration invariants at the stored steps of one
-    chunk, for each replication r of steps at its first steps[r] steps.  r
-    draws its probes from chunk.rngs[r], one array per probe kind for all
-    its steps, and its results go to chunk.records[r].  The replications
-    are evaluated in groups of at most CHECK_ROWS (step, replication) rows,
-    each check over all rows and probes of a group at once, and each
-    check's results reduced once per group: the worst residual per
-    replication, and a log entry only where a probe is violated."""
-    plan, w, g, records = chunk.plan, chunk.w, chunk.g, chunk.records
+    chunk, for each replication r of steps at its first steps[r] steps, into
+    chunk.records[r].  The probes are drawn once, an array per kind whose row
+    j step k0 + 1 + j of every replication reads, scaled per row after the
+    draw.  Each check runs over all rows and probes of a group of at most
+    CHECK_ROWS (step, replication) rows at once, its results reduced once per
+    group: the worst residual per replication, and a log entry per violation."""
+    plan, w, g, records, rng = chunk.plan, chunk.w, chunk.g, chunk.records, chunk.rng
     spec, beta = plan.spec, plan.beta
+    n = max(steps.values())
+    y_draw = spec.Y.sample(rng, size=(n, Y_PROBE_COUNT))
+    if g is not None:
+        size = (n, PROBE_COUNT)
+        probe_x = spec.X.project(spec.X.sample(rng, size=size))
+        probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=size)),
+                           spec.Y.project(spec.Y.sample(rng, size=size)),
+                           rng.standard_normal((*size, spec.m)))
     reps = list(steps)
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
     for first in range(0, len(reps), per_group):
@@ -716,23 +728,11 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         note("dual-identity", dual_res, dual_res,
              ~(dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1))))
 
-        # y-optimality, and the probes of the x-checks, one replication at a
-        # time from its own generator
-        yres, yscale, probe_x, probe_w = [], [], [], []
-        for rep, sl in zip(group, rep_rows):
-            rng = chunk.rngs[rep]
-            res, scale = check_y_optimality(curr[sl], spec, rng, probes=Y_PROBE_COUNT)
-            yres.append(res)
-            yscale.append(scale)
-            if g is not None:
-                size = (sl.stop - sl.start, PROBE_COUNT)
-                lam_scale = 1.0 + np.linalg.norm(curr.lam[sl], axis=-1)
-                probe_x.append(spec.X.sample(rng, size=size))
-                probe_w.append((spec.X.sample(rng, size=size),
-                                spec.Y.sample(rng, size=size),
-                                lam_scale[:, None, None]
-                                * rng.standard_normal((*size, spec.m))))
-        yres, yscale = np.concatenate(yres), np.concatenate(yscale)
+        # y-optimality, one replication at a time: its first steps' points
+        yres, yscale = np.empty((2, len(k)))
+        for count, sl in zip(counts, rep_rows):
+            yres[sl], yscale[sl] = check_y_optimality(curr[sl], spec, y_draw[:count],
+                                                      probes=Y_PROBE_COUNT)
         note("y-optimality", yres, yres / yscale, ~(yres <= CHECK_TOL * yscale),
              probes=Y_PROBE_COUNT)
         if g is None:
@@ -744,15 +744,14 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         # 3-points relation at the realized x-update
         v = spec.b + prev.lam / beta - prev.y @ spec.B.T
         g_l = gr + beta * ((curr.x @ spec.A.T - v) @ spec.A)
-        ok, res = three_points_check(curr_c.x, prev_c.x,
-                                     spec.X.project(np.concatenate(probe_x)),
-                                     g_l[:, None], 1.0 / e, tol=CHECK_TOL)
+        ok, res = three_points_check(curr_c.x, prev_c.x, probe_x[j], g_l[:, None],
+                                     1.0 / e, tol=CHECK_TOL)
         note("three-points", res, res, ~ok)
-        # per-iteration variational bound at random probes; delta is the
-        # deviation of g from the exact subgradient at the previous iterate
+        # per-iteration variational bound at random probes, lam's at scale
+        # 1 + ||lam_{k+1}||; delta = g - the exact subgradient at prev.x
         delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
-        px, py, plam = (np.concatenate(part) for part in zip(*probe_w))
-        probes = StackedW(spec.X.project(px), spec.Y.project(py), plam)
+        probes = probe_w[j]
+        probes.lam[...] *= (1.0 + np.linalg.norm(curr.lam, axis=-1))[:, None, None]
         res, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
                                            delta[:, None], e, spec, beta,
                                            quadratic=plan.quadratic)

@@ -377,6 +377,19 @@ VALIDATION_CASES = [
     ({"preset_seed": -1}, "preset_seed: must be >= 0, got -1"),
     ({"preset_params": {"n": 0}}, "preset_params.n: must be >= 1, got 0"),
     ({"preset_params": {"d": 0}}, "preset_params.d: must be >= 1, got 0"),
+    # every bounded preset parameter fails at its field, not in the builder
+    ({"preset_params": {"cond": -5.0}}, "preset_params.cond: must be >= 1, got -5.0"),
+    ({"preset_params": {"noise": -1.0}}, "preset_params.noise: must be >= 0, got -1.0"),
+    ({"preset_params": {"sparsity": -1.0}},
+     "preset_params.sparsity: must be > 0, got -1.0"),
+    ({"preset_params": {"sparsity": 2.0}},
+     "preset_params.sparsity: must be <= 1, got 2.0"),
+    ({"preset_params": {"lam_reg": -0.1}},
+     "preset_params.lam_reg: must be >= 0, got -0.1"),
+    ({"preset": "hinge-svm-split", "preset_params": {"lam_reg": -1.0}},
+     "preset_params.lam_reg: must be >= 0, got -1.0"),
+    ({"preset": "hinge-svm-split", "preset_params": {"radius": 0}},
+     "preset_params.radius: must be > 0, got 0.0"),
     ({"t_grid": [10, 500]}, "t_grid\\[1\\]: .* exceeds solver.t_max"),
     ({"solver": {"schedule": "bogus"}},
      "solver.schedule: expected one of .*, got 'bogus'"),
@@ -451,10 +464,11 @@ def test_parsed_and_python_built_configs_fail_alike():
         with pytest.raises(ConfigError, match=path) as built:
             plan_experiment(_built_in_python(raw))
         assert str(built.value) == str(parsed.value)
-        # the preset builder checks its parameters by the same rules
-        if path.startswith("preset_params."):
+        # the preset builder checks its seed and parameters by the same rules
+        if path.startswith(("preset_seed:", "preset_params.")):
             with pytest.raises(ConfigError) as direct:
-                build_preset(raw["preset"], 0, **raw["preset_params"])
+                build_preset(raw["preset"], raw.get("preset_seed", 0),
+                             **raw.get("preset_params", {}))
             assert str(direct.value) == str(parsed.value)
 
 
@@ -618,7 +632,7 @@ def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
 @pytest.mark.parametrize("preset", ["fused-lasso-graph", "lasso-split"])
 def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, preset,
                                                    replications):
-    """An exception in the 30th draw ends the run at iteration 29, with
+    """An exception in the 30th draw ends the run at iteration 30, with
     step() (fused-lasso-graph) and with the identity-split update
     (lasso-split).  One loop advances every replication, so each of them
     fails there; the aggregate of the completed replications is covered by
@@ -639,7 +653,7 @@ def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, preset
                            out_dir=str(out))
     report, code = run_experiment(cfg)
     assert code == 1 and report["passed"] is False
-    assert report["failed_runs"] == [f"rep={r} iteration 29: injected failure"
+    assert report["failed_runs"] == [f"rep={r} iteration 30: injected failure"
                                      for r in range(replications)]
     assert json.loads((out / "report.json").read_text()) == report
     # no replication completed

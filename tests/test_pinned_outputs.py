@@ -4,13 +4,15 @@ work must leave every CSV byte and every setup result as it was.
 The digests and float.hex literals were recorded from the code before the
 y-update took its point from step(), the recorder filled a row with one
 concatenate and the CSV writer formatted blocks of rows, and those of M
-before its bisection stopped at convergence; they hold as long as no output
-value or its formatting changes."""
+before its bisection stopped at convergence, and those of the checks before
+the replications of a run shared one probe generator; they hold as long as
+no output value or its formatting changes."""
 
 import hashlib
 
 import pytest
 
+from stocadmm import solvers
 from stocadmm.harness import ExperimentConfig, run_experiment
 from stocadmm.metrics import compute_reference
 from stocadmm.presets import build_preset
@@ -55,6 +57,49 @@ def test_csv_outputs_match_recorded_digests(tmp_path, name):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert written == digests
+
+
+# config name -> (ExperimentConfig fields, float.hex of each invariant_worst
+# value, invariant_probes, sha256 of invariants.log) of a checked run whose
+# x-update at step 20 is moved off its minimizer: GOLDEN's checked run, and
+# one with two check groups and a last chunk shorter than CHECK_CHUNK
+CHECKED = {
+    "checked": (
+        GOLDEN["checked"][0],
+        {"dual-identity": "0x1.8000000000000p-57", "y-optimality": "0x1.2f7f8bdbad95fp-50",
+         "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe93c92f03000p-1"},
+        {"dual-identity": 200, "y-optimality": 4000, "three-points": 1000,
+         "step-inequality": 1000},
+        "846982656dbe1007a7651cefa7a649c84c9bfdfa41094ae1dfe865d7f6c078f6"),
+    "checked-R6-T77": (
+        dict(preset="lasso-split", replications=6,
+             solver=SolverConfig(t_max=77, check_invariants=True)),
+        {"dual-identity": "0x1.01fe03f61bad0p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
+         "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe9a9f759e29ep-1"},
+        {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
+         "step-inequality": 2310},
+        "6566f51704d270647d8f41ade2406c8ab9d0712973c7c8b9f192c8cd8f1abfae"),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_checked_run_matches_recorded_worst_probes_and_log(tmp_path, monkeypatch, name):
+    fields, worst, probes, log_digest = CHECKED[name]
+    real, calls = solvers.min_quadratic_over_set, [0]
+
+    def perturbed(H0, eig, shift, *args, **kwargs):
+        x = real(H0, eig, shift, *args, **kwargs)
+        calls[0] += shift > 0  # a stochastic step, not the reference solve
+        return x + 3.0 if calls[0] == 20 and shift > 0 else x
+
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
+    report, code = run_experiment(ExperimentConfig(preset_params=SMALL,
+                                                   out_dir=str(tmp_path), **fields))
+    assert code == 1
+    assert {k: v.hex() for k, v in report["invariant_worst"].items()} == worst
+    assert report["invariant_probes"] == probes
+    log = (tmp_path / "invariants.log").read_bytes()
+    assert hashlib.sha256(log).hexdigest() == log_digest
 
 
 # (preset, seed) -> float.hex of the feasible ball's radius, sized by the

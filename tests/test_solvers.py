@@ -197,7 +197,7 @@ def test_recorded_rows_match_a_step_by_step_replay(lasso_preset, monkeypatch):
 
     monkeypatch.setattr(solvers, "step", failing_step)
     cut = run(spec, cfg, theta_star=theta_star)
-    assert full.error is None and cut.error == "iteration 30: overflow"
+    assert full.error is None and cut.error == "iteration 31: overflow"
     for traj in (full, cut):
         n = len(traj)
         assert np.array_equal(traj.k, np.arange(1, n + 1))
@@ -542,7 +542,8 @@ def test_batched_checks_match_probe_by_probe_formulas(which, lasso_preset):
         assert np.ndim(one_res) == 0 and one_holds == holds[p]
 
     # y-optimality: the same draws, one probe at a time
-    worst, yscale = check_y_optimality(curr, spec, np.random.default_rng(3), probes=P)
+    draw = spec.Y.sample(np.random.default_rng(3), size=P)
+    worst, yscale = check_y_optimality(curr, spec, draw, probes=P)
     ys = spec.Y.project(spec.Y.sample(np.random.default_rng(3),
                                       scale=1.0 + np.linalg.norm(curr.y), size=P))
     grad_term = -spec.B.T @ curr.lam
@@ -662,7 +663,7 @@ def test_an_exception_mid_chunk_keeps_the_checks_of_every_completed_step(
     trajs = run_replications(lasso_preset, solver.validate(lasso_preset.spec), 2,
                              np.arange(1, 51), None)
     for traj in trajs:
-        assert traj.error == "iteration 29: injected failure"
+        assert traj.error == "iteration 30: injected failure"
         # steps 1..29 completed, the last 29 - CHECK_CHUNK of them in an
         # unfinished chunk
         assert traj.invariant_probes == {"dual-identity": 29, "y-optimality": 20 * 29,
@@ -693,6 +694,24 @@ def test_non_finite_iterate_ends_the_run(lasso_preset, monkeypatch):
     assert list(traj.k) == list(range(1, 11))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chunks_after_every_replication_ended_check_nothing(lasso_preset, monkeypatch):
+    """Every replication's x_20 is NaN and no row is recorded before step 60,
+    so the loop runs on through chunks that have no replication to check."""
+    real = IterateState.advance
+
+    def nan_x_at_20(self, x, y, lam):
+        real(self, np.full_like(x, np.nan) if self.k == 19 else x, y, lam)
+
+    monkeypatch.setattr(IterateState, "advance", nan_x_at_20)
+    solver = SolverConfig(t_max=60, check_invariants=True)
+    trajs = run_replications(lasso_preset, solver.validate(lasso_preset.spec), 2,
+                             np.array([10, 60]), None)
+    for traj in trajs:
+        assert traj.error == "iteration 60: non-finite iterate"
+        assert traj.invariant_probes["dual-identity"] == 20
+
+
 def test_checks_flag_a_perturbed_dual_step(lasso_preset, monkeypatch):
     real = IterateState.advance
 
@@ -716,6 +735,40 @@ def test_invariant_record_counts_every_probe(lasso_preset):
     assert det.invariant_probes == {"dual-identity": 10, "y-optimality": 200,
                                     "three-points": 0, "step-inequality": 0}
     assert set(det.invariant_worst) == {"dual-identity", "y-optimality"}
+
+
+def test_checked_run_draws_as_many_probe_variates_whatever_r_is(lasso_preset,
+                                                                 monkeypatch):
+    """Every replication of a checked run reads the probes of one generator:
+    R = 6 draws exactly the variates of R = 1."""
+    real_init, variates = solvers.CheckedSteps.__init__, []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            def counted(*args, **kwargs):
+                out = getattr(self.rng, name)(*args, **kwargs)
+                variates[-1] += np.size(out)
+                return out
+            return counted
+
+    def spied_init(self, state, plan):
+        real_init(self, state, plan)
+        self.rng = Counting(self.rng)
+        variates.append(0)
+
+    monkeypatch.setattr(solvers.CheckedSteps, "__init__", spied_init)
+    solver = SolverConfig(t_max=77, check_invariants=True)
+    for R in (1, 6):
+        run_replications(lasso_preset, solver.validate(lasso_preset.spec), R,
+                         np.arange(1, 78), None)
+    # per step: 20 y-points, 5 three-points x-points and 5 (x, y, lam) points,
+    # and one uniform radius per point of the ball X
+    d1, d2, m = lasso_preset.spec.d1, lasso_preset.spec.d2, lasso_preset.spec.m
+    per_step = 20 * d2 + PROBE_COUNT * (d1 + 1) + PROBE_COUNT * (d1 + 1 + d2 + m)
+    assert variates == [77 * per_step] * 2
 
 
 def test_averaging_defaults():
