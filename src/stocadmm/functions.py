@@ -4,7 +4,9 @@ Two families of handles:
 
 * first-block objectives: evaluate the exact (expected) value and an exact
   subgradient, and for finite sums also the per-component subgradient used
-  by the sampling oracle;
+  by the sampling oracle: one formula (parts_grad) over the data of the
+  sampled components (parts), which the oracle gathers for a block of
+  steps at once;
 * second-block objectives: evaluate a value and a proximal operator
   ``argmin_y f(y) + (c/2)||y - z||^2``.
 
@@ -81,10 +83,18 @@ class LeastSquares:
     # exact subgradient == gradient (smooth)
     subgrad = grad
 
+    def parts(self, i) -> tuple:
+        """The data of components i: their design rows and targets."""
+        return self.design[i], self.targets[i]
+
+    def parts_grad(self, x: np.ndarray, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The gradient of the components whose parts are rows and targets,
+        with the ridge term mu * x only for mu != 0 (it adds zeros at 0)."""
+        g = rows * (np.vecdot(rows, x) - targets)[..., None]
+        return g + self.mu * x if self.mu else g
+
     def component_grad(self, x: np.ndarray, i) -> np.ndarray:
-        rows = self.design[i]
-        r = np.vecdot(rows, x) - self.targets[i]
-        return rows * r[..., None] + self.mu * x
+        return self.parts_grad(x, *self.parts(i))
 
     def hessian(self) -> np.ndarray:
         if self._hessian is None:
@@ -124,10 +134,17 @@ class HingeLoss:
         active = self.labels * matmul_rows(x, self.design.T) < 1.0
         return -matmul_rows(np.where(active, self.labels, 0.0), self.design) / self.n
 
-    def component_grad(self, x: np.ndarray, i) -> np.ndarray:
-        rows, labels = self.design[i], self.labels[i]
+    def parts(self, i) -> tuple:
+        """The data of components i: their design rows and labels."""
+        return self.design[i], self.labels[i]
+
+    def parts_grad(self, x: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """The subgradient of the components whose parts are rows and labels."""
         active = labels * np.vecdot(rows, x) < 1.0
         return -np.where(active, labels, 0.0)[..., None] * rows
+
+    def component_grad(self, x: np.ndarray, i) -> np.ndarray:
+        return self.parts_grad(x, *self.parts(i))
 
 
 class Quadratic:

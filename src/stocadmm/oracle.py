@@ -2,7 +2,8 @@
 
 An oracle draws the randomness of a run in one batch (presample), and
 SampleBuffer.subgradient turns the draws of step k into the sampled
-subgradient g, for one stream or for R streams stacked.  The deviation
+subgradient g, for one stream or for R streams stacked, from the component
+data it gathers a block of steps at a time.  The deviation
 delta = g - E g is needed only by the per-iteration invariant checks and by
 validate_assumptions, which compute it from the exact subgradient
 theta1.subgrad(x).
@@ -16,7 +17,7 @@ mutable state and are reproducible independently of scheduling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# most bytes of component data one gathered block of a SampleBuffer holds:
+# the parts of its steps for every stream (at least one step's).  A bound in
+# bytes, not in steps, bounds a block's memory whatever t, R and d are.
+GATHER_BYTES = 256 * 1024
+
+
+@dataclass
 class SampleBuffer:
     """Pre-drawn randomness of one stream, or of R streams stacked along a
     leading axis: component indices and/or noise rows.
@@ -38,10 +45,19 @@ class SampleBuffer:
     a batched loop and a one-stream run() see identical draws.  indices is
     None for an oracle that uses the exact subgradient, noise for one that
     adds no noise.
+
+    The data of the sampled components (theta1.parts) is gathered a block of
+    B steps at a time, one fancy index per part for every stream, as (B, R,
+    ...) arrays whose row j is step start + j's contiguous (R, ...) part.  B
+    is the most steps whose parts fit in GATHER_BYTES, at least one, so a
+    block holds about R*B*(d + 1)*8 bytes for a design row and a target or
+    label per component, whatever t is.
     """
 
     indices: np.ndarray | None
     noise: np.ndarray | None
+    # (theta1, start, stop, parts) of the block of steps start..stop-1
+    block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def subgradient(self, theta1, x: np.ndarray, k: int | slice) -> np.ndarray:
         """The sampled subgradient of theta1 at x for step k: the component
@@ -50,11 +66,26 @@ class SampleBuffer:
         k = slice(None) gives every draw of one stream at x as (n, d) rows."""
         if self.indices is None:
             g = theta1.subgrad(x)
-        else:
+        elif isinstance(k, slice):
             g = theta1.component_grad(x, self.indices[..., k])
+        else:
+            owner, start, stop, parts = self.block or (None, 0, 0, ())
+            if owner is not theta1 or not start <= k < stop:
+                owner, start, stop, parts = self._gather(theta1, k)
+            g = theta1.parts_grad(x, *[part[k - start] for part in parts])
         if self.noise is not None:
             g = g + self.noise[..., k, :]
         return g
+
+    def _gather(self, theta1, k: int) -> tuple:
+        """Gather the parts of the block of steps that holds step k."""
+        idx = self.indices
+        step_bytes = sum(part.nbytes for part in theta1.parts(idx[..., 0]))
+        steps = max(1, GATHER_BYTES // step_bytes)
+        start = k - k % steps
+        stop = min(start + steps, idx.shape[-1])
+        self.block = (theta1, start, stop, theta1.parts(idx[..., start:stop].T))
+        return self.block
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
@@ -64,8 +95,9 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 class FiniteSumOracle:
     """Uniform component sampling over a finite-sum objective.
 
-    The wrapped function must expose n and component_grad; its exact
-    subgradient is the average of the component subgradients.
+    The wrapped function must expose n, component_grad and the parts and
+    parts_grad that SampleBuffer reads; its exact subgradient is the average
+    of the component subgradients.
     """
 
     bounded = True  # finitely many components on a compact set

@@ -44,11 +44,10 @@ class WholeSpace:
             raise ValueError("declared diameter must be positive and finite")
         return self.declared_diameter
 
-    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+    def sample(self, rng: np.random.Generator,
                size: int | tuple | None = None) -> np.ndarray:
-        """Gaussian points times scale, which may be an array that
-        broadcasts against them, such as an (n, 1, 1) scale per row."""
-        return scale * rng.standard_normal(_shape(self.dim, size))
+        """Standard Gaussian points."""
+        return rng.standard_normal(_shape(self.dim, size))
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+    def sample(self, rng: np.random.Generator,
                size: int | tuple | None = None) -> np.ndarray:
         # uniform on the ball: gaussian direction, radius ~ U^{1/d}
         v = rng.standard_normal(_shape(self.dim, size))
@@ -112,7 +111,7 @@ class Box:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
-    def sample(self, rng: np.random.Generator, scale: float | np.ndarray = 1.0,
+    def sample(self, rng: np.random.Generator,
                size: int | tuple | None = None) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, _shape(self.dim, size))
 

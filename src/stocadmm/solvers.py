@@ -268,9 +268,10 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     replication by the same formulas, written for rows.
 
     B y is s*y, A v is v for a plan with A = I, and b is left out for
-    b = 0: each gives the values of the matrix product or the sum it
-    replaces, and every other operation keeps its order.  lam/beta is
-    formed once, for the x-update's v and the y-update's point."""
+    b = 0, as is c for a stochastic plan (c = 0): each gives the values of
+    the matrix product, the sum or the difference it replaces, and every
+    other operation keeps its order.  lam/beta is formed once, for the
+    x-update's v and the y-update's point."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = plan.shift
     if shift is None:
@@ -283,7 +284,10 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     lam_beta = state.lam / beta
     v = lam_beta if plan.b_zero else spec.b + lam_beta
     v = v - plan.s * state.y
-    rhs = beta * (v if plan.A_identity else v @ spec.A) - plan.c + shift * x
+    rhs = beta * (v if plan.A_identity else v @ spec.A)
+    if not plan.stochastic:  # the stochastic model of theta1 is linear: c = 0
+        rhs = rhs - plan.c
+    rhs = rhs + shift * x
     G = plan.G_rest
     if G is not None:
         rhs = rhs + (x @ G.T if isinstance(G, np.ndarray) else G * x)
@@ -364,20 +368,23 @@ class RecordedRows:
         # the aligned x and y sums, which take in x_k and y_k at row k
         self.latest = slice(d1, None)
         self.n = 0  # rows stored
+        # the k of the next row due, as an int; 0 once every row is stored
+        self.due = int(self.k[0]) if len(self.k) else 0
 
     def record(self, state: IterateState, eta: float) -> bool:
         """Store the row of step state.k if it is due.  Returns whether it
         was, and no replication's sums in it are finite: from then on every
         replication has ended (see trajectories).  A sum is finite exactly
         when its average is."""
-        n = self.n
-        if n == len(self.k) or self.k[n] != state.k:
+        if state.k != self.due:
             return False
+        n = self.n
         self.eta[n] = eta
         row = self.buf[..., n, :]
         np.concatenate((state.sum_x_shifted, state.sum_x_aligned, state.sum_y),
                        axis=-1, out=row)
-        self.n += 1
+        self.n = n + 1
+        self.due = int(self.k[n + 1]) if n + 1 < len(self.k) else 0
         # a finite sum of the entries means every entry is finite, which is
         # the common case
         latest = row[..., self.latest]
@@ -491,11 +498,11 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
     """Max signed residual of the y-update optimality inequality over probes.
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
-    -B'lam_{k+1}> <= 0 for every y' in Y.  draw holds Y.sample's points at
-    scale 1, (probes, d2), or (n, probes, d2) for n rows of curr as (n, d)
-    parts; each probe y' projects a point of draw, at the scale 1 +
-    ||y_{k+1}|| of its row where Y.sample scales (a whole-space Y).  Returns
-    (max residual, scale), (n,) arrays for n rows.
+    -B'lam_{k+1}> <= 0 for every y' in Y.  draw holds Y.sample's points,
+    (probes, d2), or (n, probes, d2) for n rows of curr as (n, d) parts;
+    each probe y' projects a point of draw, for a whole-space Y at the scale
+    1 + ||y_{k+1}|| of its row.  Returns (max residual, scale), (n,) arrays
+    for n rows.
     """
     if draw.shape[-2] != probes:
         raise ValueError(f"expected {probes} probes per row, got {draw.shape[-2]}")

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from stocadmm.functions import LeastSquares, Quadratic
-from stocadmm.oracle import (AdditiveNoiseOracle, FiniteSumOracle,
-                             validate_assumptions)
+from stocadmm import oracle as oracle_module
+from stocadmm.functions import HingeLoss, LeastSquares, Quadratic
+from stocadmm.oracle import (GATHER_BYTES, AdditiveNoiseOracle, FiniteSumOracle,
+                             SampleBuffer, validate_assumptions)
 from stocadmm.sets import Ball
 
 
@@ -105,6 +106,54 @@ def test_buffer_draws_determine_the_sample():
     for k in range(20):
         g = buf.subgradient(f, x, k)
         assert np.array_equal(g, f.component_grad(x, int(buf.indices[k])))
+
+
+@pytest.mark.parametrize("R", [None, 3])
+@pytest.mark.parametrize("name", ["lsq-mu0", "lsq-ridge", "hinge"])
+def test_block_gathered_subgradient_is_the_per_step_component_gradient(
+        monkeypatch, name, R):
+    """With blocks of 4 steps, steps 0..9 read three blocks, the last one of
+    2 steps; each step's sampled subgradient has the bits of component_grad
+    at its indices (plus its noise row), for one stream and for R stacked,
+    stepping in order and jumping back across blocks."""
+    rng = np.random.default_rng(12)
+    n, d, t = 9, 5, 10
+    design, targets = rng.standard_normal((n, d)), rng.standard_normal(n)
+    f = {"lsq-mu0": LeastSquares(design, targets),
+         "lsq-ridge": LeastSquares(design, targets, mu=0.3),
+         "hinge": HingeLoss(design, np.sign(targets))}[name]
+    lead = () if R is None else (R,)
+    # one step's parts, a design row and a target or label per stream, are
+    # (d + 1) * 8 bytes per stream: a budget of 4 steps and a bit
+    monkeypatch.setattr(oracle_module, "GATHER_BYTES", 4 * (R or 1) * (d + 1) * 8 + 7)
+    for noise in (None, rng.standard_normal(lead + (t, d))):
+        draws = SampleBuffer(rng.integers(0, n, size=lead + (t,)), noise)
+        for k in [*range(t), 9, 2, 7, 0]:
+            x = rng.standard_normal(lead + (d,))
+            want = f.component_grad(x, draws.indices[..., k])
+            if noise is not None:
+                want = want + noise[..., k, :]
+            got = draws.subgradient(f, x, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            _, start, stop, parts = draws.block
+            assert start == k - k % 4 and stop == min(start + 4, t)
+            assert all(part.shape[:1 + len(lead)] == (stop - start,) + lead
+                       for part in parts)
+
+
+def test_gathered_block_stays_within_its_byte_budget_whatever_t_is():
+    """R = 16 streams of 10^5 steps: every gathered block holds at most
+    GATHER_BYTES of component data, not a copy of the whole horizon."""
+    rng = np.random.default_rng(13)
+    n, d, R, t = 200, 20, 16, 100_000
+    f = LeastSquares(rng.standard_normal((n, d)), rng.standard_normal(n))
+    draws = SampleBuffer(rng.integers(0, n, size=(R, t)), None)
+    x = rng.standard_normal((R, d))
+    for k in (0, t // 2, t - 1):
+        draws.subgradient(f, x, k)
+        _, start, stop, parts = draws.block
+        assert start <= k < stop and stop - start < t
+        assert 0 < sum(part.nbytes for part in parts) <= GATHER_BYTES
 
 
 def test_noise_kind_and_sigma_validation():

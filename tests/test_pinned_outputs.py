@@ -4,9 +4,11 @@ work must leave every CSV byte and every setup result as it was.
 The digests and float.hex literals were recorded from the code before the
 y-update took its point from step(), the recorder filled a row with one
 concatenate and the CSV writer formatted blocks of rows, and those of M
-before its bisection stopped at convergence, and those of the checks before
-the replications of a run shared one probe generator; they hold as long as
-no output value or its formatting changes."""
+before its bisection stopped at convergence, those of the checks before
+the replications of a run shared one probe generator, and those of the
+ridge and hinge runs before the sampled subgradient read component data
+gathered a block of steps at a time; they hold as long as no output value
+or its formatting changes."""
 
 import hashlib
 
@@ -21,7 +23,8 @@ from stocadmm.solvers import SolverConfig
 SMALL = {"n": 50, "d": 6}
 
 # config name -> (ExperimentConfig fields, sha256 of each CSV file it writes),
-# small runs shaped like the four benchmark workloads
+# small runs shaped like the four benchmark workloads, a ridge term (mu > 0)
+# and a hinge loss (labels; no reference, so no aggregate.csv)
 GOLDEN = {
     "linearized-every-step": (
         dict(preset="lasso-split", replications=1, t_grid=list(range(1, 301)),
@@ -45,6 +48,20 @@ GOLDEN = {
         {"aggregate.csv": "4ec6500e32f4572e1d0220bfc164e46b80d7ff1fb9777a4129e66e59222886c0",
          "traj_rep000.csv": "d0b131cf6ed899a8610324fe61243b162b2a6fc7e28f932e522c3e7cf711f7ad",
          "traj_rep001.csv": "66ca9c30ab925ccec370d682bb26f13745d731636351b693bbf4f72e66620112"}),
+    # 1700 steps of 3 streams at d = 6 cross the boundary of the sampled
+    # components' first gathered block (1560 steps) into a shorter last one
+    "strongly-convex-ridge": (
+        dict(preset="strongly-convex-lasso", replications=3,
+             solver=SolverConfig(schedule="strongly-convex", t_max=1700)),
+        {"aggregate.csv": "eb6fe00737d914f78349bc9929bb1eeef6b7204c6eb0e655ce1cc0a06123fedb",
+         "traj_rep000.csv": "156f90b77805e05092874c5d3a900e6fb6eb49791eea43da11239b571ff7690d",
+         "traj_rep001.csv": "af752d2755f59453cd39a2cee29bfa1660ea95943f2b92b8a06e394ccd52e009",
+         "traj_rep002.csv": "dcfef31de03e4a012de6c2addb5f65d0ef4a6ceff8caf0fea804a11a2bfab05e"}),
+    "hinge-labels": (
+        dict(preset="hinge-svm-split", replications=3, solver=SolverConfig(t_max=1700)),
+        {"traj_rep000.csv": "cadc50221e13ed68177193c2e42fbd2e68ed2aec9f0ba6a7b84d51617c0b65da",
+         "traj_rep001.csv": "50454859ba2c0d10f22faeb5c5a11c1f77d72295d46b497695a3379479559421",
+         "traj_rep002.csv": "cf033f09dc0f00620a77dbf61954393519203c59a0d8283c9fc2225a42d22121"}),
 }
 
 

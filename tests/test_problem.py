@@ -166,12 +166,3 @@ def test_sample_with_a_shape_gives_a_point_per_entry(space):
         assert np.all(np.linalg.norm(pts, axis=-1) <= space.radius * (1 + 1e-12))
     if isinstance(space, Box):
         assert np.all((pts >= space.lo) & (pts <= space.hi))
-
-
-def test_whole_space_sample_scales_each_row():
-    space, scale = WholeSpace(3), np.array([1.0, 10.0, 0.0]).reshape(3, 1, 1)
-    got = space.sample(np.random.default_rng(8), scale=scale, size=(3, 5))
-    # the same draws at unit scale, then each row times its own scale
-    unit = space.sample(np.random.default_rng(8), size=(3, 5))
-    assert np.array_equal(got, scale * unit)
-    assert np.array_equal(got[2], np.zeros((5, 3)))

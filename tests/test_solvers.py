@@ -544,14 +544,37 @@ def test_batched_checks_match_probe_by_probe_formulas(which, lasso_preset):
     # y-optimality: the same draws, one probe at a time
     draw = spec.Y.sample(np.random.default_rng(3), size=P)
     worst, yscale = check_y_optimality(curr, spec, draw, probes=P)
-    ys = spec.Y.project(spec.Y.sample(np.random.default_rng(3),
-                                      scale=1.0 + np.linalg.norm(curr.y), size=P))
+    # a whole-space Y's probes at the scale 1 + ||y||, a box's as drawn
+    ys = spec.Y.project((1.0 + np.linalg.norm(curr.y)) * draw
+                        if isinstance(spec.Y, WholeSpace) else draw)
     grad_term = -spec.B.T @ curr.lam
     ref = max(spec.theta2.value(curr.y) - spec.theta2.value(y)
               + float((curr.y - y) @ grad_term) for y in ys)
     assert worst == pytest.approx(ref, abs=1e-12)
     assert yscale == pytest.approx(1.0 + abs(spec.theta2.value(curr.y))
                                    + np.linalg.norm(grad_term), abs=1e-12)
+
+
+def test_y_optimality_scales_each_rows_probes_by_its_own_y(lasso_preset):
+    """Over a whole-space Y, n rows at once give, row for row, the one-point
+    formula at that row's draw times its own 1 + ||y||: 2, 11 and, for y =
+    0, exactly 1."""
+    spec = lasso_preset.spec
+    assert isinstance(spec.Y, WholeSpace)
+    rng = np.random.default_rng(8)
+    P, n = 5, 3
+    y = rng.standard_normal((n, spec.d2))
+    y *= (np.array([1.0, 10.0, 0.0]) / np.linalg.norm(y, axis=1))[:, None]
+    curr = StackedW(rng.standard_normal((n, spec.d1)), y,
+                    rng.standard_normal((n, spec.m)))
+    draw = spec.Y.sample(rng, size=(n, P))
+    worst, _ = check_y_optimality(curr, spec, draw, probes=P)
+    assert worst.shape == (n,)
+    grad_term = -curr.lam @ spec.B
+    for i, scale in enumerate((2.0, 11.0, 1.0)):
+        ref = max(spec.theta2.value(y[i]) - spec.theta2.value(p)
+                  + float((y[i] - p) @ grad_term[i]) for p in scale * draw[i])
+        assert worst[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["lasso-split", "strongly-convex-lasso"])
