@@ -6,9 +6,11 @@ quadratic over X, so its minimizer is the projection of a closed-form point,
 and the y-update is the prox of theta2 at x - lam/beta.  A run takes it when
 its plan says so (StepPlan.takes_identity_split).  admm_identity_split
 passes the update, for R replications as (R, d) arrays, to solvers.loop,
-which owns the rest of every run.  The projection and the prox are the
-spec's own methods, so each replication's trajectory agrees with run() on
-its stream up to floating-point summation order.
+which owns the rest of every run.  The projection is the spec's own method
+and the prox is the plan's y_prox, the map step() applies through
+solvers.solve_y_update, which this update does not call; so each
+replication's trajectory agrees with run() on its stream up to
+floating-point summation order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from .oracle import SampleBuffer
 from .problem import IterateState
-from .prox import prox_theta2
 from .solvers import SolverError, StepPlan, Trajectory, loop
 
 __all__ = ["admm_identity_split"]
@@ -39,14 +40,17 @@ def admm_identity_split(plan: StepPlan, idx, noise, state: IterateState,
     if not plan.takes_identity_split:
         raise SolverError("the identity-split update needs an unchecked stochastic "
                           "plan with A = I, B = -I and b = 0")
-    spec, beta = plan.spec, plan.beta
+    spec, beta, y_prox = plan.spec, plan.beta, plan.y_prox
+    # for beta = 1, a product with beta or a quotient by it is its operand
+    unit = beta == 1.0
 
     def update(state, g, eta):
         # x-update: the quadratic is isotropic, so its minimizer over X is
         # the projection of the unconstrained one
-        x = spec.X.project((beta * state.y + state.lam + state.x / eta - g)
-                           / (beta + 1.0 / eta))
-        y = prox_theta2(x - state.lam / beta, beta, spec.theta2, spec.Y)
-        state.advance(x, y, state.lam - beta * (x - y))
+        x = spec.X.project(((state.y if unit else beta * state.y) + state.lam
+                            + state.x / eta - g) / (beta + 1.0 / eta))
+        # y-update: the plan's prox map, whose scale beta*s^2 is beta
+        y = y_prox(x - (state.lam if unit else state.lam / beta))
+        state.advance(x, y, state.lam - ((x - y) if unit else beta * (x - y)))
 
     return loop(plan, state, update, SampleBuffer(idx, noise), theta_star, record_at)

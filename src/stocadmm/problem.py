@@ -172,9 +172,11 @@ class IterateState:
       (sum_y);
     * aligned: x averaged over 1..k (sum_x_aligned; the y averages coincide).
 
-    Each average is its sum divided by k.  The arrays may carry a leading
-    replication axis, (R, d) for R replications advanced together;
-    replication(r) is one of them.
+    Each average is its sum divided by k.  The three sums sit side by side
+    in one contiguous array, sums, of shape (..., 2*d1 + d2): x shifted, x
+    aligned, y; sum_x_shifted, sum_x_aligned and sum_y are views into it.
+    The arrays may carry a leading replication axis, (R, d) for R
+    replications advanced together; replication(r) is one of them.
     """
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray):
@@ -182,9 +184,8 @@ class IterateState:
         self.y = np.array(y0, dtype=float)
         self.lam = np.array(lam0, dtype=float)
         self.k = 0
-        self.sum_x_shifted = np.zeros_like(self.x)
-        self.sum_x_aligned = np.zeros_like(self.x)
-        self.sum_y = np.zeros_like(self.y)
+        d1, d2 = self.x.shape[-1], self.y.shape[-1]
+        self.sums = np.zeros(self.x.shape[:-1] + (2 * d1 + d2,))
 
     @classmethod
     def zeros(cls, spec: ProblemSpec, replications: int | None = None) -> "IterateState":
@@ -203,12 +204,30 @@ class IterateState:
         return view
 
     def advance(self, x_new: np.ndarray, y_new: np.ndarray, lam_new: np.ndarray):
-        """Record one completed iteration k -> k+1."""
-        self.sum_x_shifted += self.x
+        """Record one completed iteration k -> k+1, with one contiguous add
+        of (x_k, x_{k+1}, y_{k+1}) into the sums: an add into each strided
+        column view took about three times as long at R = 16."""
+        self.sums += np.concatenate((self.x, x_new, y_new), axis=-1)
         self.x, self.y, self.lam = x_new, y_new, lam_new
-        self.sum_x_aligned += self.x
-        self.sum_y += self.y
         self.k += 1
+
+    @staticmethod
+    def sum_slices(d1: int) -> tuple:
+        """The slices of the x shifted, x aligned and y sums in the last axis
+        of sums, for x of dimension d1."""
+        return slice(0, d1), slice(d1, 2 * d1), slice(2 * d1, None)
+
+    @property
+    def sum_x_shifted(self) -> np.ndarray:
+        return self.sums[..., self.sum_slices(self.x.shape[-1])[0]]
+
+    @property
+    def sum_x_aligned(self) -> np.ndarray:
+        return self.sums[..., self.sum_slices(self.x.shape[-1])[1]]
+
+    @property
+    def sum_y(self) -> np.ndarray:
+        return self.sums[..., self.sum_slices(self.x.shape[-1])[2]]
 
     @property
     def avg_x_shifted(self) -> np.ndarray:

@@ -16,15 +16,16 @@ outside the ball only, and the box loop stops once every row has converged.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .functions import ZeroFunction
-from .problem import ProblemSpec
+from .functions import L1Norm, ZeroFunction, soft_threshold
 from .sets import Ball, Box, SetDescriptor, WholeSpace
 
 __all__ = [
+    "prox_map",
     "prox_theta2",
-    "solve_y_update",
     "three_points_check",
     "min_quadratic_over_set",
     "SubproblemError",
@@ -42,27 +43,36 @@ class SubproblemError(RuntimeError):
         self.residual = residual
 
 
-def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray:
-    """argmin_{y in Y} theta2(y) + (c/2)||y - z||^2 for catalog entries.
+def prox_map(theta2, Y: SetDescriptor, c: float):
+    """The map z -> argmin_{y in Y} theta2(y) + (c/2)||y - z||^2 of a catalog
+    entry at a fixed scale c, with its checks and constants fixed once.
 
-    Separable entries restricted to a box clamp componentwise; a ball Y is
-    only exact for the indicator-only entry (projection).
+    For L1Norm it is the soft threshold at coef / c.  The entries are
+    separable, so over a box Y the clamp follows the prox; over a ball Y only
+    the indicator-only entry is exact, and its map is the projection.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("prox scaling c must be positive")
-    y = theta2.prox(z, c)
-    if isinstance(Y, WholeSpace):
-        return y
-    if isinstance(Y, Box):
-        return Y.project(y)
     if isinstance(Y, Ball):
-        if isinstance(theta2, ZeroFunction):
-            return Y.project(z)
-        raise ValueError(
-            "ball-constrained y-update is only exact for the indicator-only "
-            "entry; use the inner-solver mode"
-        )
-    raise TypeError(f"unsupported set descriptor {type(Y).__name__}")
+        if not isinstance(theta2, ZeroFunction):
+            raise ValueError("y-update over a ball Y is exact only for theta2 = 0 "
+                             f"(the indicator-only entry), not {type(theta2).__name__}")
+        return Y.project
+    if not isinstance(Y, (WholeSpace, Box)):
+        raise TypeError(f"unsupported set descriptor {type(Y).__name__}")
+    if isinstance(theta2, L1Norm):
+        prox = partial(soft_threshold, tau=theta2.coef / c)
+    else:
+        prox = partial(theta2.prox, c=c)
+    if isinstance(Y, Box):
+        return lambda z: Y.project(prox(z))
+    return prox
+
+
+def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray:
+    """argmin_{y in Y} theta2(y) + (c/2)||y - z||^2 for catalog entries: the
+    map of prox_map at z."""
+    return prox_map(theta2, Y, c)(z)
 
 
 def _ball_constrained_solve(eigvals, eigvecs, shift, rhs, radius):
@@ -142,19 +152,6 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
         init = rhs / lip if x_init is None else x_init
         return _box_projected_gradient(H0, shift, lip, rhs, X, init)
     raise TypeError(f"unsupported set descriptor {type(X).__name__}")
-
-
-def solve_y_update(v: np.ndarray, spec: ProblemSpec, beta: float,
-                   s: float) -> np.ndarray:
-    """argmin_{y in Y} theta2(y) + (beta/2)||s y + v||^2 for B = s*I, which
-    makes the update an exact prox of theta2.  Takes the point
-    v = A x_{k+1} - b - lam_k/beta, whose parts the caller has formed for
-    the x-update and the dual step, and relies on the caller having checked
-    B = s*I once for the run.
-    """
-    # beta/2 ||s y + v||^2 = (beta s^2/2) ||y + v/s||^2; v / -s is -v / s,
-    # since negation is exact
-    return prox_theta2(v / -s, beta * s * s, spec.theta2, spec.Y)
 
 
 def three_points_check(x_star: np.ndarray, u: np.ndarray, probe_x: np.ndarray,

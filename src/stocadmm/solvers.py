@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functions import ZeroFunction, matmul_rows
+from .functions import matmul_rows
 from .oracle import SampleBuffer
 from .problem import IterateState, ProblemSpec, StackedW, eval_F, err_rho
-from .prox import min_quadratic_over_set, solve_y_update, three_points_check
+from .prox import min_quadratic_over_set, prox_map, three_points_check
 from .schema import check, setting
 from .sets import Ball, WholeSpace
 
@@ -72,6 +72,9 @@ CHECK_TOL = 1e-9
 PROBE_SEED = 2024
 CHECK_CHUNK = 16
 CHECK_ROWS = 64
+# relative roundoff the declared mu and L of a quadratic theta1 may miss its
+# Hessian's extreme eigenvalues by; the presets miss by at most about 1e-15
+CURVATURE_RTOL = 1e-12
 
 AVERAGINGS = ("eq2-shifted", "eq10-aligned")
 SCHEDULES = ("convex", "strongly-convex", "smooth", "constant")
@@ -153,10 +156,21 @@ def _y_prox_scale(spec: ProblemSpec) -> float:
             "y-update reduces to a prox only for B = s*I exactly; use an inner "
             "solver for general B"
         )
-    if isinstance(spec.Y, Ball) and not isinstance(spec.theta2, ZeroFunction):
-        raise SolverError("y-update over a ball Y is exact only for theta2 = 0, "
-                          f"not {type(spec.theta2).__name__}")
     return s
+
+
+def _check_curvature(constants, low: float, top: float):
+    """The declared mu and L of a quadratic theta1 against the extreme
+    eigenvalues low and top of its Hessian H: mu <= lambda_min(H) and
+    L >= lambda_max(H), up to CURVATURE_RTOL * max(1, top).  The stepsizes
+    and the bounds rest on both."""
+    tol = CURVATURE_RTOL * max(1.0, top)
+    if constants.mu > low + tol:
+        raise SolverError(f"declared mu = {constants.mu} exceeds lambda_min(H) = "
+                          f"{low} of theta1's Hessian")
+    if constants.L is not None and constants.L < top - tol:
+        raise SolverError(f"declared L = {constants.L} is below lambda_max(H) = "
+                          f"{top} of theta1's Hessian")
 
 
 class StepPlan:
@@ -178,15 +192,19 @@ class StepPlan:
 
     For a scalar r and a theta1 with a prox but no quadratic form, the
     x-update is the prox form argmin theta1(x) + (r/2)||x - rhs/r||^2 (c = 0),
-    which needs whole-space X.  The y-update is the prox of theta2 with scale
-    s, for B = s*I.
+    which needs whole-space X.  The y-update, for B = s*I, is the prox of
+    theta2 with scale beta*s^2 at v / -s: y_prox, the map prox.prox_map
+    builds once, with its checks (a ball Y needs theta2 = 0) and constants
+    (the l1 threshold) fixed, so a step only does its arithmetic.
 
     The plan also reads three exact facts of the constraint off the spec
     once: B = s*I (required), A = I (A_identity) and b = 0 (b_zero).  For a
     scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  step()
     replaces each product these facts make trivial by the scalar operation
     that gives the same values.  theta1's (H, c, const), None without a
-    quadratic form, is read once, for the x-update and the invariant checks.
+    quadratic form, is read once, for the x-update and the invariant checks,
+    and with it the declared mu and L are checked against H's extreme
+    eigenvalues (_check_curvature).
     takes_identity_split, an unchecked stochastic run with A = I, B = -I and
     b = 0, selects the update of kernels.admm_identity_split.  cfg is a copy
     of the config the plan was built from.
@@ -196,7 +214,11 @@ class StepPlan:
         self.spec, self.cfg = spec, dataclasses.replace(cfg)
         self.beta = beta = cfg.beta
         self.stochastic = cfg.variant == "stochastic"
-        self.s = _y_prox_scale(spec)
+        self.s = s = _y_prox_scale(spec)
+        try:
+            self.y_prox = prox_map(spec.theta2, spec.Y, beta * s * s)
+        except ValueError as exc:
+            raise SolverError(str(exc)) from None
         self.A_identity = (spec.A.shape == (spec.d1, spec.d1)
                            and np.array_equal(spec.A, np.eye(spec.d1)))
         self.b_zero = not np.any(spec.b)
@@ -245,6 +267,10 @@ class StepPlan:
                 self.G_rest = G
         self.H0 = H0
         self.eig = None if H0 is None else np.linalg.eigh(H0)
+        if self.quadratic is not None:
+            H = self.quadratic[0]
+            w = self.eig[0] if H0 is H else np.linalg.eigvalsh(H)
+            _check_curvature(spec.constants, float(w[0]), float(w[-1]))
         # the whole-space and ball solves divide by the eigenvalues; projected
         # gradient over a box only needs a nonzero top eigenvalue
         low = 0 if isinstance(spec.X, (WholeSpace, Ball)) else -1
@@ -267,9 +293,11 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     of R replications with (R, d) arrays (and g with R rows) advances every
     replication by the same formulas, written for rows.
 
-    B y is s*y, A v is v for a plan with A = I, and b is left out for
-    b = 0, as is c for a stochastic plan (c = 0): each gives the values of
-    the matrix product, the sum or the difference it replaces, and every
+    B y is s*y, and for s = -1 a sum or difference with -y is the
+    difference or sum with y; A v is v for a plan with A = I, a product with
+    beta or a quotient by it is its operand for beta = 1, and b is left out
+    for b = 0, as is c for a stochastic plan (c = 0): each gives the values
+    of the matrix product, the sum or the difference it replaces, and every
     other operation keeps its order.  lam/beta is formed once, for the
     x-update's v and the y-update's point."""
     spec, beta, x = plan.spec, plan.beta, state.x
@@ -280,11 +308,15 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
         if not eta > 0:
             raise ValueError("eta must be positive")
         shift = 1.0 / eta
-    # v = b + lam/beta - B y_k
-    lam_beta = state.lam / beta
+    # v = b + lam/beta - B y_k; for s = -1, v - (-y) is v + y exactly, and
+    # for beta = 1 a product with beta or a quotient by it is its operand
+    neg_identity, unit = plan.s == -1.0, beta == 1.0
+    lam_beta = state.lam if unit else state.lam / beta
     v = lam_beta if plan.b_zero else spec.b + lam_beta
-    v = v - plan.s * state.y
-    rhs = beta * (v if plan.A_identity else v @ spec.A)
+    v = v + state.y if neg_identity else v - plan.s * state.y
+    rhs = v if plan.A_identity else v @ spec.A
+    if not unit:
+        rhs = beta * rhs
     if not plan.stochastic:  # the stochastic model of theta1 is linear: c = 0
         rhs = rhs - plan.c
     rhs = rhs + shift * x
@@ -301,12 +333,23 @@ def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
     Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
     # the y-update's point A x_{k+1} - b - lam/beta
     y_next = solve_y_update((Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta,
-                            spec, beta, plan.s)
-    residual = Ax_next + plan.s * y_next
+                            plan)
+    # A x + B y, for s = -1 as a + (-y), which is a - y exactly
+    residual = Ax_next - y_next if neg_identity else Ax_next + plan.s * y_next
     if not plan.b_zero:
         residual = residual - spec.b
-    state.advance(x_next, y_next, state.lam - beta * residual)
+    state.advance(x_next, y_next, state.lam - (residual if unit else beta * residual))
     return state
+
+
+def solve_y_update(v: np.ndarray, plan: StepPlan) -> np.ndarray:
+    """argmin_{y in Y} theta2(y) + (beta/2)||s y + v||^2 for B = s*I: since
+    (beta/2)||s y + v||^2 = (beta s^2/2)||y - v/-s||^2, the plan's prox map
+    (scale beta*s^2) at v / -s, which for s = -1 is v itself (dividing by
+    1.0 is exact).  Takes the point v = A x_{k+1} - b - lam_k/beta, whose
+    parts step() has formed for the x-update and the dual step."""
+    s = plan.s
+    return plan.y_prox(v if s == -1.0 else v / -s)
 
 
 @dataclass
@@ -352,9 +395,10 @@ METRIC_CHUNK = 256
 class RecordedRows:
     """The rows of one loop: the stepsize and the three running sums after
     step k, for each k of record_at within 1..t_max (every k by default),
-    stored in one buffer allocated before the loop, each row the sums (x
-    shifted, x aligned, y) side by side: (N, 2*d1 + d2), or (R, N, 2*d1 + d2)
-    for a state with a leading replication axis.
+    stored in one buffer allocated before the loop, each row one copy of
+    the state's sums (x shifted, x aligned, y side by side, as
+    IterateState.sums holds them): (N, 2*d1 + d2), or (R, N, 2*d1 + d2) for
+    a state with a leading replication axis.
     trajectories() divides every row by its k, which gives the averages, and
     computes their metrics once, after the loop."""
 
@@ -362,14 +406,16 @@ class RecordedRows:
         k = np.arange(1, t_max + 1)
         self.k = k if record_at is None else k[np.isin(k, record_at)]
         self.eta = np.empty(len(self.k))
-        d1, d2 = state.x.shape[-1], state.y.shape[-1]
-        self.buf = np.empty(state.x.shape[:-1] + (len(self.k), 2 * d1 + d2))
-        self.parts = (slice(0, d1), slice(d1, 2 * d1), slice(2 * d1, None))
+        d1, sums = state.x.shape[-1], state.sums
+        self.buf = np.empty(sums.shape[:-1] + (len(self.k), sums.shape[-1]))
+        self.parts = IterateState.sum_slices(d1)
         # the aligned x and y sums, which take in x_k and y_k at row k
         self.latest = slice(d1, None)
         self.n = 0  # rows stored
-        # the k of the next row due, as an int; 0 once every row is stored
-        self.due = int(self.k[0]) if len(self.k) else 0
+        # the k of each row as ints, and the k of the next row due; 0 once
+        # every row is stored
+        self.ks = self.k.tolist()
+        self.due = self.ks[0] if self.ks else 0
 
     def record(self, state: IterateState, eta: float) -> bool:
         """Store the row of step state.k if it is due.  Returns whether it
@@ -381,10 +427,9 @@ class RecordedRows:
         n = self.n
         self.eta[n] = eta
         row = self.buf[..., n, :]
-        np.concatenate((state.sum_x_shifted, state.sum_x_aligned, state.sum_y),
-                       axis=-1, out=row)
+        row[...] = state.sums
         self.n = n + 1
-        self.due = int(self.k[n + 1]) if n + 1 < len(self.k) else 0
+        self.due = self.ks[n + 1] if n + 1 < len(self.ks) else 0
         # a finite sum of the entries means every entry is finite, which is
         # the common case
         latest = row[..., self.latest]

@@ -36,12 +36,15 @@ def _assert_agrees(kern, general):
 def test_kernel_agrees_with_step_by_step_solver(name):
     preset = build_preset(name, seed=2, n=30, d=4)
     spec = preset.spec
-    solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200)
     grid = np.arange(1, 201)
-    kern = run_replications(preset, solver.validate(spec), 4, grid, theta_star=0.0)[3]
-    general = run(spec, solver, oracle=preset.make_oracle(3), theta_star=0.0,
-                  record_at=grid)
-    _assert_agrees(kern, general)
+    # both updates leave out the products with beta for beta = 1 only
+    for beta in (1.0, 0.7):
+        solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
+                              beta=beta)
+        kern = run_replications(preset, solver.validate(spec), 4, grid, theta_star=0.0)[3]
+        general = run(spec, solver, oracle=preset.make_oracle(3), theta_star=0.0,
+                      record_at=grid)
+        _assert_agrees(kern, general)
 
 
 @pytest.mark.parametrize("name, params, solver_kw, grid", [

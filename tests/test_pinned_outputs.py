@@ -5,10 +5,11 @@ The digests and float.hex literals were recorded from the code before the
 y-update took its point from step(), the recorder filled a row with one
 concatenate and the CSV writer formatted blocks of rows, and those of M
 before its bisection stopped at convergence, those of the checks before
-the replications of a run shared one probe generator, and those of the
-ridge and hinge runs before the sampled subgradient read component data
-gathered a block of steps at a time; they hold as long as no output value
-or its formatting changes."""
+the replications of a run shared one probe generator, those of the ridge
+and hinge runs before the sampled subgradient read component data gathered
+a block of steps at a time, and that of the deterministic run before the
+plan fixed the y-update's prox map and the running sums moved into one
+array; they hold as long as no output value or its formatting changes."""
 
 import hashlib
 
@@ -57,6 +58,14 @@ GOLDEN = {
          "traj_rep000.csv": "156f90b77805e05092874c5d3a900e6fb6eb49791eea43da11239b571ff7690d",
          "traj_rep001.csv": "af752d2755f59453cd39a2cee29bfa1660ea95943f2b92b8a06e394ccd52e009",
          "traj_rep002.csv": "dcfef31de03e4a012de6c2addb5f65d0ef4a6ceff8caf0fea804a11a2bfab05e"}),
+    # the deterministic variant, which draws nothing: both replications are
+    # one run
+    "deterministic": (
+        dict(preset="lasso-split", replications=2,
+             solver=SolverConfig(variant="deterministic", t_max=200)),
+        {"aggregate.csv": "a9e14678a792ae181d0d8f089b019999668248c339f20d2d12a41276fed3d769",
+         "traj_rep000.csv": "ef33c6cd62b32e51074fe1432f2452fee995b61ff62d13d540fa2f527d73a78d",
+         "traj_rep001.csv": "ef33c6cd62b32e51074fe1432f2452fee995b61ff62d13d540fa2f527d73a78d"}),
     "hinge-labels": (
         dict(preset="hinge-svm-split", replications=3, solver=SolverConfig(t_max=1700)),
         {"traj_rep000.csv": "cadc50221e13ed68177193c2e42fbd2e68ed2aec9f0ba6a7b84d51617c0b65da",

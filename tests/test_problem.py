@@ -111,6 +111,40 @@ def test_running_averages_match_batch_means():
                 assert np.array_equal(rep.avg_y, state.avg_y[r])
 
 
+def test_replication_sums_are_views_of_its_row():
+    """The three running sums of an (R, d) state sit in one (R, 2*d1 + d2)
+    array; replication(r)'s sums and sum_* are views of row r, and the
+    averages are those of three separately kept sums, bit for bit."""
+    rng = np.random.default_rng(2)
+    R, d1, d2, t = 3, 4, 2, 50
+    state = IterateState(np.zeros((R, d1)), np.zeros((R, d2)), np.zeros((R, 1)))
+    sx_shift, sx_align, s_y = np.zeros((R, d1)), np.zeros((R, d1)), np.zeros((R, d2))
+    for _ in range(t):
+        x, y = rng.standard_normal((R, d1)), rng.standard_normal((R, d2))
+        sx_shift += state.x
+        sx_align += x
+        s_y += y
+        state.advance(x, y, rng.standard_normal((R, 1)))
+    assert state.sums.shape == (R, 2 * d1 + d2) and state.sums.flags.c_contiguous
+    for r in range(R):
+        rep = state.replication(r)
+        assert rep.sums.base is state.sums
+        for name, part in (("sum_x_shifted", slice(0, d1)),
+                           ("sum_x_aligned", slice(d1, 2 * d1)),
+                           ("sum_y", slice(2 * d1, None))):
+            view = getattr(rep, name)
+            assert view.base is state.sums
+            assert view.__array_interface__["data"] == \
+                state.sums[r, part].__array_interface__["data"]
+            assert np.array_equal(view, state.sums[r, part])
+        assert np.array_equal(rep.avg_x_shifted, sx_shift[r] / t)
+        assert np.array_equal(rep.avg_x_aligned, sx_align[r] / t)
+        assert np.array_equal(rep.avg_y, s_y[r] / t)
+    assert np.array_equal(state.avg_x_shifted, sx_shift / t)
+    assert np.array_equal(state.avg_x_aligned, sx_align / t)
+    assert np.array_equal(state.avg_y, s_y / t)
+
+
 def test_averages_before_any_step_are_zero():
     spec = scalar_split_spec()
     state = IterateState.zeros(spec)

@@ -7,13 +7,14 @@ hand, 1-D grid minimization, or dense brute force on tiny instances.
 import numpy as np
 import pytest
 
-from stocadmm.functions import (L1Norm, SquaredL2Penalty, ZeroFunction,
+from stocadmm import kernels, solvers
+from stocadmm.functions import (L1Norm, Quadratic, SquaredL2Penalty, ZeroFunction,
                                 soft_threshold)
-from stocadmm.problem import IterateState
-from stocadmm.prox import (min_quadratic_over_set, prox_theta2, solve_y_update,
+from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
+from stocadmm.prox import (min_quadratic_over_set, prox_map, prox_theta2,
                            three_points_check)
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import SolverConfig, step
+from stocadmm.solvers import SolverConfig, SolverError, step
 
 from conftest import scalar_split_spec, ridge_split_spec, small_lasso_preset
 
@@ -94,6 +95,72 @@ def test_prox_theta2_ball_only_for_indicator():
 def test_prox_requires_positive_scaling():
     with pytest.raises(ValueError, match="positive"):
         prox_theta2(np.zeros(2), 0.0, L1Norm(1.0), WholeSpace(2))
+
+
+# theta2 x Y pairings the y-update solves exactly: a ball Y only with theta2 = 0
+_D2 = 3
+_THETA2 = {"l1": L1Norm(0.4), "sq-l2": SquaredL2Penalty(0.7), "zero": ZeroFunction()}
+_Y = {"whole": WholeSpace(_D2), "box": Box(np.full(_D2, -0.3), np.full(_D2, 0.5)),
+      "ball": Ball(_D2, 0.6)}
+_PAIRS = [(t, y) for t in _THETA2 for y in _Y if y != "ball" or t == "zero"]
+
+
+def _split_spec(theta2, Y, s=-1.0):
+    """x = -y/s, i.e. A = I, B = s I, b = 0, with a quadratic theta1."""
+    H = np.diag([1.0, 2.0, 3.0])
+    return ProblemSpec(theta1=Quadratic(H, np.array([0.5, -1.0, 0.2])), theta2=theta2,
+                       A=np.eye(_D2), B=s * np.eye(_D2), b=np.zeros(_D2),
+                       X=Ball(_D2, 2.0), Y=Y, constants=StructuralConstants(M=10.0))
+
+
+@pytest.mark.parametrize("theta2,Y", _PAIRS)
+@pytest.mark.parametrize("s", [-1.0, 2.0])
+def test_plan_y_update_is_prox_theta2_bit_for_bit(theta2, Y, s):
+    """solve_y_update(v, plan) is the prox of theta2 at v / -s with scale
+    beta*s^2, as prox_theta2 computes it, for one point and (R, d) rows."""
+    spec = _split_spec(_THETA2[theta2], _Y[Y], s)
+    beta = 1.3
+    plan = _stochastic_plan(spec, beta)
+    v = 2.0 * np.random.default_rng(4).standard_normal((4, _D2))
+    expected = prox_theta2(v / -s, beta * s * s, spec.theta2, spec.Y)
+    assert np.array_equal(solvers.solve_y_update(v, plan), expected)
+    assert np.array_equal(solvers.solve_y_update(v[0], plan), expected[0])
+    assert np.array_equal(plan.y_prox(v / -s), expected)
+
+
+@pytest.mark.parametrize("theta2,Y", _PAIRS)
+def test_identity_split_y_is_prox_theta2_bit_for_bit(theta2, Y):
+    """The identity-split update's y is prox_theta2 at x_{k+1} - lam_k/beta
+    with scale beta, the point and scale of step() for B = -I."""
+    spec = _split_spec(_THETA2[theta2], _Y[Y])
+    beta = 1.3
+    plan = SolverConfig(variant="stochastic", beta=beta, schedule="constant", eta0=0.5,
+                        t_max=1).validate(spec)
+    assert plan.takes_identity_split
+    rng = np.random.default_rng(9)
+    state = IterateState(rng.standard_normal((2, _D2)), rng.standard_normal((2, _D2)),
+                         rng.standard_normal((2, _D2)))
+    lam0 = state.lam
+    kernels.admm_identity_split(plan, None, None, state)
+    expected = prox_theta2(state.x - lam0 / beta, beta, spec.theta2, spec.Y)
+    assert np.array_equal(state.y, expected)
+
+
+@pytest.mark.parametrize("theta2,Y", _PAIRS)
+def test_prox_map_refuses_a_scale_that_is_not_positive(theta2, Y):
+    for c in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="prox scaling c must be positive"):
+            prox_map(_THETA2[theta2], _Y[Y], c)
+        with pytest.raises(ValueError, match="prox scaling c must be positive"):
+            prox_theta2(np.zeros(_D2), c, _THETA2[theta2], _Y[Y])
+
+
+@pytest.mark.parametrize("theta2", ["l1", "sq-l2"])
+def test_ball_y_needs_theta2_zero_at_plan_time(theta2):
+    spec = _split_spec(_THETA2[theta2], _Y["ball"])
+    with pytest.raises(SolverError, match="y-update over a ball Y is exact only for "
+                                          "theta2 = 0"):
+        _stochastic_plan(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +287,10 @@ def test_y_update_matches_grid_search_1d():
     lam = np.array([0.7])
     x_next = np.array([1.2])
     beta = 2.0
-    y = solve_y_update(spec.A @ x_next - spec.b - lam / beta, spec, beta, s=-1.0)
+    # the prox of theta2 at v / -s with scale beta*s^2, s = -1
+    s = -1.0
+    y = prox_theta2((spec.A @ x_next - spec.b - lam / beta) / -s, beta * s * s,
+                    spec.theta2, spec.Y)
     ys = np.arange(-5.0, 5.0, 1e-6)
     vals = 0.4 * np.abs(ys) + 0.5 * beta * (x_next[0] - ys - lam[0] / beta) ** 2
     assert y[0] == pytest.approx(ys[np.argmin(vals)], abs=2e-6)

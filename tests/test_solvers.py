@@ -13,7 +13,7 @@ from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                               err_rho, eval_F)
 from stocadmm.presets import build_preset
-from stocadmm.prox import min_quadratic_over_set, solve_y_update, three_points_check
+from stocadmm.prox import min_quadratic_over_set, prox_theta2, three_points_check
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import (CHECK_CHUNK, INVARIANTS, METRIC_CHUNK, PROBE_COUNT,
                               SolverConfig, SolverError, check_y_optimality, run, step,
@@ -364,6 +364,32 @@ def test_validate_rejects_structural_mismatches():
     assert issubclass(SolverError, ValueError)
 
 
+@pytest.mark.parametrize("name", ["lasso-split", "strongly-convex-lasso",
+                                  "fused-lasso-graph"])
+def test_plan_checks_declared_mu_and_l_against_the_hessian(name):
+    """A quadratic theta1's declared mu must not exceed lambda_min(H), nor its
+    L fall short of lambda_max(H), beyond roundoff: every preset passes at
+    seeds 0-5, and a mu above lambda_min or a halved L fails."""
+    for seed in range(6):
+        spec = build_preset(name, seed).spec
+        plan = SolverConfig(t_max=0).validate(spec)
+        low, top = np.linalg.eigvalsh(plan.quadratic[0])[[0, -1]]
+        c = spec.constants
+        # the tolerance is relative to max(1, lambda_max)
+        for constants in (dataclasses.replace(c, mu=low * (1 + 1e-14)),
+                          dataclasses.replace(c, L=top * (1 - 1e-14))):
+            SolverConfig(t_max=0).validate(dataclasses.replace(spec, constants=constants))
+        for constants, message in (
+                (dataclasses.replace(c, mu=low + 1e-6 * top), r"declared mu = .* exceeds "
+                                                              r"lambda_min\(H\)"),
+                (dataclasses.replace(c, L=top / 2), r"declared L = .* is below "
+                                                    r"lambda_max\(H\)")):
+            for variant in ("stochastic", "deterministic", "linearized"):
+                with pytest.raises(SolverError, match=message):
+                    SolverConfig(variant=variant, G=2.0 * top + 2.0, t_max=0).validate(
+                        dataclasses.replace(spec, constants=constants))
+
+
 def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
     calls = {"eigvalsh": 0, "quadratic_parts": 0, "array_equal": 0}
 
@@ -407,7 +433,9 @@ def _reference_step(state, plan, cfg, g=None, eta=np.nan):
         rhs = rhs - g
     x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
     Ax_next = x_next @ A.T
-    y_next = solve_y_update(Ax_next - b - state.lam / beta, spec, beta, B[0, 0])
+    s = B[0, 0]
+    y_next = prox_theta2((Ax_next - b - state.lam / beta) / -s, beta * s * s,
+                         spec.theta2, spec.Y)
     state.advance(x_next, y_next, state.lam - beta * (Ax_next + y_next @ B.T - b))
 
 
@@ -426,32 +454,34 @@ def _step_specs():
 @pytest.mark.parametrize("name", ["lasso-split", "fused-lasso-graph", "b-and-B-2I"])
 def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
     """The plan's exact facts let step() drop products with I and sums with
-    0; after 50 steps the iterates equal those of the full products."""
+    0, and with beta for beta = 1; after 50 steps the iterates equal those
+    of the full products."""
     spec, (A_identity, b_zero, B_scale) = _step_specs()[name]
-    G = None
-    if variant == "linearized":  # a scalar G: r I - beta A'A, psd for r >= ||A'A||
-        G = 1.1 * float(np.linalg.eigvalsh(spec.A.T @ spec.A)[-1])
-    cfg = SolverConfig(variant=variant, G=G)
-    plan = cfg.validate(spec)
-    assert plan.facts() == {"A_identity": A_identity, "b_zero": b_zero,
-                            "B_scale": B_scale}
-    R = 3 if variant == "stochastic" else None
-    fast, ref = IterateState.zeros(spec, R), IterateState.zeros(spec, R)
-    noise = np.random.default_rng(0).standard_normal((50, R or 1, spec.d1))
-    for k in range(50):
-        g = eta = None
-        if variant == "stochastic":
-            eta = cfg.eta(k + 1, spec)
-            g = spec.theta1.subgrad(fast.x) + noise[k]
-            assert np.array_equal(g, spec.theta1.subgrad(ref.x) + noise[k])
-            step(fast, plan, g, eta)
-            _reference_step(ref, plan, cfg, g, eta)
-        else:
-            step(fast, plan)
-            _reference_step(ref, plan, cfg)
-    for part in ("x", "y", "lam"):
-        assert np.array_equal(getattr(fast, part), getattr(ref, part)), part
-    assert np.all(np.isfinite(fast.lam)) and fast.k == 50
+    for beta in (1.0, 0.7):
+        G = None
+        if variant == "linearized":  # a scalar G: r I - beta A'A, psd for r >= ||A'A||
+            G = 1.1 * beta * float(np.linalg.eigvalsh(spec.A.T @ spec.A)[-1])
+        cfg = SolverConfig(variant=variant, G=G, beta=beta)
+        plan = cfg.validate(spec)
+        assert plan.facts() == {"A_identity": A_identity, "b_zero": b_zero,
+                                "B_scale": B_scale}
+        R = 3 if variant == "stochastic" else None
+        fast, ref = IterateState.zeros(spec, R), IterateState.zeros(spec, R)
+        noise = np.random.default_rng(0).standard_normal((50, R or 1, spec.d1))
+        for k in range(50):
+            g = eta = None
+            if variant == "stochastic":
+                eta = cfg.eta(k + 1, spec)
+                g = spec.theta1.subgrad(fast.x) + noise[k]
+                assert np.array_equal(g, spec.theta1.subgrad(ref.x) + noise[k])
+                step(fast, plan, g, eta)
+                _reference_step(ref, plan, cfg, g, eta)
+            else:
+                step(fast, plan)
+                _reference_step(ref, plan, cfg)
+        for part in ("x", "y", "lam"):
+            assert np.array_equal(getattr(fast, part), getattr(ref, part)), (beta, part)
+        assert np.all(np.isfinite(fast.lam)) and fast.k == 50
 
 
 def test_matrix_g_must_be_psd():
