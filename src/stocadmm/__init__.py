@@ -8,7 +8,7 @@ from .functions import (HingeLoss, L1Norm, LeastSquares, Quadratic,
                         SquaredL2Penalty, ZeroFunction, soft_threshold)
 from .metrics import (RateFit, ReferenceSolution, compute_reference,
                       estimate_expectation, fit_rate, high_prob_check)
-from .oracle import AdditiveNoiseOracle, FiniteSumOracle, validate_assumptions
+from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .presets import PRESET_NAMES, build_preset
 from .problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                       err_rho, eval_F)

@@ -49,6 +49,10 @@ from .solvers import INVARIANTS, SolverConfig, StepPlan, Trajectory, run
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
            "run_replications", "default_t_grid", "reference_key", "config_sha256"]
 
+# iteration counts recorded without a t_grid: at most this many, from 1 to
+# t_max in geometric steps
+T_GRID_POINTS = 20
+
 
 @dataclass
 class ExperimentConfig:
@@ -84,9 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"out_dir: {self.out_dir!r} is not writable")
 
 
-def default_t_grid(t_max: int, n_points: int = 20) -> np.ndarray:
-    grid = np.unique(np.geomspace(1, t_max, num=n_points).round().astype(int))
-    return grid
+def default_t_grid(t_max: int) -> np.ndarray:
+    return np.unique(np.geomspace(1, t_max, num=T_GRID_POINTS).round().astype(int))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

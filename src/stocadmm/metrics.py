@@ -103,9 +103,9 @@ class ReferenceSolution:
     method: str
     certified_tolerance: float
 
-    def d_y_star_b(self, spec: ProblemSpec, y0: np.ndarray | None = None) -> float:
-        y0 = np.zeros_like(self.y_star) if y0 is None else y0
-        return float(np.linalg.norm(spec.B @ (y0 - self.y_star)))
+    def d_y_star_b(self, spec: ProblemSpec) -> float:
+        """||B (y_0 - y*)|| for the start y_0 = 0 of every run."""
+        return float(np.linalg.norm(spec.B @ self.y_star))
 
 
 def _theta2_quadratic_parts(spec: ProblemSpec):
@@ -252,6 +252,10 @@ def estimate_expectation(trajectories: list, t_grid, averaging: str = "eq2-shift
     return mean, stderr
 
 
+# most grid points a rate fit uses
+FIT_POINTS = 20
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -265,8 +269,9 @@ class RateFit:
             raise ValueError("rate fit needs at least 5 points")
 
 
-def fit_rate(ts, errs, window, n_points: int = 20) -> RateFit:
-    """Least-squares slope of log(err) against log(t) on a geometric subgrid."""
+def fit_rate(ts, errs, window) -> RateFit:
+    """Least-squares slope of log(err) against log(t) on a geometric subgrid
+    of at most FIT_POINTS points."""
     ts = np.asarray(ts, dtype=float)
     errs = np.asarray(errs, dtype=float)
     t_lo, t_hi = window
@@ -281,7 +286,7 @@ def fit_rate(ts, errs, window, n_points: int = 20) -> RateFit:
             "nonpositive error values inside the window (converged below "
             "floating noise); use a smaller window"
         )
-    targets = np.geomspace(ts_w[0], ts_w[-1], num=min(n_points, len(ts_w)))
+    targets = np.geomspace(ts_w[0], ts_w[-1], num=min(FIT_POINTS, len(ts_w)))
     picks = np.unique(np.searchsorted(ts_w, targets).clip(0, len(ts_w) - 1))
     lt = np.log(ts_w[picks])
     le = np.log(errs_w[picks])

@@ -639,8 +639,8 @@ class CheckedSteps:
     step, and each step's sampled subgradient (stochastic runs only) and
     stepsize.  A one-stream state counts as R = 1.  Every CHECK_CHUNK steps,
     and at flush() when the loop ends, one _run_checks call checks the
-    stored steps of every replication still checked, with replication r's
-    record records[r]; a replication's checks end after its first
+    stored steps of every replication still checked, a rectangle of steps
+    by replications per group, with replication r's record records[r]; a replication's checks end after its first
     non-finite step.  Every replication shares the probes of one generator,
     rng, so a run draws as many whatever R is.  Every check pass evaluates
     theta1 through the plan's quadratic form, if it has one."""
@@ -688,7 +688,7 @@ class CheckedSteps:
         all_finite = finite.all(axis=0)
         last = np.where(all_finite, n, np.argmin(finite, axis=0) + 1)
         if self.checked:  # none after every replication's first non-finite step
-            _run_checks(self, {r: int(last[r]) for r in self.checked})
+            _run_checks(self, last)
         self.checked = [r for r in self.checked if all_finite[r]]
         for part in (w.x, w.y, w.lam):
             part[0] = part[n]
@@ -723,17 +723,21 @@ class InvariantRecord:
                 "invariant_probes": dict(self.probes)}
 
 
-def _run_checks(chunk: CheckedSteps, steps: dict):
+def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
     """All enabled per-iteration invariants at the stored steps of one
-    chunk, for each replication r of steps at its first steps[r] steps, into
-    chunk.records[r].  The probes are drawn once, an array per kind whose row
-    j step k0 + 1 + j of every replication reads, scaled per row after the
-    draw.  Each check runs over all rows and probes of a group of at most
-    CHECK_ROWS (step, replication) rows at once, its results reduced once per
-    group: the worst residual per replication, and a log entry per violation."""
+    chunk, for each replication r of chunk.checked at its first steps[r]
+    steps, into chunk.records[r].  The probes are drawn once, an array per
+    kind whose row j step k0 + 1 + j of every replication reads, scaled per
+    row after the draw.  A group of replications is one rectangle of at most
+    CHECK_ROWS rows, row (i, j) step k0 + 1 + j of replication group[i] for
+    all n steps of the chunk.  Each check runs over all its rows and probes
+    at once, its results reduced once per group over the rows of the mask
+    valid (past its last step, a replication that died in the chunk has
+    rows): the worst residual per replication, and a log entry per
+    violation."""
     plan, w, g, records, rng = chunk.plan, chunk.w, chunk.g, chunk.records, chunk.rng
     spec, beta = plan.spec, plan.beta
-    n = max(steps.values())
+    n = int(steps[chunk.checked].max())
     y_draw = spec.Y.sample(rng, size=(n, Y_PROBE_COUNT))
     if g is not None:
         size = (n, PROBE_COUNT)
@@ -741,19 +745,13 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=size)),
                            spec.Y.project(spec.Y.sample(rng, size=size)),
                            rng.standard_normal((*size, spec.m)))
-    reps = list(steps)
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
-    for first in range(0, len(reps), per_group):
-        group = reps[first:first + per_group]
-        # the group's rows, replication-major: rep_rows[i] are group[i]'s,
-        # row (j, r) is step k0 + 1 + j of replication r
-        counts = [steps[rep] for rep in group]
-        assert min(counts) >= 1, "a replication checked has a step to check"
-        r = np.repeat(group, counts)
-        j = np.concatenate([np.arange(c) for c in counts])
-        ends = np.cumsum(counts)
-        rep_rows = [slice(end - c, end) for c, end in zip(counts, ends.tolist())]
-        starts = ends - counts
+    for first in range(0, len(chunk.checked), per_group):
+        group = chunk.checked[first:first + per_group]
+        valid = np.arange(n) < steps[group][:, None]
+        # row i * n + j of the flat rows is row (i, j) of the rectangle
+        r = np.repeat(group, n)
+        j = np.tile(np.arange(n), len(group))
         k = chunk.k0 + 1 + j
         prev, curr = w[j, r], w[j + 1, r]
 
@@ -765,10 +763,12 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
             res, worst, violated = (np.reshape(a, (len(k), -1))
                                     for a in (res, worst, violated))
             per_row = res.shape[1] if probes is None else probes
-            # np.max and np.maximum, unlike max, keep a NaN residual
-            rep_worst = np.maximum.reduceat(worst.max(axis=1), starts)
-            for rep, count, value in zip(group, counts, rep_worst.tolist()):
+            # np.max, unlike max, keeps a NaN residual
+            rep_worst = np.where(valid, worst.max(axis=1).reshape(valid.shape),
+                                 -np.inf).max(axis=1)
+            for rep, count, value in zip(group, steps[group].tolist(), rep_worst.tolist()):
                 records[rep].add(name, count * per_row, value)
+            violated = violated & valid.reshape(-1, 1)
             if violated.any():
                 for i, p in zip(*np.nonzero(violated)):
                     records[r[i]].log.append((int(k[i]), name, float(res[i, p])))
@@ -780,11 +780,9 @@ def _run_checks(chunk: CheckedSteps, steps: dict):
         note("dual-identity", dual_res, dual_res,
              ~(dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1))))
 
-        # y-optimality, one replication at a time: its first steps' points
-        yres, yscale = np.empty((2, len(k)))
-        for count, sl in zip(counts, rep_rows):
-            yres[sl], yscale[sl] = check_y_optimality(curr[sl], spec, y_draw[:count],
-                                                      probes=Y_PROBE_COUNT)
+        # y-optimality, every replication's step j at the points of row j
+        yres, yscale = check_y_optimality(curr, spec, np.tile(y_draw, (len(group), 1, 1)),
+                                          probes=Y_PROBE_COUNT)
         note("y-optimality", yres, yres / yscale, ~(yres <= CHECK_TOL * yscale),
              probes=Y_PROBE_COUNT)
         if g is None:

@@ -114,7 +114,6 @@ def test_d_y_star_b():
     ref = ReferenceSolution(np.array([1.0]), np.array([2.0]), 0.0, None, "x", 0.0)
     spec = _two_quadratics_spec()
     assert ref.d_y_star_b(spec) == pytest.approx(2.0)
-    assert ref.d_y_star_b(spec, y0=np.array([2.0])) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------

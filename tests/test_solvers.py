@@ -95,7 +95,7 @@ def test_stochastic_step_matches_value_optimal_solution():
     state.y = np.array([-0.2])
     state.lam = np.array([0.4])
     x_prev, y_prev, lam_prev = state.x.copy(), state.y.copy(), state.lam.copy()
-    g = oracle.clone(stream=0).presample(1).subgradient(spec.theta1, state.x, 0)
+    g = oracle.presample(1).subgradient(spec.theta1, state.x, 0)
     step(state, cfg.validate(spec), g, cfg.eta(1, spec))
     # reconstruct the x-update objective and compare against a fine grid
     beta, eta = 1.5, 0.2
