@@ -34,13 +34,13 @@ def _load_config(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.preset_seed = args.seed
-    if args.check:
-        cfg.solver.check_invariants = True
     return cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    if args.check:
+        cfg.solver.check_invariants = True
     report, code = run_experiment(cfg)
     print(json.dumps(report, indent=2, sort_keys=True, default=str))
     return code
@@ -69,9 +69,17 @@ def _cmd_reference(args) -> int:
 
 
 def _cmd_check_invariants(args) -> int:
+    if args.steps < 10:
+        raise ConfigError(f"--steps: must be >= 10, got {args.steps}")
     cfg = _load_config(args)
+    # the config's problem and solver over at most --steps steps, checked,
+    # recording its grid points within them, without the gates, which rest
+    # on the config's horizon
     cfg.solver.check_invariants = True
     cfg.solver.t_max = min(cfg.solver.t_max, args.steps)
+    cfg.t_grid = [t for t in cfg.t_grid or () if t <= args.steps] or None
+    cfg.slope_band = cfg.rate_window = None
+    cfg.check_bound, cfg.omegas = False, []
     report, code = run_experiment(cfg)
     n = report["invariant_violations"]
     print(f"invariant probes over {cfg.solver.t_max} steps: "
@@ -92,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass config file for a smoke run")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="preset data seed")
-        p.add_argument("--check", action="store_true",
-                       help="enable per-iteration invariant probes")
 
     p_run = sub.add_parser("run", help="run an experiment")
     common(p_run)
+    p_run.add_argument("--check", action="store_true",
+                       help="enable per-iteration invariant probes")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config file")
@@ -110,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check-invariants",
                            help="test-mode run with probes on")
     common(p_chk)
-    p_chk.add_argument("--steps", type=int, default=200)
+    p_chk.add_argument("--steps", type=int, default=200,
+                       help="most steps to run, at least 10")
     p_chk.set_defaults(func=_cmd_check_invariants)
 
     return parser

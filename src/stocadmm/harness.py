@@ -39,7 +39,8 @@ import yaml
 
 from . import __version__, kernels
 from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
-                      fit_rate, high_prob_check, rate_bound, require_tail_bound)
+                      fit_points, fit_rate, high_prob_check, rate_bound,
+                      require_tail_bound)
 from .oracle import SampleBuffer
 from .presets import PARAM_RULES, PRESET_NAMES, SEED_RULE, Preset, build_preset
 from .problem import IterateState
@@ -92,6 +93,15 @@ def default_t_grid(t_max: int) -> np.ndarray:
     return np.unique(np.geomspace(1, t_max, num=T_GRID_POINTS).round().astype(int))
 
 
+def _grid_and_window(cfg: ExperimentConfig) -> tuple[np.ndarray, tuple]:
+    """The iteration counts a run of cfg records, sorted and unique, and the
+    window of its rate fit (by default t_max/100..t_max)."""
+    t_max = cfg.solver.t_max
+    t_grid = (np.asarray(sorted(set(int(t) for t in cfg.t_grid)))
+              if cfg.t_grid else default_t_grid(t_max))
+    return t_grid, cfg.rate_window or (max(1, t_max // 100), t_max)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """The config of raw, without the checks of plan_experiment."""
     return parse(ExperimentConfig, raw)
@@ -116,18 +126,22 @@ def plan_experiment(cfg: ExperimentConfig) -> tuple[Preset, StepPlan]:
         plan = cfg.solver.validate(preset.spec)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-    # every requested gate must be one the run can evaluate
+    # every requested gate must be one the run can evaluate; the slope's fit
+    # needs enough grid points in its window
     for name in [name for name in ("slope_band", "check_bound", "omegas")
                  if getattr(cfg, name)]:
         if not preset.supports_reference:
             raise ConfigError(f"{name}: preset {cfg.preset} has no certified optimum")
         try:
+            if name == "slope_band":
+                fit_points(*_grid_and_window(cfg))
             if name == "check_bound":
                 rate_bound(1, cfg.solver, preset.spec, 0.0)
             if name == "omegas":
                 require_tail_bound(cfg.solver, preset.make_oracle(0).bounded)
         except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+            field = "rate_window" if name == "slope_band" else name
+            raise ConfigError(f"{field}: {exc}") from exc
     return preset, plan
 
 
@@ -301,9 +315,7 @@ def run_experiment(cfg: ExperimentConfig):
             save_reference(cfg.out_dir, reference, key)
     theta_star = reference.theta_star if reference else None
 
-    t_grid = (np.asarray(sorted(set(int(t) for t in cfg.t_grid)))
-              if cfg.t_grid else default_t_grid(cfg.solver.t_max))
-
+    t_grid, window = _grid_and_window(cfg)
     trajectories = run_replications(preset, plan, cfg.replications, t_grid, theta_star)
 
     failed_runs = [f"rep={r} {t.error}" for r, t in enumerate(trajectories) if t.error]
@@ -373,7 +385,6 @@ def run_experiment(cfg: ExperimentConfig):
 
     if mean is not None:
         d_yb = reference.d_y_star_b(preset.spec)
-        window = cfg.rate_window or (max(1, cfg.solver.t_max // 100), cfg.solver.t_max)
         try:
             fit = fit_rate(t_grid, mean, window)
             report["rate_fit"] = {**asdict(fit), "window": list(fit.window)}

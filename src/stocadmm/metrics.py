@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "compute_reference",
     "estimate_expectation",
     "fit_rate",
+    "fit_points",
     "high_prob_check",
     "HighProbResult",
     "rate_bound",
@@ -264,39 +266,57 @@ class RateFit:
     window: tuple
     n_points: int
 
+    # fewest grid points a rate fit takes
+    MIN_POINTS: ClassVar[int] = 5
+
     def __post_init__(self):
-        if self.n_points < 5:
-            raise ValueError("rate fit needs at least 5 points")
+        if self.n_points < self.MIN_POINTS:
+            raise ValueError(f"rate fit needs at least {self.MIN_POINTS} points")
 
 
-def fit_rate(ts, errs, window) -> RateFit:
-    """Least-squares slope of log(err) against log(t) on a geometric subgrid
-    of at most FIT_POINTS points."""
+def fit_points(ts, window) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the grid points of ts a rate fit on window reads:
+    those inside it, and the at most FIT_POINTS of them it fits, the
+    nearest to a geometric subgrid.  They depend on the grid alone, so a run
+    can test them before it computes anything; raises ValueError for fewer
+    than RateFit.MIN_POINTS of either."""
     ts = np.asarray(ts, dtype=float)
-    errs = np.asarray(errs, dtype=float)
     t_lo, t_hi = window
     if not t_lo < t_hi:
         raise ValueError("window must satisfy t_lo < t_hi")
-    mask = (ts >= t_lo) & (ts <= t_hi)
-    ts_w, errs_w = ts[mask], errs[mask]
-    if len(ts_w) < 5:
-        raise ValueError("fewer than 5 grid points inside the fit window")
-    if np.any(errs_w <= 0):
+    inside = np.flatnonzero((ts >= t_lo) & (ts <= t_hi))
+    least = RateFit.MIN_POINTS
+    if len(inside) < least:
+        raise ValueError(f"fewer than {least} grid points inside the fit window")
+    ts_w = ts[inside]
+    targets = np.geomspace(ts_w[0], ts_w[-1], num=min(FIT_POINTS, len(ts_w)))
+    picks = inside[np.unique(np.searchsorted(ts_w, targets).clip(0, len(ts_w) - 1))]
+    if len(picks) < least:
+        raise ValueError(f"fewer than {least} geometrically spaced grid points "
+                         f"inside the fit window")
+    return inside, picks
+
+
+def fit_rate(ts, errs, window) -> RateFit:
+    """Least-squares slope of log(err) against log(t) on the grid points
+    fit_points picks."""
+    ts = np.asarray(ts, dtype=float)
+    errs = np.asarray(errs, dtype=float)
+    inside, picks = fit_points(ts, window)
+    if np.any(errs[inside] <= 0):
         raise ValueError(
             "nonpositive error values inside the window (converged below "
             "floating noise); use a smaller window"
         )
-    targets = np.geomspace(ts_w[0], ts_w[-1], num=min(FIT_POINTS, len(ts_w)))
-    picks = np.unique(np.searchsorted(ts_w, targets).clip(0, len(ts_w) - 1))
-    lt = np.log(ts_w[picks])
-    le = np.log(errs_w[picks])
+    lt = np.log(ts[picks])
+    le = np.log(errs[picks])
     slope, intercept = np.polyfit(lt, le, 1)
     pred = slope * lt + intercept
     ss_res = float(np.sum((le - pred) ** 2))
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return RateFit(float(slope), float(intercept), r2,
-                   (float(ts_w[picks][0]), float(ts_w[picks][-1])), len(picks))
+                   (float(ts[picks[0]]), float(ts[picks[-1]])), len(picks))
 
 
 # ---------------------------------------------------------------------------

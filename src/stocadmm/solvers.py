@@ -26,9 +26,10 @@ it unvalidated.  It takes the update of a step, step() from run() or the
 identity-split update of kernels.admm_identity_split, and owns the rest:
 the stepsize, the draw, the capture of a step's error and the recorded rows
 (RecordedRows), whose metrics are computed once, after the loop.  A checked
-loop stores each step's iterate, subgradient and stepsize too (CheckedSteps)
-and checks the invariants once every CHECK_CHUNK steps, for a whole chunk of
-steps and every replication still checked in one pass.
+loop stores each step's iterate, subgradient and stepsize too (CheckedSteps).
+Every CHECK_CHUNK steps the loop checks the invariants of the chunk, for
+every replication still checked in one pass, and ends the run once no
+replication is finite.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ __all__ = [
 
 # invariant checks: their names, random probe points per check (three-points
 # and step-inequality, then y-optimality), tolerance of the signed residuals,
-# seed of the probe generator, steps per check pass and most (step,
+# seed of the probe generator, steps per chunk of the loop (one check pass,
+# and one test whether any replication is finite) and most (step,
 # replication) rows one group of a pass evaluates at once.  Longer chunks
 # and larger groups cost fewer passes but more memory: a 64-step chunk
 # raised the peak memory of a checked run by 7%.
@@ -399,8 +401,8 @@ class RecordedRows:
     the state's sums (x shifted, x aligned, y side by side, as
     IterateState.sums holds them): (N, 2*d1 + d2), or (R, N, 2*d1 + d2) for
     a state with a leading replication axis.
-    trajectories() divides every row by its k, which gives the averages, and
-    computes their metrics once, after the loop."""
+    record() only stores; trajectories() divides every row by its k, which
+    gives the averages, and computes their metrics once, after the loop."""
 
     def __init__(self, state: IterateState, t_max: int, record_at=None):
         k = np.arange(1, t_max + 1)
@@ -417,25 +419,15 @@ class RecordedRows:
         self.ks = self.k.tolist()
         self.due = self.ks[0] if self.ks else 0
 
-    def record(self, state: IterateState, eta: float) -> bool:
-        """Store the row of step state.k if it is due.  Returns whether it
-        was, and no replication's sums in it are finite: from then on every
-        replication has ended (see trajectories).  A sum is finite exactly
-        when its average is."""
+    def record(self, state: IterateState, eta: float):
+        """Store the row of step state.k if it is due."""
         if state.k != self.due:
-            return False
+            return
         n = self.n
         self.eta[n] = eta
-        row = self.buf[..., n, :]
-        row[...] = state.sums
+        self.buf[..., n, :] = state.sums
         self.n = n + 1
         self.due = self.ks[n + 1] if n + 1 < len(self.ks) else 0
-        # a finite sum of the entries means every entry is finite, which is
-        # the common case
-        latest = row[..., self.latest]
-        if math.isfinite(np.add.reduce(latest, axis=None)):
-            return False
-        return not np.isfinite(latest).all(axis=-1).any()
 
     def trajectories(self, spec: ProblemSpec, rho: float, theta_star: float | None,
                      final_states: list, error: str | None = None,
@@ -447,8 +439,8 @@ class RecordedRows:
         averages in place.  Without theta_star the gaps and errors are NaN.
         A non-finite iterate ends its replication with "iteration k:
         non-finite iterate", at the first row k whose averages are not
-        finite, whose rows before it are kept, or else at the final state's
-        k."""
+        finite, whose rows before it are kept, or else at the step the loop
+        stopped at, the final state's k."""
         n, R = self.n, len(final_states)
         star = math.nan if theta_star is None else theta_star
         stored = self.buf[..., :n, :]
@@ -602,8 +594,9 @@ def loop(plan: StepPlan, state: IterateState, update,
     return one trajectory per replication.  A stochastic plan passes the
     stepsize and the subgradient sampled from draws at state.x, the others
     g = None and eta = NaN.  An exception in an update ends every
-    replication there, with the error in its trajectory; the loop also ends
-    at a recorded row where no replication is finite."""
+    replication there, with the error in its trajectory.  Every CHECK_CHUNK
+    steps it flushes a checked run's chunk, then ends the run if no
+    replication's lam is finite."""
     spec, cfg, stochastic = plan.spec, plan.cfg, plan.stochastic
     rows = RecordedRows(state, cfg.t_max, record_at)
     checks = CheckedSteps(state, plan) if cfg.check_invariants else None
@@ -618,11 +611,18 @@ def loop(plan: StepPlan, state: IterateState, update,
         except Exception as exc:  # return the partial trajectories with the error
             error = f"iteration {k + 1}: {exc}"
             break
-        ended = rows.record(state, eta)
+        rows.record(state, eta)
         if checks is not None:
             checks.store(state, g, eta)
-        if ended:
-            break
+        if (k + 1) % CHECK_CHUNK == 0:
+            if checks is not None:
+                checks.flush()
+            # lam sums every residual, so it stays non-finite once an
+            # iterate was; a finite sum of its entries is the common case
+            lam = state.lam
+            if (not math.isfinite(np.add.reduce(lam, axis=None))
+                    and not np.isfinite(lam).all(axis=-1).any()):
+                break
     if checks is not None:  # the steps of the last chunk
         checks.flush()
 
@@ -637,12 +637,13 @@ class CheckedSteps:
     iterate after each step, in (CHECK_CHUNK + 1, R, d) buffers allocated
     before the loop whose slot 0 holds the iterate before the chunk's first
     step, and each step's sampled subgradient (stochastic runs only) and
-    stepsize.  A one-stream state counts as R = 1.  Every CHECK_CHUNK steps,
-    and at flush() when the loop ends, one _run_checks call checks the
-    stored steps of every replication still checked, a rectangle of steps
-    by replications per group, with replication r's record records[r]; a replication's checks end after its first
-    non-finite step.  Every replication shares the probes of one generator,
-    rng, so a run draws as many whatever R is.  Every check pass evaluates
+    stepsize.  A one-stream state counts as R = 1.  The loop calls flush()
+    every CHECK_CHUNK steps and when it ends; one _run_checks call then
+    checks the stored steps of every replication still checked, a rectangle
+    of steps by replications per group, with replication r's record
+    records[r]; a replication's checks end after its first non-finite step.
+    Every replication shares the probes of one generator, rng, so a run
+    draws as many whatever R is.  Every check pass evaluates
     theta1 through the plan's quadratic form, if it has one."""
 
     def __init__(self, state: IterateState, plan: StepPlan):
@@ -666,14 +667,12 @@ class CheckedSteps:
         w.x[slot], w.y[slot], w.lam[slot] = state.x, state.y, state.lam
 
     def store(self, state: IterateState, g: np.ndarray | None, eta: float):
-        """Store step state.k, and check the chunk once it is full."""
+        """Store step state.k; the loop flushes at most CHECK_CHUNK steps."""
         self.n += 1
         self._put(self.n, state)
         if self.g is not None:
             self.g[self.n - 1] = g
         self.eta[self.n - 1] = eta
-        if self.n == CHECK_CHUNK:
-            self.flush()
 
     def flush(self):
         """Check the stored steps and start the next chunk after them."""

@@ -196,6 +196,13 @@ def test_validate_rejects_schedule_without_curvature(tmp_path, capsys):
     ("check_bound: true\nsolver: {schedule: constant, eta0: 0.1}",
      "check_bound: the constant schedule has no rate bound"),
     ("omegas: [1]\nsolver: {variant: linearized, G: 2.0}", "omegas: the tail bound"),
+    ("t_grid: [10, 100, 200, 300, 400, 500]\nsolver: {t_max: 500}\n"
+     "rate_window: [250, 500]\nslope_band: [-2, 0]",
+     "rate_window: fewer than 5 grid points inside the fit window"),
+    # five points in the window, of which the fit's geometric subgrid keeps two
+    ("t_grid: [1, 2, 3, 4, 500]\nsolver: {t_max: 500}\n"
+     "rate_window: [1, 500]\nslope_band: [-2, 0]",
+     "rate_window: fewer than 5 geometrically spaced grid points"),
 ])
 def test_validate_rejects_values_and_gates_a_run_cannot_use(tmp_path, capsys, text, path):
     config = tmp_path / "c.yaml"
@@ -214,15 +221,19 @@ def test_tail_gate_needs_a_bounded_oracle(monkeypatch):
         config_from_dict({"preset": "lasso-split", "omegas": [1.0]})
 
 
-def test_slope_gate_fails_when_the_fit_does(tmp_path):
-    # the default grid of t_max = 50 has fewer than 5 points in [40, 50]
+def test_slope_gate_fails_when_the_fit_does(tmp_path, monkeypatch):
+    # a theta* raised by 1.0 makes the window's errors nonpositive, which
+    # only the run can see
+    real = harness.compute_reference
+    monkeypatch.setattr(harness, "compute_reference", lambda *args, **kwargs: (
+        dataclasses.replace(ref := real(*args, **kwargs), theta_star=ref.theta_star + 1.0)))
     cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
-                           solver=SolverConfig(t_max=50), rate_window=(40, 50),
+                           solver=SolverConfig(t_max=50), rate_window=(10, 50),
                            slope_band=(-1.0, 0.0), out_dir=str(tmp_path / "o"))
     report, code = run_experiment(cfg)
     assert code == 1 and report["passed"] is False
     assert report["checks"] == {"slope_in_band": False}
-    assert "fewer than 5 grid points" in report["rate_fit"]["error"]
+    assert "nonpositive error values" in report["rate_fit"]["error"]
 
 
 def test_validate_rejects_malformed_numeric_field(tmp_path, capsys):
@@ -328,6 +339,49 @@ def test_check_invariants_subcommand(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides, rows", [
+    # grid points above --steps are dropped
+    ({"t_grid": [10, 100, 500], "solver": {"t_max": 500}}, [10, 100]),
+    # none within --steps: the default grid
+    ({"t_grid": [300, 500], "solver": {"t_max": 500}}, list(default_t_grid(200))),
+    # the gates rest on the full horizon and are left out
+    ({"solver": {"t_max": 100_000}, "slope_band": [-0.65, -0.35],
+      "rate_window": [1000, 100_000], "check_bound": True, "omegas": [1, 2]},
+     list(default_t_grid(200))),
+], ids=["grid-beyond-steps", "no-grid-point-within-steps", "readme-gates"])
+def test_check_invariants_runs_any_valid_config(tmp_path, capsys, overrides, rows):
+    cfg = _write_config(tmp_path / "c.yaml", **overrides)
+    assert main(["validate", "--config", cfg]) == 0
+    out = tmp_path / "o"
+    assert main(["check-invariants", "--config", cfg, "--steps", "200",
+                 "--out", str(out)]) == 0
+    assert "over 200 steps: 0 violation(s)" in capsys.readouterr().out
+    traj = np.loadtxt(out / "traj_rep000.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert traj[:, 0].astype(int).tolist() == rows
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"] == {} and "high_prob" not in report
+
+
+def test_check_invariants_needs_ten_steps(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.yaml")
+    assert main(["check-invariants", "--config", cfg, "--steps", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error: --steps: must be >= 10" in capsys.readouterr().err
+
+
+def test_check_flag_probes_a_run_and_only_a_run(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.yaml", solver={"t_max": 20})
+    assert main(["run", "--config", cfg, "--check", "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    # one dual, 20 y and 5 + 5 x-probes a step
+    assert report["invariant_probes"] == {"dual-identity": 20, "y-optimality": 400,
+                                          "three-points": 100, "step-inequality": 100}
+    for command in ("reference", "check-invariants"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", cfg, "--check"])
+        assert exit_.value.code == 2
 
 
 def test_default_t_grid_is_unique_and_covers_endpoints():
@@ -742,19 +796,30 @@ def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("checked", [False, True])
-def test_run_ends_at_the_first_row_where_no_replication_is_finite(tmp_path, monkeypatch,
-                                                                  checked):
-    # fused-lasso-graph takes the batched run(), with or without checks
+@pytest.mark.parametrize("t_grid, k_end", [([10, 25, 300], 25), ([10, 300], 32)],
+                         ids=["grid-10-25-300", "grid-10-300"])
+@pytest.mark.parametrize("preset, checked", [("fused-lasso-graph", False),
+                                             ("fused-lasso-graph", True),
+                                             ("lasso-split", False)],
+                         ids=["fused-lasso-graph", "fused-lasso-graph-checked",
+                              "lasso-split"])
+def test_run_ends_at_the_first_row_where_no_replication_is_finite(
+        tmp_path, monkeypatch, preset, checked, t_grid, k_end):
+    """Every replication is NaN from step 20, so the loop ends at the end of
+    its chunk, step 32, with step() (fused-lasso-graph) and with the
+    identity-split update (lasso-split).  The error names the first
+    recorded row that is not finite, or else step 32; a checked run probes
+    each replication's 20 steps up to its first non-finite one."""
     calls = _nan_subgradient_at_step_20(monkeypatch, slice(None))
-    cfg = ExperimentConfig(preset="fused-lasso-graph", preset_params={"n": 30, "d": 4},
-                           replications=2, t_grid=[10, 25, 300], out_dir=str(tmp_path),
+    cfg = ExperimentConfig(preset=preset, preset_params={"n": 30, "d": 4},
+                           replications=2, t_grid=t_grid, out_dir=str(tmp_path),
                            solver=SolverConfig(t_max=300, check_invariants=checked))
     report, code = run_experiment(cfg)
-    assert code == 1 and calls[0] == 25
-    assert report["failed_runs"] == [f"rep={r} iteration 25: non-finite iterate"
+    assert code == 1 and calls[0] == 32
+    assert report["failed_runs"] == [f"rep={r} iteration {k_end}: non-finite iterate"
                                      for r in range(2)]
     assert len((tmp_path / "traj_rep000.csv").read_text().splitlines()) == 1 + 1
+    assert report["invariant_probes"]["dual-identity"] == (2 * 20 if checked else 0)
 
 
 def test_tail_check_takes_each_replications_last_row(tmp_path, monkeypatch):

@@ -743,14 +743,16 @@ def test_non_finite_iterate_ends_the_run(lasso_preset, monkeypatch):
     cfg = SolverConfig(variant="stochastic", t_max=40)
     traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0),
                record_at=np.arange(1, 11))
-    assert traj.error == "iteration 40: non-finite iterate"
+    # the loop ends at the end of the chunk of step 20
+    assert traj.error == "iteration 32: non-finite iterate"
     assert list(traj.k) == list(range(1, 11))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_chunks_after_every_replication_ended_check_nothing(lasso_preset, monkeypatch):
     """Every replication's x_20 is NaN and no row is recorded before step 60,
-    so the loop runs on through chunks that have no replication to check."""
+    so the run ends at the end of that chunk, step 32, after checking each
+    replication's steps up to step 20."""
     real = IterateState.advance
 
     def nan_x_at_20(self, x, y, lam):
@@ -761,7 +763,7 @@ def test_chunks_after_every_replication_ended_check_nothing(lasso_preset, monkey
     trajs = run_replications(lasso_preset, solver.validate(lasso_preset.spec), 2,
                              np.array([10, 60]), None)
     for traj in trajs:
-        assert traj.error == "iteration 60: non-finite iterate"
+        assert traj.error == "iteration 32: non-finite iterate"
         assert traj.invariant_probes["dual-identity"] == 20
 
 
