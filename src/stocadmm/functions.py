@@ -36,9 +36,15 @@ __all__ = [
 ]
 
 
+# 0.0 as a read-only 0-d array, which a ufunc takes faster than the float
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
-    """Componentwise soft-thresholding, the prox of tau*||.||_1."""
-    return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+    """Componentwise soft-thresholding, the prox of tau*||.||_1; tau may be
+    a 0-d array, which the y-update's map passes for speed."""
+    return np.sign(z) * np.maximum(np.abs(z) - tau, _ZERO)
 
 
 def matmul_rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:

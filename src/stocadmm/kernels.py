@@ -7,7 +7,8 @@ and the y-update is the prox of theta2 at x - lam/beta.  A run takes it when
 its plan says so (StepPlan.takes_identity_split).  admm_identity_split
 passes the update, for R replications as (R, d) arrays, to solvers.loop,
 which owns the rest of every run.  The projection is the spec's own method
-and the prox is the plan's y_prox, the map step() applies through
+(for a ball, a copy when every row is inside) and the prox is the plan's
+y_prox, the map the plan's update (step()) applies through
 solvers.solve_y_update, which this update does not call; so each
 replication's trajectory agrees with run() on its stream up to
 floating-point summation order.

@@ -31,7 +31,8 @@ class WholeSpace:
         return np.asarray(z, dtype=float)
 
     def contains(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        return len(z) == self.dim
+        """Whether z is a point, or (R, d) rows of points, of this space."""
+        return np.ndim(z) >= 1 and np.shape(z)[-1] == self.dim
 
     @property
     def diameter(self) -> float:
@@ -62,13 +63,23 @@ class Ball:
             raise ValueError("ball radius must be positive and finite")
 
     def project(self, z: np.ndarray) -> np.ndarray:
+        """The projection of z, or of each row of z, as a new array.  A row
+        with ||z|| <= radius is its own projection, since radius /
+        max(||z||, radius) is then exactly 1; so when every row is inside,
+        the result is a copy of z.  A NaN row takes the scaling."""
         z = np.asarray(z, dtype=float)
-        nz = np.sqrt(np.vecdot(z, z))[..., None]
-        # radius / max(||z||, radius) is exactly 1 inside the ball
-        return z * (self.radius / np.maximum(nz, self.radius))
+        nz = np.sqrt(np.vecdot(z, z))
+        # for one point a numpy bool, whose truth value costs less than a count
+        inside = nz <= self.radius
+        if inside if inside.ndim == 0 else np.count_nonzero(inside) == inside.size:
+            return z.copy()
+        return z * (self.radius / np.maximum(nz, self.radius))[..., None]
 
     def contains(self, z: np.ndarray, tol: float = 1e-12) -> bool:
-        return np.linalg.norm(z) <= self.radius * (1 + tol)
+        """Whether the point z, or every row of an (R, d) z, lies in the ball."""
+        z = np.asarray(z, dtype=float)
+        return (z.ndim >= 1 and z.shape[-1] == self.dim
+                and bool(np.all(np.sqrt(np.vecdot(z, z)) <= self.radius * (1 + tol))))
 
     @property
     def diameter(self) -> float:

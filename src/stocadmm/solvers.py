@@ -18,12 +18,13 @@ x-update:
 StepPlan, which SolverConfig.validate returns, is the one reader of the
 problem's structure: everything about the x-update and the y-update that is
 fixed for a run, computed and checked once, with the exact facts of the
-constraint (B = s*I, A = I, b = 0) and the update the run takes.  step()
+constraint (B = s*I, A = I, b = 0) and the update the run takes, which it
+builds once as a function of the state with those facts fixed.  step()
 applies it, to one iterate or to R replications as (R, d) rows.
 
 loop() is the solver loop of every run and takes a plan, so no run reaches
-it unvalidated.  It takes the update of a step, step() from run() or the
-identity-split update of kernels.admm_identity_split, and owns the rest:
+it unvalidated.  It takes the update of a step, the plan's from run() or
+the identity-split update of kernels.admm_identity_split, and owns the rest:
 the stepsize, the draw, the capture of a step's error and the recorded rows
 (RecordedRows), whose metrics are computed once, after the loop.  A checked
 loop stores each step's iterate, subgradient and stepsize too (CheckedSteps).
@@ -35,6 +36,7 @@ replication is finite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -201,9 +203,14 @@ class StepPlan:
 
     The plan also reads three exact facts of the constraint off the spec
     once: B = s*I (required), A = I (A_identity) and b = 0 (b_zero).  For a
-    scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  step()
-    replaces each product these facts make trivial by the scalar operation
-    that gives the same values.  theta1's (H, c, const), None without a
+    scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  From these
+    facts and the variant it builds the run's update once, update(state, g,
+    eta) (_build_update): one formula per part of the step, with each
+    product these facts make trivial replaced by the scalar operation that
+    gives the same values, and the x-solve (the prox form or the eigenbasis
+    solve) chosen once.  step() and loop() call it, so a step re-reads none
+    of the plan's facts.  y_update is the
+    y-update as a map of its point v.  theta1's (H, c, const), None without a
     quadratic form, is read once, for the x-update and the invariant checks,
     and with it the declared mu and L are checked against H's extreme
     eigenvalues (_check_curvature).
@@ -280,6 +287,10 @@ class StepPlan:
                 and self.eig[0][low] <= 1e-12 * max(abs(self.eig[0][-1]), 1.0)):
             raise SolverError(f"x-update quadratic is singular over "
                               f"{type(spec.X).__name__} X")
+        # the y-update at its point v: y_prox at v / -s, v itself for s = -1
+        y_prox = self.y_prox
+        self.y_update = y_prox if s == -1.0 else lambda v: y_prox(v / -s)
+        self.update = _build_update(self)
 
     def facts(self) -> dict:
         """The facts of the constraint the steps use, for the run's report."""
@@ -287,60 +298,116 @@ class StepPlan:
                 "B_scale": self.s}
 
 
-def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
-         eta: float = math.nan) -> IterateState:
-    """One iteration of the planned variant, in place: x-update, y-update,
-    dual ascent.  A stochastic plan takes the sampled subgradient g at
-    state.x and the stepsize eta; the other variants take neither.  A state
-    of R replications with (R, d) arrays (and g with R rows) advances every
-    replication by the same formulas, written for rows.
+# The update of one step, which _build_update fills in once per run: each
+# {field} becomes one formula of the plan's facts, so a step runs straight
+# through.  The x-solve and the y-update go through the module names
+# min_quadratic_over_set and solve_y_update, looked up at every call.
+_UPDATE_TEMPLATE = """\
+def build(plan, beta, s, A, At, b, c, G, H0, eig, X, shift, shifted, prox):
+    def update(state, g, eta):
+{shift}        x, lam = state.x, state.lam
+        lam_beta = {lam_beta}
+        rhs = {rhs}
+        x_next = {x_next}
+        Ax = {Ax}
+        y_next = solve_y_update({y_point}, plan)
+        state.advance(x_next, y_next, lam - {dual})
+    return update
+"""
 
-    B y is s*y, and for s = -1 a sum or difference with -y is the
-    difference or sum with y; A v is v for a plan with A = I, a product with
-    beta or a quotient by it is its operand for beta = 1, and b is left out
-    for b = 0, as is c for a stochastic plan (c = 0): each gives the values
-    of the matrix product, the sum or the difference it replaces, and every
-    other operation keeps its order.  lam/beta is formed once, for the
-    x-update's v and the y-update's point."""
-    spec, beta, x = plan.spec, plan.beta, state.x
-    shift = plan.shift
-    if shift is None:
+# the {shift} field of a stochastic update: its inputs' checks and 1/eta, as
+# a 0-d array (see _build_update)
+_STOCHASTIC_SHIFT = """\
         if g is None:
             raise ValueError("a stochastic step needs a sampled subgradient g")
         if not eta > 0:
             raise ValueError("eta must be positive")
-        shift = 1.0 / eta
-    # v = b + lam/beta - B y_k; for s = -1, v - (-y) is v + y exactly, and
-    # for beta = 1 a product with beta or a quotient by it is its operand
-    neg_identity, unit = plan.s == -1.0, beta == 1.0
-    lam_beta = state.lam if unit else state.lam / beta
-    v = lam_beta if plan.b_zero else spec.b + lam_beta
-    v = v + state.y if neg_identity else v - plan.s * state.y
-    rhs = v if plan.A_identity else v @ spec.A
-    if not unit:
-        rhs = beta * rhs
-    if not plan.stochastic:  # the stochastic model of theta1 is linear: c = 0
-        rhs = rhs - plan.c
-    rhs = rhs + shift * x
+        shift = np.array(1.0 / eta)
+"""
+
+
+def _build_update(plan: StepPlan):
+    """The update(state, g, eta) of plan's steps, which advances state in
+    place by one x-update, y-update and dual step (see step()).
+
+    Its formulas are those of the problem, rhs = beta A'v - c + shift x_k +
+    G_rest x_k - g with v = b + lam/beta - B y_k, with every product and
+    sum that the plan's exact facts make trivial left out: B y is s*y, and
+    for s = -1 a sum or difference with -y is the difference or sum with y;
+    A v is v for A = I; a product with beta or a quotient by it is its
+    operand for beta = 1, so that the scalar G_rest = -beta of A = I is a
+    difference with x; b is left out for b = 0, as is c for a stochastic
+    plan (c = 0).  Each gives the values of the operation it replaces, and
+    every other operation keeps its order.  lam/beta is formed once, for
+    the x-update's v and the y-update's point A x_{k+1} - b - lam/beta.
+
+    The x-solve is the prox form or the eigenbasis solve over X
+    (prox.min_quadratic_over_set, which takes the solve of X's kind).  A
+    shift fixed for the run, that of every variant but the stochastic one,
+    is added to the eigenvalues here, once.
+    """
+    unit, minus_y = plan.beta == 1.0, plan.s == -1.0
     G = plan.G_rest
-    if G is not None:
-        rhs = rhs + (x @ G.T if isinstance(G, np.ndarray) else G * x)
-    if g is not None:
-        rhs = rhs - g
+    v = "lam_beta" if plan.b_zero else "b + lam_beta"
+    v += " + state.y" if minus_y else " - s * state.y"
+    rhs = v if plan.A_identity else f"({v}) @ A"
+    if not unit:
+        rhs = f"beta * ({rhs})"
+    if not plan.stochastic:
+        rhs += " - c"
+    rhs += " + shift * x"
+    if isinstance(G, np.ndarray):
+        rhs += " + x @ G.T"
+    elif G is not None:
+        rhs += " - x" if unit else " + G * x"
+    if plan.stochastic:
+        rhs += " - g"
     if plan.prox:
-        x_next = spec.theta1.prox(rhs / shift, shift)
+        x_next = "prox(rhs / shift, shift)"
     else:
-        x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X,
-                                        x_init=x)
-    Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
-    # the y-update's point A x_{k+1} - b - lam/beta
-    y_next = solve_y_update((Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta,
-                            plan)
-    # A x + B y, for s = -1 as a + (-y), which is a - y exactly
-    residual = Ax_next - y_next if neg_identity else Ax_next + plan.s * y_next
+        fixed = "" if plan.stochastic else ", shifted=shifted"
+        x_next = f"min_quadratic_over_set(H0, eig, shift, rhs, X, x_init=x{fixed})"
+    residual = "Ax - y_next" if minus_y else "Ax + s * y_next"
     if not plan.b_zero:
-        residual = residual - spec.b
-    state.advance(x_next, y_next, state.lam - (residual if unit else beta * residual))
+        residual += " - b"
+    source = _UPDATE_TEMPLATE.format(
+        shift=_STOCHASTIC_SHIFT if plan.stochastic else "",
+        lam_beta="lam" if unit else "lam / beta", rhs=rhs, x_next=x_next,
+        Ax="x_next" if plan.A_identity else "x_next @ At",
+        y_point="Ax - lam_beta" if plan.b_zero else "Ax - b - lam_beta",
+        dual=f"({residual})" if unit else f"beta * ({residual})")
+    spec, eig = plan.spec, plan.eig
+    shifted = None if eig is None or plan.stochastic else eig[0] + plan.shift
+    # the scalars as 0-d arrays, which a ufunc takes as it takes an array, for
+    # about 0.3 us less per operation than a Python float, with the same bits
+    shift = None if plan.shift is None else np.array(plan.shift)
+    if G is not None and not isinstance(G, np.ndarray):
+        G = np.array(G)
+    return _update_builder(source)(plan, np.array(plan.beta), np.array(plan.s), spec.A,
+                                   spec.A.T, spec.b, plan.c, G, plan.H0, eig, spec.X,
+                                   shift, shifted, getattr(spec.theta1, "prox", None))
+
+
+@functools.lru_cache(maxsize=64)
+def _update_builder(source: str):
+    """The build function of an update's source, with this module's
+    globals, compiled once per source, that is per combination of the
+    plan's facts: compiling takes about 0.2 ms, more than the rest of a
+    plan."""
+    namespace = {}
+    exec(compile(source, "<planned update>", "exec"), globals(), namespace)
+    return namespace["build"]
+
+
+def step(state: IterateState, plan: StepPlan, g: np.ndarray | None = None,
+         eta: float = math.nan) -> IterateState:
+    """One iteration of the planned variant, in place: x-update, y-update,
+    dual ascent, by the update the plan built (_build_update).  A
+    stochastic plan takes the sampled subgradient g at state.x and the
+    stepsize eta; the other variants take neither.  A state of R
+    replications with (R, d) arrays (and g with R rows) advances every
+    replication by the same formulas, written for rows."""
+    plan.update(state, g, eta)
     return state
 
 
@@ -348,10 +415,10 @@ def solve_y_update(v: np.ndarray, plan: StepPlan) -> np.ndarray:
     """argmin_{y in Y} theta2(y) + (beta/2)||s y + v||^2 for B = s*I: since
     (beta/2)||s y + v||^2 = (beta s^2/2)||y - v/-s||^2, the plan's prox map
     (scale beta*s^2) at v / -s, which for s = -1 is v itself (dividing by
-    1.0 is exact).  Takes the point v = A x_{k+1} - b - lam_k/beta, whose
-    parts step() has formed for the x-update and the dual step."""
-    s = plan.s
-    return plan.y_prox(v if s == -1.0 else v / -s)
+    1.0 is exact): plan.y_update.  Takes the point v = A x_{k+1} - b -
+    lam_k/beta, whose parts the update has formed for the x-update and the
+    dual step."""
+    return plan.y_update(v)
 
 
 @dataclass
@@ -557,8 +624,8 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
 def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         theta_star: float | None = None, record_at: np.ndarray | None = None,
         *, state: IterateState | None = None, draws: SampleBuffer | None = None):
-    """Plan cfg on spec (SolverConfig.validate), execute t_max step() calls
-    from zero in loop() and record the trajectory.
+    """Plan cfg on spec (SolverConfig.validate), execute t_max calls of the
+    plan's update from zero in loop() and record the trajectory.
 
     Structural errors raise before any step; an error during the steps is
     returned in the partial trajectory.  record_at restricts metric rows to
@@ -581,8 +648,7 @@ def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
         draws = oracle.presample(cfg.t_max) if (plan.stochastic and cfg.t_max) else None
     elif plan.stochastic and draws is None:
         raise ValueError("a batched stochastic run needs its stacked draws")
-    out = loop(plan, state, lambda state, g, eta: step(state, plan, g, eta),
-               draws, theta_star, record_at)
+    out = loop(plan, state, plan.update, draws, theta_star, record_at)
     return out[0] if one_stream else out
 
 

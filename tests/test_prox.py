@@ -4,6 +4,8 @@ Expected values come from independent references: closed forms checked by
 hand, 1-D grid minimization, or dense brute force on tiny instances.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from stocadmm import kernels, solvers
 from stocadmm.functions import (L1Norm, Quadratic, SquaredL2Penalty, ZeroFunction,
                                 soft_threshold)
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
-from stocadmm.prox import (min_quadratic_over_set, prox_map, prox_theta2,
+from stocadmm.presets import build_preset
+from stocadmm.prox import (SubproblemError, min_quadratic_over_set, prox_map, prox_theta2,
                            three_points_check)
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, SolverError, step
@@ -41,6 +44,44 @@ def test_projection_is_idempotent():
             assert s.contains(p)
 
 
+def test_ball_projection_inside_the_ball_is_a_bit_equal_copy():
+    """Rows with ||z|| <= radius come back with their own bits (the scaling
+    radius / max(||z||, radius) is exactly 1) in a new array; a batch with
+    one row outside, or a NaN row, is scaled, as the formula scales it."""
+    ball = Ball(3, 2.0)
+
+    def formula(z):
+        nz = np.sqrt(np.vecdot(z, z))[..., None]
+        return z * (ball.radius / np.maximum(nz, ball.radius))
+
+    rng = np.random.default_rng(4)
+    inside = rng.standard_normal((4, 3)) * 0.3
+    inside[0] = [-0.0, 0.0, 2.0]  # a signed zero and a row on the sphere
+    for z in (inside, inside[1], inside[0]):
+        out = ball.project(z)
+        assert out is not z and not np.shares_memory(out, z)
+        assert np.array_equal(out.view(np.int64), formula(z).view(np.int64))
+    mixed = np.vstack([inside, [[3.0, 4.0, 0.0]]])
+    assert np.array_equal(ball.project(mixed), formula(mixed))
+    nan_row = np.array([[0.1, np.nan, 0.2], [0.1, 0.1, 0.1]])
+    out = ball.project(nan_row)
+    assert np.isnan(out[0]).all() and np.array_equal(out[1], nan_row[1])
+
+
+def test_contains_takes_a_point_or_rows_and_checks_the_last_axis():
+    ball, space = Ball(2, 1.0), WholeSpace(2)
+    assert ball.contains(np.array([0.6, 0.8])) and space.contains(np.array([5.0, 0.0]))
+    assert not ball.contains(np.array([0.9, 0.9]))
+    rows = np.array([[0.6, 0.8], [0.0, 0.5], [-0.1, 0.0]])
+    assert ball.contains(rows) and space.contains(rows)
+    # every row must be inside, not the rows' joint Frobenius norm
+    assert not ball.contains(np.vstack([rows, [[1.0, 0.1]]]))
+    # each row inside, though the rows' joint norm is 1.04
+    assert ball.contains(np.array([[0.6, 0.0], [0.0, 0.6], [0.6, 0.0]]))
+    for wrong in (np.zeros(3), np.zeros((2, 3)), np.zeros((3, 1))):
+        assert not ball.contains(wrong) and not space.contains(wrong)
+
+
 # ---------------------------------------------------------------------------
 # proximal operators
 
@@ -48,6 +89,28 @@ def test_projection_is_idempotent():
 def test_soft_threshold_hand_example():
     out = soft_threshold(np.array([2.0, -0.5, -3.0]), 1.0)
     assert np.allclose(out, [1.0, 0.0, -2.0])
+
+
+def test_soft_threshold_keeps_its_bits_at_the_edge_values():
+    """sign(z) * max(|z| - tau, 0), bit for bit, at signed zeros, at +-tau,
+    at NaNs of either sign, at infinities and for a 0-d input: a -0.0 input
+    gives +0.0 (sign(-0.0) is 0), where copysign(., z) would give -0.0."""
+    tau = 0.75
+
+    def formula(z):
+        return np.sign(z) * np.maximum(np.abs(z) - tau, 0.0)
+
+    z = np.array([0.0, -0.0, tau, -tau, np.nan, -np.nan, np.inf, -np.inf, 0.5, -0.5, 2.0])
+    out = soft_threshold(z, tau)
+    assert np.array_equal(out.view(np.int64), formula(z).view(np.int64))
+    assert not np.signbit(out[1]) and np.signbit(out[3]) and not np.signbit(out[2])
+    rows = z[:10].reshape(2, 5)
+    assert np.array_equal(soft_threshold(rows, tau).view(np.int64),
+                          formula(rows).view(np.int64))
+    for value in (-0.0, -2.0, np.nan):
+        one = soft_threshold(np.array(value), tau)
+        assert np.shape(one) == ()
+        assert np.array(one).view(np.int64) == np.array(formula(np.array(value))).view(np.int64)
 
 
 def test_l1_prox_equals_soft_threshold():
@@ -249,6 +312,27 @@ def test_ball_solve_of_rows_matches_one_row_solves():
     assert inside.any() and not inside.all()
     for r in range(len(rhs)):
         assert np.max(np.abs(x[r] - min_quadratic_over_set(*eig, 0.7, rhs[r], ball))) <= 1e-12
+
+
+def test_ball_newton_that_does_not_converge_ends_the_run(monkeypatch):
+    """The ball solve's Newton loop raises SubproblemError, with its last
+    |phi|, once SECULAR_MAX_ITERS iterations leave a row unconverged, and
+    the run ends with that error.  With one iteration allowed, the first
+    step whose unconstrained minimizer leaves the ball fails."""
+    from stocadmm import prox
+    preset = build_preset("fused-lasso-graph", seed=2, n=30, d=4)
+    spec = dataclasses.replace(preset.spec, X=Ball(preset.spec.d1, 0.3))
+    cfg = SolverConfig(schedule="constant", eta0=1.0, t_max=300)
+    clean = solvers.run(spec, cfg, oracle=preset.make_oracle(0))
+    assert clean.error is None
+    monkeypatch.setattr(prox, "SECULAR_MAX_ITERS", 1)
+    cut = solvers.run(spec, cfg, oracle=preset.make_oracle(0))
+    assert cut.error.startswith("iteration ")
+    assert "ball-constrained Newton iteration did not converge (last residual" in cut.error
+    assert len(cut) < cfg.t_max
+    with pytest.raises(SubproblemError) as info:
+        prox._secular_newton(np.array([[3.0, 4.0]]), np.array([1.0, 2.0]), 1.0)
+    assert info.value.residual > 0
 
 
 def test_box_solve_of_rows_keeps_each_rows_converged_iterate():

@@ -187,15 +187,16 @@ def test_recorded_rows_match_a_step_by_step_replay(lasso_preset, monkeypatch):
                        for v in err_rho((x_bar, state.avg_y), spec, theta_star, cfg.rho)])
     replay = np.array(replay)
 
-    calls = {"n": 0}
+    calls, real = {"n": 0}, solvers.min_quadratic_over_set
 
-    def failing_step(*args):
+    def failing_x_update(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] > 30:
             raise FloatingPointError("overflow")
-        return step(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "step", failing_step)
+    # the planned update of every step calls the x-solve by its module name
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", failing_x_update)
     cut = run(spec, cfg, theta_star=theta_star)
     assert full.error is None and cut.error == "iteration 31: overflow"
     for traj in (full, cut):
@@ -484,6 +485,111 @@ def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
         assert np.all(np.isfinite(fast.lam)) and fast.k == 50
 
 
+def _branching_step(state, plan, g=None, eta=np.nan):
+    """The step() that re-read the plan's facts at every call, with one
+    branch per fact, as it was before the plan built the update once."""
+    spec, beta, x = plan.spec, plan.beta, state.x
+    shift = 1.0 / eta if plan.shift is None else plan.shift
+    neg_identity, unit = plan.s == -1.0, beta == 1.0
+    lam_beta = state.lam if unit else state.lam / beta
+    v = lam_beta if plan.b_zero else spec.b + lam_beta
+    v = v + state.y if neg_identity else v - plan.s * state.y
+    rhs = v if plan.A_identity else v @ spec.A
+    if not unit:
+        rhs = beta * rhs
+    if not plan.stochastic:
+        rhs = rhs - plan.c
+    rhs = rhs + shift * x
+    G = plan.G_rest
+    if G is not None:
+        rhs = rhs + (x @ G.T if isinstance(G, np.ndarray) else G * x)
+    if g is not None:
+        rhs = rhs - g
+    if plan.prox:
+        x_next = spec.theta1.prox(rhs / shift, shift)
+    else:
+        x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
+    Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
+    point = (Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta
+    y_next = plan.y_prox(point if plan.s == -1.0 else point / -plan.s)
+    residual = Ax_next - y_next if neg_identity else Ax_next + plan.s * y_next
+    if not plan.b_zero:
+        residual = residual - spec.b
+    state.advance(x_next, y_next, state.lam - (residual if unit else beta * residual))
+
+
+def _prox_form_spec(d=4):
+    """A first block with a prox and no quadratic form (l1), so the scalar-G
+    linearized x-update is the prox form over whole-space X."""
+    return ProblemSpec(
+        theta1=L1Norm(0.3), theta2=SquaredL2Penalty(0.5),
+        A=np.eye(d), B=-np.eye(d), b=np.zeros(d),
+        X=WholeSpace(d, declared_diameter=10.0), Y=WholeSpace(d),
+        constants=StructuralConstants(M=2.0))
+
+
+def _plan_forms():
+    """(spec, config) per form of the planned update."""
+    lasso = small_lasso_preset().spec
+    fused = build_preset("fused-lasso-graph", seed=2, n=30, d=4).spec
+    tight = dataclasses.replace(fused, X=Ball(fused.d1, 0.3))
+    shifted = _step_specs()["b-and-B-2I"][0]
+    r_fused = 1.1 * float(np.linalg.eigvalsh(fused.A.T @ fused.A)[-1])
+    return {
+        "deterministic": (lasso, SolverConfig(variant="deterministic")),
+        "linearized-scalar-A=I": (lasso, SolverConfig(variant="linearized", G=2.0)),
+        "linearized-scalar-general-A": (fused, SolverConfig(variant="linearized",
+                                                            G=r_fused)),
+        "linearized-matrix": (lasso, SolverConfig(variant="linearized",
+                                                  G=0.5 * np.eye(lasso.d1))),
+        "prox-form": (_prox_form_spec(), SolverConfig(variant="linearized", G=1.5)),
+        "stochastic-general-A": (fused, SolverConfig()),
+        "box": (_coupled_box_spec(), SolverConfig()),
+        "ball-newton": (tight, SolverConfig(schedule="constant", eta0=1.0)),
+        "b-s=2-beta=0.5-linearized": (shifted, SolverConfig(variant="linearized",
+                                                            G=1.0, beta=0.5)),
+        "b-s=2-beta=0.5-stochastic": (shifted, SolverConfig(beta=0.5)),
+    }
+
+
+@pytest.mark.parametrize("R", [None, 3])
+@pytest.mark.parametrize("form", [
+    "deterministic", "linearized-scalar-A=I", "linearized-scalar-general-A",
+    "linearized-matrix", "prox-form", "stochastic-general-A", "box", "ball-newton",
+    "b-s=2-beta=0.5-linearized", "b-s=2-beta=0.5-stochastic"])
+def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatch):
+    """The update the plan builds once gives, after 50 steps, the bits of
+    the step that decided every shortcut at every call: x, y, lam and the
+    running sums, for one stream and for (R, d) rows."""
+    from stocadmm import prox
+    spec, cfg = _plan_forms()[form]
+    plan = cfg.validate(spec)
+    assert plan.prox == (form == "prox-form")
+    newton = [0]
+
+    def counted(q, w, radius, real=prox._secular_newton):
+        newton[0] += 1
+        return real(q, w, radius)
+
+    monkeypatch.setattr(prox, "_secular_newton", counted)
+    planned, branching = IterateState.zeros(spec, R), IterateState.zeros(spec, R)
+    noise = np.random.default_rng(1).standard_normal((50,) + planned.x.shape)
+    for k in range(50):
+        if plan.stochastic:
+            eta = cfg.eta(k + 1, spec)
+            g = spec.theta1.subgrad(planned.x) + noise[k]
+            step(planned, plan, g, eta)
+            _branching_step(branching, plan, g, eta)
+        else:
+            step(planned, plan)
+            _branching_step(branching, plan)
+    for part in ("x", "y", "lam", "sums"):
+        assert np.array_equal(getattr(planned, part), getattr(branching, part)), part
+    assert np.all(np.isfinite(planned.sums)) and planned.k == 50
+    if form == "ball-newton":
+        assert newton[0] > 0
+
+
 def test_matrix_g_must_be_psd():
     spec = ridge_split_spec()
     G = -np.eye(spec.d1)
@@ -703,15 +809,15 @@ def test_checks_cover_a_last_chunk_shorter_than_check_chunk(lasso_preset, monkey
 
 def test_an_exception_mid_chunk_keeps_the_checks_of_every_completed_step(
         lasso_preset, monkeypatch):
-    real, calls = solvers.step, [0]
+    real, calls = solvers.min_quadratic_over_set, [0]
 
-    def failing_step(*args, **kwargs):
+    def failing_x_update(*args, **kwargs):
         calls[0] += 1
         if calls[0] == 30:
             raise RuntimeError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "step", failing_step)
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", failing_x_update)
     solver = SolverConfig(t_max=50, check_invariants=True)
     trajs = run_replications(lasso_preset, solver.validate(lasso_preset.spec), 2,
                              np.arange(1, 51), None)
