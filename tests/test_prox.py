@@ -69,17 +69,22 @@ def test_ball_projection_inside_the_ball_is_a_bit_equal_copy():
 
 
 def test_contains_takes_a_point_or_rows_and_checks_the_last_axis():
-    ball, space = Ball(2, 1.0), WholeSpace(2)
+    ball, space, box = Ball(2, 1.0), WholeSpace(2), Box([-1.0, 0.0], [1.0, 1.0])
     assert ball.contains(np.array([0.6, 0.8])) and space.contains(np.array([5.0, 0.0]))
-    assert not ball.contains(np.array([0.9, 0.9]))
+    assert box.contains(np.array([0.6, 0.8]))
+    assert not ball.contains(np.array([0.9, 0.9])) and not box.contains(np.array([0.5, -0.1]))
     rows = np.array([[0.6, 0.8], [0.0, 0.5], [-0.1, 0.0]])
-    assert ball.contains(rows) and space.contains(rows)
+    assert ball.contains(rows) and space.contains(rows) and box.contains(rows)
     # every row must be inside, not the rows' joint Frobenius norm
     assert not ball.contains(np.vstack([rows, [[1.0, 0.1]]]))
+    assert not box.contains(np.vstack([rows, [[1.0, 1.1]]]))
     # each row inside, though the rows' joint norm is 1.04
     assert ball.contains(np.array([[0.6, 0.0], [0.0, 0.6], [0.6, 0.0]]))
-    for wrong in (np.zeros(3), np.zeros((2, 3)), np.zeros((3, 1))):
-        assert not ball.contains(wrong) and not space.contains(wrong)
+    # inside every set but for the last axis, and a scalar
+    for wrong in (np.zeros(3), np.zeros((2, 3)), np.zeros((3, 1)), np.float64(0.5)):
+        for X in (ball, space, box):
+            assert not X.contains(wrong), (X, wrong)
+    assert not Box([0.0], [1.0]).contains(np.full(5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +357,8 @@ def test_x_subproblem_validates_inputs():
     state = IterateState.zeros(spec)
     with pytest.raises(ValueError, match="eta must be positive"):
         step(state, _stochastic_plan(spec), np.zeros(1), eta=0.0)
+    with pytest.raises(ValueError, match="needs a sampled subgradient g"):
+        step(state, _stochastic_plan(spec), None, eta=1.0)
     with pytest.raises(ValueError, match="solver.beta: must be > 0"):
         _stochastic_plan(spec, beta=-1.0)
 

@@ -543,6 +543,9 @@ def _plan_forms():
         "linearized-matrix": (lasso, SolverConfig(variant="linearized",
                                                   G=0.5 * np.eye(lasso.d1))),
         "prox-form": (_prox_form_spec(), SolverConfig(variant="linearized", G=1.5)),
+        "prox-form-beta=0.5": (_prox_form_spec(), SolverConfig(variant="linearized",
+                                                               G=1.5, beta=0.5)),
+        "stochastic-A=I-ball": (lasso, SolverConfig()),
         "stochastic-general-A": (fused, SolverConfig()),
         "box": (_coupled_box_spec(), SolverConfig()),
         "ball-newton": (tight, SolverConfig(schedule="constant", eta0=1.0)),
@@ -555,8 +558,9 @@ def _plan_forms():
 @pytest.mark.parametrize("R", [None, 3])
 @pytest.mark.parametrize("form", [
     "deterministic", "linearized-scalar-A=I", "linearized-scalar-general-A",
-    "linearized-matrix", "prox-form", "stochastic-general-A", "box", "ball-newton",
-    "b-s=2-beta=0.5-linearized", "b-s=2-beta=0.5-stochastic"])
+    "linearized-matrix", "prox-form", "prox-form-beta=0.5", "stochastic-A=I-ball",
+    "stochastic-general-A", "box", "ball-newton", "b-s=2-beta=0.5-linearized",
+    "b-s=2-beta=0.5-stochastic"])
 def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatch):
     """The update the plan builds once gives, after 50 steps, the bits of
     the step that decided every shortcut at every call: x, y, lam and the
@@ -564,7 +568,7 @@ def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatc
     from stocadmm import prox
     spec, cfg = _plan_forms()[form]
     plan = cfg.validate(spec)
-    assert plan.prox == (form == "prox-form")
+    assert plan.prox == form.startswith("prox-form")
     newton = [0]
 
     def counted(q, w, radius, real=prox._secular_newton):

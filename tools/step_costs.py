@@ -5,8 +5,8 @@ benchmark.
 
 Plans the config of each workload of ``perfbench/experiment.py`` (its
 ``WORKLOADS`` and ``make_config``, at preset seed 7, the seed of the committed
-benchmark records) with the program and the benchmark of the checkout DIR
-(default: this one), and times the solver loop of each alone: the draws are
+benchmark records) with the program and the benchmark of a checkout, and
+times the solver loop of each alone: the draws are
 presampled before the clock starts, and the loop records the rows
 of the workload's grid, as its experiment does, so that the time includes
 the recording and the metric pass of those rows (4000 rows on
@@ -22,17 +22,29 @@ read off its plan:
 * linearized: linearized-dense (lasso-split, scalar G, one stream), by
   ``solvers.run``.
 
-The process pins itself to one CPU and runs every loop once per round, in
-the reverse order every other round.  It prints one line per form: the form,
-the workload, R, T and the least loop time over the rounds divided by T, in
-microseconds per step.  Run it once per checkout, for example once with
-``--checkout ../parent``, and compare the lines.
+Without ``--checkout``, the process pins itself to one CPU and runs every
+loop once per round, in the reverse order every other round.  It prints one
+line per form: the form, the workload, R, T and the least loop time over the
+rounds divided by T, in microseconds per step.
+
+With ``--checkout DIR``, it times DIR and this checkout round by round, so
+that both see the same drift of the machine's speed.  Each round times each
+side in a fresh child process (pinned to one CPU, the least of
+``RUNS_PER_CHILD`` runs of every loop), and the side that goes first
+alternates.  It prints one line per form: the form, the workload, R, T, the
+least time per step over the rounds of DIR and of this checkout, the median
+over the rounds of this checkout's time divided by DIR's, and the rounds
+this checkout was faster in:
+
+    FORM WORKLOAD R=.. T=.. DIR_MIN -> THIS_MIN us/step ratio MEDIAN wins N/ROUNDS
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,6 +52,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
+# runs of every loop in each child process of a comparison; the first run
+# of a fresh process is the slowest
+RUNS_PER_CHILD = 3
 
 
 def form_of(plan) -> str:
@@ -77,27 +92,19 @@ def planned_loop(experiment, workload: str, size: str, seed: int, out_dir: str):
     return form_of(plan), R, T, loop
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--checkout", type=Path, default=ROOT,
-                        help="source checkout whose program and benchmark run")
-    parser.add_argument("--rounds", type=int, default=7,
-                        help="runs of every loop; the least time counts")
-    parser.add_argument("--size", choices=("full", "tiny"), default="full",
-                        help="the workloads' size in perfbench/experiment.py")
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+def print_forms(checkout: str, size: str, rounds: int):
+    """Print one line per form: the least loop time over rounds in this
+    process, with the program and the benchmark of checkout."""
     # importing experiment puts the checkout's src/ first on the path
-    sys.path.insert(0, str(args.checkout.resolve() / "perfbench"))
+    sys.path.insert(0, str(Path(checkout).resolve() / "perfbench"))
     import experiment
 
     experiment.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as out_dir:
-        loops = [(workload, *planned_loop(experiment, workload, args.size, SEED, out_dir))
+        loops = [(workload, *planned_loop(experiment, workload, size, SEED, out_dir))
                  for workload in experiment.WORKLOADS]
     best = [math.inf] * len(loops)
-    for round_ in range(args.rounds):
+    for round_ in range(rounds):
         order = range(len(loops)) if round_ % 2 == 0 else reversed(range(len(loops)))
         for i in order:
             t0 = time.perf_counter()
@@ -105,6 +112,55 @@ def main(argv=None) -> int:
             best[i] = min(best[i], time.perf_counter() - t0)
     for (workload, form, R, T, _), seconds in zip(loops, best):
         print(f"{form} {workload} R={R} T={T} {seconds / T * 1e6:.2f} us/step")
+
+
+def child_forms(checkout: Path, size: str) -> list[tuple]:
+    """(form, workload, R, T, us per step) per form, from print_forms of
+    checkout with RUNS_PER_CHILD rounds in a fresh child process."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+            f"import step_costs; step_costs.print_forms("
+            f"{str(checkout)!r}, {size!r}, {RUNS_PER_CHILD})")
+    out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                         text=True, check=True).stdout
+    return [(*fields[:4], float(fields[4])) for fields in map(str.split, out.splitlines())]
+
+
+def compare(checkout: Path, size: str, rounds: int):
+    """Print, per form, DIR's and this checkout's least time per step, the
+    median per-round ratio and this checkout's wins (see the module's
+    docstring)."""
+    times = ([], [])   # per side, per round, the forms' lines
+    for round_ in range(rounds):
+        for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
+            times[side].append(child_forms((checkout, ROOT)[side], size))
+    labels = [line[:4] for line in times[1][0]]
+    if any([line[:4] for line in lines] != labels for side in times for lines in side):
+        raise SystemExit(f"the two checkouts time different forms: {times[0][0]} "
+                         f"against {labels}")
+    for i, (form, workload, R, T) in enumerate(labels):
+        other, this = ([lines[i][-1] for lines in side] for side in times)
+        ratios = [t / o for t, o in zip(this, other)]
+        wins = sum(t < o for t, o in zip(this, other))
+        print(f"{form} {workload} {R} {T} {min(other):.2f} -> {min(this):.2f} us/step "
+              f"ratio {statistics.median(ratios):.3f} wins {wins}/{rounds}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", type=Path, default=None,
+                        help="source checkout to time against this one, round by round")
+    parser.add_argument("--rounds", type=int, default=7,
+                        help="runs of every loop (the least time counts), or with "
+                             "--checkout rounds of the two checkouts")
+    parser.add_argument("--size", choices=("full", "tiny"), default="full",
+                        help="the workloads' size in perfbench/experiment.py")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    if args.checkout is None:
+        print_forms(str(ROOT), args.size, args.rounds)
+    else:
+        compare(args.checkout.resolve(), args.size, args.rounds)
     return 0
 
 
