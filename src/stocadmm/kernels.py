@@ -42,18 +42,16 @@ def admm_identity_split(plan: StepPlan, idx, noise, state: IterateState,
         raise SolverError("the identity-split update needs an unchecked stochastic "
                           "plan with A = I, B = -I and b = 0")
     spec, beta, y_prox = plan.spec, plan.beta, plan.y_prox
-    # for beta = 1, a product with beta or a quotient by it is its operand;
-    # else beta is a 0-d array, which a ufunc takes faster than a float, with
-    # the same bits.  eta stays a float: a 0-d array made per step costs more
-    unit, beta_0d = beta == 1.0, np.array(beta)
+    # for beta = 1, a product with beta or a quotient by it is its operand
+    unit = beta == 1.0
 
     def update(state, g, eta):
         # x-update: the quadratic is isotropic, so its minimizer over X is
         # the projection of the unconstrained one
-        x = spec.X.project(((state.y if unit else beta_0d * state.y) + state.lam
+        x = spec.X.project(((state.y if unit else beta * state.y) + state.lam
                             + state.x / eta - g) / (beta + 1.0 / eta))
         # y-update: the plan's prox map, whose scale beta*s^2 is beta
-        y = y_prox(x - (state.lam if unit else state.lam / beta_0d))
-        state.advance(x, y, state.lam - ((x - y) if unit else beta_0d * (x - y)))
+        y = y_prox(x - (state.lam if unit else state.lam / beta))
+        state.advance(x, y, state.lam - ((x - y) if unit else beta * (x - y)))
 
     return loop(plan, state, update, SampleBuffer(idx, noise), theta_star, record_at)

@@ -86,20 +86,16 @@ def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray
     return prox_map(theta2, Y, c)(z)
 
 
-def _ball_constrained_solve(w, eigvecs, rhs, ball: Ball):
-    """Exact argmin of x'(Q)x/2 - rhs'x over the ball ||x|| <= radius, Q =
-    V diag(w) V', for one rhs or for each row of an (R, d) rhs."""
+def _ball_constrained_solve(w, eigvecs, rhs, radius):
+    """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w) V',
+    for one rhs or for each row of an (R, d) rhs."""
     q = rhs @ eigvecs
     x = q / w
-    # the rows outside the ball; a row that is not finite stays as it is.  (R,
-    # d) rows take the 0-d square, a ufunc's faster operand.  One rhs gives
-    # numpy scalars, which compare faster with a float, and a numpy bool,
-    # whose truth value costs far less than a count
-    x2 = np.vecdot(x, x)
-    one = x2.ndim == 0
-    out = x2 > (ball.radius * ball.radius if one else ball.radius_sq_0d)
-    if out if one else np.count_nonzero(out):
-        x[out] = _secular_newton(q[out], w, ball.radius)
+    # the rows outside the ball; a row that is not finite stays as it is.  For
+    # one rhs, out is a numpy bool, whose truth value costs far less than a count
+    out = np.vecdot(x, x) > radius * radius
+    if out if out.ndim == 0 else np.count_nonzero(out):
+        x[out] = _secular_newton(q[out], w, radius)
     return x @ eigvecs.T
 
 
@@ -167,7 +163,7 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
     if isinstance(X, WholeSpace):
         return ((rhs @ eigvecs) / w) @ eigvecs.T
     if isinstance(X, Ball):
-        return _ball_constrained_solve(w, eigvecs, rhs, X)
+        return _ball_constrained_solve(w, eigvecs, rhs, X.radius)
     if isinstance(X, Box):
         lip = float(w[-1])
         init = rhs / lip if x_init is None else x_init

@@ -61,11 +61,6 @@ class Ball:
     def __post_init__(self):
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError("ball radius must be positive and finite")
-        # the radius and its square as 0-d arrays, which a ufunc on rows takes
-        # for about 0.2 us less than a float, with the same bits; not fields,
-        # so that repr and equality stay those of dim and radius
-        object.__setattr__(self, "radius_0d", np.array(self.radius))
-        object.__setattr__(self, "radius_sq_0d", np.array(self.radius * self.radius))
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """The projection of z, or of each row of z, as a new array.  A row
@@ -74,15 +69,11 @@ class Ball:
         the result is a copy of z.  A NaN row takes the scaling."""
         z = np.asarray(z, dtype=float)
         nz = np.sqrt(np.vecdot(z, z))
-        # rows take the 0-d radius, a ufunc's faster operand; one point gives
-        # numpy scalars, which take a float faster, and a numpy bool, whose
-        # truth value costs less than a count
-        one = nz.ndim == 0
-        radius = self.radius if one else self.radius_0d
-        inside = nz <= radius
-        if inside if one else np.count_nonzero(inside) == inside.size:
+        # for one point a numpy bool, whose truth value costs less than a count
+        inside = nz <= self.radius
+        if inside if inside.ndim == 0 else np.count_nonzero(inside) == inside.size:
             return z.copy()
-        return z * (radius / np.maximum(nz, radius))[..., None]
+        return z * (self.radius / np.maximum(nz, self.radius))[..., None]
 
     def contains(self, z: np.ndarray, tol: float = 1e-12) -> bool:
         """Whether the point z, or every row of an (R, d) z, lies in the ball."""

@@ -13,7 +13,7 @@ _FORMS = [("identity-split", "kernel-sweep"), ("general", "general-step"),
 def _tool(*args):
     # a child process, since the tool pins the process that runs it to one CPU
     out = subprocess.run([sys.executable, str(_TOOL), "--size", "tiny", *args],
-                         capture_output=True, text=True, check=True, timeout=300).stdout
+                         capture_output=True, text=True, check=True, timeout=120).stdout
     return [line.split() for line in out.splitlines()]
 
 

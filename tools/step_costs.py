@@ -31,10 +31,14 @@ With ``--checkout DIR``, it times DIR and this checkout round by round, so
 that both see the same drift of the machine's speed.  Each round times each
 side in a fresh child process (pinned to one CPU, the least of
 ``RUNS_PER_CHILD`` runs of every loop), and the side that goes first
-alternates.  It prints one line per form: the form, the workload, R, T, the
-least time per step over the rounds of DIR and of this checkout, the median
-over the rounds of this checkout's time divided by DIR's, and the rounds
-this checkout was faster in:
+alternates.  A shared VM can run a whole process at one of very different
+speeds, so each child also times ``experiment.calibrate()`` before and after
+its loops and scales its times to the calibration speed recorded in this
+checkout's ``perfbench/expected.json``, as ``perfbench/run.py`` scales
+``experiment_s``.  It prints one line per form: the form, the workload, R,
+T, the least scaled time per step over the rounds of DIR and of this
+checkout, the median over the rounds of this checkout's time divided by
+DIR's, and the rounds this checkout was faster in:
 
     FORM WORKLOAD R=.. T=.. DIR_MIN -> THIS_MIN us/step ratio MEDIAN wins N/ROUNDS
 """
@@ -42,6 +46,7 @@ this checkout was faster in:
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
 import subprocess
@@ -92,9 +97,10 @@ def planned_loop(experiment, workload: str, size: str, seed: int, out_dir: str):
     return form_of(plan), R, T, loop
 
 
-def print_forms(checkout: str, size: str, rounds: int):
+def print_forms(checkout: str, size: str, rounds: int, scaled: bool = False):
     """Print one line per form: the least loop time over rounds in this
-    process, with the program and the benchmark of checkout."""
+    process, with the program and the benchmark of checkout; if scaled, at
+    the recorded calibration speed (see the module's docstring)."""
     # importing experiment puts the checkout's src/ first on the path
     sys.path.insert(0, str(Path(checkout).resolve() / "perfbench"))
     import experiment
@@ -103,6 +109,7 @@ def print_forms(checkout: str, size: str, rounds: int):
     with tempfile.TemporaryDirectory() as out_dir:
         loops = [(workload, *planned_loop(experiment, workload, size, SEED, out_dir))
                  for workload in experiment.WORKLOADS]
+    calibration = experiment.calibrate() if scaled else None
     best = [math.inf] * len(loops)
     for round_ in range(rounds):
         order = range(len(loops)) if round_ % 2 == 0 else reversed(range(len(loops)))
@@ -110,16 +117,21 @@ def print_forms(checkout: str, size: str, rounds: int):
             t0 = time.perf_counter()
             loops[i][-1]()
             best[i] = min(best[i], time.perf_counter() - t0)
+    if scaled:
+        recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+        scale = recorded["calibration_s"] / ((calibration + experiment.calibrate()) / 2.0)
+        best = [seconds * scale for seconds in best]
     for (workload, form, R, T, _), seconds in zip(loops, best):
         print(f"{form} {workload} R={R} T={T} {seconds / T * 1e6:.2f} us/step")
 
 
 def child_forms(checkout: Path, size: str) -> list[tuple]:
-    """(form, workload, R, T, us per step) per form, from print_forms of
-    checkout with RUNS_PER_CHILD rounds in a fresh child process."""
+    """(form, workload, R, T, scaled us per step) per form, from
+    print_forms of checkout with RUNS_PER_CHILD rounds in a fresh child
+    process."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
             f"import step_costs; step_costs.print_forms("
-            f"{str(checkout)!r}, {size!r}, {RUNS_PER_CHILD})")
+            f"{str(checkout)!r}, {size!r}, {RUNS_PER_CHILD}, scaled=True)")
     out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
                          text=True, check=True).stdout
     return [(*fields[:4], float(fields[4])) for fields in map(str.split, out.splitlines())]
