@@ -86,9 +86,12 @@ def test_csv_outputs_match_recorded_digests(tmp_path, name):
 
 
 # config name -> (ExperimentConfig fields, float.hex of each invariant_worst
-# value, invariant_probes, sha256 of invariants.log) of a checked run whose
-# x-update at step 20 is moved off its minimizer: GOLDEN's checked run, and
-# one with two check groups and a last chunk shorter than CHECK_CHUNK
+# value (None for a check that did not run), invariant_probes, sha256 of
+# invariants.log) of a checked run whose x-update at step 20 is moved off its
+# minimizer: GOLDEN's checked run; one with two check groups and a last chunk
+# shorter than CHECK_CHUNK, on lasso-split (A = I, B = -I) and on
+# fused-lasso-graph (a general A); one with beta = 0.5; and a linearized run,
+# which checks only the dual identity and y-optimality, both exact at any x
 CHECKED = {
     "checked": (
         GOLDEN["checked"][0],
@@ -105,6 +108,31 @@ CHECKED = {
         {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
          "step-inequality": 2310},
         "6566f51704d270647d8f41ade2406c8ab9d0712973c7c8b9f192c8cd8f1abfae"),
+    "checked-general-A-R6-T77": (
+        dict(preset="fused-lasso-graph", replications=6,
+             solver=SolverConfig(t_max=77, check_invariants=True)),
+        {"dual-identity": "0x1.0000000000000p-56", "y-optimality": "0x1.6db94ef1a378ap-53",
+         "three-points": "0x1.e938eee96e856p+8", "step-inequality": "0x1.f9591cbc5da36p-1"},
+        {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
+         "step-inequality": 2310},
+        "ee018ded45155f5506eaf13b6c3a8cdf695f718e4df1a0aac89a77a85f8ffd4c"),
+    "checked-beta-0.5": (
+        dict(preset="lasso-split", replications=2,
+             solver=SolverConfig(t_max=100, beta=0.5, check_invariants=True)),
+        {"dual-identity": "0x1.18cc821d6d3e3p-56", "y-optimality": "0x1.c06b3c3ddba4dp-51",
+         "three-points": "0x1.8994a46d0eb51p+9", "step-inequality": "0x1.fe83477f45d2bp-1"},
+        {"dual-identity": 200, "y-optimality": 4000, "three-points": 1000,
+         "step-inequality": 1000},
+        "8db2d756460d4b28e57431c6435fde80ee387d7eab102ecf7d1e90b21af55f8e"),
+    "checked-linearized": (
+        dict(preset="lasso-split", replications=2,
+             solver=SolverConfig(variant="linearized", G=2.0, t_max=100,
+                                 check_invariants=True)),
+        {"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.74149f89d5d42p-54",
+         "three-points": None, "step-inequality": None},
+        {"dual-identity": 200, "y-optimality": 4000, "three-points": 0,
+         "step-inequality": 0},
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
@@ -121,10 +149,11 @@ def test_checked_run_matches_recorded_worst_probes_and_log(tmp_path, monkeypatch
     monkeypatch.setattr(solvers, "min_quadratic_over_set", perturbed)
     report, code = run_experiment(ExperimentConfig(preset_params=SMALL,
                                                    out_dir=str(tmp_path), **fields))
-    assert code == 1
-    assert {k: v.hex() for k, v in report["invariant_worst"].items()} == worst
-    assert report["invariant_probes"] == probes
     log = (tmp_path / "invariants.log").read_bytes()
+    assert code == (1 if log else 0)
+    assert {k: None if v is None else v.hex()
+            for k, v in report["invariant_worst"].items()} == worst
+    assert report["invariant_probes"] == probes
     assert hashlib.sha256(log).hexdigest() == log_digest
 
 
