@@ -58,6 +58,20 @@ class StructuralConstants:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The problem min theta1(x) + theta2(y) s.t. A x + B y = b, x in X,
+    y in Y, with its structural constants.
+
+    Construction reads three exact facts of the constraint once: A = I
+    (A_identity), B = s*I for a nonzero s (B_scale, s; None for any other
+    B) and b = 0 (b_zero).  residual, eval_F and the checks use them: a
+    product with I is its operand, one with s*I is s times its operand, and
+    for s = -1 a sum or difference with -y is the difference or sum with y;
+    b = 0 is left out.  Each gives the values of the product or sum it
+    replaces for finite operands (up to the sign of a zero); a non-finite
+    entry stays in its own place, where a product would spread it as NaN
+    over its row.
+    """
+
     theta1: object
     theta2: object
     A: np.ndarray
@@ -83,6 +97,13 @@ class ProblemSpec:
             raise ValueError(f"X dim {self.X.dim} != cols(A) {A.shape[1]}")
         if self.Y.dim != B.shape[1]:
             raise ValueError(f"Y dim {self.Y.dim} != cols(B) {B.shape[1]}")
+        d1, d2 = A.shape[1], B.shape[1]
+        object.__setattr__(self, "A_identity",
+                           A.shape == (d1, d1) and np.array_equal(A, np.eye(d1)))
+        s = float(B[0, 0]) if B.shape == (d2, d2) and d2 > 0 else 0.0
+        object.__setattr__(self, "B_scale",
+                           s if s != 0 and np.array_equal(B, s * np.eye(d2)) else None)
+        object.__setattr__(self, "b_zero", not np.any(b))
 
     @property
     def d1(self) -> int:
@@ -106,8 +127,19 @@ class ProblemSpec:
         return self.theta1.value(x) + self.theta2.value(y)
 
     def residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """A x + B y - b, row by row for (P, d) rows of x and y."""
-        return matmul_rows(x, self.A.T) + matmul_rows(y, self.B.T) - self.b
+        """A x + B y - b, row by row for (P, d) rows of x and y, by the
+        constraint's exact facts."""
+        Ax = x if self.A_identity else matmul_rows(x, self.A.T)
+        s = self.B_scale
+        r = (Ax + matmul_rows(y, self.B.T) if s is None
+             else Ax - y if s == -1.0 else Ax + s * y)
+        return r if self.b_zero else r - self.b
+
+    def B_transpose(self, v: np.ndarray) -> np.ndarray:
+        """B'v, row by row for (P, m) rows of v, by the constraint's exact
+        facts."""
+        s = self.B_scale
+        return matmul_rows(v, self.B) if s is None else s * v
 
 
 @dataclass(frozen=True)
@@ -132,13 +164,13 @@ class StackedW:
 
 def eval_F(w: StackedW, spec: ProblemSpec) -> StackedW:
     """F(w) = (-A'lam, -B'lam, A x + B y - b), row by row for parts with
-    leading axes."""
+    leading axes, by the constraint's exact facts."""
     if (w.x.shape[-1:] != (spec.d1,) or w.y.shape[-1:] != (spec.d2,)
             or w.lam.shape[-1:] != (spec.m,)):
         raise ValueError("stacked vector does not match problem dimensions")
     neg_lam = -w.lam
-    return StackedW(matmul_rows(neg_lam, spec.A), matmul_rows(neg_lam, spec.B),
-                    spec.residual(w.x, w.y))
+    return StackedW(neg_lam if spec.A_identity else matmul_rows(neg_lam, spec.A),
+                    spec.B_transpose(neg_lam), spec.residual(w.x, w.y))
 
 
 def err_rho(u_bar, spec: ProblemSpec, theta_star: float, rho: float):

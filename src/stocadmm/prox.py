@@ -88,15 +88,15 @@ def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray
 
 def _ball_constrained_solve(w, eigvecs, rhs, radius):
     """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w) V',
-    for one rhs or for each row of an (R, d) rhs."""
-    q = rhs @ eigvecs
+    for one rhs or for each row of an (R, d) rhs; eigvecs None is V = I."""
+    q = rhs if eigvecs is None else rhs @ eigvecs
     x = q / w
     # the rows outside the ball; a row that is not finite stays as it is.  For
     # one rhs, out is a numpy bool, whose truth value costs far less than a count
     out = np.vecdot(x, x) > radius * radius
     if out if out.ndim == 0 else np.count_nonzero(out):
         x[out] = _secular_newton(q[out], w, radius)
-    return x @ eigvecs.T
+    return x if eigvecs is None else x @ eigvecs.T
 
 
 def _secular_newton(q, w, radius):
@@ -153,15 +153,18 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
 
     eig = (eigvals, eigvecs) is the eigendecomposition of H0, computed once
     per run; the whole-space and ball solves happen in that basis, so a
-    moving shift costs no refactorization.  shifted is eigvals + shift, for
-    a caller whose shift is fixed for the run and who adds it once.  rhs is
-    one right-hand side, or R of them as (R, d) rows, whose R minimizers are
-    the rows of the result.
+    moving shift costs no refactorization.  eigvecs None stands for the
+    identity basis (a diagonal H0), whose products the solves skip: that
+    gives the same values for a finite rhs, and keeps a non-finite entry in
+    its place where the products spread it over the row.  shifted is
+    eigvals + shift, for a caller whose shift is fixed for the run and who
+    adds it once.  rhs is one right-hand side, or R of them as (R, d) rows,
+    whose R minimizers are the rows of the result.
     """
     eigvals, eigvecs = eig
     w = eigvals + shift if shifted is None else shifted
     if isinstance(X, WholeSpace):
-        return ((rhs @ eigvecs) / w) @ eigvecs.T
+        return rhs / w if eigvecs is None else ((rhs @ eigvecs) / w) @ eigvecs.T
     if isinstance(X, Ball):
         return _ball_constrained_solve(w, eigvecs, rhs, X.radius)
     if isinstance(X, Box):

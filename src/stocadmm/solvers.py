@@ -149,19 +149,6 @@ class SolverConfig:
         return "eq2-shifted"
 
 
-def _y_prox_scale(spec: ProblemSpec) -> float:
-    """The s of B = s*I, which must hold exactly: every step multiplies by s
-    in place of B, so an entry off s*I, however small, would be ignored."""
-    B, d2 = spec.B, spec.d2
-    s = float(B[0, 0]) if B.shape == (d2, d2) and d2 > 0 else 1.0
-    if B.shape != (d2, d2) or s == 0 or not np.array_equal(B, s * np.eye(d2)):
-        raise SolverError(
-            "y-update reduces to a prox only for B = s*I exactly; use an inner "
-            "solver for general B"
-        )
-    return s
-
-
 def _check_curvature(constants, low: float, top: float):
     """The declared mu and L of a quadratic theta1 against the extreme
     eigenvalues low and top of its Hessian H: mu <= lambda_min(H) and
@@ -200,9 +187,11 @@ class StepPlan:
     builds once, with its checks (a ball Y needs theta2 = 0) and constants
     (the l1 threshold) fixed, so a step only does its arithmetic.
 
-    The plan also reads three exact facts of the constraint off the spec
-    once: B = s*I (required), A = I (A_identity) and b = 0 (b_zero).  For a
-    scalar r with A = I, G_rest = -beta*A'A is the scalar -beta.  From these
+    The plan also takes the three exact facts of the constraint that the
+    spec read at construction: B = s*I (required), A = I (A_identity) and
+    b = 0 (b_zero).  For a scalar r with A = I, G_rest = -beta*A'A is the
+    scalar -beta, and a stochastic H0 = beta*I has the eigenbasis I, which
+    eig holds as None, so no eigendecomposition is made.  From these
     facts and the variant it builds the run's update once, update(state, g,
     eta) (_build_update): a closure that holds them, and with them the 0-d
     scalars and the fixed shift's eigenvalues, and leaves out each product
@@ -220,14 +209,19 @@ class StepPlan:
         self.spec, self.cfg = spec, dataclasses.replace(cfg)
         self.beta = beta = cfg.beta
         self.stochastic = cfg.variant == "stochastic"
-        self.s = s = _y_prox_scale(spec)
+        # B = s*I must hold exactly: every step multiplies by s in place of
+        # B, so an entry off s*I, however small, would be ignored
+        self.s = s = spec.B_scale
+        if s is None:
+            raise SolverError(
+                "y-update reduces to a prox only for B = s*I exactly; use an inner "
+                "solver for general B"
+            )
         try:
             self.y_prox = prox_map(spec.theta2, spec.Y, beta * s * s)
         except ValueError as exc:
             raise SolverError(str(exc)) from None
-        self.A_identity = (spec.A.shape == (spec.d1, spec.d1)
-                           and np.array_equal(spec.A, np.eye(spec.d1)))
-        self.b_zero = not np.any(spec.b)
+        self.A_identity, self.b_zero = spec.A_identity, spec.b_zero
         self.takes_identity_split = (self.stochastic and not cfg.check_invariants
                                      and self.A_identity and self.s == -1.0
                                      and self.b_zero)
@@ -272,7 +266,12 @@ class StepPlan:
                 H0 = H0 + G
                 self.G_rest = G
         self.H0 = H0
-        self.eig = None if H0 is None else np.linalg.eigh(H0)
+        if H0 is None:
+            self.eig = None
+        elif self.stochastic and self.A_identity:  # H0 = beta*I, basis I
+            self.eig = (np.full(spec.d1, beta), None)
+        else:
+            self.eig = np.linalg.eigh(H0)
         if self.quadratic is not None:
             H = self.quadratic[0]
             w = self.eig[0] if H0 is H else np.linalg.eigvalsh(H)
@@ -580,14 +579,15 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
     -B'lam_{k+1}> <= 0 for every y' in Y.  draw holds Y.sample's points,
-    (probes, d2), or (n, probes, d2) for n rows of curr as (n, d) parts;
-    each probe y' projects a point of draw, for a whole-space Y at the scale
-    1 + ||y_{k+1}|| of its row.  Returns (max residual, scale), (n,) arrays
-    for n rows.
+    (probes, d2), or (n, probes, d2) for n rows of curr as (n, d) parts,
+    whose leading axes broadcast against draw's: (G, n, d) parts read row j
+    of an (n, probes, d2) draw at their rows (., j).  Each probe y' projects
+    a point of draw, for a whole-space Y at the scale 1 + ||y_{k+1}|| of its
+    row.  Returns (max residual, scale), arrays of the rows' leading shape.
     """
     if draw.shape[-2] != probes:
         raise ValueError(f"expected {probes} probes per row, got {draw.shape[-2]}")
-    grad_term = -curr.lam @ spec.B
+    grad_term = spec.B_transpose(-curr.lam)
     th2 = spec.theta2.value(curr.y)
     scale = 1.0 + abs(th2) + np.linalg.norm(grad_term, axis=-1)
     if isinstance(spec.Y, WholeSpace):  # a ball's or a box's points have no scale
@@ -748,11 +748,14 @@ class InvariantRecord:
         self.worst = dict.fromkeys(INVARIANTS, -math.inf)
         self.probes = dict.fromkeys(INVARIANTS, 0)
 
-    def add(self, name: str, probes: int, worst: float):
-        """probes more points of the check name, whose worst residual was
-        worst; a NaN residual stays (max(nan, w) is nan, max(w, nan) is w)."""
-        self.probes[name] += probes
-        self.worst[name] = math.nan if math.isnan(worst) else max(self.worst[name], worst)
+    def add(self, names, probes, worst):
+        """For each check of names, probes more points, whose worst residual
+        was worst, a sequence each; a NaN residual stays (max(nan, w) is nan,
+        max(w, nan) is w)."""
+        for name, count, value in zip(names, probes, worst):
+            self.probes[name] += count
+            self.worst[name] = (math.nan if math.isnan(value)
+                                else max(self.worst[name], value))
 
     def fields(self) -> dict:
         ran = [name for name in INVARIANTS if self.probes[name]]
@@ -773,12 +776,14 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
     row after the draw.  A group of replications is one rectangle of at most
     CHECK_ROWS rows, row (i, j) step k0 + 1 + j of replication group[i] for
     all n steps of the chunk.  Each check runs over all its rows and probes
-    at once, its results reduced once per group over the rows of the mask
-    valid (past its last step, a replication that died in the chunk has
-    rows): the worst residual per replication, and a log entry per
-    violation."""
+    at once, with the constraint's exact facts (ProblemSpec).  The group's
+    checks are then reduced together over the rows of the mask valid (past
+    its last step, a replication that died in the chunk has rows): one
+    stacked maximum gives each replication's worst residual per check, one
+    test finds any violation, and log entries are built only for one."""
     plan, w, g, records, rng = chunk.plan, chunk.w, chunk.g, chunk.records, chunk.rng
     spec, beta = plan.spec, plan.beta
+    unit, s = beta == 1.0, spec.B_scale
     n = int(steps[chunk.checked].max())
     y_draw = spec.Y.sample(rng, size=(n, Y_PROBE_COUNT))
     if g is not None:
@@ -787,6 +792,9 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
         probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=size)),
                            spec.Y.project(spec.Y.sample(rng, size=size)),
                            rng.standard_normal((*size, spec.m)))
+    # the checks that run, and the probes behind each row's residual
+    names = INVARIANTS if g is not None else INVARIANTS[:2]
+    per_row = (1, Y_PROBE_COUNT, PROBE_COUNT, PROBE_COUNT)[:len(names)]
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
     for first in range(0, len(chunk.checked), per_group):
         group = chunk.checked[first:first + per_group]
@@ -796,55 +804,69 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
         j = np.tile(np.arange(n), len(group))
         k = chunk.k0 + 1 + j
         prev, curr = w[j, r], w[j + 1, r]
-
-        def note(name, res, worst, violated, probes=None):
-            """One check at the group's rows: its residuals res, the values
-            that enter the worst residual and the violation flags, each
-            (rows,) or (rows, P) with a column per probe; probes counts the
-            points behind each row's single reduced residual."""
-            res, worst, violated = (np.reshape(a, (len(k), -1))
-                                    for a in (res, worst, violated))
-            per_row = res.shape[1] if probes is None else probes
-            # np.max, unlike max, keeps a NaN residual
-            rep_worst = np.where(valid, worst.max(axis=1).reshape(valid.shape),
-                                 -np.inf).max(axis=1)
-            for rep, count, value in zip(group, steps[group].tolist(), rep_worst.tolist()):
-                records[rep].add(name, count * per_row, value)
-            violated = violated & valid.reshape(-1, 1)
-            if violated.any():
-                for i, p in zip(*np.nonzero(violated)):
-                    records[r[i]].log.append((int(k[i]), name, float(res[i, p])))
+        # per check, in the order of names: its residuals as (rows, columns),
+        # a column per probe; each row's value that enters the worst
+        # residual; and its violation flags, each "not res <= tol", so that a
+        # NaN residual is a violation
+        res, worst, bad = [], [], []
 
         # dual-update identity: exact by construction
-        dual_res = np.linalg.norm(
-            curr.lam - prev.lam + beta * spec.residual(curr.x, curr.y), axis=-1)
-        # each flag is "not res <= tol", so that a NaN residual is a violation
-        note("dual-identity", dual_res, dual_res,
-             ~(dual_res <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1))))
+        dual = np.linalg.norm(curr.lam - prev.lam + beta * spec.residual(curr.x, curr.y),
+                              axis=-1)
+        res.append(dual[:, None])
+        worst.append(dual)
+        bad.append(~(dual <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1)))[:, None])
 
-        # y-optimality, every replication's step j at the points of row j
-        yres, yscale = check_y_optimality(curr, spec, np.tile(y_draw, (len(group), 1, 1)),
-                                          probes=Y_PROBE_COUNT)
-        note("y-optimality", yres, yres / yscale, ~(yres <= CHECK_TOL * yscale),
-             probes=Y_PROBE_COUNT)
-        if g is None:
-            continue
+        # y-optimality on the group's rows as a (group, n) rectangle, whose
+        # step j reads row j of the draw
+        rect = StackedW(*(part.reshape(len(group), n, -1)
+                          for part in (curr.x, curr.y, curr.lam)))
+        yres, yscale = (a.reshape(-1, 1) for a in
+                        check_y_optimality(rect, spec, y_draw, probes=Y_PROBE_COUNT))
+        res.append(yres)
+        worst.append((yres / yscale).ravel())
+        bad.append(~(yres <= CHECK_TOL * yscale))
 
-        # the rows as (rows, 1, d) parts, against (rows, P, d) probes
-        gr, e = g[j, r], chunk.eta[j][:, None]
-        prev_c, curr_c = prev[:, None], curr[:, None]
-        # 3-points relation at the realized x-update
-        v = spec.b + prev.lam / beta - prev.y @ spec.B.T
-        g_l = gr + beta * ((curr.x @ spec.A.T - v) @ spec.A)
-        ok, res = three_points_check(curr_c.x, prev_c.x, probe_x[j], g_l[:, None],
-                                     1.0 / e, tol=CHECK_TOL)
-        note("three-points", res, res, ~ok)
-        # per-iteration variational bound at random probes, lam's at scale
-        # 1 + ||lam_{k+1}||; delta = g - the exact subgradient at prev.x
-        delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
-        probes = probe_w[j]
-        probes.lam[...] *= (1.0 + np.linalg.norm(curr.lam, axis=-1))[:, None, None]
-        res, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
-                                           delta[:, None], e, spec, beta,
-                                           quadratic=plan.quadratic)
-        note("step-inequality", res, res / scale, ~(res <= CHECK_TOL * scale))
+        if g is not None:
+            # the rows as (rows, 1, d) parts, against (rows, P, d) probes
+            gr, e = g[j, r], chunk.eta[j][:, None]
+            prev_c, curr_c = prev[:, None], curr[:, None]
+            # 3-points relation at the realized x-update: g_l = g + beta A'(A
+            # x_{k+1} - v), v = b + lam_k/beta - B y_k
+            v = prev.lam if unit else prev.lam / beta
+            if not spec.b_zero:
+                v = spec.b + v
+            v = v + prev.y if s == -1.0 else v - s * prev.y
+            # the gradient A'(A x_{k+1} - v) of the penalty ||A x - v||^2 / 2
+            pen_grad = (curr.x - v if spec.A_identity
+                        else (curr.x @ spec.A.T - v) @ spec.A)
+            g_l = gr + (pen_grad if unit else beta * pen_grad)
+            ok, tp = three_points_check(curr_c.x, prev_c.x, probe_x[j], g_l[:, None],
+                                        1.0 / e, tol=CHECK_TOL)
+            res.append(tp)
+            worst.append(tp.max(axis=1))
+            bad.append(~ok)
+            # per-iteration variational bound at random probes, lam's at
+            # scale 1 + ||lam_{k+1}||; delta = g - the exact subgradient at
+            # prev.x
+            delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
+            probes = probe_w[j]
+            probes.lam[...] *= (1.0 + np.linalg.norm(curr.lam, axis=-1))[:, None, None]
+            si, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
+                                              delta[:, None], e, spec, beta,
+                                              quadratic=plan.quadratic)
+            res.append(si)
+            # np.max, unlike max, keeps a NaN residual
+            worst.append((si / scale).max(axis=1))
+            bad.append(~(si <= CHECK_TOL * scale))
+
+        # per check and replication, its worst residual over the valid rows
+        rep_worst = np.where(valid, np.stack(worst).reshape(len(names), *valid.shape),
+                             -np.inf).max(axis=2)
+        for rep, count, values in zip(group, steps[group].tolist(), rep_worst.T.tolist()):
+            records[rep].add(names, [count * p for p in per_row], values)
+        valid_rows = valid.reshape(-1, 1)
+        if (np.concatenate(bad, axis=1) & valid_rows).any():
+            for name, a, flags in zip(names, res, bad):
+                for i, p in zip(*np.nonzero(flags & valid_rows)):
+                    records[r[i]].log.append((int(k[i]), name, float(a[i, p])))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from stocadmm.functions import L1Norm, Quadratic, matmul_rows
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW,
                               StructuralConstants, err_rho, eval_F)
 from stocadmm.sets import Ball, Box, WholeSpace
+from stocadmm.solvers import SolverConfig, SolverError, check_y_optimality
 
 from conftest import scalar_split_spec, ridge_split_spec
 
@@ -40,6 +42,73 @@ def test_eval_f_on_rows_agrees_with_one_point_calls():
             assert np.allclose(got, want, rtol=0, atol=1e-12)
     # (n, 1, d) rows, as the chunked invariant checks pass them
     assert eval_F(w[:, None], spec).lam.shape == (5, 1, spec.m)
+
+
+def _matrix_residual(spec, x, y):
+    """A x + B y - b with the full products and the sum with b."""
+    return matmul_rows(x, spec.A.T) + matmul_rows(y, spec.B.T) - spec.b
+
+
+def _matrix_y_optimality(curr, spec, draw, probes):
+    """check_y_optimality over a whole-space Y with the full product B'lam."""
+    grad_term = matmul_rows(-curr.lam, spec.B)
+    th2 = spec.theta2.value(curr.y)
+    scale = 1.0 + abs(th2) + np.linalg.norm(grad_term, axis=-1)
+    y_probe = (1.0 + np.linalg.norm(curr.y, axis=-1))[..., None, None] * draw
+    res = (th2[..., None] - spec.theta2.value(y_probe)
+           + np.vecdot(curr.y[..., None, :] - y_probe, grad_term[..., None, :]))
+    return np.max(res, axis=-1, initial=-np.inf), scale
+
+
+def _same(got, want):
+    """The same values (==, so a zero of either sign) and NaN positions."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("b_form", ["0", "random"])
+@pytest.mark.parametrize("B_form", ["-I", "2I", "general"])
+@pytest.mark.parametrize("A_form", ["I", "general"])
+def test_constraint_facts_give_the_values_of_the_matrix_formulas(A_form, B_form,
+                                                                 b_form):
+    """residual, eval_F and check_y_optimality's B'lam, which leave out the
+    products with I and s*I and the sum with b = 0, equal the full matrix
+    formulas on finite rows with zeros of both signs."""
+    d, n, P = 4, 6, 5
+    rng = np.random.default_rng(11)
+    A = np.eye(d) if A_form == "I" else rng.standard_normal((d, d))
+    B = {"-I": -np.eye(d), "2I": 2.0 * np.eye(d),
+         "general": rng.standard_normal((d, d))}[B_form]
+    b = np.zeros(d) if b_form == "0" else rng.standard_normal(d)
+    spec = ProblemSpec(theta1=Quadratic(np.eye(d)), theta2=L1Norm(0.5), A=A, B=B, b=b,
+                       X=WholeSpace(d, declared_diameter=10.0), Y=WholeSpace(d),
+                       constants=StructuralConstants(M=1.0))
+    assert spec.A_identity == (A_form == "I")
+    assert spec.B_scale == {"-I": -1.0, "2I": 2.0, "general": None}[B_form]
+    assert spec.b_zero == (b_form == "0")
+
+    def rows(*shape):
+        z = rng.standard_normal(shape)
+        z[rng.random(shape) < 0.2] = 0.0
+        z[rng.random(shape) < 0.2] = -0.0
+        return z
+
+    w = StackedW(rows(n, d), rows(n, d), rows(n, d))
+    _same(spec.residual(w.x, w.y), _matrix_residual(spec, w.x, w.y))
+    # (n, P, d) probes against (n, 1, d) rows, as the step inequality takes them
+    px = rows(n, P, d)
+    _same(spec.residual(px, w.y[:, None]), _matrix_residual(spec, px, w.y[:, None]))
+    F, neg_lam = eval_F(w, spec), -w.lam
+    _same(F.x, matmul_rows(neg_lam, A))
+    _same(F.y, matmul_rows(neg_lam, B))
+    _same(F.lam, _matrix_residual(spec, w.x, w.y))
+    draw = rows(n, P, d)
+    for got, want in zip(check_y_optimality(w, spec, draw, probes=P),
+                         _matrix_y_optimality(w, spec, draw, P)):
+        _same(got, want)
+    if B_form == "general":
+        with pytest.raises(SolverError, match=r"B = s\*I exactly"):
+            SolverConfig().validate(spec)
 
 
 def test_operator_difference_is_orthogonal_to_iterate_difference():

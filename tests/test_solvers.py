@@ -410,19 +410,26 @@ def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
     assert traj.error is None and len(traj) == 50
     assert calls["eigvalsh"] <= 1
     assert calls["quadratic_parts"] <= 1
-    # the plan's two exact tests, B = s*I and A = I
-    at_plan = calls["array_equal"]
-    assert at_plan <= 2
+    # the spec made its two exact tests, B = s*I and A = I, when it was
+    # built; neither the plan nor the loop tests them again
+    assert calls["array_equal"] == 0
     traj = run(spec, SolverConfig(variant="stochastic", t_max=50),
                oracle=lasso_preset.make_oracle(0), theta_star=0.0)
     assert traj.error is None and len(traj) == 50
-    # only the plan tests them, never the loop
-    assert calls["array_equal"] - at_plan <= 2
+    assert calls["array_equal"] == 0
+
+
+def _basis_eig(plan):
+    """The plan's eigendecomposition of H0 with its basis as a matrix: the
+    identity where the plan holds it as None."""
+    w, V = plan.eig
+    return w, np.eye(len(w)) if V is None else V
 
 
 def _reference_step(state, plan, cfg, g=None, eta=np.nan):
-    """step() written with the full products of A, B and G and the sums
-    with b, as the formulas of the problem state them."""
+    """step() written with the full products of A, B and G, of the x-solve's
+    eigenbasis and the sums with b, as the formulas of the problem state
+    them."""
     spec, beta, x = plan.spec, cfg.beta, state.x
     A, B, b = spec.A, spec.B, spec.b
     shift = 1.0 / eta if plan.shift is None else plan.shift
@@ -432,7 +439,8 @@ def _reference_step(state, plan, cfg, g=None, eta=np.nan):
         rhs = rhs + x @ (-beta * (A.T @ A)).T
     if g is not None:
         rhs = rhs - g
-    x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
+    x_next = min_quadratic_over_set(plan.H0, _basis_eig(plan), shift, rhs, spec.X,
+                                    x_init=x)
     Ax_next = x_next @ A.T
     s = B[0, 0]
     y_next = prox_theta2((Ax_next - b - state.lam / beta) / -s, beta * s * s,
@@ -487,7 +495,8 @@ def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
 
 def _branching_step(state, plan, g=None, eta=np.nan):
     """The step() that re-read the plan's facts at every call, with one
-    branch per fact, as it was before the plan built the update once."""
+    branch per fact, as it was before the plan built the update once, and
+    with the products of the x-solve's eigenbasis, the identity included."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = 1.0 / eta if plan.shift is None else plan.shift
     neg_identity, unit = plan.s == -1.0, beta == 1.0
@@ -508,7 +517,8 @@ def _branching_step(state, plan, g=None, eta=np.nan):
     if plan.prox:
         x_next = spec.theta1.prox(rhs / shift, shift)
     else:
-        x_next = min_quadratic_over_set(plan.H0, plan.eig, shift, rhs, spec.X, x_init=x)
+        x_next = min_quadratic_over_set(plan.H0, _basis_eig(plan), shift, rhs, spec.X,
+                                        x_init=x)
     Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
     point = (Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta
     y_next = plan.y_prox(point if plan.s == -1.0 else point / -plan.s)
@@ -546,6 +556,7 @@ def _plan_forms():
         "prox-form-beta=0.5": (_prox_form_spec(), SolverConfig(variant="linearized",
                                                                G=1.5, beta=0.5)),
         "stochastic-A=I-ball": (lasso, SolverConfig()),
+        "stochastic-A=I-checked": (lasso, SolverConfig(check_invariants=True)),
         "stochastic-general-A": (fused, SolverConfig()),
         "box": (_coupled_box_spec(), SolverConfig()),
         "ball-newton": (tight, SolverConfig(schedule="constant", eta0=1.0)),
@@ -559,16 +570,31 @@ def _plan_forms():
 @pytest.mark.parametrize("form", [
     "deterministic", "linearized-scalar-A=I", "linearized-scalar-general-A",
     "linearized-matrix", "prox-form", "prox-form-beta=0.5", "stochastic-A=I-ball",
-    "stochastic-general-A", "box", "ball-newton", "b-s=2-beta=0.5-linearized",
-    "b-s=2-beta=0.5-stochastic"])
+    "stochastic-A=I-checked", "stochastic-general-A", "box", "ball-newton",
+    "b-s=2-beta=0.5-linearized", "b-s=2-beta=0.5-stochastic"])
 def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatch):
     """The update the plan builds once gives, after 50 steps, the bits of
     the step that decided every shortcut at every call: x, y, lam and the
-    running sums, for one stream and for (R, d) rows."""
+    running sums, for one stream and for (R, d) rows.  A stochastic plan
+    with A = I has H0 = beta*I, whose identity eigenbasis it takes without
+    an eigendecomposition."""
     from stocadmm import prox
     spec, cfg = _plan_forms()[form]
+    eigh = [0]
+
+    def counted_eigh(a, real=np.linalg.eigh):
+        eigh[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     plan = cfg.validate(spec)
     assert plan.prox == form.startswith("prox-form")
+    identity_basis = plan.stochastic and plan.A_identity
+    assert identity_basis == (form.startswith("stochastic-A=I")
+                              or form == "b-s=2-beta=0.5-stochastic")
+    assert eigh[0] == (0 if identity_basis or plan.prox else 1)
+    if identity_basis:
+        assert plan.eig[1] is None
     newton = [0]
 
     def counted(q, w, radius, real=prox._secular_newton):

@@ -7,7 +7,8 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "step_costs.py"
 _FORMS = [("identity-split", "kernel-sweep"), ("general", "general-step"),
-          ("checked", "checked"), ("linearized", "linearized-dense")]
+          ("checked", "checked"), ("linearized", "linearized-dense"),
+          ("check-pass", "checked")]
 
 
 def _tool(*args):

@@ -22,10 +22,14 @@ read off its plan:
 * linearized: linearized-dense (lasso-split, scalar G, one stream), by
   ``solvers.run``.
 
+A fifth line, check-pass, is the time the checked loop spends in its check
+passes (``solvers._run_checks``), timed inside the same runs.
+
 Without ``--checkout``, the process pins itself to one CPU and runs every
 loop once per round, in the reverse order every other round.  It prints one
 line per form: the form, the workload, R, T and the least loop time over the
-rounds divided by T, in microseconds per step.
+rounds divided by T, in microseconds per step; the check-pass line takes the
+least over the rounds of the checked loop's time in its check passes.
 
 With ``--checkout DIR``, it times DIR and this checkout round by round, so
 that both see the same drift of the machine's speed.  Each round times each
@@ -105,23 +109,43 @@ def print_forms(checkout: str, size: str, rounds: int, scaled: bool = False):
     sys.path.insert(0, str(Path(checkout).resolve() / "perfbench"))
     import experiment
 
+    from stocadmm import solvers
+
     experiment.pin_to_one_cpu()
     with tempfile.TemporaryDirectory() as out_dir:
         loops = [(workload, *planned_loop(experiment, workload, size, SEED, out_dir))
                  for workload in experiment.WORKLOADS]
+    # the time of each loop run in the check passes, which the loop finds by
+    # its module name
+    run_checks, in_checks = solvers._run_checks, [0.0]
+
+    def timed_checks(*args):
+        t0 = time.perf_counter()
+        run_checks(*args)
+        in_checks[0] += time.perf_counter() - t0
+
+    solvers._run_checks = timed_checks
     calibration = experiment.calibrate() if scaled else None
-    best = [math.inf] * len(loops)
+    best, best_checks = [math.inf] * len(loops), math.inf
     for round_ in range(rounds):
         order = range(len(loops)) if round_ % 2 == 0 else reversed(range(len(loops)))
         for i in order:
+            in_checks[0] = 0.0
             t0 = time.perf_counter()
             loops[i][-1]()
             best[i] = min(best[i], time.perf_counter() - t0)
+            if loops[i][1] == "checked":
+                best_checks = min(best_checks, in_checks[0])
+    solvers._run_checks = run_checks
+    # the check-pass line, after the checked loop's
+    lines = [(*loop[:4], seconds) for loop, seconds in zip(loops, best)]
+    lines += [(workload, "check-pass", R, T, best_checks)
+              for workload, form, R, T, _ in loops if form == "checked"]
     if scaled:
         recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         scale = recorded["calibration_s"] / ((calibration + experiment.calibrate()) / 2.0)
-        best = [seconds * scale for seconds in best]
-    for (workload, form, R, T, _), seconds in zip(loops, best):
+        lines = [(*line, seconds * scale) for *line, seconds in lines]
+    for workload, form, R, T, seconds in lines:
         print(f"{form} {workload} R={R} T={T} {seconds / T * 1e6:.2f} us/step")
 
 
