@@ -409,9 +409,8 @@ class Trajectory:
     err_rho_eq10: np.ndarray
     final_state: IterateState | None = None
     invariant_log: list = field(default_factory=list)
-    max_invariant_residual: float = 0.0
-    # per invariant that ran, its worst residual as max_invariant_residual
-    # counts it; per invariant, the number of probes it evaluated
+    # per invariant that ran, its worst residual (NaN once a residual was);
+    # per invariant, the number of probes it evaluated
     invariant_worst: dict = field(default_factory=dict)
     invariant_probes: dict = field(default_factory=dict)
     error: str | None = None
@@ -474,10 +473,11 @@ class RecordedRows:
 
     def trajectories(self, spec: ProblemSpec, rho: float, theta_star: float | None,
                      final_states: list, error: str | None = None,
-                     records: list | None = None) -> list[Trajectory]:
+                     checks: CheckedSteps | None = None) -> list[Trajectory]:
         """One trajectory per replication from the rows stored so far, with
         final_states[r] the final state of replication r, error that of the
-        loop and records[r] the InvariantRecord of replication r, if checked.
+        loop and checks the CheckedSteps of a checked loop, which holds what
+        the checks of replication r saw.
         Called once, at the end of the loop: it turns the stored sums into
         averages in place.  Without theta_star the gaps and errors are NaN.
         A non-finite iterate ends its replication with "iteration k:
@@ -501,7 +501,8 @@ class RecordedRows:
                 out.reshape(3, R, n)
         trajs = []
         for r, state in enumerate(final_states):
-            fields = {"error": error, **(records[r].fields() if records else {})}
+            fields = {"error": error,
+                      **(checks.fields(r) if checks is not None else {})}
             # m: the first row whose averages are not finite, else n; lam sums
             # every residual, so it is not finite once an iterate was not
             m = int(np.argmin(np.append(finite[r], False)))
@@ -645,60 +646,65 @@ def loop(plan: StepPlan, state: IterateState, update,
     checks = CheckedSteps(state, plan) if cfg.check_invariants else None
     # the stepsizes of steps 1..t_max, computed at once
     etas = cfg.eta(np.arange(1, cfg.t_max + 1), spec).tolist() if stochastic else None
+    # a non-finite iterate is not an error of numpy's: the rows, the checks
+    # and the end of the loop find it and end its replication there
     error = None
-    for k in range(cfg.t_max):
-        eta = etas[k] if stochastic else math.nan
-        try:
-            g = draws.subgradient(spec.theta1, state.x, k) if stochastic else None
-            update(state, g, eta)
-        except Exception as exc:  # return the partial trajectories with the error
-            error = f"iteration {k + 1}: {exc}"
-            break
-        rows.record(state, eta)
-        if checks is not None:
-            checks.store(state, g, eta)
-        if (k + 1) % CHECK_CHUNK == 0:
-            if checks is not None:
-                checks.flush()
-            # lam sums every residual, so it stays non-finite once an
-            # iterate was; a finite sum of its entries is the common case
-            lam = state.lam
-            if (not math.isfinite(np.add.reduce(lam, axis=None))
-                    and not np.isfinite(lam).all(axis=-1).any()):
+    with np.errstate(all="ignore"):
+        for k in range(cfg.t_max):
+            eta = etas[k] if stochastic else math.nan
+            try:
+                g = (draws.subgradient(spec.theta1, state.x, k) if stochastic
+                     else None)
+                update(state, g, eta)
+            except Exception as exc:  # the partial trajectories, with the error
+                error = f"iteration {k + 1}: {exc}"
                 break
-    if checks is not None:  # the steps of the last chunk
-        checks.flush()
-
-    finals = ([state] if state.x.ndim == 1
-              else [state.replication(r) for r in range(len(state.x))])
-    return rows.trajectories(spec, cfg.rho, theta_star, finals, error,
-                             None if checks is None else checks.records)
+            rows.record(state, eta)
+            if checks is not None:
+                checks.store(state, g, eta)
+            if (k + 1) % CHECK_CHUNK == 0:
+                if checks is not None:
+                    checks.flush()
+                # lam sums every residual, so it stays non-finite once an
+                # iterate was; a finite sum of its entries is the common case
+                lam = state.lam
+                if (not math.isfinite(np.add.reduce(lam, axis=None))
+                        and not np.isfinite(lam).all(axis=-1).any()):
+                    break
+        if checks is not None:  # the steps of the last chunk
+            checks.flush()
+        finals = ([state] if state.x.ndim == 1
+                  else [state.replication(r) for r in range(len(state.x))])
+        return rows.trajectories(spec, cfg.rho, theta_star, finals, error, checks)
 
 
 class CheckedSteps:
-    """The steps of one checked loop that await their invariant checks: the
-    iterate after each step, in (CHECK_CHUNK + 1, R, d) buffers allocated
-    before the loop whose slot 0 holds the iterate before the chunk's first
-    step, and each step's sampled subgradient (stochastic runs only) and
-    stepsize.  A one-stream state counts as R = 1.  The loop calls flush()
-    every CHECK_CHUNK steps and when it ends; one _run_checks call then
-    checks the stored steps of every replication still checked, a rectangle
-    of steps by replications per group, with replication r's record
-    records[r]; a replication's checks end after its first non-finite step.
-    Every replication shares the probes of one generator, rng, so a run
-    draws as many whatever R is.  Every check pass evaluates
-    theta1 through the plan's quadratic form, if it has one."""
+    """The steps of one checked loop that await their invariant checks, in
+    buffers allocated before the loop with the replication axis first: the
+    iterate before the chunk's first step and after each of its steps, (R,
+    CHECK_CHUNK + 1, d), each step's sampled subgradient (stochastic runs
+    only), (R, CHECK_CHUNK, d1), and its stepsize.  A one-stream state counts
+    as R = 1.  The loop calls flush() every CHECK_CHUNK steps and when it
+    ends; one _run_checks call then checks the stored steps of every
+    replication still checked; a replication's checks end after its first
+    non-finite step.  What the checks saw is kept per replication r and
+    invariant (INVARIANTS order): worst[r] the worst residual, which keeps a
+    NaN, probes[r] the probe count, and logs[r] a (k, name, residual) entry
+    per violating probe.  Every replication shares the probes of one
+    generator, rng, so a run draws as many whatever R is.  Every check pass
+    evaluates theta1 through the plan's quadratic form, if it has one."""
 
     def __init__(self, state: IterateState, plan: StepPlan):
         R = 1 if state.x.ndim == 1 else len(state.x)
-        lead = (CHECK_CHUNK + 1, R)
         spec = plan.spec
         self.plan = plan
-        self.w = StackedW(np.empty(lead + (spec.d1,)), np.empty(lead + (spec.d2,)),
-                          np.empty(lead + (spec.m,)))
-        self.g = np.empty((CHECK_CHUNK, R, spec.d1)) if plan.stochastic else None
+        self.w = StackedW(*(np.empty((R, CHECK_CHUNK + 1, d))
+                            for d in (spec.d1, spec.d2, spec.m)))
+        self.g = np.empty((R, CHECK_CHUNK, spec.d1)) if plan.stochastic else None
         self.eta = np.empty(CHECK_CHUNK)
-        self.records = [InvariantRecord() for _ in range(R)]
+        self.worst = np.full((R, len(INVARIANTS)), -np.inf)
+        self.probes = np.zeros((R, len(INVARIANTS)), dtype=int)
+        self.logs = [[] for _ in range(R)]
         self.rng = np.random.default_rng(PROBE_SEED)
         self.checked = list(range(R))
         self.k0 = state.k  # the k of slot 0
@@ -707,14 +713,14 @@ class CheckedSteps:
 
     def _put(self, slot: int, state: IterateState):
         w = self.w
-        w.x[slot], w.y[slot], w.lam[slot] = state.x, state.y, state.lam
+        w.x[:, slot], w.y[:, slot], w.lam[:, slot] = state.x, state.y, state.lam
 
     def store(self, state: IterateState, g: np.ndarray | None, eta: float):
         """Store step state.k; the loop flushes at most CHECK_CHUNK steps."""
         self.n += 1
         self._put(self.n, state)
         if self.g is not None:
-            self.g[self.n - 1] = g
+            self.g[:, self.n - 1] = g
         self.eta[self.n - 1] = eta
 
     def flush(self):
@@ -722,66 +728,48 @@ class CheckedSteps:
         n, w = self.n, self.w
         if not n:
             return
-        after = w[1:n + 1]
+        after = w[:, 1:n + 1]
         finite = (np.isfinite(after.x).all(axis=-1) & np.isfinite(after.y).all(axis=-1)
                   & np.isfinite(after.lam).all(axis=-1))
         # per replication checked, its steps to check: up to its first
         # non-finite one, which is checked too
-        all_finite = finite.all(axis=0)
-        last = np.where(all_finite, n, np.argmin(finite, axis=0) + 1)
+        all_finite = finite.all(axis=1)
+        last = np.where(all_finite, n, np.argmin(finite, axis=1) + 1)
         if self.checked:  # none after every replication's first non-finite step
             _run_checks(self, last)
         self.checked = [r for r in self.checked if all_finite[r]]
         for part in (w.x, w.y, w.lam):
-            part[0] = part[n]
+            part[:, 0] = part[:, n]
         self.k0 += n
         self.n = 0
 
-
-class InvariantRecord:
-    """What the checks of one run saw: a (k, name, residual) log entry per
-    violating probe and, per invariant, the worst residual and the probe
-    count."""
-
-    def __init__(self):
-        self.log = []
-        self.worst = dict.fromkeys(INVARIANTS, -math.inf)
-        self.probes = dict.fromkeys(INVARIANTS, 0)
-
-    def add(self, names, probes, worst):
-        """For each check of names, probes more points, whose worst residual
-        was worst, a sequence each; a NaN residual stays (max(nan, w) is nan,
-        max(w, nan) is w)."""
-        for name, count, value in zip(names, probes, worst):
-            self.probes[name] += count
-            self.worst[name] = (math.nan if math.isnan(value)
-                                else max(self.worst[name], value))
-
-    def fields(self) -> dict:
-        ran = [name for name in INVARIANTS if self.probes[name]]
-        # the checks note a chunk one invariant at a time; the log is in
-        # (k, INVARIANTS order, probe) order
+    def fields(self, r: int) -> dict:
+        """Replication r's invariant_log, in (k, INVARIANTS order, probe)
+        order, and per invariant its worst residual, if it ran, and its
+        probe count."""
         order = {name: i for i, name in enumerate(INVARIANTS)}
-        return {"invariant_log": sorted(self.log, key=lambda e: (e[0], order[e[1]])),
-                "max_invariant_residual": float(np.max([0.0, *self.worst.values()])),
-                "invariant_worst": {name: self.worst[name] for name in ran},
-                "invariant_probes": dict(self.probes)}
+        probes = dict(zip(INVARIANTS, self.probes[r].tolist()))
+        return {"invariant_log": sorted(self.logs[r], key=lambda e: (e[0], order[e[1]])),
+                "invariant_worst": {name: value for name, value
+                                    in zip(INVARIANTS, self.worst[r].tolist())
+                                    if probes[name]},
+                "invariant_probes": probes}
 
 
 def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
     """All enabled per-iteration invariants at the stored steps of one
     chunk, for each replication r of chunk.checked at its first steps[r]
-    steps, into chunk.records[r].  The probes are drawn once, an array per
-    kind whose row j step k0 + 1 + j of every replication reads, scaled per
-    row after the draw.  A group of replications is one rectangle of at most
-    CHECK_ROWS rows, row (i, j) step k0 + 1 + j of replication group[i] for
-    all n steps of the chunk.  Each check runs over all its rows and probes
-    at once, with the constraint's exact facts (ProblemSpec).  The group's
-    checks are then reduced together over the rows of the mask valid (past
-    its last step, a replication that died in the chunk has rows): one
-    stacked maximum gives each replication's worst residual per check, one
-    test finds any violation, and log entries are built only for one."""
-    plan, w, g, records, rng = chunk.plan, chunk.w, chunk.g, chunk.records, chunk.rng
+    steps.  The probes are drawn once, an (n, P, d) array per kind whose
+    row j step k0 + 1 + j of every replication reads.  A group of at most
+    CHECK_ROWS // CHECK_CHUNK replications takes its previous and current
+    iterates as (G, n, d) blocks of the buffers, and each check broadcasts
+    them as (G, n, 1, d) against the probes, with the constraint's exact
+    facts (ProblemSpec).  The group's checks are then reduced together over
+    the steps of the mask valid (past its last step, a replication that
+    died in the chunk has steps): one stacked maximum gives each
+    replication's worst residual per check, one test finds any violation,
+    and log entries are built only for one."""
+    plan, w, g, rng = chunk.plan, chunk.w, chunk.g, chunk.rng
     spec, beta = plan.spec, plan.beta
     unit, s = beta == 1.0, spec.B_scale
     n = int(steps[chunk.checked].max())
@@ -792,45 +780,38 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
         probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=size)),
                            spec.Y.project(spec.Y.sample(rng, size=size)),
                            rng.standard_normal((*size, spec.m)))
-    # the checks that run, and the probes behind each row's residual
+    # the checks that run, and the probes behind each step's residual
     names = INVARIANTS if g is not None else INVARIANTS[:2]
-    per_row = (1, Y_PROBE_COUNT, PROBE_COUNT, PROBE_COUNT)[:len(names)]
+    per_step = np.array((1, Y_PROBE_COUNT, PROBE_COUNT, PROBE_COUNT)[:len(names)])
+    eta = chunk.eta[:n, None]  # step j's stepsize against its (G, n, P) residuals
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
     for first in range(0, len(chunk.checked), per_group):
         group = chunk.checked[first:first + per_group]
         valid = np.arange(n) < steps[group][:, None]
-        # row i * n + j of the flat rows is row (i, j) of the rectangle
-        r = np.repeat(group, n)
-        j = np.tile(np.arange(n), len(group))
-        k = chunk.k0 + 1 + j
-        prev, curr = w[j, r], w[j + 1, r]
-        # per check, in the order of names: its residuals as (rows, columns),
-        # a column per probe; each row's value that enters the worst
-        # residual; and its violation flags, each "not res <= tol", so that a
-        # NaN residual is a violation
+        prev, curr = w[group, :n], w[group, 1:n + 1]
+        # per check, in the order of names: its residuals as (G, n, columns),
+        # a column per probe; each step's value that enters the worst
+        # residual; and its violation flags, each "not res <= tol", so that
+        # a NaN residual is a violation
         res, worst, bad = [], [], []
 
-        # dual-update identity: exact by construction
+        # dual-update identity: exact by construction, to 1e-12 at the scale
+        # 1 + ||lam_{k+1}||, which the step inequality's lam probes take too
+        lam_scale = 1.0 + np.linalg.norm(curr.lam, axis=-1)
         dual = np.linalg.norm(curr.lam - prev.lam + beta * spec.residual(curr.x, curr.y),
                               axis=-1)
-        res.append(dual[:, None])
+        res.append(dual[..., None])
         worst.append(dual)
-        bad.append(~(dual <= 1e-12 * (1.0 + np.linalg.norm(curr.lam, axis=-1)))[:, None])
+        bad.append(~(dual <= 1e-12 * lam_scale)[..., None])
 
-        # y-optimality on the group's rows as a (group, n) rectangle, whose
-        # step j reads row j of the draw
-        rect = StackedW(*(part.reshape(len(group), n, -1)
-                          for part in (curr.x, curr.y, curr.lam)))
-        yres, yscale = (a.reshape(-1, 1) for a in
-                        check_y_optimality(rect, spec, y_draw, probes=Y_PROBE_COUNT))
-        res.append(yres)
-        worst.append((yres / yscale).ravel())
-        bad.append(~(yres <= CHECK_TOL * yscale))
+        yres, yscale = check_y_optimality(curr, spec, y_draw, probes=Y_PROBE_COUNT)
+        res.append(yres[..., None])
+        worst.append(yres / yscale)
+        bad.append(~(yres <= CHECK_TOL * yscale)[..., None])
 
         if g is not None:
-            # the rows as (rows, 1, d) parts, against (rows, P, d) probes
-            gr, e = g[j, r], chunk.eta[j][:, None]
-            prev_c, curr_c = prev[:, None], curr[:, None]
+            gr = g[group, :n]
+            prev_c, curr_c = prev[..., None, :], curr[..., None, :]
             # 3-points relation at the realized x-update: g_l = g + beta A'(A
             # x_{k+1} - v), v = b + lam_k/beta - B y_k
             v = prev.lam if unit else prev.lam / beta
@@ -839,34 +820,34 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
             v = v + prev.y if s == -1.0 else v - s * prev.y
             # the gradient A'(A x_{k+1} - v) of the penalty ||A x - v||^2 / 2
             pen_grad = (curr.x - v if spec.A_identity
-                        else (curr.x @ spec.A.T - v) @ spec.A)
+                        else matmul_rows(matmul_rows(curr.x, spec.A.T) - v, spec.A))
             g_l = gr + (pen_grad if unit else beta * pen_grad)
-            ok, tp = three_points_check(curr_c.x, prev_c.x, probe_x[j], g_l[:, None],
-                                        1.0 / e, tol=CHECK_TOL)
+            ok, tp = three_points_check(curr_c.x, prev_c.x, probe_x, g_l[..., None, :],
+                                        1.0 / eta, tol=CHECK_TOL)
             res.append(tp)
-            worst.append(tp.max(axis=1))
+            worst.append(tp.max(axis=-1))
             bad.append(~ok)
             # per-iteration variational bound at random probes, lam's at
-            # scale 1 + ||lam_{k+1}||; delta = g - the exact subgradient at
-            # prev.x
+            # scale lam_scale; delta = g - the exact subgradient at prev.x
             delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
-            probes = probe_w[j]
-            probes.lam[...] *= (1.0 + np.linalg.norm(curr.lam, axis=-1))[:, None, None]
-            si, scale = step_inequality_check(prev_c, curr_c, probes, gr[:, None],
-                                              delta[:, None], e, spec, beta,
+            probes = StackedW(probe_w.x, probe_w.y,
+                              probe_w.lam * lam_scale[..., None, None])
+            si, scale = step_inequality_check(prev_c, curr_c, probes, gr[..., None, :],
+                                              delta[..., None, :], eta, spec, beta,
                                               quadratic=plan.quadratic)
             res.append(si)
             # np.max, unlike max, keeps a NaN residual
-            worst.append((si / scale).max(axis=1))
+            worst.append((si / scale).max(axis=-1))
             bad.append(~(si <= CHECK_TOL * scale))
 
-        # per check and replication, its worst residual over the valid rows
-        rep_worst = np.where(valid, np.stack(worst).reshape(len(names), *valid.shape),
-                             -np.inf).max(axis=2)
-        for rep, count, values in zip(group, steps[group].tolist(), rep_worst.T.tolist()):
-            records[rep].add(names, [count * p for p in per_row], values)
-        valid_rows = valid.reshape(-1, 1)
-        if (np.concatenate(bad, axis=1) & valid_rows).any():
+        # per replication and check, its worst residual over the valid steps
+        rep_worst = np.where(valid, np.stack(worst), -np.inf).max(axis=2).T
+        ran = slice(len(names))
+        chunk.worst[group, ran] = np.maximum(chunk.worst[group, ran], rep_worst)
+        chunk.probes[group, ran] += steps[group][:, None] * per_step
+        valid = valid[..., None]
+        if (np.concatenate(bad, axis=-1) & valid).any():
             for name, a, flags in zip(names, res, bad):
-                for i, p in zip(*np.nonzero(flags & valid_rows)):
-                    records[r[i]].log.append((int(k[i]), name, float(a[i, p])))
+                for i, j, p in zip(*np.nonzero(flags & valid)):
+                    chunk.logs[group[i]].append((chunk.k0 + 1 + int(j), name,
+                                                 float(a[i, j, p])))

@@ -715,8 +715,6 @@ def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, preset
     assert "rate_fit" not in report
 
 
-# numpy may warn on NaN arithmetic; what is under test is the error it ends in
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("checked", [False, True])
 def test_non_finite_iterate_fails_its_replication(tmp_path, monkeypatch, checked):
     """A NaN sampled subgradient makes replication 1's x-update of step 20
@@ -752,20 +750,21 @@ def test_non_finite_iterate_fails_its_replication(tmp_path, monkeypatch, checked
     assert all(math.isnan(report["invariant_worst"][name]) for name in ran)
 
 
-def _nan_subgradient_at_step_20(monkeypatch, rows):
-    """Make the sampled subgradient of step 20 NaN in the given rows of the
-    batch; returns the list whose one entry counts the steps."""
+def _subgradient_at_step_20(monkeypatch, rows, value=np.nan):
+    """Set the sampled subgradient of step 20 to value at the given index
+    (rows, or one entry) of the batch; returns the list whose one entry
+    counts the steps."""
     from stocadmm.oracle import SampleBuffer
     real, calls = SampleBuffer.subgradient, [0]
 
-    def nan_at_20(self, theta1, x, k):
+    def set_at_20(self, theta1, x, k):
         g = np.array(real(self, theta1, x, k))
         calls[0] += 1
         if calls[0] == 20:
-            g[rows] = np.nan
+            g[rows] = value
         return g
 
-    monkeypatch.setattr(SampleBuffer, "subgradient", nan_at_20)
+    monkeypatch.setattr(SampleBuffer, "subgradient", set_at_20)
     return calls
 
 
@@ -776,13 +775,12 @@ def _checked_lasso_run(out, t_max=400):
     return run_experiment(cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
     """After its first non-finite step a replication is no longer checked:
     the run logs that step only and probes no step after it."""
     clean, code = _checked_lasso_run(tmp_path / "clean")
     assert code == 0
-    _nan_subgradient_at_step_20(monkeypatch, 1)
+    _subgradient_at_step_20(monkeypatch, 1)
     report, code = _checked_lasso_run(tmp_path / "nan")
     assert code == 1 and report["failed_runs"][0].startswith("rep=1 ")
     logged = (tmp_path / "nan" / "invariants.log").read_text().splitlines()
@@ -795,7 +793,26 @@ def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
                                           for name, n in per_step.items()}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+@pytest.mark.parametrize("preset", ["lasso-split", "fused-lasso-graph"])
+def test_infinite_subgradient_fails_its_replication_without_a_warning(
+        tmp_path, monkeypatch, preset, checked):
+    """An inf entry of replication 1's subgradient at step 20 makes its
+    iterate non-finite, with the identity-split update (lasso-split,
+    unchecked) and with step() (checked, or a general A).  The arithmetic
+    on it (inf - inf, 0 * inf) would warn, and the suite raises a
+    RuntimeWarning: the loop silences it, so the update does not raise and
+    only replication 1 fails, as a non-finite iterate."""
+    _subgradient_at_step_20(monkeypatch, (1, 0), np.inf)
+    cfg = ExperimentConfig(preset=preset, preset_params={"n": 30, "d": 4},
+                           replications=2, t_grid=list(range(1, 41)), out_dir=str(tmp_path),
+                           solver=SolverConfig(t_max=40, check_invariants=checked))
+    report, code = run_experiment(cfg)
+    assert code == 1
+    assert report["failed_runs"] == ["rep=1 iteration 20: non-finite iterate"]
+    assert len((tmp_path / "traj_rep000.csv").read_text().splitlines()) == 1 + 40
+
+
 @pytest.mark.parametrize("t_grid, k_end", [([10, 25, 300], 25), ([10, 300], 32)],
                          ids=["grid-10-25-300", "grid-10-300"])
 @pytest.mark.parametrize("preset, checked", [("fused-lasso-graph", False),
@@ -810,7 +827,7 @@ def test_run_ends_at_the_first_row_where_no_replication_is_finite(
     identity-split update (lasso-split).  The error names the first
     recorded row that is not finite, or else step 32; a checked run probes
     each replication's 20 steps up to its first non-finite one."""
-    calls = _nan_subgradient_at_step_20(monkeypatch, slice(None))
+    calls = _subgradient_at_step_20(monkeypatch, slice(None))
     cfg = ExperimentConfig(preset=preset, preset_params={"n": 30, "d": 4},
                            replications=2, t_grid=t_grid, out_dir=str(tmp_path),
                            solver=SolverConfig(t_max=300, check_invariants=checked))

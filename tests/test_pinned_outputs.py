@@ -13,10 +13,12 @@ array; they hold as long as no output value or its formatting changes."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from stocadmm import solvers
-from stocadmm.harness import ExperimentConfig, run_experiment
+from stocadmm.harness import (ExperimentConfig, plan_experiment, run_experiment,
+                              run_replications)
 from stocadmm.metrics import compute_reference
 from stocadmm.presets import build_preset
 from stocadmm.solvers import SolverConfig
@@ -191,3 +193,67 @@ BOUND_M = {
 @pytest.mark.parametrize("preset,seed", list(BOUND_M))
 def test_subgradient_bound_matches_recorded_bits(preset, seed):
     assert build_preset(preset, seed).spec.constants.M.hex() == BOUND_M[preset, seed]
+
+
+# per replication of a checked lasso-split run (R = 6, T = 77, two check
+# groups), the float.hex of each invariant_worst value, invariant_probes and
+# the sha256 of its invariant_log entries as "k name residual.hex()" lines.
+# Replication 1's subgradient is NaN at step 20, so the passes after it check
+# the replications [0, 2, 3, 4, 5]; every x-update of step 40 is moved off
+# its minimizer, so each of them logs in that set
+_FULL = {"dual-identity": 77, "y-optimality": 1540, "three-points": 385,
+         "step-inequality": 385}
+NON_CONTIGUOUS = [
+    ({"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.4b893fd54f60cp-51",
+      "three-points": "0x1.f29cbec875c33p+9", "step-inequality": "0x1.fe53a11dbde87p-1"},
+     _FULL, "5799735429b9e949d32e2decb85bcdeb4132793bd3134c5bf99443574dc75268"),
+    (dict.fromkeys(_FULL, "nan"),
+     {"dual-identity": 20, "y-optimality": 400, "three-points": 100,
+      "step-inequality": 100},
+     "18a39416127ff9fd532de1927abc52214a9419c285ed79b248ed919c58262c4f"),
+    ({"dual-identity": "0x1.36a9ef26f762fp-57", "y-optimality": "0x1.27ae25a1d4b4ap-52",
+      "three-points": "0x1.01f996372b780p+10", "step-inequality": "0x1.fe73cabf30bfdp-1"},
+     _FULL, "8251865d6c7d6552b8dabf16549553926522c59c07a3c542b49045d86ab6ccfb"),
+    ({"dual-identity": "0x1.6fa6ea162d0f0p-57", "y-optimality": "0x1.010e7c52c2367p-51",
+      "three-points": "0x1.046e49e50439dp+10", "step-inequality": "0x1.fdcd68434d918p-1"},
+     _FULL, "b75b4b76234d52286431fea9687b17234f92bb9ddacfc678941abe07305b0877"),
+    ({"dual-identity": "0x1.bb67ae8584caap-57", "y-optimality": "0x1.815d626c750aap-52",
+      "three-points": "0x1.01b9b51e6f666p+10", "step-inequality": "0x1.fe1ada26cbd32p-1"},
+     _FULL, "aa4bd6d5433e2a6d5e360bb55990b14d5b9864c1d9d96b0081142f03dae36cb2"),
+    ({"dual-identity": "0x1.01fe03f61bad0p-56", "y-optimality": "0x1.8e529cca1a8bdp-51",
+      "three-points": "0x1.f61d526eb6a61p+9", "step-inequality": "0x1.fedc3f8db4e35p-1"},
+     _FULL, "520352513f7a07b8258ebd7ee56a51a9b45822f62074ade76c5e7a39a7599555"),
+]
+
+
+def test_checks_of_a_non_contiguous_replication_set_match_recorded_values(monkeypatch):
+    from stocadmm.oracle import SampleBuffer
+    real_g, draws = SampleBuffer.subgradient, [0]
+    real_x, solves = solvers.min_quadratic_over_set, [0]
+
+    def nan_at_20(self, theta1, x, k):
+        g = np.array(real_g(self, theta1, x, k))
+        draws[0] += 1
+        if draws[0] == 20:
+            g[1] = np.nan
+        return g
+
+    def moved_at_40(*args, **kwargs):
+        x = real_x(*args, **kwargs)
+        solves[0] += 1
+        return x + 3.0 if solves[0] == 40 else x
+
+    monkeypatch.setattr(SampleBuffer, "subgradient", nan_at_20)
+    monkeypatch.setattr(solvers, "min_quadratic_over_set", moved_at_40)
+    cfg = ExperimentConfig(preset="lasso-split", preset_params=SMALL, replications=6,
+                           solver=SolverConfig(t_max=77, check_invariants=True))
+    preset, plan = plan_experiment(cfg)
+    trajs = run_replications(preset, plan, 6, np.arange(1, 78), None)
+    seen = []
+    for traj in trajs:
+        log = "".join(f"{k} {name} {res.hex()}\n" for k, name, res in traj.invariant_log)
+        seen.append(({name: v.hex() for name, v in traj.invariant_worst.items()},
+                     traj.invariant_probes, hashlib.sha256(log.encode()).hexdigest()))
+    assert seen == NON_CONTIGUOUS
+    assert [traj.error for traj in trajs] == [None, "iteration 20: non-finite iterate",
+                                              None, None, None, None]
