@@ -7,9 +7,11 @@ concatenate and the CSV writer formatted blocks of rows, and those of M
 before its bisection stopped at convergence, those of the checks before
 the replications of a run shared one probe generator, those of the ridge
 and hinge runs before the sampled subgradient read component data gathered
-a block of steps at a time, and that of the deterministic run before the
+a block of steps at a time, that of the deterministic run before the
 plan fixed the y-update's prox map and the running sums moved into one
-array; they hold as long as no output value or its formatting changes."""
+array, and those of the general-A runs and references before the hot
+small products went through ndarray.dot; they hold as long as no output
+value or its formatting changes."""
 
 import hashlib
 
@@ -68,6 +70,20 @@ GOLDEN = {
         {"aggregate.csv": "a9e14678a792ae181d0d8f089b019999668248c339f20d2d12a41276fed3d769",
          "traj_rep000.csv": "ef33c6cd62b32e51074fe1432f2452fee995b61ff62d13d540fa2f527d73a78d",
          "traj_rep001.csv": "ef33c6cd62b32e51074fe1432f2452fee995b61ff62d13d540fa2f527d73a78d"}),
+    # a general A (fused-lasso-graph): a linearized run, whose matrix
+    # G_rest = -beta A'A takes the x-update's product with G, and a
+    # stochastic run at beta = 0.5
+    "linearized-general-A": (
+        dict(preset="fused-lasso-graph", replications=1, t_grid=list(range(1, 301)),
+             solver=SolverConfig(variant="linearized", G=4.0, t_max=300)),
+        {"aggregate.csv": "54a2de630799bb0f1458b9375a580cafc7776fbb4652a116cc766b7566e05357",
+         "traj_rep000.csv": "9b50ee363d9a4e7ff5aef248f465ed094a23117aff48ff350b5ea20ab2efe324"}),
+    "general-beta-0.5": (
+        dict(preset="fused-lasso-graph", replications=2,
+             solver=SolverConfig(t_max=300, beta=0.5)),
+        {"aggregate.csv": "2c3ba305f6f8f491533e1bd522f90e3b2970d4d328aaad154a64962fc4314ae6",
+         "traj_rep000.csv": "ace952c32803f71f56493e3b73bbf278cc1f07163c84905c04507589bc63026e",
+         "traj_rep001.csv": "64780ce5ec392119f3909fc56c2186ccd3c48a33a979393c7981b9cfb1b81f1c"}),
     "hinge-labels": (
         dict(preset="hinge-svm-split", replications=3, solver=SolverConfig(t_max=1700)),
         {"traj_rep000.csv": "cadc50221e13ed68177193c2e42fbd2e68ed2aec9f0ba6a7b84d51617c0b65da",
@@ -160,7 +176,8 @@ def test_checked_run_matches_recorded_worst_probes_and_log(tmp_path, monkeypatch
 
 
 # (preset, seed) -> float.hex of the feasible ball's radius, sized by the
-# FISTA solve, and of the long-ADMM reference optimum theta*
+# FISTA solve on the lasso presets, and of the long-ADMM reference optimum
+# theta*, of a general A on fused-lasso-graph
 SETUP = {
     ("lasso-split", 0): ("0x1.51c84dd068c59p+1", "0x1.ac9383fccec1ap-1"),
     ("lasso-split", 1): ("0x1.a26c9f01f28ddp+1", "0x1.a8fc69dbf54e2p-1"),
@@ -168,6 +185,9 @@ SETUP = {
     ("strongly-convex-lasso", 0): ("0x1.e547d3985b182p+0", "0x1.cc74c51756a21p-1"),
     ("strongly-convex-lasso", 1): ("0x1.6a2fb7108311bp+1", "0x1.e428bce461ca0p-1"),
     ("strongly-convex-lasso", 2): ("0x1.4db4fae00fb4cp+0", "0x1.607e7a4924930p-1"),
+    ("fused-lasso-graph", 0): ("0x1.5e3779b97f4a8p+2", "0x1.f3c025111c7a4p-2"),
+    ("fused-lasso-graph", 1): ("0x1.5e3779b97f4a8p+2", "0x1.13d293471cf3ep-2"),
+    ("fused-lasso-graph", 2): ("0x1.5e3779b97f4a8p+2", "0x1.07c7701fde340p-1"),
 }
 
 
