@@ -19,6 +19,14 @@ its recorded averages, with the same formulas.
 All proximal operators here are coordinate-separable, so restriction to a box
 is a componentwise clamp of the unconstrained solution (1-D strictly convex
 minimization over an interval).
+
+A matrix or vector product made once per step, per inner iteration or per
+check pass is spelled a.dot(b) (or matmul_rows), not a @ b.  On operands of
+the solvers' sizes @ pays the dispatch of numpy's matmul gufunc; for 1-D
+and 2-D operands dot makes the same BLAS call with the same bits, in about
+half the time (tests/test_problem.py checks the bits on the update's
+shapes).  A product made once per run, such as a preset's constants, keeps
+the @ of the formula.
 """
 
 from __future__ import annotations
@@ -48,12 +56,13 @@ def soft_threshold(z: np.ndarray, tau: float) -> np.ndarray:
 
 
 def matmul_rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x @ M, for x with more than two axes as one 2-D product of all its
-    rows: numpy's stacked matmul runs one small product per leading index,
-    several times slower for the (n, P, d) probes of the invariant checks."""
+    """x @ M for a (d, k) matrix or a (d,) vector M, by x.dot(M); for x with
+    more than two axes as one 2-D product of all its rows: numpy's stacked
+    matmul runs one small product per leading index, several times slower
+    for the (n, P, d) probes of the invariant checks."""
     if x.ndim <= 2:
-        return x @ M
-    return (x.reshape(-1, x.shape[-1]) @ M).reshape(*x.shape[:-1], M.shape[-1])
+        return x.dot(M)
+    return x.reshape(-1, x.shape[-1]).dot(M).reshape(*x.shape[:-1], *M.shape[1:])
 
 
 class LeastSquares:
@@ -84,7 +93,8 @@ class LeastSquares:
         return 0.5 * np.vecdot(r, r) / self.n + 0.5 * self.mu * np.vecdot(x, x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return ((x @ self.design.T - self.targets) @ self.design) / self.n + self.mu * x
+        r = matmul_rows(x, self.design.T) - self.targets
+        return matmul_rows(r, self.design) / self.n + self.mu * x
 
     # exact subgradient == gradient (smooth)
     subgrad = grad
@@ -165,10 +175,10 @@ class Quadratic:
         return self.H.shape[0]
 
     def value(self, x: np.ndarray):
-        return 0.5 * np.vecdot(x, x @ self.H.T) + x @ self.c
+        return 0.5 * np.vecdot(x, matmul_rows(x, self.H.T)) + matmul_rows(x, self.c)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.H.T + self.c
+        return matmul_rows(x, self.H.T) + self.c
 
     subgrad = grad
 

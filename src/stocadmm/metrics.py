@@ -157,12 +157,12 @@ def _long_admm(spec: ProblemSpec, beta: float, tol: float, budget: int) -> Refer
         # step() replaces the iterate arrays rather than writing into them
         x_prev, y_prev, lam_prev = state.x, state.y, state.lam
         step_deterministic(state, plan)
-        # sqrt(v @ v) is the 2-norm np.linalg.norm(v) takes of a 1-D v
+        # sqrt(v.dot(v)) is the 2-norm np.linalg.norm(v) takes of a 1-D v
         dx, dy = state.x - x_prev, state.y - y_prev
-        move = math.sqrt(dx @ dx) + math.sqrt(dy @ dy)
+        move = math.sqrt(dx.dot(dx)) + math.sqrt(dy.dot(dy))
         # the dual step was lam_prev - beta * residual(x, y)
         dlam = lam_prev - state.lam
-        feas = math.sqrt(dlam @ dlam) / beta
+        feas = math.sqrt(dlam.dot(dlam)) / beta
         achieved = move + feas
         if achieved <= tol:
             return ReferenceSolution(state.x.copy(), state.y.copy(),

@@ -77,23 +77,29 @@ class Preset:
 def _fista_reduced_lasso(design, targets, lam_reg, mu, max_iters=3000):
     """Unconstrained solve of the collapsed (x = y) lasso, used only to size
     the feasible ball around the solution.  Stops once the iterate no longer
-    moves in floating point."""
+    moves in floating point.  The residual and the gradient are written into
+    two buffers allocated once, and the ridge term mu * z is added only for
+    mu != 0 (it adds zeros at 0)."""
     n, d = design.shape
     H_lip = float(np.linalg.eigvalsh(design.T @ design / n)[-1]) + mu
     step = 1.0 / H_lip
+    tau = np.array(step * lam_reg)
+    design_t = design.T
+    resid, grad = np.empty(n), np.empty(d)
     x = np.zeros(d)
     z = x.copy()
     s = 1.0
     for _ in range(max_iters):
-        grad = design.T @ (design @ z - targets) / n + mu * z
-        x_new = soft_threshold(z - step * grad, step * lam_reg)
-        # sqrt(v @ v) is the 2-norm np.linalg.norm(v) takes of a 1-D v
+        np.subtract(design.dot(z, out=resid), targets, out=resid)
+        np.divide(design_t.dot(resid, out=grad), n, out=grad)
+        x_new = soft_threshold(z - step * (grad + mu * z if mu else grad), tau)
+        # sqrt(v.dot(v)) is the 2-norm np.linalg.norm(v) takes of a 1-D v
         dx = x_new - x
-        moved = math.sqrt(dx @ dx)
+        moved = math.sqrt(dx.dot(dx))
         s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s * s))
         z = x_new + (s - 1.0) / s_new * dx
         x, s = x_new, s_new
-        if moved <= 1e-15 * max(math.sqrt(x @ x), 1.0):
+        if moved <= 1e-15 * max(math.sqrt(x.dot(x)), 1.0):
             break
     return x
 

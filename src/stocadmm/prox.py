@@ -89,14 +89,14 @@ def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray
 def _ball_constrained_solve(w, eigvecs, rhs, radius):
     """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w) V',
     for one rhs or for each row of an (R, d) rhs; eigvecs None is V = I."""
-    q = rhs if eigvecs is None else rhs @ eigvecs
+    q = rhs if eigvecs is None else rhs.dot(eigvecs)
     x = q / w
     # the rows outside the ball; a row that is not finite stays as it is.  For
     # one rhs, out is a numpy bool, whose truth value costs far less than a count
     out = np.vecdot(x, x) > radius * radius
     if out if out.ndim == 0 else np.count_nonzero(out):
         x[out] = _secular_newton(q[out], w, radius)
-    return x if eigvecs is None else x @ eigvecs.T
+    return x if eigvecs is None else x.dot(eigvecs.T)
 
 
 def _secular_newton(q, w, radius):
@@ -136,7 +136,7 @@ def _box_projected_gradient(H0, shift, lip, rhs, box: Box, x_init: np.ndarray,
     step = 1.0 / lip
     live = np.ones(x.shape[:-1], dtype=bool)
     for _ in range(max_iters):
-        x_new = box.project(x - step * (x @ H0.T + shift * x - rhs))
+        x_new = box.project(x - step * (x.dot(H0.T) + shift * x - rhs))
         resid = np.linalg.norm((x - x_new) / step, axis=-1)
         x = np.where(live[..., None], x_new, x)
         live &= resid > tol
@@ -164,7 +164,7 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
     eigvals, eigvecs = eig
     w = eigvals + shift if shifted is None else shifted
     if isinstance(X, WholeSpace):
-        return rhs / w if eigvecs is None else ((rhs @ eigvecs) / w) @ eigvecs.T
+        return rhs / w if eigvecs is None else (rhs.dot(eigvecs) / w).dot(eigvecs.T)
     if isinstance(X, Ball):
         return _ball_constrained_solve(w, eigvecs, rhs, X.radius)
     if isinstance(X, Box):

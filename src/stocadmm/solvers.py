@@ -307,10 +307,12 @@ def _build_update(plan: StepPlan):
     sum with y; A v is v for A = I; a product with beta or a quotient by it
     is its operand for beta = 1, so that the scalar G_rest = -beta of A = I
     is a difference with x; b is left out for b = 0, as is c for a
-    stochastic plan (c = 0).  Each gives the values of the operation it
-    replaces, and every other operation keeps its order.  lam/beta is formed
-    once, for the x-update's v and the y-update's point A x_{k+1} - b -
-    lam/beta.
+    stochastic plan (c = 0) and shift x_k for a fixed shift of 0 (that of
+    the deterministic variant and of a matrix G).  Each gives the values of
+    the operation it replaces, and every other operation keeps its order.
+    lam/beta is formed once, for the x-update's v and the y-update's point
+    A x_{k+1} - b - lam/beta.  The products with A, A' and G_rest go
+    through ndarray.dot (see the functions module).
 
     The x-solve is the prox form or the eigenbasis solve over X
     (prox.min_quadratic_over_set, which takes the solve of X's kind).  A
@@ -332,9 +334,11 @@ def _build_update(plan: StepPlan):
     G_scalar = G is not None and not G_matrix
     if G_scalar:
         G = np.array(G)
+    Gt = G.T if G_matrix else None
     # a stochastic step's shift is 1/eta_k; a fixed one is added to the
-    # eigenvalues once
+    # eigenvalues once, and to rhs only when it is not zero
     shift = None if stochastic else np.array(plan.shift)
+    shift_nonzero = not stochastic and plan.shift != 0.0
     shifted = None if eig is None or stochastic else eig[0] + plan.shift
     prox = spec.theta1.prox if plan.prox else None
 
@@ -343,7 +347,7 @@ def _build_update(plan: StepPlan):
         lam_beta = lam if unit else lam / beta
         v = lam_beta if b_zero else b + lam_beta
         v = v + state.y if minus_y else v - s * state.y
-        rhs = v if A_identity else v @ A
+        rhs = v if A_identity else v.dot(A)
         if not unit:
             rhs = beta * rhs
         if stochastic:
@@ -355,15 +359,17 @@ def _build_update(plan: StepPlan):
             x_next = min_quadratic_over_set(H0, eig, inv_eta, rhs + inv_eta * x - g, X,
                                             x_init=x)
         else:
-            rhs = rhs - c + shift * x
+            rhs = rhs - c
+            if shift_nonzero:
+                rhs = rhs + shift * x
             if G_scalar:
                 rhs = rhs - x if unit else rhs + G * x
             elif G_matrix:
-                rhs = rhs + x @ G.T
+                rhs = rhs + x.dot(Gt)
             x_next = (prox(rhs / shift, shift) if prox is not None else
                       min_quadratic_over_set(H0, eig, shift, rhs, X, x_init=x,
                                              shifted=shifted))
-        Ax = x_next if A_identity else x_next @ At
+        Ax = x_next if A_identity else x_next.dot(At)
         y_next = solve_y_update(Ax - lam_beta if b_zero else Ax - b - lam_beta, plan)
         residual = Ax - y_next if minus_y else Ax + s * y_next
         if not b_zero:

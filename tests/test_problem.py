@@ -44,6 +44,49 @@ def test_eval_f_on_rows_agrees_with_one_point_calls():
     assert eval_F(w[:, None], spec).lam.shape == (5, 1, spec.m)
 
 
+def _same_bits(got, want):
+    """got and want agree bit for bit, NaN rows by their isnan masks."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def test_dot_gives_the_bits_of_matmul_on_the_update_shapes():
+    # the hot products go through ndarray.dot for its lower dispatch cost;
+    # this holds as long as dot and @ make the same BLAS call.  Shapes of the
+    # general-step workload (fused-lasso-graph, d = 20, m = 19, R = 3) and
+    # of the others (R = 2, 16), and of the FISTA solve's (200, 20) design
+    rng = np.random.default_rng(27)
+    d, m, n = 20, 19, 200
+
+    def draw(*shape):
+        # entries across magnitudes 1e-6 to 1e6; one in four draws puts an
+        # inf, -inf or NaN into one entry
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        if rng.random() < 0.25:
+            a.flat[rng.integers(a.size)] = rng.choice([np.inf, -np.inf, np.nan])
+        return a
+
+    for _ in range(300):
+        A = draw(m, d)
+        A[~np.isfinite(A)] = 1.0
+        V = np.linalg.eigh(0.5 * A.T @ A)[1]
+        design = draw(n, d)
+        design[~np.isfinite(design)] = 1.0
+        pairs = [(draw(d), draw(d))]
+        for lead in ((), (2,), (3,), (16,)):
+            pairs += [(draw(*lead, d), V), (draw(*lead, d), V.T), (draw(*lead, m), A),
+                      (draw(*lead, d), A.T)]
+        pairs += [(design, draw(d)), (design.T, draw(n))]
+        z, r = draw(d), draw(n)
+        with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+            for a, b in pairs:
+                _same_bits(a.dot(b), a @ b)
+            # the FISTA solve's products into its buffers
+            _same_bits(design.dot(z, out=np.empty(n)), design @ z)
+            _same_bits(design.T.dot(r, out=np.empty(d)), design.T @ r)
+
+
 def _matrix_residual(spec, x, y):
     """A x + B y - b with the full products and the sum with b."""
     return matmul_rows(x, spec.A.T) + matmul_rows(y, spec.B.T) - spec.b

@@ -1,4 +1,5 @@
-"""tools/step_costs.py at the benchmark's tiny size: one line per update form."""
+"""tools/step_costs.py at the benchmark's tiny size: one line per update form,
+then one setup line per workload."""
 
 import subprocess
 import sys
@@ -8,7 +9,8 @@ _ROOT = Path(__file__).resolve().parent.parent
 _TOOL = _ROOT / "tools" / "step_costs.py"
 _FORMS = [("identity-split", "kernel-sweep"), ("general", "general-step"),
           ("checked", "checked"), ("linearized", "linearized-dense"),
-          ("check-pass", "checked")]
+          ("check-pass", "checked"), ("setup", "kernel-sweep"), ("setup", "general-step"),
+          ("setup", "checked"), ("setup", "linearized-dense")]
 
 
 def _tool(*args):
@@ -21,17 +23,19 @@ def _tool(*args):
 def test_step_costs_prints_each_form_per_step():
     lines = _tool("--rounds", "1")
     assert [(form, workload) for form, workload, *_ in lines] == _FORMS
-    for *_, R, T, us, unit in lines:
-        assert R.startswith("R=") and T.startswith("T=") and unit == "us/step"
-        assert 0 < float(us) < 1e5
+    for form, _, R, T, value, unit in lines:
+        assert R.startswith("R=") and T.startswith("T=")
+        assert unit == ("ms" if form == "setup" else "us/step")
+        assert 0 < float(value) < 1e5
 
 
 def test_step_costs_times_a_checkout_against_this_one_round_by_round():
     lines = _tool("--rounds", "2", "--checkout", str(_ROOT))
     assert [(form, workload) for form, workload, *_ in lines] == _FORMS
-    for _, _, R, T, other, arrow, this, unit, ratio_, ratio, wins_, wins in lines:
+    for form, _, R, T, other, arrow, this, unit, ratio_, ratio, wins_, wins in lines:
         assert R.startswith("R=") and T.startswith("T=")
-        assert (arrow, unit, ratio_, wins_) == ("->", "us/step", "ratio", "wins")
+        assert (arrow, ratio_, wins_) == ("->", "ratio", "wins")
+        assert unit == ("ms" if form == "setup" else "us/step")
         assert 0 < float(other) < 1e5 and 0 < float(this) < 1e5 and float(ratio) > 0
         won, rounds = wins.split("/")
         assert rounds == "2" and 0 <= int(won) <= 2

@@ -23,13 +23,18 @@ read off its plan:
   ``solvers.run``.
 
 A fifth line, check-pass, is the time the checked loop spends in its check
-passes (``solvers._run_checks``), timed inside the same runs.
+passes (``solvers._run_checks``), timed inside the same runs.  Then one setup
+line per workload gives, in milliseconds, the set-up that
+``perfbench/experiment.py`` times as ``setup_s``: ``build_preset`` plus
+``compute_reference`` at the workload's preset and seed, timed in the same
+rounds.
 
 Without ``--checkout``, the process pins itself to one CPU and runs every
 loop once per round, in the reverse order every other round.  It prints one
 line per form: the form, the workload, R, T and the least loop time over the
 rounds divided by T, in microseconds per step; the check-pass line takes the
-least over the rounds of the checked loop's time in its check passes.
+least over the rounds of the checked loop's time in its check passes, and a
+setup line the least set-up time, in ms.
 
 With ``--checkout DIR``, it times DIR and this checkout round by round, so
 that both see the same drift of the machine's speed.  Each round times each
@@ -45,6 +50,8 @@ checkout, the median over the rounds of this checkout's time divided by
 DIR's, and the rounds this checkout was faster in:
 
     FORM WORKLOAD R=.. T=.. DIR_MIN -> THIS_MIN us/step ratio MEDIAN wins N/ROUNDS
+
+with ms in place of us/step on the setup lines.
 """
 
 from __future__ import annotations
@@ -101,6 +108,17 @@ def planned_loop(experiment, workload: str, size: str, seed: int, out_dir: str):
     return form_of(plan), R, T, loop
 
 
+def setup_of(experiment, workload: str, size: str, seed: int):
+    """The set-up of workload's experiment that perfbench times as setup_s:
+    its preset's build and reference solve."""
+    cfg = experiment.make_config(workload, size, seed, "")
+
+    def setup():
+        preset = experiment.build_preset(cfg.preset, cfg.preset_seed, **cfg.preset_params)
+        experiment.compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
+    return setup
+
+
 def print_forms(checkout: str, size: str, rounds: int, scaled: bool = False):
     """Print one line per form: the least loop time over rounds in this
     process, with the program and the benchmark of checkout; if scaled, at
@@ -115,6 +133,7 @@ def print_forms(checkout: str, size: str, rounds: int, scaled: bool = False):
     with tempfile.TemporaryDirectory() as out_dir:
         loops = [(workload, *planned_loop(experiment, workload, size, SEED, out_dir))
                  for workload in experiment.WORKLOADS]
+    setups = [setup_of(experiment, workload, size, SEED) for workload in experiment.WORKLOADS]
     # the time of each loop run in the check passes, which the loop finds by
     # its module name
     run_checks, in_checks = solvers._run_checks, [0.0]
@@ -126,31 +145,37 @@ def print_forms(checkout: str, size: str, rounds: int, scaled: bool = False):
 
     solvers._run_checks = timed_checks
     calibration = experiment.calibrate() if scaled else None
-    best, best_checks = [math.inf] * len(loops), math.inf
+    # the loops, then the set-ups
+    runs = [loop[-1] for loop in loops] + setups
+    best, best_checks = [math.inf] * len(runs), math.inf
     for round_ in range(rounds):
-        order = range(len(loops)) if round_ % 2 == 0 else reversed(range(len(loops)))
+        order = range(len(runs)) if round_ % 2 == 0 else reversed(range(len(runs)))
         for i in order:
             in_checks[0] = 0.0
             t0 = time.perf_counter()
-            loops[i][-1]()
+            runs[i]()
             best[i] = min(best[i], time.perf_counter() - t0)
-            if loops[i][1] == "checked":
+            if i < len(loops) and loops[i][1] == "checked":
                 best_checks = min(best_checks, in_checks[0])
     solvers._run_checks = run_checks
-    # the check-pass line, after the checked loop's
+    # the check-pass line, after the checked loop's, then the setup lines
     lines = [(*loop[:4], seconds) for loop, seconds in zip(loops, best)]
     lines += [(workload, "check-pass", R, T, best_checks)
               for workload, form, R, T, _ in loops if form == "checked"]
+    lines += [(workload, "setup", R, T, seconds)
+              for (workload, _, R, T, _), seconds in zip(loops, best[len(loops):])]
     if scaled:
         recorded = json.loads((ROOT / "perfbench" / "expected.json").read_text())
         scale = recorded["calibration_s"] / ((calibration + experiment.calibrate()) / 2.0)
         lines = [(*line, seconds * scale) for *line, seconds in lines]
     for workload, form, R, T, seconds in lines:
-        print(f"{form} {workload} R={R} T={T} {seconds / T * 1e6:.2f} us/step")
+        value, unit = (seconds * 1e3, "ms") if form == "setup" else (seconds / T * 1e6,
+                                                                     "us/step")
+        print(f"{form} {workload} R={R} T={T} {value:.2f} {unit}")
 
 
 def child_forms(checkout: Path, size: str) -> list[tuple]:
-    """(form, workload, R, T, scaled us per step) per form, from
+    """(form, workload, R, T, unit, scaled time in unit) per line, from
     print_forms of checkout with RUNS_PER_CHILD rounds in a fresh child
     process."""
     code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
@@ -158,7 +183,8 @@ def child_forms(checkout: Path, size: str) -> list[tuple]:
             f"{str(checkout)!r}, {size!r}, {RUNS_PER_CHILD}, scaled=True)")
     out = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
                          text=True, check=True).stdout
-    return [(*fields[:4], float(fields[4])) for fields in map(str.split, out.splitlines())]
+    return [(*fields[:4], fields[5], float(fields[4]))
+            for fields in map(str.split, out.splitlines())]
 
 
 def compare(checkout: Path, size: str, rounds: int):
@@ -169,15 +195,15 @@ def compare(checkout: Path, size: str, rounds: int):
     for round_ in range(rounds):
         for side in ((0, 1) if round_ % 2 == 0 else (1, 0)):
             times[side].append(child_forms((checkout, ROOT)[side], size))
-    labels = [line[:4] for line in times[1][0]]
-    if any([line[:4] for line in lines] != labels for side in times for lines in side):
+    labels = [line[:5] for line in times[1][0]]
+    if any([line[:5] for line in lines] != labels for side in times for lines in side):
         raise SystemExit(f"the two checkouts time different forms: {times[0][0]} "
                          f"against {labels}")
-    for i, (form, workload, R, T) in enumerate(labels):
+    for i, (form, workload, R, T, unit) in enumerate(labels):
         other, this = ([lines[i][-1] for lines in side] for side in times)
         ratios = [t / o for t, o in zip(this, other)]
         wins = sum(t < o for t, o in zip(this, other))
-        print(f"{form} {workload} {R} {T} {min(other):.2f} -> {min(this):.2f} us/step "
+        print(f"{form} {workload} {R} {T} {min(other):.2f} -> {min(this):.2f} {unit} "
               f"ratio {statistics.median(ratios):.3f} wins {wins}/{rounds}")
 
 
