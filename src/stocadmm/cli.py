@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``               execute a configured experiment (or a preset smoke run)
 * ``validate``          parse and schema-check a config file
-* ``reference``         compute and cache the certified optimum of a preset
+* ``reference``         compute and print the certified optimum of a preset
 * ``check-invariants``  short run with all runtime invariant probes enabled
 """
 
@@ -15,8 +15,8 @@ import json
 import sys
 
 from .harness import (ConfigError, ExperimentConfig, parse_config,
-                      plan_experiment, read_config, reference_key,
-                      run_experiment, save_reference, validate_config)
+                      plan_experiment, read_config, run_experiment,
+                      validate_config)
 from .metrics import compute_reference
 from .presets import PRESET_NAMES
 
@@ -30,7 +30,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig(preset=args.preset)
     else:
         raise ConfigError("either --config or --preset is required")
-    if args.out:
+    if getattr(args, "out", None):  # reference writes nothing and has no --out
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.preset_seed = args.seed
@@ -62,8 +62,7 @@ def _cmd_reference(args) -> int:
               file=sys.stderr)
         return 1
     ref = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
-    path = save_reference(cfg.out_dir, ref, reference_key(preset, cfg.solver.beta))
-    print(f"reference cached at {path}: objective={ref.theta_star!r} "
+    print(f"reference: objective={ref.theta_star!r} "
           f"method={ref.method} tol={ref.certified_tolerance:.2e}")
     return 0
 
@@ -94,11 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--config", help="YAML experiment config")
         p.add_argument("--preset", choices=PRESET_NAMES,
                        help="bypass config file for a smoke run")
-        p.add_argument("--out", help="output directory override")
+        if out:
+            p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="preset data seed")
 
     p_run = sub.add_parser("run", help="run an experiment")
@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--config", required=True)
     p_val.set_defaults(func=_cmd_validate)
 
-    p_ref = sub.add_parser("reference", help="compute and cache the optimum")
-    common(p_ref)
+    p_ref = sub.add_parser("reference", help="compute and print the optimum")
+    common(p_ref, out=False)
     p_ref.set_defaults(func=_cmd_reference)
 
     p_chk = sub.add_parser("check-invariants",

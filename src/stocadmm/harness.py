@@ -14,10 +14,10 @@ that need the built preset.  A run produces, inside the output directory:
 * ``report.json``          rate fits, bound and tail checks, pass/fail, the
   constraint's facts (``step_plan``) and the config's hash (``config_sha256``);
 * ``invariants.log``       one line per violated runtime invariant (empty on
-  success);
-* ``reference.npz`` + ``reference.sha256``  cached certified optimum, keyed
-  by the preset, its canonical parameters (``Preset.params``) and seed, the
-  reference method, beta and the package version; another key recomputes it.
+  success).
+
+The certified optimum theta* is solved in every run from the run's own preset
+(metrics.compute_reference); no file holds it between runs.
 
 Gates: slope_band, check_bound (under metrics.rate_bound; the constant
 schedule has none) and omegas (the tail check: stochastic convex schedule,
@@ -37,10 +37,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import yaml
 
-from . import __version__, kernels
-from .metrics import (ReferenceSolution, compute_reference, estimate_expectation,
-                      fit_points, fit_rate, high_prob_check, rate_bound,
-                      require_tail_bound)
+from . import kernels
+from .metrics import (compute_reference, estimate_expectation, fit_points,
+                      fit_rate, high_prob_check, rate_bound, require_tail_bound)
 from .oracle import SampleBuffer
 from .presets import PARAM_RULES, PRESET_NAMES, SEED_RULE, Preset, build_preset
 from .problem import IterateState
@@ -48,7 +47,7 @@ from .schema import ConfigError, check, dump, parse, setting
 from .solvers import INVARIANTS, SolverConfig, StepPlan, Trajectory, run
 
 __all__ = ["ExperimentConfig", "validate_config", "plan_experiment", "run_experiment",
-           "run_replications", "default_t_grid", "reference_key", "config_sha256"]
+           "run_replications", "default_t_grid", "config_sha256"]
 
 # iteration counts recorded without a t_grid: at most this many, from 1 to
 # t_max in geometric steps
@@ -243,60 +242,6 @@ def write_aggregate_csv(path: str, t_grid, stats: dict, kept: dict | None = None
     _write_csv(path, ["t", *cols], [t_grid, *(stats[c] for c in cols)], kept)
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def reference_key(preset: Preset, beta: float) -> str:
-    """Hash of everything the certified optimum of preset depends on, its
-    canonical params included; the cache only ever holds the "auto" reference."""
-    blob = json.dumps({"preset": preset.name, "params": preset.params,
-                       "seed": preset.seed, "method": "auto",
-                       "beta": float(beta), "version": __version__}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def save_reference(out_dir: str, ref: ReferenceSolution, key: str = ""):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "reference.npz")
-    np.savez(path, key=np.array(key), x_star=ref.x_star, y_star=ref.y_star,
-             theta_star=ref.theta_star,
-             lam_star=(ref.lam_star if ref.lam_star is not None else np.array([])),
-             method=np.array(ref.method),
-             certified_tolerance=ref.certified_tolerance)
-    with open(path + ".sha256", "w") as fh:
-        fh.write(_sha256(path) + "\n")
-    return path
-
-
-def load_reference(out_dir: str, key: str | None = None) -> ReferenceSolution | None:
-    """The cached reference, or None when there is none or, with a key given,
-    when it was saved under another key."""
-    path = os.path.join(out_dir, "reference.npz")
-    digest_path = path + ".sha256"
-    if not (os.path.exists(path) and os.path.exists(digest_path)):
-        return None
-    with open(digest_path) as fh:
-        expected = fh.read().strip()
-    if _sha256(path) != expected:
-        raise RuntimeError(f"reference cache {path} failed its checksum")
-    data = np.load(path, allow_pickle=False)
-    if key is not None and ("key" not in data.files or str(data["key"]) != key):
-        return None
-    lam = data["lam_star"]
-    return ReferenceSolution(
-        x_star=data["x_star"], y_star=data["y_star"],
-        theta_star=float(data["theta_star"]),
-        lam_star=(lam if lam.size else None),
-        method=str(data["method"]),
-        certified_tolerance=float(data["certified_tolerance"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # full experiment
 
@@ -306,13 +251,8 @@ def run_experiment(cfg: ExperimentConfig):
     preset, plan = plan_experiment(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    reference = None
-    if preset.supports_reference:
-        key = reference_key(preset, cfg.solver.beta)
-        reference = load_reference(cfg.out_dir, key)
-        if reference is None:
-            reference = compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
-            save_reference(cfg.out_dir, reference, key)
+    reference = (compute_reference(preset.spec, "auto", beta=cfg.solver.beta)
+                 if preset.supports_reference else None)
     theta_star = reference.theta_star if reference else None
 
     t_grid, window = _grid_and_window(cfg)

@@ -1,6 +1,7 @@
 """Command-line front end and experiment harness file contract."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,10 +14,9 @@ import yaml
 from stocadmm import harness
 from stocadmm.cli import main
 from stocadmm.harness import (ConfigError, ExperimentConfig, config_from_dict,
-                              config_sha256, default_t_grid, load_reference,
-                              parse_config, plan_experiment, run_experiment,
-                              save_reference, validate_config)
-from stocadmm.metrics import ReferenceSolution, compute_reference
+                              config_sha256, default_t_grid, parse_config,
+                              plan_experiment, run_experiment, validate_config)
+from stocadmm.metrics import compute_reference
 from stocadmm.presets import PRESET_NAMES, build_preset
 from stocadmm.schema import dump
 from stocadmm.sets import Ball
@@ -262,50 +262,43 @@ def test_preset_smoke_run(tmp_path):
     assert (tmp_path / "o" / "report.json").exists()
 
 
-def test_reference_subcommand_and_cache(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = main(["reference", "--preset", "lasso-split", "--seed", "1",
-                 "--out", str(out)])
+def test_reference_subcommand_prints_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["reference", "--preset", "lasso-split", "--seed", "1"])
     assert code == 0
-    assert "reference cached" in capsys.readouterr().out
-    ref = load_reference(str(out))
-    assert ref is not None
-    assert ref.method == "long-deterministic-admm"
-    # a corrupted cache must fail its checksum instead of loading quietly
-    with open(out / "reference.npz", "r+b") as fh:
-        fh.seek(100)
-        fh.write(b"\x00\x01")
-    with pytest.raises(RuntimeError, match="checksum"):
-        load_reference(str(out))
+    out = capsys.readouterr().out
+    assert out.startswith("reference: objective=")
+    assert "method=long-deterministic-admm" in out
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_configs_of_one_problem_share_the_cached_reference(tmp_path, monkeypatch):
-    # a default left out or given, and a float given as an int, are one
-    # problem: the second run of each pair loads the first one's reference
-    calls = []
+def test_run_solves_its_own_reference_whatever_out_dir_holds(tmp_path):
+    # a reference.npz and its sidecar from another problem, or arbitrary
+    # bytes under those names, are not read: theta* is the run's own
+    spec = build_preset("lasso-split", 0, n=30, d=4).spec
+    expected = compute_reference(spec, "auto", beta=1.0).theta_star
+    for name in ("stale", "garbage"):
+        out = tmp_path / name
+        out.mkdir()
+        npz, digest = out / "reference.npz", "0" * 64
+        if name == "stale":
+            np.savez(npz, key=np.array("another problem"), x_star=np.zeros(5),
+                     y_star=np.zeros(5), theta_star=expected + 1.0, lam_star=np.zeros(5),
+                     method=np.array("long-deterministic-admm"),
+                     certified_tolerance=1e-10)
+            digest = hashlib.sha256(npz.read_bytes()).hexdigest()
+        else:
+            npz.write_bytes(b"\x00not an npz")
+        (out / "reference.npz.sha256").write_text(digest + "\n")
+        cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                               solver=SolverConfig(t_max=20), out_dir=str(out))
+        report, code = run_experiment(cfg)
+        assert code == 0
+        assert report["theta_star"] == expected
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return compute_reference(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "compute_reference", counting)
-    for pair, params in enumerate((({}, {"n": 200}), ({"cond": 10}, {"cond": 10.0}))):
-        keys = [harness.reference_key(build_preset("lasso-split", 0, **p), 1.0)
-                for p in params]
-        assert keys[0] == keys[1]
-        thetas = []
-        for p in params:
-            cfg = ExperimentConfig(preset="lasso-split", preset_params=p,
-                                   solver=SolverConfig(t_max=10),
-                                   out_dir=str(tmp_path / f"o{pair}"))
-            thetas.append(run_experiment(cfg)[0]["theta_star"])
-            assert len(calls) == pair + 1  # the pair's first run solved it
-        assert thetas[0] == thetas[1]
-
-
-def test_reference_unavailable_for_hinge(tmp_path, capsys):
-    code = main(["reference", "--preset", "hinge-svm-split",
-                 "--out", str(tmp_path / "o")])
+def test_reference_unavailable_for_hinge(capsys):
+    code = main(["reference", "--preset", "hinge-svm-split"])
     assert code == 1
     assert "no certified reference" in capsys.readouterr().err
 
@@ -320,17 +313,6 @@ def test_run_without_certified_optimum_writes_no_aggregate(tmp_path):
     assert code == 0 and report["theta_star"] is None
     assert (out / "traj_rep001.csv").exists()
     assert not (out / "aggregate.csv").exists()
-
-
-def test_reference_roundtrip_preserves_fields(tmp_path):
-    ref = ReferenceSolution(np.array([1.0, 2.0]), np.array([3.0]), -0.5,
-                            np.array([0.25]), "grid-search", 1e-4)
-    save_reference(str(tmp_path), ref)
-    back = load_reference(str(tmp_path))
-    assert np.array_equal(back.x_star, ref.x_star)
-    assert back.theta_star == ref.theta_star
-    assert back.method == "grid-search"
-    assert back.certified_tolerance == 1e-4
 
 
 def test_check_invariants_subcommand(tmp_path, capsys):

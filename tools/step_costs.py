@@ -6,12 +6,12 @@ benchmark.
 Plans the config of each workload of ``perfbench/experiment.py`` (its
 ``WORKLOADS`` and ``make_config``, at preset seed 7, the seed of the committed
 benchmark records) with the program and the benchmark of a checkout, and
-times the solver loop of each alone: the draws are
-presampled before the clock starts, and the loop records the rows
-of the workload's grid, as its experiment does, so that the time includes
-the recording and the metric pass of those rows (4000 rows on
-linearized-dense, a sparse grid elsewhere).  The form a workload takes is
-read off its plan:
+times the replications of each alone, by the experiment's own dispatch
+(``harness.run_replications``, without theta*).  The time includes the
+presampling of the draws, under 2% of kernel-sweep's loop, and, as in the
+experiment, the recording and the metric pass of the rows of the workload's
+grid (4000 rows on linearized-dense, a sparse grid elsewhere).  The form a
+workload takes is read off its plan:
 
 * identity-split: kernel-sweep (lasso-split, stochastic, R = 16), by
   ``kernels.admm_identity_split``;
@@ -84,28 +84,16 @@ def form_of(plan) -> str:
 
 def planned_loop(experiment, workload: str, size: str, seed: int, out_dir: str):
     """(form, R, T, loop) for the config of workload, where loop() runs its
-    T steps from zero on draws presampled once."""
-    from stocadmm import kernels
-    from stocadmm.problem import IterateState
-
+    T steps from zero as its experiment does, by harness.run_replications,
+    the presampling of the draws included."""
     harness = experiment.harness
     cfg = experiment.make_config(workload, size, seed, out_dir)
     preset, plan = harness.plan_experiment(cfg)
-    spec, T = preset.spec, cfg.solver.t_max
+    # the replications of a run that draws nothing are one run
+    R = cfg.replications if plan.stochastic else 1
     record_at = harness._grid_and_window(cfg)[0]
-    if not plan.stochastic:  # the replications of such a run are one run
-        return form_of(plan), 1, T, lambda: harness.run(spec, plan.cfg, record_at=record_at)
-    R = cfg.replications
-    draws = harness._stack_draws(preset, R, T)
-    if plan.takes_identity_split:
-        def loop():
-            kernels.admm_identity_split(plan, draws.indices, draws.noise,
-                                        IterateState.zeros(spec, R), None, record_at)
-    else:
-        def loop():
-            harness.run(spec, plan.cfg, record_at=record_at,
-                        state=IterateState.zeros(spec, R), draws=draws)
-    return form_of(plan), R, T, loop
+    return form_of(plan), R, cfg.solver.t_max, lambda: harness.run_replications(
+        preset, plan, R, record_at, None)
 
 
 def setup_of(experiment, workload: str, size: str, seed: int):
