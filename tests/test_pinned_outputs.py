@@ -9,8 +9,9 @@ the replications of a run shared one probe generator, those of the ridge
 and hinge runs before the sampled subgradient read component data gathered
 a block of steps at a time, that of the deterministic run before the
 plan fixed the y-update's prox map and the running sums moved into one
-array, and those of the general-A runs and references before the hot
-small products went through ndarray.dot; they hold as long as no output
+array, those of the general-A runs and references before the hot
+small products went through ndarray.dot, and those of the runs of one
+replication while they advanced a (1, d) state; they hold as long as no output
 value or its formatting changes."""
 
 import hashlib
@@ -89,14 +90,36 @@ GOLDEN = {
         {"traj_rep000.csv": "cadc50221e13ed68177193c2e42fbd2e68ed2aec9f0ba6a7b84d51617c0b65da",
          "traj_rep001.csv": "50454859ba2c0d10f22faeb5c5a11c1f77d72295d46b497695a3379479559421",
          "traj_rep002.csv": "cf033f09dc0f00620a77dbf61954393519203c59a0d8283c9fc2225a42d22121"}),
+    # stochastic runs of one replication, recorded when they advanced a
+    # (1, d) state: the identity-split update, a general A, a checked run and
+    # the exact oracle (no draws) with the constant schedule
+    "kernel-stochastic-R1": (
+        dict(preset="lasso-split", replications=1, solver=SolverConfig(t_max=300)),
+        {"aggregate.csv": "af00c5be4f5150b01881d13197c942a6890f05e7a57d1ebe715b42cccbc9bedb",
+         "traj_rep000.csv": "8f0aa9045740afe203366efc1791c0404d86c13e274203451b02b3dbbe51418c"}),
+    "general-step-R1": (
+        dict(preset="fused-lasso-graph", replications=1, solver=SolverConfig(t_max=300)),
+        {"aggregate.csv": "b6d8905ba9d046477a28a0616f68ac7288b853a52e09690698b98d3fdaa08d64",
+         "traj_rep000.csv": "3d808cc9994b1ea2fd702d062fa30ed28fa92fbf7c2615a2b942d84eb248e65a"}),
+    "checked-R1": (
+        dict(preset="lasso-split", replications=1,
+             solver=SolverConfig(t_max=100, check_invariants=True)),
+        {"aggregate.csv": "df1e1c1f0a7a5bce060bff0393344113d77c051a8566fa3d3fbd9be516c51341",
+         "traj_rep000.csv": "d0b131cf6ed899a8610324fe61243b162b2a6fc7e28f932e522c3e7cf711f7ad"}),
+    "exact-constant-R1": (
+        dict(preset="lasso-split", replications=1,
+             preset_params={**SMALL, "oracle": "exact"},
+             solver=SolverConfig(schedule="constant", eta0=0.1, t_max=300)),
+        {"aggregate.csv": "937863cc6bad379eb23f0de90918437d6825c08c251ec1e2a7052d8e152a28fd",
+         "traj_rep000.csv": "839446c8d7fbe30ac904747f64c913a3d3fc347f74d6841c90cd90186d6563ba"}),
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_csv_outputs_match_recorded_digests(tmp_path, name):
     fields, digests = GOLDEN[name]
-    _, code = run_experiment(ExperimentConfig(preset_params=SMALL, out_dir=str(tmp_path),
-                                              **fields))
+    _, code = run_experiment(ExperimentConfig(out_dir=str(tmp_path),
+                                              **{"preset_params": SMALL, **fields}))
     assert code == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
