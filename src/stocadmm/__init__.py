@@ -12,7 +12,7 @@ from .oracle import AdditiveNoiseOracle, FiniteSumOracle
 from .presets import PRESET_NAMES, build_preset
 from .problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                       err_rho, eval_F)
-from .prox import prox_theta2, three_points_check
+from .prox import three_points_check
 from .sets import Ball, Box, WholeSpace
 from .solvers import (SolverConfig, StepPlan, Trajectory, run, step,
                       step_inequality_check)

@@ -40,7 +40,7 @@ import yaml
 from . import kernels
 from .metrics import (compute_reference, estimate_expectation, fit_points,
                       fit_rate, high_prob_check, rate_bound, require_tail_bound)
-from .oracle import SampleBuffer
+from .oracle import presample_streams
 from .presets import PARAM_RULES, PRESET_NAMES, SEED_RULE, Preset, build_preset
 from .problem import IterateState
 from .schema import ConfigError, check, dump, parse, setting
@@ -169,33 +169,25 @@ def validate_config(path: str) -> ExperimentConfig:
 # replication running
 
 
-def _stack_draws(preset: Preset, R: int, t: int) -> SampleBuffer:
-    """The presampled draws of t steps on streams 0..R-1, stacked to (R, t)
-    indices and (R, t, d) noise; either is None when the oracle draws none."""
-    buffers = [preset.make_oracle(r).presample(t) for r in range(R)]
-    return SampleBuffer(*(None if getattr(buffers[0], name) is None
-                          else np.stack([getattr(b, name) for b in buffers])
-                          for name in ("indices", "noise")))
-
-
 def run_replications(preset: Preset, plan: StepPlan, R: int,
                      t_grid: np.ndarray, theta_star: float | None) -> list[Trajectory]:
     """Replications on streams 0..R-1 of the planned run (plan, from
     plan.cfg.validate(preset.spec)), from one solver loop.  A stochastic run
-    advances all of them together on their presampled draws, with the
-    identity-split update (kernels.admm_identity_split) when the plan takes
-    it and step() in run() otherwise.  The other variants draw nothing, so
-    all R are one one-stream run, whose trajectory is returned R times."""
+    advances all of them together on their presampled draws
+    (presample_streams) from one zero state (IterateState.zeros), both 1-D
+    for R = 1 and batched for R > 1, with the identity-split update
+    (kernels.admm_identity_split) when the plan takes it and step() in run()
+    otherwise.  The other variants draw nothing, so all R are one run of
+    one replication, whose trajectory is returned R times."""
     spec, cfg = plan.spec, plan.cfg
     if not plan.stochastic:
-        return [run(spec, cfg, theta_star=theta_star, record_at=t_grid)] * R
-    draws = _stack_draws(preset, R, cfg.t_max)
-    state = IterateState.zeros(spec, R)
+        return run(spec, cfg, theta_star=theta_star, record_at=t_grid) * R
+    draws = presample_streams([preset.make_oracle(r) for r in range(R)], cfg.t_max)
     if plan.takes_identity_split:
         return kernels.admm_identity_split(plan, draws.indices, draws.noise,
-                                           state, theta_star, t_grid)
-    return run(spec, cfg, theta_star=theta_star, record_at=t_grid,
-               state=state, draws=draws)
+                                           IterateState.zeros(spec, R), theta_star,
+                                           t_grid)
+    return run(spec, cfg, draws, theta_star, t_grid, R)
 
 
 # ---------------------------------------------------------------------------

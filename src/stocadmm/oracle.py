@@ -1,14 +1,15 @@
 """Stochastic first-order oracles.
 
 An oracle draws the randomness of a run in one batch (presample), and
-SampleBuffer.subgradient turns the draws of step k into the sampled
-subgradient g, for one stream or for R streams stacked, from the component
-data it gathers a block of steps at a time.  The deviation
-delta = g - E g is needed only by the per-iteration invariant checks, which
-compute it from the exact subgradient of theta1.  The moment bounds the
-analysis rests on, E||g||^2 <= M^2 and E||delta||^2 <= sigma^2, are the
-presets' declared constants; the tests check them exactly, by enumerating
-the components.
+presample_streams is the one producer of a run's draws: one stream's as its
+oracle draws them, or R streams' stacked.  SampleBuffer.subgradient turns the
+draws of step k into the sampled subgradient g, for one stream or for R
+streams stacked, from the component data it gathers a block of steps at a
+time.  The deviation delta = g - E g is needed only by the per-iteration
+invariant checks, which compute it from the exact subgradient of theta1.
+The moment bounds the analysis rests on, E||g||^2 <= M^2 and
+E||delta||^2 <= sigma^2, are the presets' declared constants; the tests
+check them exactly, by enumerating the components.
 
 Randomness is addressed counter-style: every oracle is keyed by a 64-bit seed
 and a replication stream id, and all draws for one run come from a Philox
@@ -25,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "SampleBuffer",
+    "presample_streams",
     "FiniteSumOracle",
     "AdditiveNoiseOracle",
 ]
@@ -42,9 +44,9 @@ class SampleBuffer:
     leading axis: component indices and/or noise rows.
 
     Pre-drawing in one batch pins the exact generator consumption pattern, so
-    a batched loop and a one-stream run() see identical draws.  indices is
-    None for an oracle that uses the exact subgradient, noise for one that
-    adds no noise.
+    a stream's replication sees the same draws whatever R it runs with.
+    indices is None for an oracle that uses the exact subgradient, noise for
+    one that adds no noise.
 
     The data of the sampled components (theta1.parts) is gathered a block of
     B steps at a time, one fancy index per part for every stream, as (B, R,
@@ -83,6 +85,19 @@ class SampleBuffer:
         stop = min(start + steps, idx.shape[-1])
         self.block = (theta1, start, stop, theta1.parts(idx[..., start:stop].T))
         return self.block
+
+
+def presample_streams(oracles, t: int) -> SampleBuffer:
+    """The draws of t steps of each oracle's stream, each by its oracle's
+    presample(t): one oracle's own, (t,) indices and (t, d) noise, or those
+    of R oracles stacked to (R, t) and (R, t, d).  Either is None when the
+    oracles draw none."""
+    buffers = [oracle.presample(t) for oracle in oracles]
+    if len(buffers) == 1:
+        return buffers[0]
+    return SampleBuffer(*(None if getattr(buffers[0], name) is None
+                          else np.stack([getattr(b, name) for b in buffers])
+                          for name in ("indices", "noise")))
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:

@@ -207,8 +207,8 @@ class IterateState:
     Each average is its sum divided by k.  The three sums sit side by side
     in one contiguous array, sums, of shape (..., 2*d1 + d2): x shifted, x
     aligned, y; sum_x_shifted, sum_x_aligned and sum_y are views into it.
-    The arrays may carry a leading replication axis, (R, d) for R
-    replications advanced together; replication(r) is one of them.
+    A state of one replication holds 1-D arrays, one of R > 1 replications
+    advanced together (R, d) arrays; replications() lists them.
     """
 
     def __init__(self, x0: np.ndarray, y0: np.ndarray, lam0: np.ndarray):
@@ -220,9 +220,10 @@ class IterateState:
         self.sums = np.zeros(self.x.shape[:-1] + (2 * d1 + d2,))
 
     @classmethod
-    def zeros(cls, spec: ProblemSpec, replications: int | None = None) -> "IterateState":
-        """The zero state of one run, or of R replications as (R, d) arrays."""
-        lead = () if replications is None else (replications,)
+    def zeros(cls, spec: ProblemSpec, replications: int = 1) -> "IterateState":
+        """The zero state of R replications: 1-D arrays for R = 1, (R, d)
+        arrays for R > 1."""
+        lead = () if replications == 1 else (replications,)
         return cls(np.zeros(lead + (spec.d1,)), np.zeros(lead + (spec.d2,)),
                    np.zeros(lead + (spec.m,)))
 
@@ -234,6 +235,13 @@ class IterateState:
             if isinstance(value, np.ndarray):
                 setattr(view, name, value[r])
         return view
+
+    def replications(self) -> list["IterateState"]:
+        """Each replication's state: this state itself when it holds one
+        replication (1-D arrays), else replication(r) for each row r."""
+        if self.x.ndim == 1:
+            return [self]
+        return [self.replication(r) for r in range(len(self.x))]
 
     def advance(self, x_new: np.ndarray, y_new: np.ndarray, lam_new: np.ndarray):
         """Record one completed iteration k -> k+1, with one contiguous add

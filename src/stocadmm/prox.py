@@ -27,7 +27,6 @@ from .sets import Ball, Box, SetDescriptor, WholeSpace
 
 __all__ = [
     "prox_map",
-    "prox_theta2",
     "three_points_check",
     "min_quadratic_over_set",
     "SubproblemError",
@@ -78,12 +77,6 @@ def prox_map(theta2, Y: SetDescriptor, c: float):
     if isinstance(Y, Box):
         return lambda z: Y.project(prox(z))
     return prox
-
-
-def prox_theta2(z: np.ndarray, c: float, theta2, Y: SetDescriptor) -> np.ndarray:
-    """argmin_{y in Y} theta2(y) + (c/2)||y - z||^2 for catalog entries: the
-    map of prox_map at z."""
-    return prox_map(theta2, Y, c)(z)
 
 
 def _ball_constrained_solve(w, eigvecs, rhs, radius):

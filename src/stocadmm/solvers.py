@@ -23,8 +23,11 @@ builds once as a closure over those facts.  step() applies it, to one
 iterate or to R replications as (R, d) rows.
 
 loop() is the solver loop of every run and takes a plan, so no run reaches
-it unvalidated.  It takes the update of a step, the plan's from run() or
-the identity-split update of kernels.admm_identity_split, and owns the rest:
+it unvalidated.  The replication count alone picks the shape of its state
+(IterateState.zeros): 1-D arrays for one replication, (R, d) arrays for R >
+1, with the draws of oracle.presample_streams in the same shape.  It takes
+the update of a step, the plan's from run() or the identity-split update of
+kernels.admm_identity_split, and owns the rest:
 the stepsize, the draw, the capture of a step's error and the recorded rows
 (RecordedRows), whose metrics are computed once, after the loop.  A checked
 loop stores each step's iterate, subgradient and stepsize too (CheckedSteps).
@@ -436,8 +439,15 @@ class Trajectory:
 
 
 # most (replication, row) points one err_rho call of the metric pass takes;
-# unchunked, the (points, n) residual of a 4000-row run raised its peak memory
-METRIC_CHUNK = 256
+# unchunked, the (points, n) residual of a 4000-row run raised its peak
+# memory.  At the presets' default n = 200 and d = 20, a chunk's (64, d) @
+# (d, n) product is 256 000 multiply-adds, under OpenBLAS's bound for a
+# one-thread gemm (m*n*k <= 65 536 * 4), so a process not pinned to one CPU
+# does not wake its BLAS threads for it.  At 256 they stalled the pass: on
+# linearized-dense's config, unpinned on a 2-vCPU Xeon, 6.5 to 283 ms per
+# pass at 256 and 8.6 to 16.2 ms at 64 (three runs in each of three
+# processes); pinned to one CPU, 6.3 against 8.0 ms
+METRIC_CHUNK = 64
 
 
 class RecordedRows:
@@ -445,8 +455,8 @@ class RecordedRows:
     step k, for each k of record_at within 1..t_max (every k by default),
     stored in one buffer allocated before the loop, each row one copy of
     the state's sums (x shifted, x aligned, y side by side, as
-    IterateState.sums holds them): (N, 2*d1 + d2), or (R, N, 2*d1 + d2) for
-    a state with a leading replication axis.
+    IterateState.sums holds them): (N, 2*d1 + d2) for a state of one
+    replication, (R, N, 2*d1 + d2) for one of R.
     record() only stores; trajectories() divides every row by its k, which
     gives the averages, and computes their metrics once, after the loop."""
 
@@ -605,48 +615,40 @@ def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
     return np.max(res, axis=-1, initial=-np.inf), scale
 
 
-def run(spec: ProblemSpec, cfg: SolverConfig, oracle=None,
+def run(spec: ProblemSpec, cfg: SolverConfig, draws: SampleBuffer | None = None,
         theta_star: float | None = None, record_at: np.ndarray | None = None,
-        *, state: IterateState | None = None, draws: SampleBuffer | None = None):
+        replications: int = 1) -> list[Trajectory]:
     """Plan cfg on spec (SolverConfig.validate), execute t_max calls of the
-    plan's update from zero in loop() and record the trajectory.
+    plan's update in loop() from the zero state of R = replications
+    replications (IterateState.zeros) and return one trajectory per
+    replication.
 
     Structural errors raise before any step; an error during the steps is
-    returned in the partial trajectory.  record_at restricts metric rows to
-    the given iteration counts (1-based); by default every iteration is
-    recorded.  Objective gaps need theta_star; without it only feasibility
-    is populated.
-
-    One stream: a stochastic run presamples its draws from oracle (an oracle
-    of spec.theta1), and the result is one Trajectory.  Batched: state holds
-    R replications as (R, d) arrays, zero for a run from zero, and draws
-    their R streams stacked (None for a variant that draws nothing); every
-    step advances all R rows at once, and the result is R trajectories.
+    returned in the partial trajectories.  A stochastic plan needs draws,
+    its R streams' presampled draws (oracle.presample_streams: one stream's
+    own for R = 1, R stacked otherwise); the other variants draw nothing.
+    record_at restricts metric rows to the given iteration counts
+    (1-based); by default every iteration is recorded.  Objective gaps need
+    theta_star; without it only feasibility is populated.
     """
     plan = cfg.validate(spec)
-    one_stream = state is None
-    if one_stream:
-        if plan.stochastic and oracle is None:
-            raise ValueError("stochastic variant needs an oracle")
-        state = IterateState.zeros(spec)
-        draws = oracle.presample(cfg.t_max) if (plan.stochastic and cfg.t_max) else None
-    elif plan.stochastic and draws is None:
-        raise ValueError("a batched stochastic run needs its stacked draws")
-    out = loop(plan, state, plan.update, draws, theta_star, record_at)
-    return out[0] if one_stream else out
+    if plan.stochastic and draws is None:
+        raise ValueError("a stochastic run needs its draws")
+    return loop(plan, IterateState.zeros(spec, replications), plan.update, draws,
+                theta_star, record_at)
 
 
 def loop(plan: StepPlan, state: IterateState, update,
          draws: SampleBuffer | None = None, theta_star: float | None = None,
          record_at: np.ndarray | None = None) -> list[Trajectory]:
-    """Advance state, one stream or R replications as (R, d) arrays, by
-    t_max calls of update(state, g, eta), which advance it in place, and
-    return one trajectory per replication.  A stochastic plan passes the
-    stepsize and the subgradient sampled from draws at state.x, the others
-    g = None and eta = NaN.  An exception in an update ends every
-    replication there, with the error in its trajectory.  Every CHECK_CHUNK
-    steps it flushes a checked run's chunk, then ends the run if no
-    replication's lam is finite."""
+    """Advance state, one replication (1-D arrays) or R as (R, d) arrays,
+    by t_max calls of update(state, g, eta), which advance it in place, and
+    return one trajectory per replication (IterateState.replications).  A
+    stochastic plan passes the stepsize and the subgradient sampled from
+    draws at state.x, the others g = None and eta = NaN.  An exception in an
+    update ends every replication there, with the error in its trajectory.
+    Every CHECK_CHUNK steps it flushes a checked run's chunk, then ends the
+    run if no replication's lam is finite."""
     spec, cfg, stochastic = plan.spec, plan.cfg, plan.stochastic
     rows = RecordedRows(state, cfg.t_max, record_at)
     checks = CheckedSteps(state, plan) if cfg.check_invariants else None
@@ -679,9 +681,8 @@ def loop(plan: StepPlan, state: IterateState, update,
                     break
         if checks is not None:  # the steps of the last chunk
             checks.flush()
-        finals = ([state] if state.x.ndim == 1
-                  else [state.replication(r) for r in range(len(state.x))])
-        return rows.trajectories(spec, cfg.rho, theta_star, finals, error, checks)
+        return rows.trajectories(spec, cfg.rho, theta_star, state.replications(),
+                                 error, checks)
 
 
 class CheckedSteps:
@@ -689,9 +690,10 @@ class CheckedSteps:
     buffers allocated before the loop with the replication axis first: the
     iterate before the chunk's first step and after each of its steps, (R,
     CHECK_CHUNK + 1, d), each step's sampled subgradient (stochastic runs
-    only), (R, CHECK_CHUNK, d1), and its stepsize.  A one-stream state counts
-    as R = 1.  The loop calls flush() every CHECK_CHUNK steps and when it
-    ends; one _run_checks call then checks the stored steps of every
+    only), (R, CHECK_CHUNK, d1), and its stepsize, where R counts the
+    state's replications (IterateState.replications).  The loop calls
+    flush() every CHECK_CHUNK steps and when it ends; one _run_checks call
+    then checks the stored steps of every
     replication still checked; a replication's checks end after its first
     non-finite step.  What the checks saw is kept per replication r and
     invariant (INVARIANTS order): worst[r] the worst residual, which keeps a
@@ -701,7 +703,7 @@ class CheckedSteps:
     evaluates theta1 through the plan's quadratic form, if it has one."""
 
     def __init__(self, state: IterateState, plan: StepPlan):
-        R = 1 if state.x.ndim == 1 else len(state.x)
+        R = len(state.replications())
         spec = plan.spec
         self.plan = plan
         self.w = StackedW(*(np.empty((R, CHECK_CHUNK + 1, d))

@@ -79,7 +79,7 @@ def test_criterion_03_deterministic_rate(lasso):
     spec = preset.spec
     cfg = SolverConfig(variant="deterministic", beta=1.0, t_max=10_000,
                        rho=1.0, averaging="eq10-aligned")
-    traj = run(spec, cfg, theta_star=ref.theta_star)
+    [traj] = run(spec, cfg, theta_star=ref.theta_star)
     assert traj.error is None
     errs = traj.err_curve("eq10-aligned")
     fit = fit_rate(traj.k, errs, (1e2, 1e4))
@@ -97,8 +97,8 @@ def test_criterion_04_smooth_schedule_with_zero_variance():
     ref = compute_reference(spec, "long-admm", beta=1.0, tol=1e-10)
     cfg = SolverConfig(variant="stochastic", beta=1.0, schedule="smooth",
                        t_max=10_000, rho=1.0)
-    traj = run(spec, cfg, oracle=preset.make_oracle(0),
-               theta_star=ref.theta_star)
+    [traj] = run(spec, cfg, preset.make_oracle(0).presample(cfg.t_max),
+                 theta_star=ref.theta_star)
     eta_const = bool(np.allclose(traj.eta, 1.0 / spec.constants.L, rtol=1e-12))
     fit = fit_rate(traj.k, traj.err_curve("eq10-aligned"), (1e2, 1e4))
     slope_ok = fit.slope <= -0.9
@@ -115,13 +115,13 @@ def test_criterion_05_per_iteration_inequality(lasso):
                                   seed=0)
     cfg1 = SolverConfig(variant="stochastic", schedule="convex", t_max=1000,
                         check_invariants=True)
-    t1 = run(spec1, cfg1, oracle=oracle1)
+    [t1] = run(spec1, cfg1, oracle1.presample(cfg1.t_max))
     results.append(("1d", t1))
     # the sampled finite-sum lasso instance
     preset, _ = lasso
     cfg2 = SolverConfig(variant="stochastic", schedule="convex", t_max=1000,
                         check_invariants=True)
-    t2 = run(preset.spec, cfg2, oracle=preset.make_oracle(0))
+    [t2] = run(preset.spec, cfg2, preset.make_oracle(0).presample(cfg2.t_max))
     results.append(("lasso", t2))
     bad = []
     for name, traj in results:
@@ -141,7 +141,7 @@ def test_criterion_06_three_points_relation_all_presets():
         preset = build_preset(name, seed=1)
         cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
                            check_invariants=True)
-        traj = run(preset.spec, cfg, oracle=preset.make_oracle(0))
+        [traj] = run(preset.spec, cfg, preset.make_oracle(0).presample(cfg.t_max))
         assert traj.error is None, f"{name}: {traj.error}"
         if any(e[1] == "three-points" for e in traj.invariant_log):
             failures.append(name)
@@ -159,7 +159,7 @@ def test_criterion_07_structural_identities(lasso):
     # 20 probes per step (both monitored by the check-mode run)
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
                        check_invariants=True)
-    traj = run(spec, cfg, oracle=preset.make_oracle(1))
+    [traj] = run(spec, cfg, preset.make_oracle(1).presample(cfg.t_max))
     dual_ok = not any(e[1] == "dual-identity" for e in traj.invariant_log)
     y_ok = not any(e[1] == "y-optimality" for e in traj.invariant_log)
     details.append(f"dual identity exact: {dual_ok}")

@@ -153,7 +153,7 @@ def test_non_stochastic_replications_are_one_run(tmp_path, monkeypatch):
     assert np.all(stats[:, [2, 4]] <= 1e-15 * stats[:, [1, 3]])
 
     def separate_runs(preset, plan, R, t_grid, theta_star):
-        return [real(preset.spec, plan.cfg, theta_star=theta_star, record_at=t_grid)
+        return [real(preset.spec, plan.cfg, theta_star=theta_star, record_at=t_grid)[0]
                 for _ in range(R)]
 
     monkeypatch.setattr(harness, "run_replications", separate_runs)

@@ -42,8 +42,8 @@ def test_kernel_agrees_with_step_by_step_solver(name):
         solver = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
                               beta=beta)
         kern = run_replications(preset, solver.validate(spec), 4, grid, theta_star=0.0)[3]
-        general = run(spec, solver, oracle=preset.make_oracle(3), theta_star=0.0,
-                      record_at=grid)
+        draws = preset.make_oracle(3).presample(solver.t_max)
+        [general] = run(spec, solver, draws, theta_star=0.0, record_at=grid)
         _assert_agrees(kern, general)
 
 
@@ -64,8 +64,8 @@ def test_batched_kernel_matches_step_by_step(name, params, solver_kw, grid):
                                theta_star=0.0)
     assert len(batched) == 3
     for stream, kern in enumerate(batched):
-        general = run(preset.spec, solver, oracle=preset.make_oracle(stream),
-                      theta_star=0.0, record_at=grid)
+        draws = preset.make_oracle(stream).presample(solver.t_max)
+        [general] = run(preset.spec, solver, draws, theta_star=0.0, record_at=grid)
         _assert_agrees(kern, general)
 
 
@@ -118,8 +118,9 @@ def test_exact_oracle_sentinel_uses_full_gradient(monkeypatch):
         assert np.allclose(state.lam, y - x, atol=1e-15)
 
 
-def test_identity_split_spec_with_box_x_takes_the_kernel():
-    # not a shipped preset: the kernel applies to any identity split
+def _box_lasso_preset() -> Preset:
+    """An identity split with a box X; not a shipped preset: the kernel
+    applies to any identity split."""
     rng = np.random.default_rng(5)
     n, d = 30, 4
     design = rng.standard_normal((n, d))
@@ -130,18 +131,44 @@ def test_identity_split_spec_with_box_x_takes_the_kernel():
         X=Box(np.full(d, -0.25), np.full(d, 0.25)), Y=WholeSpace(d),
         constants=StructuralConstants(M=10.0),
     )
-    preset = Preset("box-lasso", spec, {"oracle": "finite-sum"}, 3)
+    return Preset("box-lasso", spec, {"oracle": "finite-sum"}, 3)
+
+
+def test_identity_split_spec_with_box_x_takes_the_kernel():
+    preset = _box_lasso_preset()
+    spec = preset.spec
     solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
     plan = solver.validate(spec)
     assert plan.takes_identity_split
     grid = np.arange(1, 301)
     batched = run_replications(preset, plan, 3, grid, theta_star=0.0)
     for stream, kern in enumerate(batched):
-        general = run(spec, solver, oracle=preset.make_oracle(stream),
-                      theta_star=0.0, record_at=grid)
+        draws = preset.make_oracle(stream).presample(solver.t_max)
+        [general] = run(spec, solver, draws, theta_star=0.0, record_at=grid)
         _assert_agrees(kern, general)
     # the box is active, so the projection is exercised
     assert any(np.any(np.abs(kern.final_state.x) == 0.25) for kern in batched)
+
+
+@pytest.mark.parametrize("case", ["box-x", "exact-oracle"])
+def test_one_replication_advances_a_1d_state_and_agrees_with_replication_0(case):
+    """R = 1 takes the same path as R = 3, on a 1-D state and stream 0's own
+    draws; its trajectory agrees with replication 0 of the R = 3 run."""
+    if case == "box-x":
+        preset = _box_lasso_preset()
+        solver = SolverConfig(variant="stochastic", schedule="convex", t_max=300)
+    else:
+        preset = build_preset("lasso-split", seed=2, n=30, d=4, oracle="exact")
+        solver = SolverConfig(variant="stochastic", schedule="constant", eta0=0.1,
+                              t_max=300)
+    plan = solver.validate(preset.spec)
+    grid = np.arange(1, 301)
+    [one] = run_replications(preset, plan, 1, grid, theta_star=0.0)
+    assert one.error is None
+    state = one.final_state
+    assert state.x.shape == state.y.shape == state.lam.shape == (preset.spec.d1,)
+    assert state.sums.ndim == 1
+    _assert_agrees(one, run_replications(preset, plan, 3, grid, theta_star=0.0)[0])
 
 
 def test_identity_split_update_runs_only_on_a_plan_that_takes_it(tmp_path, monkeypatch):
@@ -267,8 +294,8 @@ def _assert_batched_matches_one_stream_runs(preset, solver, R=3):
     batched = run_replications(preset, plan, R, grid, theta_star=0.0)
     assert len(batched) == R
     for stream, traj in enumerate(batched):
-        one = run(preset.spec, solver, oracle=preset.make_oracle(stream),
-                  theta_star=0.0, record_at=grid)
+        draws = preset.make_oracle(stream).presample(solver.t_max)
+        [one] = run(preset.spec, solver, draws, theta_star=0.0, record_at=grid)
         assert traj.error is None and one.error is None
         _assert_agrees(traj, one)
     return batched
@@ -323,7 +350,7 @@ def test_batched_run_matches_one_stream_runs_on_general_a_box(monkeypatch):
     monkeypatch.setattr(solvers, "min_quadratic_over_set", counted)
     for stream in range(3):
         iters.append([])
-        run(preset.spec, solver, oracle=preset.make_oracle(stream))
+        run(preset.spec, solver, preset.make_oracle(stream).presample(solver.t_max))
     # the streams' rows converge after different inner iteration counts
     counts = np.array(iters)
     assert np.any(counts.min(axis=0) < counts.max(axis=0))
@@ -354,7 +381,8 @@ def test_checked_batched_run_logs_what_one_stream_runs_log(tmp_path, monkeypatch
     lines, worst, probes = [], {}, {}
     for r in range(2):
         calls[0] = 0
-        traj = run(preset.spec, cfg.solver, oracle=preset.make_oracle(r))
+        [traj] = run(preset.spec, cfg.solver,
+                     preset.make_oracle(r).presample(cfg.solver.t_max))
         lines += [f"rep={r} k={k} {name} residual={res:.6e}"
                   for k, name, res in traj.invariant_log]
         for name, value in traj.invariant_worst.items():
@@ -388,7 +416,7 @@ def test_checked_run_with_more_replications_than_one_check_group(monkeypatch):
                                np.arange(1, 41), None)
     for r in range(R):
         calls[0] = 0
-        one = run(preset.spec, solver, oracle=preset.make_oracle(r))
+        [one] = run(preset.spec, solver, preset.make_oracle(r).presample(solver.t_max))
         assert batched[r].invariant_log and batched[r].invariant_log == one.invariant_log
         assert batched[r].invariant_worst == one.invariant_worst
         assert batched[r].invariant_probes == one.invariant_probes
@@ -418,7 +446,7 @@ def test_checked_group_with_one_perturbed_replication(monkeypatch):
                                np.arange(1, 41), None)
     for r, row in ((0, None), (1, Ellipsis)):
         calls[0], moved[0] = 0, row
-        one = run(preset.spec, solver, oracle=preset.make_oracle(r))
+        [one] = run(preset.spec, solver, preset.make_oracle(r).presample(solver.t_max))
         assert batched[r].invariant_log == one.invariant_log
         assert batched[r].invariant_worst == one.invariant_worst
         assert batched[r].invariant_probes == one.invariant_probes

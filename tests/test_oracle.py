@@ -5,7 +5,8 @@ import pytest
 
 from stocadmm import oracle as oracle_module
 from stocadmm.functions import HingeLoss, LeastSquares, Quadratic
-from stocadmm.oracle import GATHER_BYTES, AdditiveNoiseOracle, FiniteSumOracle, SampleBuffer
+from stocadmm.oracle import (GATHER_BYTES, AdditiveNoiseOracle, FiniteSumOracle,
+                             SampleBuffer, presample_streams)
 
 
 def _tiny_lsq(n=4, d=3, seed=0):
@@ -152,6 +153,30 @@ def test_gathered_block_stays_within_its_byte_budget_whatever_t_is():
         _, start, stop, parts = draws.block
         assert start <= k < stop and stop - start < t
         assert 0 < sum(part.nbytes for part in parts) <= GATHER_BYTES
+
+
+def test_presample_streams_gives_one_streams_own_draws_or_r_stacked():
+    """One oracle's draws are its own presample(t), (t,) indices and (t, d)
+    noise; R oracles' are each stream's stacked to (R, t) and (R, t, d), with
+    the bits of R separate presample calls.  An oracle that draws nothing
+    gives None either way."""
+    f = _tiny_lsq(n=7)
+    oracles = {"indices": lambda r: FiniteSumOracle(f, seed=4, stream=r),
+               "noise": lambda r: AdditiveNoiseOracle(f, 1.0, seed=4, stream=r)}
+    for name, make in oracles.items():
+        own = make(0).presample(6)
+        one = presample_streams([make(0)], 6)
+        assert getattr(one, name).shape[:1] == (6,)
+        assert np.array_equal(getattr(one, name), getattr(own, name))
+        stacked = presample_streams([make(r) for r in range(3)], 6)
+        assert getattr(stacked, name).shape[:2] == (3, 6)
+        for r in range(3):
+            assert np.array_equal(getattr(stacked, name)[r],
+                                  getattr(make(r).presample(6), name))
+        other = "noise" if name == "indices" else "indices"
+        assert getattr(one, other) is None and getattr(stacked, other) is None
+    exact = [AdditiveNoiseOracle(f, 0.0, stream=r) for r in range(2)]
+    assert presample_streams(exact, 6) == SampleBuffer(None, None)
 
 
 def test_noise_kind_and_sigma_validation():

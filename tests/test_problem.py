@@ -267,6 +267,21 @@ def test_averages_before_any_step_are_zero():
         IterateState(np.zeros(1), np.zeros(1))  # the multiplier is required
 
 
+def test_replication_count_alone_picks_the_state_shape():
+    """zeros gives 1-D arrays for one replication and (R, d) arrays for R >
+    1; replications() lists a 1-D state as itself and a batched one as a
+    view per row."""
+    spec = scalar_split_spec()
+    one = IterateState.zeros(spec, 1)
+    assert one.x.shape == one.y.shape == one.lam.shape == (1,) and one.sums.shape == (3,)
+    assert one.replications() == [one]
+    batched = IterateState.zeros(spec, 3)
+    assert batched.x.shape == (3, 1) and batched.sums.shape == (3, 3)
+    reps = batched.replications()
+    assert len(reps) == 3
+    assert all(rep.sums.base is batched.sums and rep.x.shape == (1,) for rep in reps)
+
+
 def test_err_rho_hand_example():
     spec = scalar_split_spec(h=1.0, c=0.0, l1=0.0)
     # theta(x, y) = x^2/2, residual = x - y

@@ -14,7 +14,7 @@ from stocadmm.functions import (L1Norm, Quadratic, SquaredL2Penalty, ZeroFunctio
                                 soft_threshold)
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants
 from stocadmm.presets import build_preset
-from stocadmm.prox import (SubproblemError, min_quadratic_over_set, prox_map, prox_theta2,
+from stocadmm.prox import (SubproblemError, min_quadratic_over_set, prox_map,
                            three_points_check)
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import SolverConfig, SolverError, step
@@ -120,7 +120,7 @@ def test_soft_threshold_keeps_its_bits_at_the_edge_values():
 
 def test_l1_prox_equals_soft_threshold():
     z = np.array([2.0, -0.5, -3.0])
-    out = prox_theta2(z, 1.0, L1Norm(1.0), WholeSpace(3))
+    out = prox_map(L1Norm(1.0), WholeSpace(3), 1.0)(z)
     assert np.allclose(out, [1.0, 0.0, -2.0])
 
 
@@ -142,9 +142,9 @@ def test_prox_is_firmly_nonexpansive():
             assert lhs <= rhs + 1e-12
 
 
-def test_prox_theta2_box_restriction_clamps():
+def test_prox_map_box_restriction_clamps():
     box = Box(np.array([0.0]), np.array([0.5]))
-    out = prox_theta2(np.array([2.0]), 1.0, L1Norm(1.0), box)
+    out = prox_map(L1Norm(1.0), box, 1.0)(np.array([2.0]))
     # unconstrained prox gives 1.0, the box clamps to 0.5; verify against grid
     assert out[0] == pytest.approx(0.5)
     ys = np.arange(0.0, 0.5 + 1e-6, 1e-6)
@@ -152,17 +152,17 @@ def test_prox_theta2_box_restriction_clamps():
     assert out[0] == pytest.approx(ys[np.argmin(vals)], abs=2e-6)
 
 
-def test_prox_theta2_ball_only_for_indicator():
+def test_prox_map_ball_only_for_indicator():
     ball = Ball(2, 1.0)
-    out = prox_theta2(np.array([3.0, 4.0]), 1.0, ZeroFunction(), ball)
+    out = prox_map(ZeroFunction(), ball, 1.0)(np.array([3.0, 4.0]))
     assert np.allclose(out, [0.6, 0.8])
     with pytest.raises(ValueError, match="indicator-only"):
-        prox_theta2(np.array([3.0, 4.0]), 1.0, L1Norm(1.0), ball)
+        prox_map(L1Norm(1.0), ball, 1.0)
 
 
 def test_prox_requires_positive_scaling():
     with pytest.raises(ValueError, match="positive"):
-        prox_theta2(np.zeros(2), 0.0, L1Norm(1.0), WholeSpace(2))
+        prox_map(L1Norm(1.0), WholeSpace(2), 0.0)
 
 
 # theta2 x Y pairings the y-update solves exactly: a ball Y only with theta2 = 0
@@ -183,23 +183,24 @@ def _split_spec(theta2, Y, s=-1.0):
 
 @pytest.mark.parametrize("theta2,Y", _PAIRS)
 @pytest.mark.parametrize("s", [-1.0, 2.0])
-def test_plan_y_update_is_prox_theta2_bit_for_bit(theta2, Y, s):
+def test_plan_y_update_is_the_prox_map_bit_for_bit(theta2, Y, s):
     """solve_y_update(v, plan) is the prox of theta2 at v / -s with scale
-    beta*s^2, as prox_theta2 computes it, for one point and (R, d) rows."""
+    beta*s^2, as a prox_map of that scale computes it, for one point and
+    (R, d) rows."""
     spec = _split_spec(_THETA2[theta2], _Y[Y], s)
     beta = 1.3
     plan = _stochastic_plan(spec, beta)
     v = 2.0 * np.random.default_rng(4).standard_normal((4, _D2))
-    expected = prox_theta2(v / -s, beta * s * s, spec.theta2, spec.Y)
+    expected = prox_map(spec.theta2, spec.Y, beta * s * s)(v / -s)
     assert np.array_equal(solvers.solve_y_update(v, plan), expected)
     assert np.array_equal(solvers.solve_y_update(v[0], plan), expected[0])
     assert np.array_equal(plan.y_prox(v / -s), expected)
 
 
 @pytest.mark.parametrize("theta2,Y", _PAIRS)
-def test_identity_split_y_is_prox_theta2_bit_for_bit(theta2, Y):
-    """The identity-split update's y is prox_theta2 at x_{k+1} - lam_k/beta
-    with scale beta, the point and scale of step() for B = -I."""
+def test_identity_split_y_is_the_prox_map_bit_for_bit(theta2, Y):
+    """The identity-split update's y is the prox map of scale beta at
+    x_{k+1} - lam_k/beta, the point and scale of step() for B = -I."""
     spec = _split_spec(_THETA2[theta2], _Y[Y])
     beta = 1.3
     plan = SolverConfig(variant="stochastic", beta=beta, schedule="constant", eta0=0.5,
@@ -210,7 +211,7 @@ def test_identity_split_y_is_prox_theta2_bit_for_bit(theta2, Y):
                          rng.standard_normal((2, _D2)))
     lam0 = state.lam
     kernels.admm_identity_split(plan, None, None, state)
-    expected = prox_theta2(state.x - lam0 / beta, beta, spec.theta2, spec.Y)
+    expected = prox_map(spec.theta2, spec.Y, beta)(state.x - lam0 / beta)
     assert np.array_equal(state.y, expected)
 
 
@@ -219,8 +220,6 @@ def test_prox_map_refuses_a_scale_that_is_not_positive(theta2, Y):
     for c in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="prox scaling c must be positive"):
             prox_map(_THETA2[theta2], _Y[Y], c)
-        with pytest.raises(ValueError, match="prox scaling c must be positive"):
-            prox_theta2(np.zeros(_D2), c, _THETA2[theta2], _Y[Y])
 
 
 @pytest.mark.parametrize("theta2", ["l1", "sq-l2"])
@@ -328,10 +327,10 @@ def test_ball_newton_that_does_not_converge_ends_the_run(monkeypatch):
     preset = build_preset("fused-lasso-graph", seed=2, n=30, d=4)
     spec = dataclasses.replace(preset.spec, X=Ball(preset.spec.d1, 0.3))
     cfg = SolverConfig(schedule="constant", eta0=1.0, t_max=300)
-    clean = solvers.run(spec, cfg, oracle=preset.make_oracle(0))
+    [clean] = solvers.run(spec, cfg, preset.make_oracle(0).presample(cfg.t_max))
     assert clean.error is None
     monkeypatch.setattr(prox, "SECULAR_MAX_ITERS", 1)
-    cut = solvers.run(spec, cfg, oracle=preset.make_oracle(0))
+    [cut] = solvers.run(spec, cfg, preset.make_oracle(0).presample(cfg.t_max))
     assert cut.error.startswith("iteration ")
     assert "ball-constrained Newton iteration did not converge (last residual" in cut.error
     assert len(cut) < cfg.t_max
@@ -380,8 +379,8 @@ def test_y_update_matches_grid_search_1d():
     beta = 2.0
     # the prox of theta2 at v / -s with scale beta*s^2, s = -1
     s = -1.0
-    y = prox_theta2((spec.A @ x_next - spec.b - lam / beta) / -s, beta * s * s,
-                    spec.theta2, spec.Y)
+    y = prox_map(spec.theta2, spec.Y, beta * s * s)(
+        (spec.A @ x_next - spec.b - lam / beta) / -s)
     ys = np.arange(-5.0, 5.0, 1e-6)
     vals = 0.4 * np.abs(ys) + 0.5 * beta * (x_next[0] - ys - lam[0] / beta) ** 2
     assert y[0] == pytest.approx(ys[np.argmin(vals)], abs=2e-6)

@@ -13,7 +13,7 @@ from stocadmm.oracle import AdditiveNoiseOracle
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                               err_rho, eval_F)
 from stocadmm.presets import build_preset
-from stocadmm.prox import min_quadratic_over_set, prox_theta2, three_points_check
+from stocadmm.prox import min_quadratic_over_set, prox_map, three_points_check
 from stocadmm.sets import Ball, Box, WholeSpace
 from stocadmm.solvers import (CHECK_CHUNK, INVARIANTS, METRIC_CHUNK, PROBE_COUNT,
                               SolverConfig, SolverError, check_y_optimality, run, step,
@@ -118,8 +118,8 @@ def test_same_stream_is_bitwise_repeatable(lasso_preset):
     ref = 0.0
     runs = []
     for _ in range(2):
-        traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(7),
-                   theta_star=ref)
+        [traj] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(7).presample(50),
+                     theta_star=ref)
         runs.append(traj)
     assert np.array_equal(runs[0].final_state.x, runs[1].final_state.x)
     assert np.array_equal(runs[0].err_rho_eq2, runs[1].err_rho_eq2)
@@ -127,15 +127,15 @@ def test_same_stream_is_bitwise_repeatable(lasso_preset):
 
 def test_different_streams_diverge(lasso_preset):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=50)
-    a = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0))
-    b = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(1))
+    [a] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(0).presample(cfg.t_max))
+    [b] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(1).presample(cfg.t_max))
     assert not np.array_equal(a.final_state.x, b.final_state.x)
 
 
 def test_recorded_eta_matches_schedule(lasso_preset):
     spec = lasso_preset.spec
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=20)
-    traj = run(spec, cfg, oracle=lasso_preset.make_oracle(0))
+    [traj] = run(spec, cfg, lasso_preset.make_oracle(0).presample(cfg.t_max))
     D, M = spec.diameter_x, spec.constants.M
     expect = D / (M * np.sqrt(2.0 * np.arange(1, 21)))
     assert np.allclose(traj.eta, expect, rtol=1e-12)
@@ -168,7 +168,7 @@ def test_config_validation_messages():
 
 def test_zero_iterations_gives_empty_trajectory(lasso_preset):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=0)
-    traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0))
+    [traj] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(0).presample(cfg.t_max))
     assert len(traj) == 0
     assert traj.error is None
 
@@ -178,7 +178,7 @@ def test_recorded_rows_match_a_step_by_step_replay(lasso_preset, monkeypatch):
     # each step's averages give, for a full run and for one cut by an error
     spec, theta_star = lasso_preset.spec, 0.25
     cfg = SolverConfig(variant="linearized", G=2.0, t_max=50)
-    full = run(spec, cfg, theta_star=theta_star)
+    [full] = run(spec, cfg, theta_star=theta_star)
     state, plan = IterateState.zeros(spec), cfg.validate(spec)
     replay = []
     for _ in range(50):
@@ -197,7 +197,7 @@ def test_recorded_rows_match_a_step_by_step_replay(lasso_preset, monkeypatch):
 
     # the planned update of every step calls the x-solve by its module name
     monkeypatch.setattr(solvers, "min_quadratic_over_set", failing_x_update)
-    cut = run(spec, cfg, theta_star=theta_star)
+    [cut] = run(spec, cfg, theta_star=theta_star)
     assert full.error is None and cut.error == "iteration 31: overflow"
     for traj in (full, cut):
         n = len(traj)
@@ -219,17 +219,17 @@ def test_metric_pass_evaluates_bounded_chunks(lasso_preset, monkeypatch):
         return value(self, x)
 
     monkeypatch.setattr(LeastSquares, "value", spy)
-    traj = run(lasso_preset.spec, SolverConfig(variant="linearized", G=2.0, t_max=1000),
-               theta_star=0.0)
+    [traj] = run(lasso_preset.spec, SolverConfig(variant="linearized", G=2.0, t_max=1000),
+                 theta_star=0.0)
     assert len(traj) == 1000
     # both averaging conventions of every row, in calls of at most
     # METRIC_CHUNK points
-    assert METRIC_CHUNK == 256 and points == [256, 256, 256, 232] * 2
+    assert METRIC_CHUNK == 64 and points == ([64] * 15 + [40]) * 2
 
 
-def test_stochastic_needs_an_oracle():
+def test_stochastic_run_needs_its_draws():
     spec = scalar_split_spec()
-    with pytest.raises(ValueError, match="needs an oracle"):
+    with pytest.raises(ValueError, match="needs its draws"):
         run(spec, SolverConfig(variant="stochastic", t_max=5))
 
 
@@ -405,16 +405,16 @@ def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
                         counted("quadratic_parts", LeastSquares.quadratic_parts))
     monkeypatch.setattr(np, "array_equal", counted("array_equal", np.array_equal))
     spec = lasso_preset.spec
-    traj = run(spec, SolverConfig(variant="linearized", G=2.0, t_max=50),
-               theta_star=0.0)
+    [traj] = run(spec, SolverConfig(variant="linearized", G=2.0, t_max=50),
+                 theta_star=0.0)
     assert traj.error is None and len(traj) == 50
     assert calls["eigvalsh"] <= 1
     assert calls["quadratic_parts"] <= 1
     # the spec made its two exact tests, B = s*I and A = I, when it was
     # built; neither the plan nor the loop tests them again
     assert calls["array_equal"] == 0
-    traj = run(spec, SolverConfig(variant="stochastic", t_max=50),
-               oracle=lasso_preset.make_oracle(0), theta_star=0.0)
+    [traj] = run(spec, SolverConfig(variant="stochastic", t_max=50),
+                 lasso_preset.make_oracle(0).presample(50), theta_star=0.0)
     assert traj.error is None and len(traj) == 50
     assert calls["array_equal"] == 0
 
@@ -443,8 +443,8 @@ def _reference_step(state, plan, cfg, g=None, eta=np.nan):
                                     x_init=x)
     Ax_next = x_next @ A.T
     s = B[0, 0]
-    y_next = prox_theta2((Ax_next - b - state.lam / beta) / -s, beta * s * s,
-                         spec.theta2, spec.Y)
+    y_next = prox_map(spec.theta2, spec.Y, beta * s * s)(
+        (Ax_next - b - state.lam / beta) / -s)
     state.advance(x_next, y_next, state.lam - beta * (Ax_next + y_next @ B.T - b))
 
 
@@ -474,9 +474,9 @@ def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
         plan = cfg.validate(spec)
         assert plan.facts() == {"A_identity": A_identity, "b_zero": b_zero,
                                 "B_scale": B_scale}
-        R = 3 if variant == "stochastic" else None
+        R = 3 if variant == "stochastic" else 1
         fast, ref = IterateState.zeros(spec, R), IterateState.zeros(spec, R)
-        noise = np.random.default_rng(0).standard_normal((50, R or 1, spec.d1))
+        noise = np.random.default_rng(0).standard_normal((50, R, spec.d1))
         for k in range(50):
             g = eta = None
             if variant == "stochastic":
@@ -566,7 +566,7 @@ def _plan_forms():
     }
 
 
-@pytest.mark.parametrize("R", [None, 3])
+@pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("form", [
     "deterministic", "linearized-scalar-A=I", "linearized-scalar-general-A",
     "linearized-matrix", "prox-form", "prox-form-beta=0.5", "stochastic-A=I-ball",
@@ -634,7 +634,7 @@ def test_matrix_g_must_be_psd():
 def test_invariant_probes_stay_quiet_on_valid_runs(lasso_preset):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=200,
                        check_invariants=True)
-    traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0))
+    [traj] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(0).presample(cfg.t_max))
     assert traj.error is None
     assert traj.invariant_log == []
     assert max(0.0, *traj.invariant_worst.values()) <= 1e-9
@@ -784,7 +784,8 @@ def test_checks_without_a_quadratic_form_call_value_and_subgrad():
 def _checked_run(spec, oracle, t_max=40):
     cfg = SolverConfig(variant="stochastic", schedule="convex", t_max=t_max,
                        check_invariants=True)
-    return run(spec, cfg, oracle=oracle)
+    [traj] = run(spec, cfg, oracle.presample(cfg.t_max))
+    return traj
 
 
 def _perturb_x_update_at(monkeypatch, spec, steps):
@@ -874,8 +875,8 @@ def test_non_finite_iterate_ends_the_run(lasso_preset, monkeypatch):
     assert np.isnan(traj.invariant_worst["dual-identity"])
     # no recorded row after it: the final state tells
     cfg = SolverConfig(variant="stochastic", t_max=40)
-    traj = run(lasso_preset.spec, cfg, oracle=lasso_preset.make_oracle(0),
-               record_at=np.arange(1, 11))
+    [traj] = run(lasso_preset.spec, cfg, lasso_preset.make_oracle(0).presample(40),
+                 record_at=np.arange(1, 11))
     # the loop ends at the end of the chunk of step 20
     assert traj.error == "iteration 32: non-finite iterate"
     assert list(traj.k) == list(range(1, 11))
@@ -916,8 +917,8 @@ def test_invariant_record_counts_every_probe(lasso_preset):
                                      "three-points": 150, "step-inequality": 150}
     assert set(traj.invariant_worst) == set(traj.invariant_probes)
     # without a sampled subgradient only the dual and y checks run
-    det = run(ridge_split_spec(), SolverConfig(variant="deterministic", t_max=10,
-                                               check_invariants=True))
+    [det] = run(ridge_split_spec(), SolverConfig(variant="deterministic", t_max=10,
+                                                 check_invariants=True))
     assert det.invariant_probes == {"dual-identity": 10, "y-optimality": 200,
                                     "three-points": 0, "step-inequality": 0}
     assert set(det.invariant_worst) == {"dual-identity", "y-optimality"}

@@ -16,11 +16,11 @@ workload takes is read off its plan:
 * identity-split: kernel-sweep (lasso-split, stochastic, R = 16), by
   ``kernels.admm_identity_split``;
 * general: general-step (fused-lasso-graph, general A, stochastic, R = 3),
-  by ``solvers.run`` on the stacked draws;
+  by ``solvers.run`` on the draws of ``oracle.presample_streams``;
 * checked: checked (lasso-split, stochastic with invariant checks, R = 2),
   the same way, its check passes included;
-* linearized: linearized-dense (lasso-split, scalar G, one stream), by
-  ``solvers.run``.
+* linearized: linearized-dense (lasso-split, scalar G, R = 1), by
+  ``solvers.run`` on a 1-D state, which draws nothing.
 
 A fifth line, check-pass, is the time the checked loop spends in its check
 passes (``solvers._run_checks``), timed inside the same runs.  Then one setup
