@@ -446,7 +446,8 @@ class Trajectory:
 # does not wake its BLAS threads for it.  At 256 they stalled the pass: on
 # linearized-dense's config, unpinned on a 2-vCPU Xeon, 6.5 to 283 ms per
 # pass at 256 and 8.6 to 16.2 ms at 64 (three runs in each of three
-# processes); pinned to one CPU, 6.3 against 8.0 ms
+# processes).  A process started on one CPU runs one BLAS thread, and
+# there the smaller chunks cost 8.0 against 6.3 ms per pass
 METRIC_CHUNK = 64
 
 
