@@ -175,10 +175,11 @@ def run_replications(preset: Preset, plan: StepPlan, R: int,
     plan.cfg.validate(preset.spec)), from one solver loop.  A stochastic run
     advances all of them together on their presampled draws
     (presample_streams) from one zero state (IterateState.zeros), both 1-D
-    for R = 1 and batched for R > 1, with the identity-split update
-    (kernels.admm_identity_split) when the plan takes it and step() in run()
-    otherwise.  The other variants draw nothing, so all R are one run of
-    one replication, whose trajectory is returned R times."""
+    for R = 1 and batched for R > 1, with the plan's update, through the
+    identity-split entry (kernels.admm_identity_split) when the plan takes
+    it and through run() otherwise.  The other variants draw nothing, so
+    all R are one run of one replication, whose trajectory is returned R
+    times."""
     spec, cfg = plan.spec, plan.cfg
     if not plan.stochastic:
         return run(spec, cfg, theta_star=theta_star, record_at=t_grid) * R

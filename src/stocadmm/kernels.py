@@ -1,17 +1,12 @@
-"""Identity-split update of stochastic runs, one replication or R batched
-(A = I, B = -I, b = 0).
+"""Entry of the stochastic runs that take the identity split (A = I, B = -I,
+b = 0), one replication or R batched.
 
-For an identity split the x-subproblem of the stochastic step is an isotropic
-quadratic over X, so its minimizer is the projection of a closed-form point,
-and the y-update is the prox of theta2 at x - lam/beta.  A run takes it when
-its plan says so (StepPlan.takes_identity_split).  admm_identity_split
-passes the update, for one replication's 1-D arrays or R replications' (R,
-d) arrays, to solvers.loop, which owns the rest of every run.  The
-projection is the spec's own method (for a ball, a copy when every row is
-inside) and the prox is the plan's y_prox, the map the plan's update
-(step()) applies through solvers.solve_y_update, which this update does
-not call; so each replication's trajectory agrees with run() on its stream
-up to floating-point summation order.
+admm_identity_split runs the plan's own update (StepPlan.update, the one
+update of every run) in solvers.loop, on the draws of the arrays idx and
+noise, so its trajectories are those of run() on the same streams, bit for
+bit.  It refuses a plan that does not take the identity split
+(StepPlan.takes_identity_split), which harness.run_replications reads to
+pick this entry.
 """
 
 from __future__ import annotations
@@ -43,17 +38,5 @@ def admm_identity_split(plan: StepPlan, idx, noise, state: IterateState,
     if not plan.takes_identity_split:
         raise SolverError("the identity-split update needs an unchecked stochastic "
                           "plan with A = I, B = -I and b = 0")
-    spec, beta, y_prox = plan.spec, plan.beta, plan.y_prox
-    # for beta = 1, a product with beta or a quotient by it is its operand
-    unit = beta == 1.0
-
-    def update(state, g, eta):
-        # x-update: the quadratic is isotropic, so its minimizer over X is
-        # the projection of the unconstrained one
-        x = spec.X.project(((state.y if unit else beta * state.y) + state.lam
-                            + state.x / eta - g) / (beta + 1.0 / eta))
-        # y-update: the plan's prox map, whose scale beta*s^2 is beta
-        y = y_prox(x - (state.lam if unit else state.lam / beta))
-        state.advance(x, y, state.lam - ((x - y) if unit else beta * (x - y)))
-
-    return loop(plan, state, update, SampleBuffer(idx, noise), theta_star, record_at)
+    return loop(plan, state, plan.update, SampleBuffer(idx, noise), theta_star,
+                record_at)

@@ -61,6 +61,13 @@ class SampleBuffer:
     # (theta1, start, stop, parts) of the block of steps start..stop-1
     block: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def streams(self) -> int | None:
+        """The number of streams drawn: 1 for one stream's (t,) indices or
+        (t, d) noise, R for R stacked, None when there are neither."""
+        drawn = self.noise if self.indices is None else self.indices[..., None]
+        return None if drawn is None else 1 if drawn.ndim == 2 else len(drawn)
+
     def subgradient(self, theta1, x: np.ndarray, k: int) -> np.ndarray:
         """The sampled subgradient of theta1 at x for step k: the component
         gradient at indices[..., k] (no indices: the exact subgradient) plus

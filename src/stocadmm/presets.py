@@ -3,8 +3,9 @@
 Each preset generates data deterministically from its seed, wraps it in a
 ProblemSpec with certified structural constants, and knows how to build
 per-replication oracles.  The spec is the whole description of the problem:
-which update a run takes is read off it by the run's plan
-(solvers.StepPlan.takes_identity_split).
+the form of a run's update, and whether a stochastic run enters the loop
+through the identity-split entry (solvers.StepPlan.takes_identity_split),
+are read off it by the run's plan.
 """
 
 from __future__ import annotations

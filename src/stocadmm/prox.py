@@ -15,7 +15,8 @@ outside the ball only, and the box loop stops once every row has converged.
 Both inner loops raise SubproblemError at their iteration cap
 (SECULAR_MAX_ITERS, INNER_MAX_ITERS) rather than return an unconverged
 point.  A caller whose shift is fixed for the run passes the shifted
-eigenvalues, computed once.
+eigenvalues, computed once.  An isotropic H0 (that of a stochastic plan with
+A = I) needs none of this: its minimizer over X is one projection.
 """
 
 from __future__ import annotations
@@ -79,19 +80,6 @@ def prox_map(theta2, Y: SetDescriptor, c: float):
     return prox
 
 
-def _ball_constrained_solve(w, eigvecs, rhs, radius):
-    """Exact argmin of x'(Q)x/2 - rhs'x over ||x|| <= radius, Q = V diag(w) V',
-    for one rhs or for each row of an (R, d) rhs; eigvecs None is V = I."""
-    q = rhs if eigvecs is None else rhs.dot(eigvecs)
-    x = q / w
-    # the rows outside the ball; a row that is not finite stays as it is.  For
-    # one rhs, out is a numpy bool, whose truth value costs far less than a count
-    out = np.vecdot(x, x) > radius * radius
-    if out if out.ndim == 0 else np.count_nonzero(out):
-        x[out] = _secular_newton(q[out], w, radius)
-    return x if eigvecs is None else x.dot(eigvecs.T)
-
-
 def _secular_newton(q, w, radius):
     """The boundary solutions q / (w + nu) of the (n, d) rows q: per row the
     nu > 0 with ||q / (w + nu)|| = radius.  The secular function
@@ -118,21 +106,20 @@ def _secular_newton(q, w, radius):
                           float(worst))
 
 
-def _box_projected_gradient(H0, shift, lip, rhs, box: Box, x_init: np.ndarray,
-                            tol: float = INNER_TOL, max_iters: int = INNER_MAX_ITERS):
+def _box_projected_gradient(H0, shift, lip, rhs, box: Box, x_init: np.ndarray):
     """Projected gradient on x'(H0 + shift I)x/2 - rhs'x over a box, for one
     rhs or for each row of an (R, d) rhs, monitored by each row's
     projected-gradient residual.  A row keeps its iterate of the first
-    iteration whose residual is <= tol (or not finite), and the loop stops
-    once every row has."""
+    iteration whose residual is <= INNER_TOL (or not finite), and the loop
+    stops once every row has."""
     x = box.project(x_init)
     step = 1.0 / lip
     live = np.ones(x.shape[:-1], dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(INNER_MAX_ITERS):
         x_new = box.project(x - step * (x.dot(H0.T) + shift * x - rhs))
         resid = np.linalg.norm((x - x_new) / step, axis=-1)
         x = np.where(live[..., None], x_new, x)
-        live &= resid > tol
+        live &= resid > INNER_TOL
         if not live.any():
             return x
     raise SubproblemError("projected-gradient inner loop did not converge",
@@ -146,20 +133,30 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
 
     eig = (eigvals, eigvecs) is the eigendecomposition of H0, computed once
     per run; the whole-space and ball solves happen in that basis, so a
-    moving shift costs no refactorization.  eigvecs None stands for the
-    identity basis (a diagonal H0), whose products the solves skip: that
-    gives the same values for a finite rhs, and keeps a non-finite entry in
-    its place where the products spread it over the row.  shifted is
-    eigvals + shift, for a caller whose shift is fixed for the run and who
-    adds it once.  rhs is one right-hand side, or R of them as (R, d) rows,
-    whose R minimizers are the rows of the result.
+    moving shift costs no refactorization.  eigvecs None stands for an
+    isotropic H0 = w I, whose eigvals may be the one value w: the quadratic
+    is then (w + shift)||x - rhs/(w + shift)||^2/2 plus a constant, so its
+    minimizer over any X is the projection X.project(rhs / (w + shift)),
+    exact for a ball, a box and the whole space alike.  shifted is eigvals +
+    shift, for a caller whose shift is fixed for the run and who adds it
+    once.  rhs is one right-hand side, or R of them as (R, d) rows, whose R
+    minimizers are the rows of the result.
     """
     eigvals, eigvecs = eig
     w = eigvals + shift if shifted is None else shifted
-    if isinstance(X, WholeSpace):
-        return rhs / w if eigvecs is None else (rhs.dot(eigvecs) / w).dot(eigvecs.T)
-    if isinstance(X, Ball):
-        return _ball_constrained_solve(w, eigvecs, rhs, X.radius)
+    if eigvecs is None:
+        return X.project(rhs / w)
+    if isinstance(X, (WholeSpace, Ball)):
+        q = rhs.dot(eigvecs)
+        x = q / w
+        if isinstance(X, Ball):
+            # the rows outside the ball; a row that is not finite stays as it
+            # is.  For one rhs, out is a numpy bool, whose truth value costs
+            # far less than a count
+            out = np.vecdot(x, x) > X.radius * X.radius
+            if out if out.ndim == 0 else np.count_nonzero(out):
+                x[out] = _secular_newton(q[out], w, X.radius)
+        return x.dot(eigvecs.T)
     if isinstance(X, Box):
         lip = float(w[-1])
         init = rhs / lip if x_init is None else x_init

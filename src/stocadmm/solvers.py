@@ -26,8 +26,8 @@ loop() is the solver loop of every run and takes a plan, so no run reaches
 it unvalidated.  The replication count alone picks the shape of its state
 (IterateState.zeros): 1-D arrays for one replication, (R, d) arrays for R >
 1, with the draws of oracle.presample_streams in the same shape.  It takes
-the update of a step, the plan's from run() or the identity-split update of
-kernels.admm_identity_split, and owns the rest:
+the update of a step, the plan's (from run() and from the identity-split
+entry kernels.admm_identity_split alike), and owns the rest:
 the stepsize, the draw, the capture of a step's error and the recorded rows
 (RecordedRows), whose metrics are computed once, after the loop.  A checked
 loop stores each step's iterate, subgradient and stepsize too (CheckedSteps).
@@ -193,8 +193,10 @@ class StepPlan:
     The plan also takes the three exact facts of the constraint that the
     spec read at construction: B = s*I (required), A = I (A_identity) and
     b = 0 (b_zero).  For a scalar r with A = I, G_rest = -beta*A'A is the
-    scalar -beta, and a stochastic H0 = beta*I has the eigenbasis I, which
-    eig holds as None, so no eigendecomposition is made.  From these
+    scalar -beta, and a stochastic H0 = beta*I is isotropic: eig is its one
+    eigenvalue beta, a 0-d array, and the basis None, so no
+    eigendecomposition is made and the x-update is the projection of one
+    point onto X (prox.min_quadratic_over_set).  From these
     facts and the variant it builds the run's update once, update(state, g,
     eta) (_build_update): a closure that holds them, and with them the 0-d
     scalars and the fixed shift's eigenvalues, and leaves out each product
@@ -204,8 +206,8 @@ class StepPlan:
     and with it the declared mu and L are checked against H's extreme
     eigenvalues (_check_curvature).
     takes_identity_split, an unchecked stochastic run with A = I, B = -I and
-    b = 0, selects the update of kernels.admm_identity_split.  cfg is a copy
-    of the config the plan was built from.
+    b = 0, selects the entry kernels.admm_identity_split, which runs this
+    same update.  cfg is a copy of the config the plan was built from.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SolverConfig):
@@ -271,8 +273,8 @@ class StepPlan:
         self.H0 = H0
         if H0 is None:
             self.eig = None
-        elif self.stochastic and self.A_identity:  # H0 = beta*I, basis I
-            self.eig = (np.full(spec.d1, beta), None)
+        elif self.stochastic and self.A_identity:  # H0 = beta*I, isotropic
+            self.eig = (np.array(beta), None)
         else:
             self.eig = np.linalg.eigh(H0)
         if self.quadratic is not None:
@@ -633,8 +635,6 @@ def run(spec: ProblemSpec, cfg: SolverConfig, draws: SampleBuffer | None = None,
     theta_star; without it only feasibility is populated.
     """
     plan = cfg.validate(spec)
-    if plan.stochastic and draws is None:
-        raise ValueError("a stochastic run needs its draws")
     return loop(plan, IterateState.zeros(spec, replications), plan.update, draws,
                 theta_star, record_at)
 
@@ -649,8 +649,15 @@ def loop(plan: StepPlan, state: IterateState, update,
     draws at state.x, the others g = None and eta = NaN.  An exception in an
     update ends every replication there, with the error in its trajectory.
     Every CHECK_CHUNK steps it flushes a checked run's chunk, then ends the
-    run if no replication's lam is finite."""
+    run if no replication's lam is finite.  A stochastic plan without draws,
+    or with the draws of another number of streams than state has
+    replications, raises ValueError before any step."""
     spec, cfg, stochastic = plan.spec, plan.cfg, plan.stochastic
+    R = 1 if state.x.ndim == 1 else len(state.x)
+    if stochastic and (draws is None or draws.streams not in (None, R)):
+        raise ValueError("a stochastic run needs its draws" if draws is None else
+                         f"the draws' stream count {draws.streams} differs from the "
+                         f"state's replication count {R}")
     rows = RecordedRows(state, cfg.t_max, record_at)
     checks = CheckedSteps(state, plan) if cfg.check_invariants else None
     # the stepsizes of steps 1..t_max, computed at once

@@ -114,7 +114,7 @@ def test_repeated_trajectory_is_formatted_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("preset", ["lasso-split", "fused-lasso-graph"])
 def test_rerun_gives_byte_identical_trajectory_csvs(tmp_path, preset):
-    # lasso-split takes the identity-split update, fused-lasso-graph step()
+    # lasso-split takes the identity-split entry, fused-lasso-graph run()
     cfg = _write_config(tmp_path / "c.yaml", preset=preset, replications=2)
     outs = []
     for tag in ("a", "b"):
@@ -669,7 +669,7 @@ def test_shared_out_dir_recomputes_reference_for_a_new_seed(tmp_path):
 def test_failed_replication_is_reported_not_raised(tmp_path, monkeypatch, preset,
                                                    replications):
     """An exception in the 30th draw ends the run at iteration 30, with
-    step() (fused-lasso-graph) and with the identity-split update
+    step() (fused-lasso-graph) and through the identity-split entry
     (lasso-split).  One loop advances every replication, so each of them
     fails there; the aggregate of the completed replications is covered by
     test_non_finite_iterate_fails_its_replication."""
@@ -780,7 +780,7 @@ def test_non_finite_replication_stops_its_checks(tmp_path, monkeypatch):
 def test_infinite_subgradient_fails_its_replication_without_a_warning(
         tmp_path, monkeypatch, preset, checked):
     """An inf entry of replication 1's subgradient at step 20 makes its
-    iterate non-finite, with the identity-split update (lasso-split,
+    iterate non-finite, through the identity-split entry (lasso-split,
     unchecked) and with step() (checked, or a general A).  The arithmetic
     on it (inf - inf, 0 * inf) would warn, and the suite raises a
     RuntimeWarning: the loop silences it, so the update does not raise and
@@ -805,8 +805,8 @@ def test_infinite_subgradient_fails_its_replication_without_a_warning(
 def test_run_ends_at_the_first_row_where_no_replication_is_finite(
         tmp_path, monkeypatch, preset, checked, t_grid, k_end):
     """Every replication is NaN from step 20, so the loop ends at the end of
-    its chunk, step 32, with step() (fused-lasso-graph) and with the
-    identity-split update (lasso-split).  The error names the first
+    its chunk, step 32, with step() (fused-lasso-graph) and through the
+    identity-split entry (lasso-split).  The error names the first
     recorded row that is not finite, or else step 32; a checked run probes
     each replication's 20 steps up to its first non-finite one."""
     calls = _subgradient_at_step_20(monkeypatch, slice(None))

@@ -17,15 +17,27 @@ from stocadmm.oracle import SampleBuffer
 from stocadmm.presets import Preset, build_preset
 from stocadmm.problem import IterateState, ProblemSpec, StructuralConstants, err_rho
 from stocadmm.sets import Ball, Box, WholeSpace
-from stocadmm.solvers import CHECK_CHUNK, CHECK_ROWS, SolverConfig, SolverError, run
+from stocadmm.solvers import (CHECK_CHUNK, CHECK_ROWS, SolverConfig, SolverError,
+                              Trajectory, run)
 
 
-def _assert_agrees(kern, general):
-    assert np.array_equal(kern.k, general.k)
+def _assert_agrees(kern, general, exact=True):
+    """kern, a trajectory of a batched run, agrees with general, the same
+    stream's run() alone.  exact: bit for bit, every column and the final
+    state, as an identity-split run on sampled draws, whose update takes the
+    same operations on (R, d) rows as on one row.  Otherwise to roundoff:
+    the exact oracle's subgradient and a general A's products sum an (R, d)
+    product in another order than a 1-D one."""
+    ks, gs = kern.final_state, general.final_state
+    assert np.array_equal(kern.k, general.k) and ks.k == gs.k
+    if exact:
+        for col in Trajectory.COLUMNS:
+            assert np.array_equal(getattr(kern, col), getattr(general, col)), col
+        for part in ("x", "y", "lam", "sums"):
+            assert np.array_equal(getattr(ks, part), getattr(gs, part)), part
+        return
     assert np.max(np.abs(kern.err_rho_eq2 - general.err_rho_eq2)) <= 1e-10
     assert np.max(np.abs(kern.err_rho_eq10 - general.err_rho_eq10)) <= 1e-10
-    ks, gs = kern.final_state, general.final_state
-    assert ks.k == gs.k
     assert np.max(np.abs(ks.x - gs.x)) <= 1e-12
     assert np.max(np.abs(ks.lam - gs.lam)) <= 1e-12
     for avg in ("avg_x_shifted", "avg_x_aligned", "avg_y"):
@@ -66,7 +78,7 @@ def test_batched_kernel_matches_step_by_step(name, params, solver_kw, grid):
     for stream, kern in enumerate(batched):
         draws = preset.make_oracle(stream).presample(solver.t_max)
         [general] = run(preset.spec, solver, draws, theta_star=0.0, record_at=grid)
-        _assert_agrees(kern, general)
+        _assert_agrees(kern, general, exact=params.get("oracle") != "exact")
 
 
 def test_kernel_snapshot_grid_positions():
@@ -150,6 +162,29 @@ def test_identity_split_spec_with_box_x_takes_the_kernel():
     assert any(np.any(np.abs(kern.final_state.x) == 0.25) for kern in batched)
 
 
+@pytest.mark.parametrize("case", ["lasso-split", "box-x"])
+def test_checked_run_writes_the_trajectory_bytes_of_the_unchecked_one(case, tmp_path,
+                                                                       monkeypatch):
+    """Turning check_invariants on leaves the update as it is, so a checked
+    stochastic run (R = 2, T = 100) writes the traj_rep*.csv bytes of the
+    unchecked one, which takes the identity-split entry: on lasso-split (a
+    ball X) and on an identity split with a box X."""
+    if case == "box-x":
+        from stocadmm import harness
+        monkeypatch.setattr(harness, "build_preset", lambda *a, **k: _box_lasso_preset())
+    written = []
+    for checked in (False, True):
+        out = tmp_path / f"checked={checked}"
+        cfg = ExperimentConfig(preset="lasso-split", preset_params={"n": 30, "d": 4},
+                               replications=2, out_dir=str(out),
+                               solver=SolverConfig(t_max=100, check_invariants=checked))
+        report, code = run_experiment(cfg)
+        assert code == 0 and report["kernel_path"] is not checked
+        written.append({p.name: p.read_bytes() for p in out.glob("traj_rep*.csv")})
+    assert sorted(written[0]) == ["traj_rep000.csv", "traj_rep001.csv"]
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("case", ["box-x", "exact-oracle"])
 def test_one_replication_advances_a_1d_state_and_agrees_with_replication_0(case):
     """R = 1 takes the same path as R = 3, on a 1-D state and stream 0's own
@@ -168,7 +203,8 @@ def test_one_replication_advances_a_1d_state_and_agrees_with_replication_0(case)
     state = one.final_state
     assert state.x.shape == state.y.shape == state.lam.shape == (preset.spec.d1,)
     assert state.sums.ndim == 1
-    _assert_agrees(one, run_replications(preset, plan, 3, grid, theta_star=0.0)[0])
+    _assert_agrees(one, run_replications(preset, plan, 3, grid, theta_star=0.0)[0],
+                   exact=case == "box-x")
 
 
 def test_identity_split_update_runs_only_on_a_plan_that_takes_it(tmp_path, monkeypatch):
@@ -297,7 +333,7 @@ def _assert_batched_matches_one_stream_runs(preset, solver, R=3):
         draws = preset.make_oracle(stream).presample(solver.t_max)
         [one] = run(preset.spec, solver, draws, theta_star=0.0, record_at=grid)
         assert traj.error is None and one.error is None
-        _assert_agrees(traj, one)
+        _assert_agrees(traj, one, exact=False)
     return batched
 
 

@@ -11,8 +11,11 @@ a block of steps at a time, that of the deterministic run before the
 plan fixed the y-update's prox map and the running sums moved into one
 array, those of the general-A runs and references before the hot
 small products went through ndarray.dot, and those of the runs of one
-replication while they advanced a (1, d) state; they hold as long as no output
-value or its formatting changes."""
+replication while they advanced a (1, d) state.  Those of the stochastic runs
+with A = I (an isotropic x-update) were recorded again once every such run
+took the plan's update, whose x-update is one projection: the identity-split
+runs, and the checked runs whose moved iterate leaves the ball.  They hold as
+long as no output value or its formatting changes."""
 
 import hashlib
 
@@ -39,10 +42,10 @@ GOLDEN = {
          "traj_rep000.csv": "b3dc60a32da8a49d4af17314dfb046253461ef48db5dfc8f5f5d4e0e3f8a8b57"}),
     "kernel-stochastic": (
         dict(preset="lasso-split", replications=3, solver=SolverConfig(t_max=300)),
-        {"aggregate.csv": "d1c5fb4a7b37c6a5a86b861a46cb64eac1ca19137abe99cce27920b4321cd535",
-         "traj_rep000.csv": "8f0aa9045740afe203366efc1791c0404d86c13e274203451b02b3dbbe51418c",
-         "traj_rep001.csv": "80cbdd878d59ba51b71fd513d8da7870b6246718e146f20575779c01f4fd2b00",
-         "traj_rep002.csv": "d0a0660717f74d05370925af57e7b9587462f329557450a7e2665737560c4ce0"}),
+        {"aggregate.csv": "e6d6bc99b13eea86a639f8d3b1d0ed8d11fdb2cb638845fdcd9c9c90295ee00d",
+         "traj_rep000.csv": "91d9e3fb6df5f1b7415f241bba22d7db8a5d86db1485815dc66b582dac6d1e3b",
+         "traj_rep001.csv": "840a8c902cd2e75a25dbcc4281da4edc2308c45177b8b37fbfffdbe9b667270d",
+         "traj_rep002.csv": "8d6c25806a86283a520f52600cfa440a0b4b6038c026ebf0b2c75af946dbc67b"}),
     "general-step": (
         dict(preset="fused-lasso-graph", replications=2, solver=SolverConfig(t_max=300)),
         {"aggregate.csv": "f020b2f153b174b135a949de343f7892140aa6eb478a9fd02183332e1b7f7b88",
@@ -59,10 +62,10 @@ GOLDEN = {
     "strongly-convex-ridge": (
         dict(preset="strongly-convex-lasso", replications=3,
              solver=SolverConfig(schedule="strongly-convex", t_max=1700)),
-        {"aggregate.csv": "eb6fe00737d914f78349bc9929bb1eeef6b7204c6eb0e655ce1cc0a06123fedb",
-         "traj_rep000.csv": "156f90b77805e05092874c5d3a900e6fb6eb49791eea43da11239b571ff7690d",
-         "traj_rep001.csv": "af752d2755f59453cd39a2cee29bfa1660ea95943f2b92b8a06e394ccd52e009",
-         "traj_rep002.csv": "dcfef31de03e4a012de6c2addb5f65d0ef4a6ceff8caf0fea804a11a2bfab05e"}),
+        {"aggregate.csv": "fce83dd872b3a125b93211151f301622fe09c68eca4e711271725623ffd9afa8",
+         "traj_rep000.csv": "4d49384a672defa4c0326316c60e02bad1b9f1233884efdba2d1c4a3a6a4f555",
+         "traj_rep001.csv": "e256e157d4d664316a27e0653935f98fb53006d39d94e154601f4e74881ccde5",
+         "traj_rep002.csv": "070891d75e8c334e188061c2f510e6e583aebea4b58ed62fcce59e3d2a442497"}),
     # the deterministic variant, which draws nothing: both replications are
     # one run
     "deterministic": (
@@ -87,16 +90,15 @@ GOLDEN = {
          "traj_rep001.csv": "64780ce5ec392119f3909fc56c2186ccd3c48a33a979393c7981b9cfb1b81f1c"}),
     "hinge-labels": (
         dict(preset="hinge-svm-split", replications=3, solver=SolverConfig(t_max=1700)),
-        {"traj_rep000.csv": "cadc50221e13ed68177193c2e42fbd2e68ed2aec9f0ba6a7b84d51617c0b65da",
-         "traj_rep001.csv": "50454859ba2c0d10f22faeb5c5a11c1f77d72295d46b497695a3379479559421",
-         "traj_rep002.csv": "cf033f09dc0f00620a77dbf61954393519203c59a0d8283c9fc2225a42d22121"}),
-    # stochastic runs of one replication, recorded when they advanced a
-    # (1, d) state: the identity-split update, a general A, a checked run and
-    # the exact oracle (no draws) with the constant schedule
+        {"traj_rep000.csv": "b26477ab960e7abcf65a9dfa713942a1aacbaa0fb7d3853d0540ac8bdcb0f428",
+         "traj_rep001.csv": "55028c8b1813a4991196869a1fe06fa6bdddcc3c60c63089e0d787f18dfcbdd7",
+         "traj_rep002.csv": "7de3fc782ffc364aa32bbdb5d631489e64da8957b63e2919512c4ae4a11c6f39"}),
+    # stochastic runs of one replication: the identity split, a general A, a
+    # checked run and the exact oracle (no draws) with the constant schedule
     "kernel-stochastic-R1": (
         dict(preset="lasso-split", replications=1, solver=SolverConfig(t_max=300)),
-        {"aggregate.csv": "af00c5be4f5150b01881d13197c942a6890f05e7a57d1ebe715b42cccbc9bedb",
-         "traj_rep000.csv": "8f0aa9045740afe203366efc1791c0404d86c13e274203451b02b3dbbe51418c"}),
+        {"aggregate.csv": "028ef961db60038da1859ef740763c844b0bdd314e16e724df758fbf7eb9d8fb",
+         "traj_rep000.csv": "91d9e3fb6df5f1b7415f241bba22d7db8a5d86db1485815dc66b582dac6d1e3b"}),
     "general-step-R1": (
         dict(preset="fused-lasso-graph", replications=1, solver=SolverConfig(t_max=300)),
         {"aggregate.csv": "b6d8905ba9d046477a28a0616f68ac7288b853a52e09690698b98d3fdaa08d64",
@@ -110,8 +112,8 @@ GOLDEN = {
         dict(preset="lasso-split", replications=1,
              preset_params={**SMALL, "oracle": "exact"},
              solver=SolverConfig(schedule="constant", eta0=0.1, t_max=300)),
-        {"aggregate.csv": "937863cc6bad379eb23f0de90918437d6825c08c251ec1e2a7052d8e152a28fd",
-         "traj_rep000.csv": "839446c8d7fbe30ac904747f64c913a3d3fc347f74d6841c90cd90186d6563ba"}),
+        {"aggregate.csv": "1a12743197ccf97e8b5e70d5cf0e1fc81a9066198194a2236948c3ad0560e115",
+         "traj_rep000.csv": "f91fe131466d1c9ac6ae6c594bc8c88e4e215280d75bbf189de6327140bc04fc"}),
 }
 
 
@@ -136,7 +138,7 @@ def test_csv_outputs_match_recorded_digests(tmp_path, name):
 CHECKED = {
     "checked": (
         GOLDEN["checked"][0],
-        {"dual-identity": "0x1.8000000000000p-57", "y-optimality": "0x1.2f7f8bdbad95fp-50",
+        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
          "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe93c92f03000p-1"},
         {"dual-identity": 200, "y-optimality": 4000, "three-points": 1000,
          "step-inequality": 1000},
@@ -144,7 +146,7 @@ CHECKED = {
     "checked-R6-T77": (
         dict(preset="lasso-split", replications=6,
              solver=SolverConfig(t_max=77, check_invariants=True)),
-        {"dual-identity": "0x1.01fe03f61bad0p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
+        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
          "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe9a9f759e29ep-1"},
         {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
          "step-inequality": 2310},
@@ -254,7 +256,7 @@ NON_CONTIGUOUS = [
      {"dual-identity": 20, "y-optimality": 400, "three-points": 100,
       "step-inequality": 100},
      "18a39416127ff9fd532de1927abc52214a9419c285ed79b248ed919c58262c4f"),
-    ({"dual-identity": "0x1.36a9ef26f762fp-57", "y-optimality": "0x1.27ae25a1d4b4ap-52",
+    ({"dual-identity": "0x1.36a9ef26f762fp-57", "y-optimality": "0x1.4e47b98fb2bfcp-52",
       "three-points": "0x1.01f996372b780p+10", "step-inequality": "0x1.fe73cabf30bfdp-1"},
      _FULL, "8251865d6c7d6552b8dabf16549553926522c59c07a3c542b49045d86ab6ccfb"),
     ({"dual-identity": "0x1.6fa6ea162d0f0p-57", "y-optimality": "0x1.010e7c52c2367p-51",

@@ -199,7 +199,7 @@ def test_plan_y_update_is_the_prox_map_bit_for_bit(theta2, Y, s):
 
 @pytest.mark.parametrize("theta2,Y", _PAIRS)
 def test_identity_split_y_is_the_prox_map_bit_for_bit(theta2, Y):
-    """The identity-split update's y is the prox map of scale beta at
+    """The identity-split entry's y is the prox map of scale beta at
     x_{k+1} - lam_k/beta, the point and scale of step() for B = -I."""
     spec = _split_spec(_THETA2[theta2], _Y[Y])
     beta = 1.3
@@ -349,6 +349,37 @@ def test_box_solve_of_rows_keeps_each_rows_converged_iterate():
     for r in range(len(rhs)):
         one = min_quadratic_over_set(*_eig(H0), 0.3, rhs[r], box)
         assert np.max(np.abs(x[r] - one)) <= 1e-12
+
+
+@pytest.mark.parametrize("X", [Ball(5, 1.0), Box(-0.5 * np.ones(5), 0.5 * np.ones(5)),
+                               WholeSpace(5)], ids=["ball", "box", "whole-space"])
+def test_isotropic_solve_is_the_projection(X, monkeypatch):
+    """An isotropic H0 = w*I, whose basis the plan holds as None, is solved
+    as the projection of rhs / (w + shift) onto X, with no inner iteration.
+    The eigenbasis solve with the identity basis written out is its
+    independent reference: secular Newton over a ball, within 1e-14 for rows
+    inside the ball and outside it, and projected gradient over a box,
+    within that loop's tolerance."""
+    from stocadmm import prox
+    newton = [0]
+
+    def counted(q, w, radius, real=prox._secular_newton):
+        newton[0] += 1
+        return real(q, w, radius)
+
+    monkeypatch.setattr(prox, "_secular_newton", counted)
+    rng = np.random.default_rng(12)
+    w, shift = np.full(5, 1.3), 0.7
+    rhs = rng.standard_normal((6, 5)) * np.array([[0.05], [4.0], [0.1], [9.0], [1e3], [0.2]])
+    x = min_quadratic_over_set(1.3 * np.eye(5), (w, None), shift, rhs, X)
+    assert newton[0] == 0
+    assert np.array_equal(x, X.project(rhs / (w + shift)))
+    ref = min_quadratic_over_set(1.3 * np.eye(5), (w, np.eye(5)), shift, rhs, X)
+    tol = prox.INNER_TOL if isinstance(X, Box) else 1e-14
+    assert np.max(np.abs(x - ref)) <= tol
+    if isinstance(X, Ball):
+        inside = np.linalg.norm(rhs / (w + shift), axis=1) <= X.radius
+        assert inside.any() and not inside.all() and newton[0] == 1
 
 
 def test_x_subproblem_validates_inputs():

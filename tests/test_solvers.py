@@ -9,7 +9,7 @@ import pytest
 from stocadmm import solvers
 from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
 from stocadmm.harness import run_replications
-from stocadmm.oracle import AdditiveNoiseOracle
+from stocadmm.oracle import AdditiveNoiseOracle, presample_streams
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
                               err_rho, eval_F)
 from stocadmm.presets import build_preset
@@ -233,6 +233,22 @@ def test_stochastic_run_needs_its_draws():
         run(spec, SolverConfig(variant="stochastic", t_max=5))
 
 
+def test_draws_of_another_stream_count_than_the_replications_are_refused():
+    """One stream's draws for three replications would advance all three on
+    the same draws; the loop refuses them before any step, naming both
+    counts, as it refuses two streams' draws for one replication or three."""
+    preset = build_preset("fused-lasso-graph", seed=0, n=30, d=4)
+    cfg = SolverConfig(t_max=50)
+    one = preset.make_oracle(0).presample(50)
+    two = presample_streams([preset.make_oracle(r) for r in range(2)], 50)
+    for draws, R in ((one, 3), (two, 1), (two, 3)):
+        with pytest.raises(ValueError, match=f"the draws' stream count {draws.streams} "
+                                             f"differs from the state's replication "
+                                             f"count {R}"):
+            run(preset.spec, cfg, draws, replications=R)
+    assert len(run(preset.spec, cfg, two, replications=2)) == 2
+
+
 # ---------------------------------------------------------------------------
 # linearized variant
 
@@ -419,17 +435,20 @@ def test_structural_facts_are_checked_once_per_run(lasso_preset, monkeypatch):
     assert calls["array_equal"] == 0
 
 
-def _basis_eig(plan):
-    """The plan's eigendecomposition of H0 with its basis as a matrix: the
-    identity where the plan holds it as None."""
+def _reference_x_solve(plan, shift, rhs, x):
+    """The x-solve over X: for an isotropic H0 = w*I (the plan holds its
+    basis as None), the projection of rhs / (w + shift), its exact
+    minimizer; else the eigenbasis solve."""
     w, V = plan.eig
-    return w, np.eye(len(w)) if V is None else V
+    if V is None:
+        return plan.spec.X.project(rhs / (w + shift))
+    return min_quadratic_over_set(plan.H0, (w, V), shift, rhs, plan.spec.X, x_init=x)
 
 
 def _reference_step(state, plan, cfg, g=None, eta=np.nan):
-    """step() written with the full products of A, B and G, of the x-solve's
-    eigenbasis and the sums with b, as the formulas of the problem state
-    them."""
+    """step() written with the full products of A, B and G and the sums
+    with b, as the formulas of the problem state them; an isotropic H0
+    takes the projection (_reference_x_solve)."""
     spec, beta, x = plan.spec, cfg.beta, state.x
     A, B, b = spec.A, spec.B, spec.b
     shift = 1.0 / eta if plan.shift is None else plan.shift
@@ -439,8 +458,7 @@ def _reference_step(state, plan, cfg, g=None, eta=np.nan):
         rhs = rhs + x @ (-beta * (A.T @ A)).T
     if g is not None:
         rhs = rhs - g
-    x_next = min_quadratic_over_set(plan.H0, _basis_eig(plan), shift, rhs, spec.X,
-                                    x_init=x)
+    x_next = _reference_x_solve(plan, shift, rhs, x)
     Ax_next = x_next @ A.T
     s = B[0, 0]
     y_next = prox_map(spec.theta2, spec.Y, beta * s * s)(
@@ -496,7 +514,7 @@ def test_step_matches_the_full_matrix_products_bit_for_bit(name, variant):
 def _branching_step(state, plan, g=None, eta=np.nan):
     """The step() that re-read the plan's facts at every call, with one
     branch per fact, as it was before the plan built the update once, and
-    with the products of the x-solve's eigenbasis, the identity included."""
+    with the x-solve of _reference_x_solve."""
     spec, beta, x = plan.spec, plan.beta, state.x
     shift = 1.0 / eta if plan.shift is None else plan.shift
     neg_identity, unit = plan.s == -1.0, beta == 1.0
@@ -517,8 +535,7 @@ def _branching_step(state, plan, g=None, eta=np.nan):
     if plan.prox:
         x_next = spec.theta1.prox(rhs / shift, shift)
     else:
-        x_next = min_quadratic_over_set(plan.H0, _basis_eig(plan), shift, rhs, spec.X,
-                                        x_init=x)
+        x_next = _reference_x_solve(plan, shift, rhs, x)
     Ax_next = x_next if plan.A_identity else x_next @ spec.A.T
     point = (Ax_next if plan.b_zero else Ax_next - spec.b) - lam_beta
     y_next = plan.y_prox(point if plan.s == -1.0 else point / -plan.s)
@@ -576,8 +593,8 @@ def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatc
     """The update the plan builds once gives, after 50 steps, the bits of
     the step that decided every shortcut at every call: x, y, lam and the
     running sums, for one stream and for (R, d) rows.  A stochastic plan
-    with A = I has H0 = beta*I, whose identity eigenbasis it takes without
-    an eigendecomposition."""
+    with A = I has the isotropic H0 = beta*I, whose x-update is one
+    projection: no eigendecomposition and no Newton iteration."""
     from stocadmm import prox
     spec, cfg = _plan_forms()[form]
     eigh = [0]
@@ -618,6 +635,8 @@ def test_planned_update_gives_the_bits_of_the_branching_step(form, R, monkeypatc
     assert np.all(np.isfinite(planned.sums)) and planned.k == 50
     if form == "ball-newton":
         assert newton[0] > 0
+    if identity_basis:
+        assert newton[0] == 0
 
 
 def test_matrix_g_must_be_psd():

@@ -67,14 +67,14 @@ def test_one_step_calls_each_update_boundary_once(monkeypatch):
         assert calls == {"min_quadratic_over_set": 1, "solve_y_update": 1}, variant
 
 
-def test_identity_split_update_calls_no_step_boundary(monkeypatch):
-    """The identity-split update applies the plan's prox map itself, so
-    prox.y_update reads 0 on the kernel-sweep workload."""
+def test_identity_split_entry_calls_each_update_boundary_once_per_step(monkeypatch):
+    """The identity-split entry runs the plan's own update, so it counts as
+    step() does: one call of each update boundary per step."""
     spec = small_lasso_preset().spec
-    plan = SolverConfig(t_max=1).validate(spec)
+    plan = SolverConfig(t_max=3).validate(spec)
     assert plan.takes_identity_split
     calls = _counted(monkeypatch, ("min_quadratic_over_set", "solve_y_update"))
     state = IterateState.zeros(spec, 2)
     kernels.admm_identity_split(plan, None, None, state)
-    assert state.k == 1
-    assert calls == {"min_quadratic_over_set": 0, "solve_y_update": 0}
+    assert state.k == 3
+    assert calls == {"min_quadratic_over_set": 3, "solve_y_update": 3}

@@ -13,12 +13,13 @@ experiment, the recording and the metric pass of the rows of the workload's
 grid (4000 rows on linearized-dense, a sparse grid elsewhere).  The form a
 workload takes is read off its plan:
 
-* identity-split: kernel-sweep (lasso-split, stochastic, R = 16), by
-  ``kernels.admm_identity_split``;
+* identity-split: kernel-sweep (lasso-split, stochastic, R = 16), the
+  plan's update entered by ``kernels.admm_identity_split``, whose x-update
+  is one projection onto the ball;
 * general: general-step (fused-lasso-graph, general A, stochastic, R = 3),
   by ``solvers.run`` on the draws of ``oracle.presample_streams``;
 * checked: checked (lasso-split, stochastic with invariant checks, R = 2),
-  the same way, its check passes included;
+  the same way, its check passes included; its update is identity-split's;
 * linearized: linearized-dense (lasso-split, scalar G, R = 1), by
   ``solvers.run`` on a 1-D state, which draws nothing.
 
