@@ -20,6 +20,14 @@ All proximal operators here are coordinate-separable, so restriction to a box
 is a componentwise clamp of the unconstrained solution (1-D strictly convex
 minimization over an interval).
 
+The second-block entries also give the convex conjugate of their sum with
+the indicator of a set Y, (f + i_Y)*(z) = sup_{y in Y} <y, z> - f(y), in
+closed form at a point or at each row of z (conjugate(z, Y, rho)), which the
+y-optimality check reads its Fenchel-Young gap from.  Where that conjugate
+is an indicator (an entry that is not strongly convex, on the whole space),
+it is taken over the origin-centered ball of radius rho instead, through
+the set's support function (sets module).
+
 A matrix or vector product made once per step, per inner iteration or per
 check pass is spelled a.dot(b) (or matmul_rows), not a @ b.  On operands of
 the solvers' sizes @ pays the dispatch of numpy's matmul gufunc; for 1-D
@@ -32,6 +40,8 @@ the @ of the formula.
 from __future__ import annotations
 
 import numpy as np
+
+from .sets import Box
 
 __all__ = [
     "LeastSquares",
@@ -207,6 +217,20 @@ class L1Norm:
     def prox(self, z: np.ndarray, c: float) -> np.ndarray:
         return soft_threshold(np.asarray(z, dtype=float), self.coef / c)
 
+    def conjugate(self, z: np.ndarray, Y, rho=None) -> np.ndarray:
+        """(coef ||.||_1 + i_Y)*(z).  Over a box, each coordinate's term
+        t z_i - coef |t| is concave and piecewise linear, so its maximum is
+        at lo_i, hi_i or, inside the box, the kink 0.  Over a ball of radius
+        r the maximizer has the signs of z on the entries above coef, which
+        gives r ||soft(z, coef)||: the ball's support at soft(z, coef); the
+        whole space's at radius rho."""
+        if not isinstance(Y, Box):
+            return Y.support(soft_threshold(z, self.coef), rho)
+        c, lo, hi = self.coef, Y.lo, Y.hi
+        best = np.maximum(lo * z - c * abs(lo), hi * z - c * abs(hi))
+        return np.sum(np.where((lo <= 0) & (hi >= 0), np.maximum(best, 0.0), best),
+                      axis=-1)
+
 
 class SquaredL2Penalty:
     """(coef/2) ||.||^2."""
@@ -228,6 +252,17 @@ class SquaredL2Penalty:
     def prox(self, z: np.ndarray, c: float) -> np.ndarray:
         return c * np.asarray(z, dtype=float) / (c + self.coef)
 
+    def conjugate(self, z: np.ndarray, Y, rho=None) -> np.ndarray:
+        """((coef/2)||.||^2 + i_Y)*(z): the maximizer of <t, z> -
+        (coef/2)||t||^2 over Y is the projection t of z / coef onto Y, on the
+        whole space z / coef itself, which gives ||z||^2 / (2 coef).  For
+        coef = 0 the entry is the zero function, whose conjugate is Y's
+        support (ZeroFunction.conjugate)."""
+        if not self.coef:
+            return Y.support(z, rho)
+        t = Y.project(z / self.coef)
+        return np.vecdot(t, z) - 0.5 * self.coef * np.vecdot(t, t)
+
 
 class ZeroFunction:
     """The zero function; prox is the identity (set handling is elsewhere)."""
@@ -240,3 +275,8 @@ class ZeroFunction:
 
     def prox(self, z: np.ndarray, c: float) -> np.ndarray:
         return np.asarray(z, dtype=float)
+
+    def conjugate(self, z: np.ndarray, Y, rho=None) -> np.ndarray:
+        """(i_Y)*(z), the support function of Y (of the rho-ball for the
+        whole space)."""
+        return Y.support(z, rho)

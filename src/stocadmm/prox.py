@@ -164,21 +164,20 @@ def min_quadratic_over_set(H0: np.ndarray, eig, shift: float, rhs: np.ndarray,
     raise TypeError(f"unsupported set descriptor {type(X).__name__}")
 
 
-def three_points_check(x_star: np.ndarray, u: np.ndarray, probe_x: np.ndarray,
-                       g_at_xstar: np.ndarray, s: float, tol: float = 1e-9):
-    """Bregman 3-points inequality for the Euclidean prox-regularized minimizer.
+def three_points_check(x_star: np.ndarray, u: np.ndarray, g_at_xstar: np.ndarray,
+                       s, X: SetDescriptor, tol: float = 1e-9):
+    """Bregman 3-points inequality for the Euclidean prox-regularized
+    minimizer, at its worst point of X.
 
-    Checks  <g(x*), x* - x>  <=  s [ D(x,u) - D(x,x*) - D(x*,u) ] + tol
-    with D(a, b) = ||a - b||^2 / 2.  Returns (holds, signed residual), each
-    a (P,) array for (P, d) rows of probe_x.  The arguments broadcast as
-    rows: (n, 1, d) iterates and subgradients, an (n, 1) s and (n, P, d)
-    probes give (n, P) arrays.
+    The inequality  <g(x*), x* - x>  <=  s [ D(x,u) - D(x,x*) - D(x*,u) ] + tol,
+    with D(a, b) = ||a - b||^2 / 2, must hold for every x in X.  Its
+    residual is <x* - x, q> with q = g(x*) + s (x* - u), affine in x, so its
+    supremum over X is <x*, q> + sigma_X(-q), X's support function; a
+    whole-space X stands as the ball of radius rho = 1 + ||x*|| of the row,
+    which holds x*.  Returns (holds, signed residual); the arguments
+    broadcast as rows, so (n, d) iterates and subgradients with an (n, 1) s
+    give (n,) arrays.
     """
-
-    def D(a, b):
-        d = a - b
-        return 0.5 * np.vecdot(d, d)
-
-    lhs = np.vecdot(x_star - probe_x, g_at_xstar)
-    rhs = s * (D(probe_x, u) - D(probe_x, x_star) - D(x_star, u))
-    return lhs <= rhs + tol, lhs - rhs
+    q = g_at_xstar + s * (x_star - u)
+    res = np.vecdot(x_star, q) + X.support(-q, 1.0 + np.sqrt(np.vecdot(x_star, x_star)))
+    return res <= tol, res

@@ -6,6 +6,13 @@ origin-centered Euclidean ball, and an axis-aligned box.  All of them admit
 closed-form Euclidean projections, which keeps every subproblem solve exact.
 A projection also takes an (R, d) array and projects each row, and sample
 with size=P draws (P, d) rows, with size=(n, P) an (n, P, d) array.
+
+Each set also gives its support function sigma(v) = sup_{u in set} <u, v>
+in closed form, at a point or at each row of v, which the invariant checks
+take as the worst case of a relation that must hold at every point of the
+set.  The whole space's is infinite off v = 0, so it gives that of the
+origin-centered ball of a stated radius rho, one per row, in its place; a
+ball and a box ignore rho.
 """
 
 from __future__ import annotations
@@ -50,6 +57,11 @@ class WholeSpace:
         """Standard Gaussian points."""
         return rng.standard_normal(_shape(self.dim, size))
 
+    def support(self, v: np.ndarray, rho) -> np.ndarray:
+        """rho ||v||: the support function of the ball of radius rho (a
+        scalar, or one per row of v) that stands in for the whole space."""
+        return rho * np.sqrt(np.vecdot(v, v))
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -92,6 +104,10 @@ class Ball:
         r = self.radius * rng.uniform(size=size) ** (1.0 / self.dim)
         return v * (r / np.maximum(np.sqrt(np.vecdot(v, v)), 1e-300))[..., None]
 
+    def support(self, v: np.ndarray, rho=None) -> np.ndarray:
+        """radius ||v||, at a point or at each row of v."""
+        return self.radius * np.sqrt(np.vecdot(v, v))
+
 
 @dataclass(frozen=True)
 class Box:
@@ -128,6 +144,10 @@ class Box:
     def sample(self, rng: np.random.Generator,
                size: int | tuple | None = None) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, _shape(self.dim, size))
+
+    def support(self, v: np.ndarray, rho=None) -> np.ndarray:
+        """sum_i max(lo_i v_i, hi_i v_i), at a point or at each row of v."""
+        return np.sum(np.maximum(self.lo * v, self.hi * v), axis=-1)
 
 
 SetDescriptor = WholeSpace | Ball | Box

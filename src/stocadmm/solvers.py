@@ -34,6 +34,17 @@ loop stores each step's iterate, subgradient and stepsize too (CheckedSteps).
 Every CHECK_CHUNK steps the loop checks the invariants of the chunk, for
 every replication still checked in one pass, and ends the run once no
 replication is finite.
+
+Three of the four invariants are checked exactly, one value per step: the
+dual-update identity; y-optimality, whose supremum over Y is a Fenchel-Young
+gap through theta2's conjugate (check_y_optimality); and the 3-points
+relation of the x-update, whose supremum over X is a support function
+(prox.three_points_check).  Where such a supremum is infinite off the
+optimum, over a whole-space set, it is taken over the origin-centered ball
+of radius rho = 1 + ||row||, the norm of the row's own y_{k+1} or x_{k+1},
+which holds that iterate.  The step inequality is sampled at PROBE_COUNT
+random points a step.  invariant_probes counts, per check, the points its
+residuals were evaluated at: one a step for an exact check.
 """
 
 from __future__ import annotations
@@ -64,16 +75,15 @@ __all__ = [
 ]
 
 
-# invariant checks: their names, random probe points per check (three-points
-# and step-inequality, then y-optimality), tolerance of the signed residuals,
-# seed of the probe generator, steps per chunk of the loop (one check pass,
-# and one test whether any replication is finite) and most (step,
-# replication) rows one group of a pass evaluates at once.  Longer chunks
-# and larger groups cost fewer passes but more memory: a 64-step chunk
-# raised the peak memory of a checked run by 7%.
+# invariant checks: their names, random probe points per step of the one
+# sampled check (step-inequality; the others are exact), tolerance of the
+# signed residuals, seed of the probe generator, steps per chunk of the loop
+# (one check pass, and one test whether any replication is finite) and most
+# (step, replication) rows one group of a pass evaluates at once.  Longer
+# chunks and larger groups cost fewer passes but more memory: a 64-step
+# chunk raised the peak memory of a checked run by 7%.
 INVARIANTS = ("dual-identity", "y-optimality", "three-points", "step-inequality")
 PROBE_COUNT = 5
-Y_PROBE_COUNT = 20
 CHECK_TOL = 1e-9
 PROBE_SEED = 2024
 CHECK_CHUNK = 16
@@ -421,7 +431,7 @@ class Trajectory:
     final_state: IterateState | None = None
     invariant_log: list = field(default_factory=list)
     # per invariant that ran, its worst residual (NaN once a residual was);
-    # per invariant, the number of probes it evaluated
+    # per invariant, the number of points it evaluated (one a step if exact)
     invariant_worst: dict = field(default_factory=dict)
     invariant_probes: dict = field(default_factory=dict)
     error: str | None = None
@@ -593,29 +603,24 @@ def step_inequality_check(prev: StackedW, curr: StackedW, probe_w: StackedW,
     return lhs - rhs, scale
 
 
-def check_y_optimality(curr: StackedW, spec: ProblemSpec, draw: np.ndarray,
-                       probes: int = Y_PROBE_COUNT):
-    """Max signed residual of the y-update optimality inequality over probes.
+def check_y_optimality(curr: StackedW, spec: ProblemSpec):
+    """Fenchel-Young gap of the y-update's optimality relation at its rows.
 
     For the exact y-minimizer, th2(y_{k+1}) - th2(y') + <y_{k+1} - y',
-    -B'lam_{k+1}> <= 0 for every y' in Y.  draw holds Y.sample's points,
-    (probes, d2), or (n, probes, d2) for n rows of curr as (n, d) parts,
-    whose leading axes broadcast against draw's: (G, n, d) parts read row j
-    of an (n, probes, d2) draw at their rows (., j).  Each probe y' projects
-    a point of draw, for a whole-space Y at the scale 1 + ||y_{k+1}|| of its
-    row.  Returns (max residual, scale), arrays of the rows' leading shape.
+    -B'lam_{k+1}> <= 0 for every y' in Y, which is z = B'lam_{k+1} in
+    d th2(y_{k+1}) + N_Y(y_{k+1}).  The supremum over y' of the left side is
+    the gap th2(y) + (th2 + i_Y)*(z) - <y, z> >= 0, zero iff the relation
+    holds, with the conjugate in closed form (theta2.conjugate); over a
+    whole-space Y it is taken over the ball of radius rho = 1 + ||y_{k+1}||
+    of the row.  curr holds one point, or rows as (..., d) parts.  Returns
+    (gap, scale), arrays of the rows' leading shape.
     """
-    if draw.shape[-2] != probes:
-        raise ValueError(f"expected {probes} probes per row, got {draw.shape[-2]}")
-    grad_term = spec.B_transpose(-curr.lam)
+    z = spec.B_transpose(curr.lam)
     th2 = spec.theta2.value(curr.y)
-    scale = 1.0 + abs(th2) + np.linalg.norm(grad_term, axis=-1)
-    if isinstance(spec.Y, WholeSpace):  # a ball's or a box's points have no scale
-        draw = (1.0 + np.linalg.norm(curr.y, axis=-1))[..., None, None] * draw
-    y_probe = spec.Y.project(draw)
-    res = (th2[..., None] - spec.theta2.value(y_probe)
-           + np.vecdot(curr.y[..., None, :] - y_probe, grad_term[..., None, :]))
-    return np.max(res, axis=-1, initial=-np.inf), scale
+    scale = 1.0 + abs(th2) + np.linalg.norm(z, axis=-1)
+    rho = 1.0 + np.linalg.norm(curr.y, axis=-1)
+    gap = th2 + spec.theta2.conjugate(z, spec.Y, rho) - np.vecdot(curr.y, z)
+    return gap, scale
 
 
 def run(spec: ProblemSpec, cfg: SolverConfig, draws: SampleBuffer | None = None,
@@ -705,10 +710,11 @@ class CheckedSteps:
     replication still checked; a replication's checks end after its first
     non-finite step.  What the checks saw is kept per replication r and
     invariant (INVARIANTS order): worst[r] the worst residual, which keeps a
-    NaN, probes[r] the probe count, and logs[r] a (k, name, residual) entry
-    per violating probe.  Every replication shares the probes of one
-    generator, rng, so a run draws as many whatever R is.  Every check pass
-    evaluates theta1 through the plan's quadratic form, if it has one."""
+    NaN, probes[r] the point count, and logs[r] a (k, name, residual) entry
+    per violating point (a step, for an exact check).  Every replication
+    shares the step inequality's probes of one generator, rng, so a run
+    draws as many whatever R is.  Every check pass evaluates theta1 through
+    the plan's quadratic form, if it has one."""
 
     def __init__(self, state: IterateState, plan: StepPlan):
         R = len(state.replications())
@@ -775,40 +781,40 @@ class CheckedSteps:
 def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
     """All enabled per-iteration invariants at the stored steps of one
     chunk, for each replication r of chunk.checked at its first steps[r]
-    steps.  The probes are drawn once, an (n, P, d) array per kind whose
-    row j step k0 + 1 + j of every replication reads.  A group of at most
-    CHECK_ROWS // CHECK_CHUNK replications takes its previous and current
-    iterates as (G, n, d) blocks of the buffers, and each check broadcasts
-    them as (G, n, 1, d) against the probes, with the constraint's exact
-    facts (ProblemSpec).  The group's checks are then reduced together over
-    the steps of the mask valid (past its last step, a replication that
-    died in the chunk has steps): one stacked maximum gives each
-    replication's worst residual per check, one test finds any violation,
-    and log entries are built only for one."""
+    steps.  The dual identity, y-optimality and three-points are exact: each
+    is one value per step, its supremum over the set in closed form.  The
+    step inequality is sampled: its probes are drawn once, an (n, P, d)
+    array per part whose row j step k0 + 1 + j of every replication reads.
+    A group of at most CHECK_ROWS // CHECK_CHUNK replications takes its
+    previous and current iterates as (G, n, d) blocks of the buffers, which
+    the step inequality broadcasts as (G, n, 1, d) against its probes, with
+    the constraint's exact facts (ProblemSpec).  The group's checks are then
+    reduced together over the steps of the mask valid (past its last step, a
+    replication that died in the chunk has steps): one stacked maximum gives
+    each replication's worst residual per check, one test finds any
+    violation, and log entries are built only for one."""
     plan, w, g, rng = chunk.plan, chunk.w, chunk.g, chunk.rng
     spec, beta = plan.spec, plan.beta
     unit, s = beta == 1.0, spec.B_scale
     n = int(steps[chunk.checked].max())
-    y_draw = spec.Y.sample(rng, size=(n, Y_PROBE_COUNT))
     if g is not None:
         size = (n, PROBE_COUNT)
-        probe_x = spec.X.project(spec.X.sample(rng, size=size))
         probe_w = StackedW(spec.X.project(spec.X.sample(rng, size=size)),
                            spec.Y.project(spec.Y.sample(rng, size=size)),
                            rng.standard_normal((*size, spec.m)))
-    # the checks that run, and the probes behind each step's residual
+    # the checks that run, and the points behind each step's residual
     names = INVARIANTS if g is not None else INVARIANTS[:2]
-    per_step = np.array((1, Y_PROBE_COUNT, PROBE_COUNT, PROBE_COUNT)[:len(names)])
-    eta = chunk.eta[:n, None]  # step j's stepsize against its (G, n, P) residuals
+    per_step = np.array((1, 1, 1, PROBE_COUNT)[:len(names)])
+    eta = chunk.eta[:n, None]  # step j's stepsize against its (G, n, d) rows
     per_group = max(1, CHECK_ROWS // CHECK_CHUNK)
     for first in range(0, len(chunk.checked), per_group):
         group = chunk.checked[first:first + per_group]
         valid = np.arange(n) < steps[group][:, None]
         prev, curr = w[group, :n], w[group, 1:n + 1]
         # per check, in the order of names: its residuals as (G, n, columns),
-        # a column per probe; each step's value that enters the worst
-        # residual; and its violation flags, each "not res <= tol", so that
-        # a NaN residual is a violation
+        # a column per point (one for an exact check); each step's value
+        # that enters the worst residual; and its violation flags, each "not
+        # res <= tol", so that a NaN residual is a violation
         res, worst, bad = [], [], []
 
         # dual-update identity: exact by construction, to 1e-12 at the scale
@@ -820,14 +826,13 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
         worst.append(dual)
         bad.append(~(dual <= 1e-12 * lam_scale)[..., None])
 
-        yres, yscale = check_y_optimality(curr, spec, y_draw, probes=Y_PROBE_COUNT)
-        res.append(yres[..., None])
-        worst.append(yres / yscale)
-        bad.append(~(yres <= CHECK_TOL * yscale)[..., None])
+        gap, yscale = check_y_optimality(curr, spec)
+        res.append(gap[..., None])
+        worst.append(gap / yscale)
+        bad.append(~(gap <= CHECK_TOL * yscale)[..., None])
 
         if g is not None:
             gr = g[group, :n]
-            prev_c, curr_c = prev[..., None, :], curr[..., None, :]
             # 3-points relation at the realized x-update: g_l = g + beta A'(A
             # x_{k+1} - v), v = b + lam_k/beta - B y_k
             v = prev.lam if unit else prev.lam / beta
@@ -838,16 +843,17 @@ def _run_checks(chunk: CheckedSteps, steps: np.ndarray):
             pen_grad = (curr.x - v if spec.A_identity
                         else matmul_rows(matmul_rows(curr.x, spec.A.T) - v, spec.A))
             g_l = gr + (pen_grad if unit else beta * pen_grad)
-            ok, tp = three_points_check(curr_c.x, prev_c.x, probe_x, g_l[..., None, :],
-                                        1.0 / eta, tol=CHECK_TOL)
-            res.append(tp)
-            worst.append(tp.max(axis=-1))
-            bad.append(~ok)
+            ok, tp = three_points_check(curr.x, prev.x, g_l, 1.0 / eta, spec.X,
+                                        tol=CHECK_TOL)
+            res.append(tp[..., None])
+            worst.append(tp)
+            bad.append(~ok[..., None])
             # per-iteration variational bound at random probes, lam's at
             # scale lam_scale; delta = g - the exact subgradient at prev.x
             delta = gr - _theta1_subgrad(prev.x, spec, plan.quadratic)
             probes = StackedW(probe_w.x, probe_w.y,
                               probe_w.lam * lam_scale[..., None, None])
+            prev_c, curr_c = prev[..., None, :], curr[..., None, :]
             si, scale = step_inequality_check(prev_c, curr_c, probes, gr[..., None, :],
                                               delta[..., None, :], eta, spec, beta,
                                               quadratic=plan.quadratic)

@@ -357,9 +357,9 @@ def test_check_flag_probes_a_run_and_only_a_run(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.yaml", solver={"t_max": 20})
     assert main(["run", "--config", cfg, "--check", "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
-    # one dual, 20 y and 5 + 5 x-probes a step
-    assert report["invariant_probes"] == {"dual-identity": 20, "y-optimality": 400,
-                                          "three-points": 100, "step-inequality": 100}
+    # one point a step for each exact check, and 5 step-inequality probes
+    assert report["invariant_probes"] == {"dual-identity": 20, "y-optimality": 20,
+                                          "three-points": 20, "step-inequality": 100}
     for command in ("reference", "check-invariants"):
         with pytest.raises(SystemExit) as exit_:
             main([command, "--config", cfg, "--check"])
@@ -849,8 +849,9 @@ def test_report_carries_worst_residual_and_probes_per_invariant(tmp_path):
                            solver=SolverConfig(t_max=20, check_invariants=True))
     report, code = run_experiment(cfg)
     assert code == 0
-    # summed over the two replications: one dual, 20 y, 5 + 5 x-probes a step
-    assert report["invariant_probes"] == dict(zip(names, (40, 800, 200, 200)))
+    # summed over the two replications: one point a step for each exact
+    # check, and 5 step-inequality probes
+    assert report["invariant_probes"] == dict(zip(names, (40, 40, 40, 200)))
     assert all(report["invariant_worst"][name] <= 1e-9 for name in names)
     cfg.solver.check_invariants = False
     cfg.out_dir = str(tmp_path / "u")

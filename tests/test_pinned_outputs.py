@@ -138,42 +138,42 @@ def test_csv_outputs_match_recorded_digests(tmp_path, name):
 CHECKED = {
     "checked": (
         GOLDEN["checked"][0],
-        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
-         "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe93c92f03000p-1"},
-        {"dual-identity": 200, "y-optimality": 4000, "three-points": 1000,
+        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.21cc5d65624d1p-51",
+         "three-points": "0x1.c64ec61e22cc1p+9", "step-inequality": "0x1.fe9d75eb9dab2p-1"},
+        {"dual-identity": 200, "y-optimality": 200, "three-points": 200,
          "step-inequality": 1000},
-        "846982656dbe1007a7651cefa7a649c84c9bfdfa41094ae1dfe865d7f6c078f6"),
+        "6bb080a81cc2cc6feffad0eaf5474e9bdfd138239f335f2ce08ecef03daa1ad5"),
     "checked-R6-T77": (
         dict(preset="lasso-split", replications=6,
              solver=SolverConfig(t_max=77, check_invariants=True)),
-        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.2f7f8bdbad95fp-50",
-         "three-points": "0x1.99d1164cb658ap+9", "step-inequality": "0x1.fe9a9f759e29ep-1"},
-        {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
+        {"dual-identity": "0x1.07e0f66afed07p-56", "y-optimality": "0x1.21cc5d65624d1p-51",
+         "three-points": "0x1.c64ec61e22cc1p+9", "step-inequality": "0x1.fea01fd5213e4p-1"},
+        {"dual-identity": 462, "y-optimality": 462, "three-points": 462,
          "step-inequality": 2310},
-        "6566f51704d270647d8f41ade2406c8ab9d0712973c7c8b9f192c8cd8f1abfae"),
+        "1a9083b478a1c45abf343b8d62db169a763f308110e9c76d345efe886013eb23"),
     "checked-general-A-R6-T77": (
         dict(preset="fused-lasso-graph", replications=6,
              solver=SolverConfig(t_max=77, check_invariants=True)),
-        {"dual-identity": "0x1.0000000000000p-56", "y-optimality": "0x1.6db94ef1a378ap-53",
-         "three-points": "0x1.e938eee96e856p+8", "step-inequality": "0x1.f9591cbc5da36p-1"},
-        {"dual-identity": 462, "y-optimality": 9240, "three-points": 2310,
+        {"dual-identity": "0x1.0000000000000p-56", "y-optimality": "0x1.5c05021e2865dp-52",
+         "three-points": "0x1.46bea3e42600dp+9", "step-inequality": "0x1.fc05efea9f57ep-1"},
+        {"dual-identity": 462, "y-optimality": 462, "three-points": 462,
          "step-inequality": 2310},
-        "ee018ded45155f5506eaf13b6c3a8cdf695f718e4df1a0aac89a77a85f8ffd4c"),
+        "74a470b09dbf7952f248cbd63bdf15b81f1b5a8f3c49795a464c2d5bff23fb38"),
     "checked-beta-0.5": (
         dict(preset="lasso-split", replications=2,
              solver=SolverConfig(t_max=100, beta=0.5, check_invariants=True)),
-        {"dual-identity": "0x1.18cc821d6d3e3p-56", "y-optimality": "0x1.c06b3c3ddba4dp-51",
-         "three-points": "0x1.8994a46d0eb51p+9", "step-inequality": "0x1.fe83477f45d2bp-1"},
-        {"dual-identity": 200, "y-optimality": 4000, "three-points": 1000,
+        {"dual-identity": "0x1.18cc821d6d3e3p-56", "y-optimality": "0x1.66bc30317c83ep-52",
+         "three-points": "0x1.b44f9e5a9961ep+9", "step-inequality": "0x1.fe88e7d41c178p-1"},
+        {"dual-identity": 200, "y-optimality": 200, "three-points": 200,
          "step-inequality": 1000},
-        "8db2d756460d4b28e57431c6435fde80ee387d7eab102ecf7d1e90b21af55f8e"),
+        "2597fdcf67d49c2c8192744e0ea36ae05806df345fc341dfdde18ff40c5823e0"),
     "checked-linearized": (
         dict(preset="lasso-split", replications=2,
              solver=SolverConfig(variant="linearized", G=2.0, t_max=100,
                                  check_invariants=True)),
-        {"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.74149f89d5d42p-54",
+        {"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.ad5db3e773f7ep-52",
          "three-points": None, "step-inequality": None},
-        {"dual-identity": 200, "y-optimality": 4000, "three-points": 0,
+        {"dual-identity": 200, "y-optimality": 200, "three-points": 0,
          "step-inequality": 0},
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
@@ -246,28 +246,28 @@ def test_subgradient_bound_matches_recorded_bits(preset, seed):
 # Replication 1's subgradient is NaN at step 20, so the passes after it check
 # the replications [0, 2, 3, 4, 5]; every x-update of step 40 is moved off
 # its minimizer, so each of them logs in that set
-_FULL = {"dual-identity": 77, "y-optimality": 1540, "three-points": 385,
+_FULL = {"dual-identity": 77, "y-optimality": 77, "three-points": 77,
          "step-inequality": 385}
 NON_CONTIGUOUS = [
-    ({"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.4b893fd54f60cp-51",
-      "three-points": "0x1.f29cbec875c33p+9", "step-inequality": "0x1.fe53a11dbde87p-1"},
-     _FULL, "5799735429b9e949d32e2decb85bcdeb4132793bd3134c5bf99443574dc75268"),
+    ({"dual-identity": "0x1.6a09e667f3bcdp-57", "y-optimality": "0x1.093a997772b3dp-52",
+      "three-points": "0x1.23248a6e68998p+10", "step-inequality": "0x1.fe85402885f68p-1"},
+     _FULL, "b3a3a95a4ab5e5bfa16d7e4c843906ca0acd6599467bbcc1d7a95d6ad5c03aa5"),
     (dict.fromkeys(_FULL, "nan"),
-     {"dual-identity": 20, "y-optimality": 400, "three-points": 100,
+     {"dual-identity": 20, "y-optimality": 20, "three-points": 20,
       "step-inequality": 100},
-     "18a39416127ff9fd532de1927abc52214a9419c285ed79b248ed919c58262c4f"),
-    ({"dual-identity": "0x1.36a9ef26f762fp-57", "y-optimality": "0x1.4e47b98fb2bfcp-52",
-      "three-points": "0x1.01f996372b780p+10", "step-inequality": "0x1.fe73cabf30bfdp-1"},
-     _FULL, "8251865d6c7d6552b8dabf16549553926522c59c07a3c542b49045d86ab6ccfb"),
+     "5723700a28e77177352b3f4e763f758614c849556d12d2cfc22c0047a4f99345"),
+    ({"dual-identity": "0x1.36a9ef26f762fp-57", "y-optimality": "0x1.595af2db4cefep-52",
+      "three-points": "0x1.2bcfc141592fep+10", "step-inequality": "0x1.fef45064940bap-1"},
+     _FULL, "de2e13d0e26acfd46f788eee354b24281648d7b16d48bc599032930050e6c0f8"),
     ({"dual-identity": "0x1.6fa6ea162d0f0p-57", "y-optimality": "0x1.010e7c52c2367p-51",
-      "three-points": "0x1.046e49e50439dp+10", "step-inequality": "0x1.fdcd68434d918p-1"},
-     _FULL, "b75b4b76234d52286431fea9687b17234f92bb9ddacfc678941abe07305b0877"),
-    ({"dual-identity": "0x1.bb67ae8584caap-57", "y-optimality": "0x1.815d626c750aap-52",
-      "three-points": "0x1.01b9b51e6f666p+10", "step-inequality": "0x1.fe1ada26cbd32p-1"},
-     _FULL, "aa4bd6d5433e2a6d5e360bb55990b14d5b9864c1d9d96b0081142f03dae36cb2"),
-    ({"dual-identity": "0x1.01fe03f61bad0p-56", "y-optimality": "0x1.8e529cca1a8bdp-51",
-      "three-points": "0x1.f61d526eb6a61p+9", "step-inequality": "0x1.fedc3f8db4e35p-1"},
-     _FULL, "520352513f7a07b8258ebd7ee56a51a9b45822f62074ade76c5e7a39a7599555"),
+      "three-points": "0x1.2e4474ef31f1ap+10", "step-inequality": "0x1.fee6953461cb5p-1"},
+     _FULL, "02fa0d144f23846882c4e4564c9c75004174ad81edea5ccdf4ab5a323ec6a00d"),
+    ({"dual-identity": "0x1.bb67ae8584caap-57", "y-optimality": "0x1.2bba68ff05b2fp-51",
+      "three-points": "0x1.2b8fe0289d1e4p+10", "step-inequality": "0x1.fe5faa5e25055p-1"},
+     _FULL, "5448fe16705fc8d588f61b1782c952ac90b9ccb22803ec7191489013767493ac"),
+    ({"dual-identity": "0x1.01fe03f61bad0p-56", "y-optimality": "0x1.098c6886bc5d3p-52",
+      "three-points": "0x1.24e4d441890aep+10", "step-inequality": "0x1.feb00c492f3b9p-1"},
+     _FULL, "7d3fe2d1ea69372a3e50fd0e6a4bd7ff8f7527dd8ad208dfe876157a6ebe29b8"),
 ]
 
 

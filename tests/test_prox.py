@@ -437,18 +437,19 @@ def test_three_points_relation_at_ball_solutions():
     # effective gradient of the full subproblem objective at the minimizer
     v = spec.b + state.lam / beta - spec.B @ state.y
     g_eff = g + beta * (spec.A.T @ (spec.A @ x_star - v))
+    holds, resid = three_points_check(x_star, state.x, g_eff, 1.0 / eta, spec.X, tol=1e-9)
+    assert holds, f"residual {resid}"
     for _ in range(20):
         probe = spec.X.project(spec.X.sample(rng))
-        holds, resid = three_points_check(x_star, state.x, probe, g_eff,
-                                          1.0 / eta, tol=1e-9)
-        assert holds, f"residual {resid}"
-        # first-order optimality over the set
-        assert g_eff @ (probe - x_star) + (x_star - state.x) @ (probe - x_star) / eta >= -1e-8
+        # first-order optimality over the set, whose worst case the check takes
+        slope = g_eff @ (probe - x_star) + (x_star - state.x) @ (probe - x_star) / eta
+        assert slope >= -1e-8 and -slope <= resid + 1e-12
 
 
 def test_three_points_detects_a_non_minimizer():
     x_bad = np.array([1.0])
     u = np.array([0.0])
     g = np.array([5.0])  # steep ascent direction: moving back is better
-    holds, resid = three_points_check(x_bad, u, np.array([-1.0]), g, 1.0)
-    assert not holds and resid > 0
+    holds, resid = three_points_check(x_bad, u, g, 1.0, Ball(1, 1.0))
+    # q = g + (x - u) = 6, so the worst point -1 gives <x - (-1), q> = 12
+    assert not holds and resid == 12.0

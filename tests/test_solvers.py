@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from stocadmm import solvers
-from stocadmm.functions import L1Norm, LeastSquares, Quadratic, SquaredL2Penalty
+from stocadmm.functions import (L1Norm, LeastSquares, Quadratic, SquaredL2Penalty,
+                                soft_threshold)
 from stocadmm.harness import run_replications
 from stocadmm.oracle import AdditiveNoiseOracle, presample_streams
 from stocadmm.problem import (IterateState, ProblemSpec, StackedW, StructuralConstants,
@@ -712,54 +713,53 @@ def test_batched_checks_match_probe_by_probe_formulas(which, lasso_preset):
         assert scale[p] == pytest.approx(1.0 + abs(lhs) + sum(map(abs, terms)),
                                          abs=1e-12)
 
-    # 3-points relation at the realized x-update
+    # 3-points relation at the realized x-update: the exact check is its
+    # worst case over X, at least the one-point formula at every probe
     v = spec.b + prev.lam / beta - spec.B @ prev.y
     g_l = g + beta * (spec.A.T @ (spec.A @ curr.x - v))
-    holds, tp = three_points_check(curr.x, prev.x, probes.x, g_l, 1.0 / eta, tol=1e-9)
-    assert tp.shape == holds.shape == (P,)
+    holds, tp = three_points_check(curr.x, prev.x, g_l, 1.0 / eta, spec.X, tol=1e-9)
+    assert np.ndim(tp) == 0 and holds == (tp <= 1e-9)
     for p in range(P):
         xp = probes.x[p]
         ref = float(g_l @ (curr.x - xp)) - (sq(xp - prev.x) - sq(xp - curr.x)
                                             - sq(curr.x - prev.x)) / (2.0 * eta)
-        assert tp[p] == pytest.approx(ref, abs=1e-12)
-        one_holds, one_res = three_points_check(curr.x, prev.x, xp, g_l, 1.0 / eta,
-                                                tol=1e-9)
-        assert np.ndim(one_res) == 0 and one_holds == holds[p]
+        assert ref <= tp + 1e-12
 
-    # y-optimality: the same draws, one probe at a time
+    # y-optimality: the exact gap is at least the one-point formula at every
+    # probe of Y, a whole-space Y's within the ball of radius 1 + ||y||
     draw = spec.Y.sample(np.random.default_rng(3), size=P)
-    worst, yscale = check_y_optimality(curr, spec, draw, probes=P)
-    # a whole-space Y's probes at the scale 1 + ||y||, a box's as drawn
+    gap, yscale = check_y_optimality(curr, spec)
     ys = spec.Y.project((1.0 + np.linalg.norm(curr.y)) * draw
                         if isinstance(spec.Y, WholeSpace) else draw)
     grad_term = -spec.B.T @ curr.lam
-    ref = max(spec.theta2.value(curr.y) - spec.theta2.value(y)
-              + float((curr.y - y) @ grad_term) for y in ys)
-    assert worst == pytest.approx(ref, abs=1e-12)
+    for y in ys:
+        ref = (spec.theta2.value(curr.y) - spec.theta2.value(y)
+               + float((curr.y - y) @ grad_term))
+        assert ref <= gap + 1e-12
     assert yscale == pytest.approx(1.0 + abs(spec.theta2.value(curr.y))
                                    + np.linalg.norm(grad_term), abs=1e-12)
 
 
-def test_y_optimality_scales_each_rows_probes_by_its_own_y(lasso_preset):
-    """Over a whole-space Y, n rows at once give, row for row, the one-point
-    formula at that row's draw times its own 1 + ||y||: 2, 11 and, for y =
-    0, exactly 1."""
+def test_y_optimality_takes_each_rows_ball_at_its_own_y(lasso_preset):
+    """Over a whole-space Y, n rows at once give, row for row, the gap over
+    the ball of the row's own radius 1 + ||y||: 2, 11 and, for y = 0,
+    exactly 1; l1's conjugate over it is radius * ||soft(B'lam, coef)||."""
     spec = lasso_preset.spec
-    assert isinstance(spec.Y, WholeSpace)
+    assert isinstance(spec.Y, WholeSpace) and isinstance(spec.theta2, L1Norm)
     rng = np.random.default_rng(8)
-    P, n = 5, 3
+    n = 3
     y = rng.standard_normal((n, spec.d2))
     y *= (np.array([1.0, 10.0, 0.0]) / np.linalg.norm(y, axis=1))[:, None]
     curr = StackedW(rng.standard_normal((n, spec.d1)), y,
                     rng.standard_normal((n, spec.m)))
-    draw = spec.Y.sample(rng, size=(n, P))
-    worst, _ = check_y_optimality(curr, spec, draw, probes=P)
-    assert worst.shape == (n,)
-    grad_term = -curr.lam @ spec.B
-    for i, scale in enumerate((2.0, 11.0, 1.0)):
-        ref = max(spec.theta2.value(y[i]) - spec.theta2.value(p)
-                  + float((y[i] - p) @ grad_term[i]) for p in scale * draw[i])
-        assert worst[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    gap, _ = check_y_optimality(curr, spec)
+    assert gap.shape == (n,)
+    z = curr.lam @ spec.B
+    for i, radius in enumerate((2.0, 11.0, 1.0)):
+        ref = (spec.theta2.value(y[i]) - float(y[i] @ z[i])
+               + radius * np.linalg.norm(soft_threshold(z[i], spec.theta2.coef)))
+        assert gap[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert gap[i] == check_y_optimality(curr[i], spec)[0]
 
 
 @pytest.mark.parametrize("name", ["lasso-split", "strongly-convex-lasso"])
@@ -828,7 +828,7 @@ def test_checks_flag_a_perturbed_x_update(lasso_preset, monkeypatch):
     traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0))
     assert traj.error is None
     at_20 = [name for k, name, _ in traj.invariant_log if k == 20]
-    assert at_20.count("three-points") == PROBE_COUNT
+    assert at_20.count("three-points") == 1
     assert "step-inequality" in at_20
 
 
@@ -844,7 +844,7 @@ def test_violations_at_two_steps_of_one_chunk_are_logged_in_step_order(
     assert {k for k, _ in keys} == set(steps)
     for k in steps:
         names = [name for step_k, name, _ in traj.invariant_log if step_k == k]
-        assert names.count("three-points") == PROBE_COUNT and "step-inequality" in names
+        assert names.count("three-points") == 1 and "step-inequality" in names
 
 
 def test_checks_cover_a_last_chunk_shorter_than_check_chunk(lasso_preset, monkeypatch):
@@ -852,8 +852,8 @@ def test_checks_cover_a_last_chunk_shorter_than_check_chunk(lasso_preset, monkey
     _perturb_x_update_at(monkeypatch, lasso_preset.spec, (t_max,))
     traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0), t_max=t_max)
     assert {k for k, _, _ in traj.invariant_log} == {t_max}
-    assert traj.invariant_probes == {"dual-identity": t_max, "y-optimality": 20 * t_max,
-                                     "three-points": PROBE_COUNT * t_max,
+    assert traj.invariant_probes == {"dual-identity": t_max, "y-optimality": t_max,
+                                     "three-points": t_max,
                                      "step-inequality": PROBE_COUNT * t_max}
 
 
@@ -875,8 +875,8 @@ def test_an_exception_mid_chunk_keeps_the_checks_of_every_completed_step(
         assert traj.error == "iteration 30: injected failure"
         # steps 1..29 completed, the last 29 - CHECK_CHUNK of them in an
         # unfinished chunk
-        assert traj.invariant_probes == {"dual-identity": 29, "y-optimality": 20 * 29,
-                                         "three-points": PROBE_COUNT * 29,
+        assert traj.invariant_probes == {"dual-identity": 29, "y-optimality": 29,
+                                         "three-points": 29,
                                          "step-inequality": PROBE_COUNT * 29}
 
 
@@ -932,13 +932,14 @@ def test_checks_flag_a_perturbed_dual_step(lasso_preset, monkeypatch):
 
 def test_invariant_record_counts_every_probe(lasso_preset):
     traj = _checked_run(lasso_preset.spec, lasso_preset.make_oracle(0), t_max=30)
-    assert traj.invariant_probes == {"dual-identity": 30, "y-optimality": 600,
-                                     "three-points": 150, "step-inequality": 150}
+    # an exact check counts one point a step
+    assert traj.invariant_probes == {"dual-identity": 30, "y-optimality": 30,
+                                     "three-points": 30, "step-inequality": 150}
     assert set(traj.invariant_worst) == set(traj.invariant_probes)
     # without a sampled subgradient only the dual and y checks run
     [det] = run(ridge_split_spec(), SolverConfig(variant="deterministic", t_max=10,
                                                  check_invariants=True))
-    assert det.invariant_probes == {"dual-identity": 10, "y-optimality": 200,
+    assert det.invariant_probes == {"dual-identity": 10, "y-optimality": 10,
                                     "three-points": 0, "step-inequality": 0}
     assert set(det.invariant_worst) == {"dual-identity", "y-optimality"}
 
@@ -970,10 +971,10 @@ def test_checked_run_draws_as_many_probe_variates_whatever_r_is(lasso_preset,
     for R in (1, 6):
         run_replications(lasso_preset, solver.validate(lasso_preset.spec), R,
                          np.arange(1, 78), None)
-    # per step: 20 y-points, 5 three-points x-points and 5 (x, y, lam) points,
-    # and one uniform radius per point of the ball X
+    # per step: the step inequality's 5 (x, y, lam) points, and one uniform
+    # radius per point of the ball X; the exact checks draw nothing
     d1, d2, m = lasso_preset.spec.d1, lasso_preset.spec.d2, lasso_preset.spec.m
-    per_step = 20 * d2 + PROBE_COUNT * (d1 + 1) + PROBE_COUNT * (d1 + 1 + d2 + m)
+    per_step = PROBE_COUNT * (d1 + 1 + d2 + m)
     assert variates == [77 * per_step] * 2
 
 
